@@ -38,11 +38,9 @@ from .krein import (
     validate_params,
 )
 from .linalg import (
-    SingularMatrixError,
     hermitian_eig,
     min_singular,
     projector_from_span,
-    solve_linear,
 )
 from .models import (
     GraphModel,

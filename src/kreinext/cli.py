@@ -11,7 +11,8 @@ Tasks: ``spectrum`` (secular eigenvalue search over a real window),
 ``verify`` (the identity suite of the model's Weyl family).
 
 Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
-spectral-point z; 3 boundary-pair conditions failed; 4 verification failed.
+spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
+5 numerical failure (a non-finite Weyl matrix or a LAPACK breakdown).
 Errors are mirrored as machine-readable JSON on stderr.
 """
 
@@ -30,6 +31,7 @@ from .krein import (
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
+    ModelConsistencyError,
     UnsupportedModelError,
     WeylSystem,
     apply_resolvent,
@@ -60,13 +62,14 @@ from .parametrize import (
     relation_from_params,
     von_neumann_block,
 )
-from .spectral import SearchOptions, eigenvalue_search
+from .spectral import eigenvalue_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SPECTRAL = 2
 EXIT_PAIR = 3
 EXIT_VERIFY = 4
+EXIT_NUMERICAL = 5
 
 
 class ConfigError(ValueError):
@@ -122,7 +125,7 @@ def _edge_grids(system: WeylSystem, nodes: int):
 # spectrum
 
 
-def cmd_spectrum(config, out_dir: Path, grid_override, tol_override) -> int:
+def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
     task = config["task"]
     window = task.get("window")
     if (
@@ -134,11 +137,7 @@ def cmd_spectrum(config, out_dir: Path, grid_override, tol_override) -> int:
     model = serialize.model_from_obj(config["model"])
     system = _weyl_for(model)
     params = _load_extension(config.get("extension"), system.n)
-    opts = SearchOptions(
-        nodes=int(grid_override or task.get("grid", 2000)),
-        refine_tol=float(tol_override or task.get("tol", 1e-12)),
-    )
-    result = eigenvalue_search(system, params, window, opts)
+    result = eigenvalue_search(system, params, window)
 
     rows = [(r.lam, r.multiplicity, r.sigma_min) for r in result.eigenvalues]
     _write(out_dir / "spectrum.csv", serialize.csv_text(["lambda", "multiplicity", "sigma_min"], rows))
@@ -203,7 +202,7 @@ def _preset_samples(system: WeylSystem, task, z: complex, grids):
     return out[0] if system.kind == "interval" else out
 
 
-def cmd_resolvent(config, out_dir: Path, grid_override, tol_override) -> int:
+def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
     task = config["task"]
     model = serialize.model_from_obj(config["model"])
     system = _weyl_for(model)
@@ -262,7 +261,7 @@ def _conditions_obj(cond) -> dict:
     }
 
 
-def cmd_convert(config, out_dir: Path, grid_override, tol_override) -> int:
+def cmd_convert(config, out_dir: Path, grid_override) -> int:
     ext = config.get("extension")
     if ext is None:
         raise ConfigError("convert task needs an extension")
@@ -451,7 +450,7 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
     return checks
 
 
-def cmd_verify(config, out_dir: Path, grid_override, tol_override) -> int:
+def cmd_verify(config, out_dir: Path, grid_override) -> int:
     task = config["task"]
     model = serialize.model_from_obj(config["model"])
     system = _weyl_for(model)
@@ -497,8 +496,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="JSON job description")
     parser.add_argument("--out", default=".", help="artifact directory (default: .)")
-    parser.add_argument("--grid", type=int, default=None, help="override the task grid density")
-    parser.add_argument("--tol", type=float, default=None, help="override the task tolerance")
+    parser.add_argument(
+        "--grid", type=int, default=None,
+        help="override the resolvent sample density (nodes per edge)",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -514,7 +515,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown task {name!r}")
         if "model" not in config:
             raise ConfigError("job needs a model descriptor")
-        return _HANDLERS[name](config, Path(args.out), args.grid, args.tol)
+        return _HANDLERS[name](config, Path(args.out), args.grid)
     except PairConditionError as exc:
         sys.stderr.write(
             serialize.canonical_json(
@@ -533,6 +534,12 @@ def main(argv=None) -> int:
             )
         )
         return EXIT_SPECTRAL
+    except (ModelConsistencyError, np.linalg.LinAlgError) as exc:
+        # before the ValueError clause: LinAlgError subclasses ValueError
+        sys.stderr.write(
+            serialize.canonical_json(_fail("numerical-failure", f"{type(exc).__name__}: {exc}"))
+        )
+        return EXIT_NUMERICAL
     except (ConfigError, ExcludedPointError, UnsupportedModelError, KeyError, TypeError, ValueError, OSError) as exc:
         sys.stderr.write(
             serialize.canonical_json(_fail("invalid-config", f"{type(exc).__name__}: {exc}"))

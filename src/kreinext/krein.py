@@ -391,13 +391,17 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
 
     The vanishing of its determinant at real admissible lambda is the
     secular equation for the point spectrum; its inverse drives the Krein
-    correction. For pi = 0 the 0 x 0 matrix is returned.
+    correction. For pi = 0 the 0 x 0 matrix is returned. A non-finite
+    matrix raises :class:`ModelConsistencyError`, so no NaN reaches LAPACK.
     """
     z = system.require_admissible(z)
     v = range_basis(params.pi)
     if v.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    return v.conj().T @ (params.theta + system.gamma(z)) @ v
+    m = v.conj().T @ (params.theta + system.gamma(z)) @ v
+    if not np.all(np.isfinite(m)):
+        raise ModelConsistencyError(f"secular matrix is not finite at z={z}")
+    return m
 
 
 def _secular_sigma(system, params, z):

@@ -9,14 +9,11 @@ consistent across the package.
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError",
     "HERMITICITY_RTOL",
     "RANK_RTOL",
-    "SOLVE_RTOL",
     "as_matrix",
     "as_square",
     "hermitian_eig",
-    "solve_linear",
     "min_singular",
     "projector_from_span",
     "orthonormal_span",
@@ -24,15 +21,6 @@ __all__ = [
 
 HERMITICITY_RTOL = 1e-12
 RANK_RTOL = 1e-10
-SOLVE_RTOL = 1e-13
-
-
-class SingularMatrixError(ValueError):
-    """Linear solve rejected: the matrix is singular to working tolerance."""
-
-    def __init__(self, message: str, sigma_min: float):
-        super().__init__(message)
-        self.sigma_min = float(sigma_min)
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -76,25 +64,6 @@ def hermitian_eig(mat):
         raise ValueError(f"matrix is not Hermitian: asymmetry {res:.3e}")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     return vals, vecs
-
-
-def solve_linear(mat, rhs) -> np.ndarray:
-    """Solve ``M x = b`` for a well-conditioned square ``M``.
-
-    Raises :class:`SingularMatrixError` (carrying the offending smallest
-    singular value) when ``sigma_min <= 1e-13 * sigma_max``, so callers can
-    map the failure onto their own "spectral point" error reporting.
-    """
-    m = as_square(mat)
-    b = np.asarray(rhs, dtype=complex)
-    if m.shape[0] == 0:
-        return np.zeros_like(b)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= SOLVE_RTOL * s[0]:
-        raise SingularMatrixError(
-            f"matrix is singular to tolerance (sigma_min={s[-1]:.3e})", s[-1]
-        )
-    return np.linalg.solve(m, b)
 
 
 def min_singular(mat) -> float:

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .krein import ExtensionParams, range_basis, require_valid
 from .models import GraphModel, IntervalModel
@@ -42,6 +40,8 @@ class FDSpec:
 
 def _assemble_constrained(lengths, n_nodes, params: ExtensionParams):
     """Hermitian matrix of the mass-normalised constrained quadratic form."""
+    import scipy.sparse as sp  # imported here to keep scipy out of the CLI start-up
+
     require_valid(params)
     n_edges = len(lengths)
     theta = params.theta
@@ -127,6 +127,8 @@ def _assemble_constrained(lengths, n_nodes, params: ExtensionParams):
 
 
 def _top_eigenvalues(lengths, n_nodes, params, count):
+    import scipy.sparse.linalg as spla
+
     ham = _assemble_constrained(lengths, n_nodes, params)
     dim = ham.shape[0]
     if count >= dim - 1:

@@ -2,12 +2,15 @@
 
 An eigenvalue of the extension away from the free spectrum is exactly a
 real spectral parameter where the secular matrix becomes singular, and the
-deficiency map carries its kernel bijectively onto the eigenspace. The
-search scans a real window, tracks the inertia (negative-eigenvalue count)
-of the Hermitian secular matrix to bracket determinant sign changes,
-refines brackets by bisection, and cross-checks every candidate against a
-smallest-singular-value dip so that pole-induced artifacts and
-even-multiplicity touch points are both handled.
+deficiency map carries its kernel bijectively onto the eigenspace. The Weyl
+family is a Nevanlinna function (Gamma'(lambda) is a positive Gram matrix),
+so every eigenvalue branch of the Hermitian secular matrix strictly
+increases in lambda. On a pole-free segment [a, b] the number of
+extension eigenvalues in (a, b], multiplicities included, is therefore
+neg(a) - neg(b), where neg counts the negative eigenvalues of the secular
+matrix. The search bisects on that count (Sturm bisection) down to
+floating-point resolution; each final bracket is one eigenvalue whose
+multiplicity is the size of the drop.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
@@ -16,10 +19,7 @@ the results as unsearchable gaps.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 KERNEL_RTOL = 1e-10
+# Brackets narrower than this (relative to max(1, |lambda|)) are final.
+BRACKET_FLOOR = 4.0 * np.finfo(float).eps
 SCOPE_NOTE = (
     "point spectrum inside the resolvent set of the free operator; eigenvalues "
     "embedded in the excluded spectral set are not visible to the secular criterion"
@@ -72,49 +74,20 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs of the window scan.
+    """Knobs of the spectral search.
 
-    ``nodes``: scan grid density over the whole window. ``refine_tol``:
-    width target for isolating roots in lambda (sign-change brackets are
-    then polished to floating-point resolution). ``kernel_tol``: absolute
-    ceiling on the smallest singular value for accepting a root; it stays
-    absolute so that the vanishing eigenvalue every Weyl matrix carries
-    right at a spectral pole is never mistaken for a root. ``kernel_rtol``:
-    relative threshold counting the kernel dimension (multiplicity).
-    ``cluster_tol``: candidates closer than this merge. ``skip_excluded``:
-    report excluded subintervals as gaps instead of erroring. ``threads``:
-    scan parallelism cap; defaults to the KREIN_EXT_THREADS environment
-    variable (results merge in lambda order, so the artifact does not
-    depend on the cap).
+    ``kernel_tol``: absolute ceiling on the secular eigenvalues that must
+    vanish at a reported root; a count drop whose eigenvalues stay above it
+    is counted in ``expected_count`` but not reported. ``skip_excluded``:
+    report excluded subintervals as gaps instead of erroring.
     """
 
-    nodes: int = 2000
-    refine_tol: float = 1e-12
     kernel_tol: float = 1e-10
-    kernel_rtol: float = KERNEL_RTOL
-    cluster_tol: float = 1e-9
     skip_excluded: bool = True
-    threads: Optional[int] = None
-
-    def effective_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, int(self.threads))
-        env = os.environ.get("KREIN_EXT_THREADS", "1")
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
-
-
-def _secular_stats(system, params, basis, lam):
-    """(negative-eigenvalue count, smallest |eigenvalue|) at real lambda."""
-    m = basis.conj().T @ (params.theta + system.gamma(lam)) @ basis
-    w = np.linalg.eigvalsh(_hermitian_part(m))
-    return int(np.sum(w < 0.0)), float(np.min(np.abs(w)))
 
 
 def _subtract_gaps(lo, hi, gaps):
@@ -133,53 +106,41 @@ def _subtract_gaps(lo, hi, gaps):
     return [(a, b) for a, b in segments if b > a]
 
 
-def _bisect_inertia_changes(stat, lo, hi, clo, chi, tol, out, depth=0):
-    """Isolate inertia changes of the secular matrix to width ``tol``."""
-    if clo == chi:
-        return
-    if hi - lo <= tol * max(1.0, abs(lo), abs(hi)) or depth > 60:
-        out.append(_polish_crossing(stat, lo, hi, clo, chi))
-        return
-    mid = 0.5 * (lo + hi)
-    cmid = stat(mid)[0]
-    _bisect_inertia_changes(stat, lo, mid, clo, cmid, tol, out, depth + 1)
-    _bisect_inertia_changes(stat, mid, hi, cmid, chi, tol, out, depth + 1)
+def _isolate(eigs, lo, hi, theta_norm):
+    """Brackets (midpoint, drop) of the count drops on a pole-free [lo, hi].
 
+    ``eigs(lam)`` gives the secular eigenvalues; the count is how many are
+    negative. Every bracket whose count drops is bisected until it is as
+    narrow as floating point allows or, for a drop of several, until that
+    many secular eigenvalues are within the rounding error of forming and
+    diagonalising V^*(theta + Gamma)V at its midpoint: errors of that size
+    shift each branch's crossing, so the count cannot split such a root any
+    further. Brackets come out in increasing lambda.
+    """
 
-def _polish_crossing(stat, lo, hi, clo, chi):
-    """Continue the inertia bisection down to floating-point resolution."""
-    floor = 4.0 * np.finfo(float).eps
-    for _ in range(80):
-        if hi - lo <= floor * max(1.0, abs(lo), abs(hi)):
-            break
+    def count(w):
+        return int(np.sum(w < 0.0))
+
+    out = []
+    stack = [(lo, hi, count(eigs(lo)), count(eigs(hi)))]
+    while stack:
+        lo, hi, clo, chi = stack.pop()
+        drop = clo - chi
+        if drop == 0:
+            continue
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        cmid = stat(mid)[0]
-        if cmid != clo:
-            hi, chi = mid, cmid
-        else:
-            lo, clo = mid, cmid
-    return 0.5 * (lo + hi)
-
-
-def _golden_minimize(f, lo, hi, tol):
-    """Golden-section minimizer for the V-shaped sigma_min dips."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a), abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+        if hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
+            out.append((mid, drop))
+            continue
+        w = eigs(mid)
+        rounding = BRACKET_FLOOR * w.size * (np.max(np.abs(w)) + theta_norm)
+        if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
+            out.append((mid, drop))
+            continue
+        cmid = count(w)
+        stack.append((mid, hi, cmid, chi))
+        stack.append((lo, mid, clo, cmid))
+    return out
 
 
 def eigenvalue_search(
@@ -191,10 +152,13 @@ def eigenvalue_search(
     """Find the extension's eigenvalues in a real window.
 
     Returns a :class:`SpectrumResult` whose eigenvalues carry the refined
-    lambda, the smallest singular value of the secular matrix there, the
-    kernel dimension (= multiplicity) and an orthonormal kernel basis
-    embedded in C^n; unsearchable excluded subintervals are reported in
-    ``gaps``.
+    lambda, the smallest |eigenvalue| of the Hermitian secular matrix there,
+    the multiplicity (the size of the count drop) and an orthonormal kernel
+    basis embedded in C^n; unsearchable excluded subintervals are reported
+    in ``gaps``. ``metadata["expected_count"]`` is the total count drop over
+    the searchable segments and ``metadata["found_count"]`` the sum of the
+    reported multiplicities; they differ only when a drop failed the
+    ``kernel_tol`` check.
     """
     opts = opts or SearchOptions()
     lo, hi = float(window[0]), float(window[1])
@@ -212,81 +176,35 @@ def eigenvalue_search(
     metadata = {
         "scope": SCOPE_NOTE,
         "window": [lo, hi],
-        "nodes": opts.nodes,
         "segments": [[a, b] for a, b in segments],
         "searchable": bool(segments) and basis.shape[1] > 0,
+        "expected_count": 0,
+        "found_count": 0,
     }
     if basis.shape[1] == 0 or not segments:
         return SpectrumResult((), gaps, metadata)
 
-    def stat(lam):
-        return _secular_stats(system, params, basis, lam)
+    def eigs(lam):
+        return np.linalg.eigvalsh(_hermitian_part(secular_matrix(system, params, lam)))
 
-    candidates = []
-    width = hi - lo
-    for slo, shi in segments:
-        count = max(32, int(np.ceil(opts.nodes * (shi - slo) / width))) + 1
-        grid = np.linspace(slo, shi, count)
-        threads = min(opts.effective_threads(), count // 32)
-        if threads > 1:
-            chunks = np.array_split(grid, threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = pool.map(lambda block: [stat(lam) for lam in block], chunks)
-            stats = [entry for part in parts for entry in part]
-        else:
-            stats = [stat(lam) for lam in grid]
-        negs = np.array([s[0] for s in stats])
-        smins = np.array([s[1] for s in stats])
-        step = grid[1] - grid[0] if count > 1 else shi - slo
-
-        # direct hits and dips of sigma_min (degenerate / touching roots)
-        for i in range(count):
-            if smins[i] <= opts.kernel_tol:
-                candidates.append(grid[i])
-        for i in range(1, count - 1):
-            if smins[i] < smins[i - 1] and smins[i] < smins[i + 1]:
-                slope = abs(smins[i + 1] - smins[i - 1]) / (2.0 * step)
-                if smins[i] <= 4.0 * slope * step + opts.kernel_tol:
-                    lam = _golden_minimize(
-                        lambda t: stat(t)[1], grid[i - 1], grid[i + 1], opts.refine_tol
-                    )
-                    candidates.append(lam)
-        # inertia changes (determinant sign changes, pole-free by construction)
-        for i in range(count - 1):
-            if negs[i] != negs[i + 1]:
-                found = []
-                _bisect_inertia_changes(
-                    stat, grid[i], grid[i + 1], negs[i], negs[i + 1],
-                    opts.refine_tol, found,
-                )
-                candidates.extend(found)
-
-    merged = []
-    for lam in sorted(candidates):
-        if merged and lam - merged[-1][-1] <= opts.cluster_tol * max(1.0, abs(lam)):
-            merged[-1].append(lam)
-        else:
-            merged.append([lam])
-
+    theta_norm = float(np.linalg.norm(params.theta, 2))
     results = []
-    for cluster in merged:
-        lam = float(np.median(cluster))
-        m = secular_matrix(system, params, lam)
-        u, s, vh = np.linalg.svd(_hermitian_part(m))
-        if s.size == 0 or s[-1] > opts.kernel_tol:
-            continue  # pole artifact or unconverged bracket, not a root
-        tol = max(opts.kernel_rtol * s[0], opts.kernel_tol)
-        mult = int(np.sum(s <= tol))
-        null_compressed = vh.conj().T[:, s <= tol]
-        results.append(
-            EigenResult(
-                lam=lam,
-                sigma_min=float(s[-1]),
-                multiplicity=mult,
-                null_basis=basis @ null_compressed,
+    for slo, shi in segments:
+        for lam, drop in _isolate(eigs, slo, shi, theta_norm):
+            metadata["expected_count"] += drop
+            w, u = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lam)))
+            near = np.argsort(np.abs(w), kind="stable")[:drop]
+            if np.max(np.abs(w[near])) > opts.kernel_tol:
+                continue  # the drop did not close onto a kernel
+            results.append(
+                EigenResult(
+                    lam=lam,
+                    sigma_min=float(np.min(np.abs(w))),
+                    multiplicity=drop,
+                    null_basis=basis @ u[:, np.sort(near)],
+                )
             )
-        )
-    results.sort(key=lambda r: r.lam)
+    metadata["found_count"] = sum(r.multiplicity for r in results)
     return SpectrumResult(tuple(results), gaps, metadata)
 
 

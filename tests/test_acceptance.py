@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext import ExtensionParams, FDSpec, SearchOptions, VertexGroup
+from kreinext import ExtensionParams, FDSpec, VertexGroup
 from kreinext import serialize as ser
 from kreinext.cli import main as cli_main
 
@@ -132,14 +132,11 @@ def test_criterion_06_point_bound_state_sweep():
         assert len(result.eigenvalues) == 1
         assert abs(result.eigenvalues[0].lam - 1.0) <= 1e-10
         rng = np.random.default_rng(6)
-        sweep_opts = SearchOptions(nodes=400)
         for alpha in -np.exp(rng.uniform(np.log(0.01), np.log(1.0), size=20)):
             expected = kx.single_point_eigenvalue(alpha)
             assert expected == 16 * PI**2 * alpha**2
             window = (0.5 * expected, 1.5 * expected)
-            found = kx.eigenvalue_search(
-                system, ExtensionParams.full([[alpha]]), window, sweep_opts
-            )
+            found = kx.eigenvalue_search(system, ExtensionParams.full([[alpha]]), window)
             assert len(found.eigenvalues) == 1
             assert abs(found.eigenvalues[0].lam - expected) <= 1e-10 * expected
 

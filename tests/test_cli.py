@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
+from kreinext import cli
 from kreinext import serialize as ser
 from kreinext.cli import main
 
@@ -93,6 +95,28 @@ def test_spectrum_unsearchable_window(tmp_path, capsys):
     assert err["error"]["code"] == "unsearchable-window"
     gaps = (tmp_path / "out" / "spectrum_gaps.csv").read_text().splitlines()
     assert len(gaps) == 2
+
+
+def _nan_gamma(z):
+    return np.full((2, 2), np.nan + 0j)
+
+
+def _lapack_breakdown(z):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("gamma", [_nan_gamma, _lapack_breakdown])
+def test_numerical_failure_exits_5(tmp_path, capsys, monkeypatch, gamma):
+    build = cli._weyl_for
+    monkeypatch.setattr(
+        cli, "_weyl_for", lambda model: dataclasses.replace(build(model), gamma=gamma)
+    )
+    job = write_job(
+        tmp_path / "job.json", interval_job({"name": "spectrum", "window": [-0.5, 0.5]})
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "numerical-failure"
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +367,33 @@ def test_console_entry_point_smoke(tmp_path):
 
 
 def test_cli_grid_and_tol_overrides(tmp_path):
+    # --grid sets the resolvent sample density; spectrum jobs ignore their
+    # grid and tol keys and report the search's completeness counts
     job = write_job(
-        tmp_path / "job.json",
-        interval_job({"name": "spectrum", "window": [-0.5, 0.5], "grid": 4000}),
+        tmp_path / "r.json",
+        interval_job({"name": "resolvent", "z": [1.0, 1.0], "grid": 900}),
     )
-    out = tmp_path / "out"
-    assert main([job, "--out", str(out), "--grid", "500", "--tol", "1e-10"]) == 0
-    doc = json.loads((out / "spectrum.json").read_text())
-    assert doc["metadata"]["nodes"] == 500
+    out = tmp_path / "r"
+    assert main([job, "--out", str(out), "--grid", "501"]) == 0
+    assert json.loads((out / "resolvent.json").read_text())["grid"] == 501
+    assert len((out / "resolvent.csv").read_text().splitlines()) == 1 + 501
+
+    job = write_job(
+        tmp_path / "s.json",
+        interval_job({"name": "spectrum", "window": [-0.5, 0.5], "grid": 4000, "tol": 1e-10}),
+    )
+    out = tmp_path / "s"
+    assert main([job, "--out", str(out)]) == 0
+    meta = json.loads((out / "spectrum.json").read_text())["metadata"]
+    assert "nodes" not in meta
+    assert meta["expected_count"] == meta["found_count"] == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, kreinext.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_graph_resolvent_and_verify(tmp_path):

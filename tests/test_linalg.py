@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from kreinext.linalg import (
-    SingularMatrixError,
     hermitian_eig,
     min_singular,
     projector_from_span,
-    solve_linear,
 )
 
 from helpers import random_hermitian
@@ -46,33 +44,6 @@ def test_hermitian_eig_reconstruction_random():
         assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(norm, 1e-30)
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-12
         assert np.all(np.diff(vals) >= -1e-15)
-
-
-def test_solve_identity_and_diagonal():
-    b = np.array([1.0, 2.0], dtype=complex)
-    assert np.allclose(solve_linear(np.eye(2), b), b)
-    x = solve_linear(np.diag([2.0, 1j]), np.array([2.0, 1j]))
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_singular_raises_with_sigma():
-    with pytest.raises(SingularMatrixError) as excinfo:
-        solve_linear(np.zeros((2, 2)), np.ones(2))
-    assert excinfo.value.sigma_min == 0.0
-
-
-def test_solve_residual_bound_random():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        # build with controlled condition number <= 1e6
-        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        sing = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n))
-        m = u @ np.diag(sing) @ v.conj().T
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_linear(m, b)
-        assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(m, 2) * np.linalg.norm(x)
 
 
 def test_min_singular_cases():
