@@ -69,6 +69,7 @@ from .oracle import (
     bisect_root,
     fd_graph_spectrum,
     fd_interval_spectrum,
+    simpson_gram,
     single_point_eigenvalue,
 )
 from .parametrize import (

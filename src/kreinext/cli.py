@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,6 +54,7 @@ from .models import (
     sine_mode,
     spin_weyl,
 )
+from .oracle import simpson_gram
 from .parametrize import (
     PairConditionError,
     check_pair_conditions,
@@ -358,7 +360,11 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
 
     pairs = list(zip(complex_points[0::2], complex_points[1::2]))[:7]
     diff_tol = 1e-8 if system.kind in ("interval", "graph") else 1e-12
-    diff = max(difference_identity_residual(system, z, v) for z, v in pairs)
+    # edge models: Simpson quadrature, independent of their closed-form Gram
+    gram = None
+    if system.kind in ("interval", "graph"):
+        gram = functools.partial(simpson_gram, system.edge_lengths)
+    diff = max(difference_identity_residual(system, z, v, gram) for z, v in pairs)
     checks["difference_identity"] = {
         "residual": diff,
         "tolerance": diff_tol,

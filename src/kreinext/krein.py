@@ -241,7 +241,8 @@ class WeylSystem:
     kind : "interval" | "graph" | "points" | "spin_points".
     excluded : the spectrum of the free operator, as an exclusion set object.
     gamma : z -> n x n Weyl matrix.
-    gram : (z, w) -> n x n Gram matrix G(conj(w))^* G(z) of deficiency elements.
+    gram : (z, w) -> n x n Gram matrix G(conj(w))^* G(z) of deficiency elements,
+        a closed form in every model (it feeds the Green-combination route).
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.
     r_apply : (z, samples, grid) -> samples of the free resolvent (quadrature models).
     g_adjoint_apply : (z, samples, grid) -> C^n, the map G(conj(z))^* on samples.
@@ -554,15 +555,19 @@ def green_norm(system: WeylSystem, combo: GreenCombination) -> float:
 # identity residual probes
 
 
-def difference_identity_residual(system: WeylSystem, z, v) -> float:
-    """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||, a correctness probe."""
+def difference_identity_residual(system: WeylSystem, z, v, gram=None) -> float:
+    """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||, a correctness probe.
+
+    ``gram`` replaces ``system.gram``: pass an independent one (such as
+    :func:`kreinext.oracle.simpson_gram`) so that a closed-form Gram matrix
+    is not checked against itself.
+    """
     z = system.require_admissible(z)
     v = system.require_admissible(v)
     if z == v:
         return 0.0
-    return float(
-        np.linalg.norm(system.gamma(z) - system.gamma(v) - (z - v) * system.gram(z, v), 2)
-    )
+    gram = gram or system.gram
+    return float(np.linalg.norm(system.gamma(z) - system.gamma(v) - (z - v) * gram(z, v), 2))
 
 
 def conjugation_residual(system: WeylSystem, z) -> float:

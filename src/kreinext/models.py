@@ -20,7 +20,9 @@ applied to -z for interval kernels and to z for point kernels.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -294,21 +296,78 @@ def interval_traces(model: IntervalModel, psi, grid=None):
     return rho, tau
 
 
-def _default_gram_nodes(length: float) -> int:
-    n = max(501, int(round(2001 * length)))
-    return n if n % 2 == 1 else n + 1
+# sin(kx)/k = sum_m z^m x^(2m+1)/(2m+1)! for k^2 = -z, so near z = w = 0 the
+# integrals of (sin(kx)/k)(sin(qx)/q) and (sin(k(a-x))/k)(sin(qx)/q) over
+# (0, a) are a^3 sum_mn (z a^2)^m (w a^2)^n c_mn with the coefficients c_mn
+# below. Ten terms reach rounding for |z| a^2, |w| a^2 <= 1.
+_SERIES = np.arange(10)
+_ODD_FACTORIALS = np.array([float(factorial(2 * m + 1)) for m in _SERIES])
+_SERIES_SAME_END = 1.0 / (
+    np.outer(_ODD_FACTORIALS, _ODD_FACTORIALS)
+    * (2 * _SERIES[:, None] + 2 * _SERIES[None, :] + 3)
+)
+_SERIES_OPPOSITE_END = np.array(
+    [[1.0 / factorial(2 * m + 2 * n + 3) for n in _SERIES] for m in _SERIES]
+)
 
 
-def interval_weyl(model: IntervalModel, gram_nodes: int | None = None) -> WeylSystem:
+def _sinc(x: complex) -> complex:
+    return cmath.sin(x) / x if x != 0 else 1.0
+
+
+def _sin_over(k: complex, a: float) -> complex:
+    """sin(k a) / k, which is a at k = 0."""
+    return cmath.sin(k * a) / k if k != 0 else a
+
+
+def _edge_gram(a: float, z: complex, w: complex) -> tuple:
+    """Entries (A, B) of one edge's Gram block [[A, B], [B, A]].
+
+    With k = sqrt(-z), q = sqrt(-w), s = sin(ka) and t = sin(qa),
+    A = int_0^a sin(kx) sin(qx) dx / (s t) and
+    B = int_0^a sin(k(a - x)) sin(qx) dx / (s t). Each of three closed forms
+    is used where it does not cancel:
+
+    * |ka|, |qa| <= 1: the double power series over (s/k)(t/q);
+    * |ka|, |qa| >= 1/2: the half-angle form in sigma = k + q and
+      delta = q - k, which has no branch at z = w;
+    * otherwise |z - w| a^2 >= 3/4, and the difference quotient
+      (Gamma(z) - Gamma(w)) / (z - w) loses nothing.
+    """
+    z, w = complex(z), complex(w)
+    k, q = cmath.sqrt(-z), cmath.sqrt(-w)
+    lo, hi = sorted((abs(k) * a, abs(q) * a))
+    if hi <= 1.0:
+        zp, wp = (z * a * a) ** _SERIES, (w * a * a) ** _SERIES
+        scale = a**3 / (_sin_over(k, a) * _sin_over(q, a))
+        return scale * (zp @ _SERIES_SAME_END @ wp), scale * (zp @ _SERIES_OPPOSITE_END @ wp)
+    if lo >= 0.5:
+        sigma, delta, h = k + q, q - k, 0.5 * a
+        scale = h / (cmath.sin(k * a) * cmath.sin(q * a))
+        same = _sinc(delta * a) - _sinc(sigma * a)
+        opposite = cmath.cos(sigma * h) * _sinc(delta * h) - cmath.cos(delta * h) * _sinc(sigma * h)
+        return scale * same, -scale * opposite
+    quotient = (_interval_gamma(a, z) - _interval_gamma(a, w)) / (z - w)
+    return quotient[0, 0], quotient[0, 1]
+
+
+def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
+    """Block-diagonal Gram matrix G(conj(w))^* G(z) of the edgewise model."""
+    out = np.zeros((2 * len(lengths), 2 * len(lengths)), dtype=complex)
+    for e, a in enumerate(lengths):
+        same, opposite = _edge_gram(a, z, w)
+        out[2 * e : 2 * e + 2, 2 * e : 2 * e + 2] = ((same, opposite), (opposite, same))
+    return out
+
+
+def interval_weyl(model: IntervalModel) -> WeylSystem:
     """Weyl system of the interval model.
 
-    ``gram_nodes`` sets the Simpson grid used for the Gram matrix of
-    deficiency elements (default 2001 nodes per unit length, at least 501).
+    Gamma and the Gram matrix of deficiency elements are closed forms; the
+    free resolvent and the adjoint deficiency map act on uniform samples by
+    Simpson quadrature.
     """
     a = model.a
-    nodes = gram_nodes or _default_gram_nodes(a)
-    xq = np.linspace(0.0, a, nodes)
-    dxq = xq[1] - xq[0]
     excluded = DirichletExclusions([a])
 
     def excl_guard(z):
@@ -322,13 +381,7 @@ def interval_weyl(model: IntervalModel, gram_nodes: int | None = None) -> WeylSy
     def gram(z, w):
         excl_guard(z)
         excl_guard(w)
-        gz = _interval_g_columns(a, z, xq)
-        gw = _interval_g_columns(a, w, xq)
-        out = np.empty((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = simpson(gw[:, i] * gz[:, j], dxq)
-        return out
+        return _edge_gram_blocks((a,), z, w)
 
     def g_apply(z, zeta, grid):
         excl_guard(z)
@@ -390,17 +443,17 @@ def graph_traces(model: GraphModel, parts, grids=None):
     return rho, tau
 
 
-def graph_weyl(model: GraphModel, gram_nodes: int | None = None) -> WeylSystem:
+def graph_weyl(model: GraphModel) -> WeylSystem:
     """Weyl system of the edgewise model: every map acts block by block.
 
     Sampled functions are lists with one uniform sample array per edge, in
     the same edge order as the boundary indexing (edge k owns boundary
-    coordinates 2k and 2k+1 for its left and right endpoints).
+    coordinates 2k and 2k+1 for its left and right endpoints). Gamma and the
+    Gram matrix are block-diagonal closed forms, one 2 x 2 block per edge.
     """
     lengths = model.lengths
     K = model.n_edges
     excluded = DirichletExclusions(lengths)
-    edge_gram_nodes = [gram_nodes or _default_gram_nodes(a) for a in lengths]
 
     def guard(z):
         if excluded.contains(complex(z)):
@@ -416,16 +469,7 @@ def graph_weyl(model: GraphModel, gram_nodes: int | None = None) -> WeylSystem:
     def gram(z, w):
         guard(z)
         guard(w)
-        out = np.zeros((2 * K, 2 * K), dtype=complex)
-        for k, a in enumerate(lengths):
-            xq = np.linspace(0.0, a, edge_gram_nodes[k])
-            dxq = xq[1] - xq[0]
-            gz = _interval_g_columns(a, z, xq)
-            gw = _interval_g_columns(a, w, xq)
-            for i in range(2):
-                for j in range(2):
-                    out[2 * k + i, 2 * k + j] = simpson(gw[:, i] * gz[:, j], dxq)
-        return out
+        return _edge_gram_blocks(lengths, z, w)
 
     def g_apply(z, zeta, grids):
         guard(z)

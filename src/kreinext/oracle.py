@@ -7,6 +7,10 @@ and the coupling operator entering as a boundary form. That keeps the
 discrete problem genuinely Hermitian (real symmetric for real coupling
 matrices) and second-order accurate, independently of the Weyl-family
 route it validates. The point-interaction bound state has a closed form.
+The Gram matrix of the interval and graph deficiency elements is integrated
+by composite Simpson quadrature, independently of the closed form the
+models use, so the difference identity Gamma(z) - Gamma(w) =
+(z - w) G(conj(w))^* G(z) is checked against quadrature, not against itself.
 """
 
 from __future__ import annotations
@@ -15,14 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import ExtensionParams, range_basis, require_valid
-from .models import GraphModel, IntervalModel
+from .krein import DirichletExclusions, ExtensionParams, range_basis, require_valid
+from .models import GraphModel, IntervalModel, _interval_g_columns, raise_excluded
+from .quad import simpson
 
 __all__ = [
     "FDSpec",
     "fd_interval_spectrum",
     "fd_graph_spectrum",
     "single_point_eigenvalue",
+    "simpson_gram",
     "bisect_root",
 ]
 
@@ -171,6 +177,35 @@ def single_point_eigenvalue(alpha: float):
     if alpha >= 0.0:
         return None
     return 16.0 * np.pi**2 * alpha**2
+
+
+def _default_gram_nodes(length: float) -> int:
+    n = max(501, int(round(2001 * length)))
+    return n if n % 2 == 1 else n + 1
+
+
+def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
+    """Gram matrix G(conj(w))^* G(z) of the edgewise model by Simpson quadrature.
+
+    ``lengths`` are the edge lengths (one for the interval). Each edge block
+    integrates products of the sampled deficiency columns on ``nodes`` nodes
+    (default 2001 per unit length, at least 501, odd).
+    """
+    excluded = DirichletExclusions(lengths)
+    for point in (z, w):
+        if excluded.contains(complex(point)):
+            raise_excluded(excluded, point)
+    n = 2 * len(excluded.lengths)
+    out = np.zeros((n, n), dtype=complex)
+    for k, a in enumerate(excluded.lengths):
+        xq = np.linspace(0.0, a, nodes or _default_gram_nodes(a))
+        dxq = xq[1] - xq[0]
+        gz = _interval_g_columns(a, z, xq)
+        gw = _interval_g_columns(a, w, xq)
+        for i in range(2):
+            for j in range(2):
+                out[2 * k + i, 2 * k + j] = simpson(gw[:, i] * gz[:, j], dxq)
+    return out
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:

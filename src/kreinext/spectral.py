@@ -106,6 +106,17 @@ def _subtract_gaps(lo, hi, gaps):
     return [(a, b) for a, b in segments if b > a]
 
 
+def _admissible_start(excluded, lo: float) -> float:
+    """The first float at or above ``lo`` outside the excluded set.
+
+    A half line (-inf, upper] is closed, so a segment cut at its gap starts
+    on ``upper`` itself and must begin one float higher.
+    """
+    while excluded.contains(lo):
+        lo = float(np.nextafter(lo, np.inf))
+    return lo
+
+
 def _isolate(eigs, lo, hi, theta_norm):
     """Brackets (midpoint, drop) of the count drops on a pole-free [lo, hi].
 
@@ -172,7 +183,9 @@ def eigenvalue_search(
         raise ExcludedPointError(
             f"window [{lo}, {hi}] touches the excluded set and gap skipping is disabled"
         )
-    segments = _subtract_gaps(lo, hi, gaps)
+    segments = [
+        (_admissible_start(system.excluded, a), b) for a, b in _subtract_gaps(lo, hi, gaps)
+    ]
     metadata = {
         "scope": SCOPE_NOTE,
         "window": [lo, hi],

@@ -69,6 +69,23 @@ def test_spectrum_point_bound_state(tmp_path):
     assert abs(float(lines[1].split(",")[0]) - 1.0) < 1e-8
 
 
+def test_spectrum_window_straddling_the_half_line(tmp_path):
+    ext = ser.params_to_obj(kx.ExtensionParams.full([[-0.1]]))
+    ext["kind"] = "params"
+    job = write_job(
+        tmp_path / "job.json",
+        {
+            "model": {"type": "points", "centers": [[0, 0, 0]]},
+            "extension": ext,
+            "task": {"name": "spectrum", "window": [-1, 2]},
+        },
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert abs(float(lines[1].split(",")[0]) - 1.5791367041742976) <= 1e-12
+
+
 def test_spectrum_empty_window_is_config_error(tmp_path, capsys):
     job = write_job(
         tmp_path / "job.json", interval_job({"name": "spectrum", "window": [0.5, 0.5]})

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kreinext import (
     ExtensionSingularError,
     GreenCombination,
 )
+from kreinext.quad import simpson
 
 from helpers import one_sided_derivatives, random_hermitian, random_params
 
@@ -234,6 +237,36 @@ def test_green_norm_matches_direct_integral(point_one):
     assert abs(norm - exact) < 1e-12
 
 
+def test_green_route_on_a_graph_matches_sampled_resolvent():
+    # the closed-form route (both Gram call sites: the adjoint factor and the
+    # norm) against the sampled route on the same input G(w) c
+    model = kx.GraphModel((1.0, 2.0))
+    system = kx.graph_weyl(model)
+    params = kx.vertex_params(
+        model,
+        [
+            kx.VertexGroup(((0, "left"),), -0.4),
+            kx.VertexGroup(((0, "right"), (1, "left")), 0.7),
+            kx.VertexGroup(((1, "right"),), 1.5),
+        ],
+    )
+    w, z = 2.0 - 1.0j, 0.5 + 1.5j
+    c = np.array([1.0, -0.5 + 0.2j, 0.3j, 0.8])
+    grids = [np.linspace(0.0, a, 2001) for a in model.lengths]
+    image = kx.apply_resolvent_green(system, params, z, GreenCombination(((w, c),)))
+    green = [
+        sum(edge)
+        for edge in zip(*(system.g_apply(zk, ck, grids) for zk, ck in image.terms))
+    ]
+    sampled = kx.apply_resolvent(system, params, z, system.g_apply(w, c, grids), grids)
+    for g, r in zip(green, sampled):
+        assert np.max(np.abs(g - r)) <= 1e-8
+    norm = np.sqrt(
+        sum(simpson(np.abs(g) ** 2, x[1] - x[0]) for g, x in zip(green, grids))
+    )
+    assert abs(kx.green_norm(system, image) - norm) <= 1e-8 * norm
+
+
 # ---------------------------------------------------------------------------
 # Weyl family identities
 
@@ -243,8 +276,9 @@ def test_difference_identity_same_point(interval_pi):
 
 
 def test_difference_identity_interval_quadrature():
-    system = kx.interval_weyl(kx.IntervalModel(PI), gram_nodes=2001)
-    assert kx.difference_identity_residual(system, 1j, -1j) < 1e-8
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    gram = functools.partial(kx.simpson_gram, (PI,), nodes=2001)
+    assert kx.difference_identity_residual(system, 1j, -1j, gram) < 1e-8
 
 
 def test_difference_identity_point_closed_form(point_one):

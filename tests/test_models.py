@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import ExcludedPointError, ExtensionParams, VertexGroup
@@ -167,6 +169,69 @@ def test_vertex_params_rejects_bad_partitions():
         kx.vertex_params(model, [VertexGroup(((0, "left"), (0, "left")), 0.0)])
     with pytest.raises(ValueError):
         kx.vertex_params(model, [VertexGroup(((0, "left"),), 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# closed-form Gram against the Simpson oracle
+
+EIGHT_EDGES = (0.3, 0.6, 0.9, 1.0, 1.4, 2.0, 2.5, 3.0)
+GRAM_SYSTEMS = {
+    "interval_1": (kx.interval_weyl(kx.IntervalModel(1.0)), (1.0,)),
+    "interval_pi": (kx.interval_weyl(kx.IntervalModel(PI)), (PI,)),
+    "graph_8": (kx.graph_weyl(kx.GraphModel(EIGHT_EDGES)), EIGHT_EDGES),
+}
+GRAM_RTOL = 1e-9
+
+
+def _gram_error(name, z, w):
+    system, lengths = GRAM_SYSTEMS[name]
+    oracle = kx.simpson_gram(lengths, z, w)
+    return np.linalg.norm(system.gram(z, w) - oracle, 2) / np.linalg.norm(oracle, 2)
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_SYSTEMS))
+@pytest.mark.parametrize(
+    "z, w",
+    [
+        (0.7, 0.7),
+        (-0.5, -0.5),
+        (40.0, 40.0),
+        (2 + 1j, 2 + 1j),
+        (-3 + 0.5j, -3 + 0.5j),
+        (1 + 1j, 1 + 1j + 1e-9),
+        (0.3, 0.3 + 1e-9),
+        (0.0, 0.0),
+        (0.0, 2 - 1j),
+        (5.0, 0.0),
+        (1e-9, 1e-9),
+        (1j, -1j),
+    ],
+)
+def test_closed_form_gram_matches_simpson(name, z, w):
+    assert _gram_error(name, z, w) <= GRAM_RTOL
+
+
+def _polar(magnitude, angle):
+    # exact zero imaginary part on the real axis (sin(pi) is not 0)
+    if angle in (0.0, np.pi):
+        return complex(np.cos(angle) * magnitude, 0.0)
+    return complex(magnitude * np.cos(angle), magnitude * np.sin(angle))
+
+
+# |z| log-uniform in [1e-8, 1e2], on either real half axis or at any angle
+spectral_parameters = st.builds(
+    _polar,
+    st.floats(-8.0, 2.0).map(lambda e: 10.0**e),
+    st.one_of(st.sampled_from((0.0, np.pi)), st.floats(-np.pi, np.pi)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_SYSTEMS))
+@given(z=spectral_parameters, w=spectral_parameters)
+def test_closed_form_gram_matches_simpson_log_uniform(name, z, w):
+    excluded = GRAM_SYSTEMS[name][0].excluded
+    assume(not excluded.contains(z) and not excluded.contains(w))
+    assert _gram_error(name, z, w) <= GRAM_RTOL
 
 
 # ---------------------------------------------------------------------------

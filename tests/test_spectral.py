@@ -53,6 +53,32 @@ def test_point_bound_state_single_center():
     assert abs(result.eigenvalues[0].lam - 1.0) < 1e-10
 
 
+def test_window_straddling_the_excluded_half_line():
+    # the segment left of the half line's gap starts one float above its
+    # closed end, not on it
+    system = kx.point_weyl(kx.PointModel([[0, 0, 0]]))
+    params = ExtensionParams.full([[-0.1]])
+    result = kx.eigenvalue_search(system, params, (-1.0, 2.0))
+    assert result.gaps == ((-1.0, 0.0),)
+    assert len(result.eigenvalues) == 1
+    assert abs(result.eigenvalues[0].lam - kx.single_point_eigenvalue(-0.1)) <= 1e-12
+    assert result.metadata["expected_count"] == result.metadata["found_count"] == 1
+
+
+def test_spin_window_straddling_the_excluded_half_line():
+    # the half line ends at max(b) = 5; the second channel's bound state
+    # sits at 5 + 16 pi^2 0.1^2
+    system = kx.spin_weyl(kx.SpinPointModel([[0, 0, 0]], (0.0, 5.0)))
+    params = ExtensionParams.full(-0.1 * np.eye(2))
+    straddling = kx.eigenvalue_search(system, params, (4.0, 8.0))
+    inside = kx.eigenvalue_search(system, params, (5.0 + 1e-12, 8.0))
+    assert straddling.gaps == ((4.0, 5.0),)
+    expected = 5.0 + kx.single_point_eigenvalue(-0.1)
+    assert abs(inside.eigenvalues[0].lam - expected) <= 1e-12
+    assert straddling.lambdas() == pytest.approx(inside.lambdas(), abs=1e-12)
+    assert straddling.metadata["expected_count"] == straddling.metadata["found_count"] == 1
+
+
 def test_empty_and_invalid_windows(neumann_interval):
     system, params = neumann_interval
     with pytest.raises(ValueError):
