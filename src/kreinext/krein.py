@@ -38,6 +38,7 @@ __all__ = [
     "GreenCombination",
     "DirichletExclusions",
     "HalfLineExclusions",
+    "check_admissible",
     "validate_params",
     "range_basis",
     "kernel_basis",
@@ -141,6 +142,8 @@ class DirichletExclusions:
         self.lengths = tuple(float(a) for a in lengths)
         if not self.lengths or any(a <= 0 for a in self.lengths):
             raise ValueError("edge lengths must be positive")
+        self._a = np.array(self.lengths)
+        self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
 
     def _candidates(self, z: complex, a: float):
         base = np.sqrt(max(-z.real, 0.0)) * a / np.pi
@@ -156,13 +159,23 @@ class DirichletExclusions:
             abs(z - pole) for a in self.lengths for _, pole in self._candidates(z, a)
         )
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        for a in self.lengths:
-            for n, pole in self._candidates(z, a):
-                if abs(z - pole) <= self._guard(n, a):
-                    return True
-        return False
+    def contains(self, z):
+        """True where z (a scalar or an array) lies in a guard ball.
+
+        The candidate poles per edge are those of :meth:`distance`, for all
+        edges and points at once; squares go through ``float_power`` (C
+        ``pow``) and moduli through ``hypot``, as in Python float arithmetic,
+        so an array gets the same answers as its entries one by one.
+        """
+        z = np.asarray(z, dtype=complex)
+        zr, zi = z.real[..., None, None], z.imag[..., None, None]  # (..., candidate, edge)
+        base = np.sqrt(np.maximum(-zr, 0.0)) * self._a / np.pi
+        n = np.concatenate([np.floor(base), np.ceil(base), np.ones_like(base)], -2)
+        n = np.maximum(n, 1.0)
+        pole = -np.float_power(n * np.pi / self._a, 2)
+        guard = self.guard_rel * (2 * n + 1) * self._unit
+        hit = (np.hypot(zr - pole, zi) <= guard).any(axis=(-2, -1))
+        return hit if hit.ndim else bool(hit)
 
     def gaps_in(self, lo: float, hi: float):
         # reported gaps are twice the evaluation guard, so scanning up to a
@@ -196,9 +209,11 @@ class HalfLineExclusions:
             return abs(z.imag)
         return abs(z - self.upper)
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        return z.imag == 0.0 and z.real <= self.upper
+    def contains(self, z):
+        """True where z (a scalar or an array) lies on the half line."""
+        z = np.asarray(z, dtype=complex)
+        hit = (z.imag == 0.0) & (z.real <= self.upper)
+        return hit if hit.ndim else bool(hit)
 
     def gaps_in(self, lo: float, hi: float):
         if lo <= self.upper:
@@ -207,6 +222,20 @@ class HalfLineExclusions:
 
     def describe(self) -> str:
         return f"the half line (-inf, {self.upper!r}]"
+
+
+def check_admissible(excluded, z) -> None:
+    """Raise :class:`ExcludedPointError` naming the first entry of z inside ``excluded``.
+
+    ``z`` is a scalar or an array; every entry is checked by one vectorised
+    ``excluded.contains`` call.
+    """
+    hit = np.asarray(excluded.contains(z))
+    if hit.any():
+        bad = complex(np.ravel(z)[np.argmax(np.ravel(hit))])
+        raise ExcludedPointError(
+            f"z={bad} lies in the excluded spectral set: {excluded.describe()}"
+        )
 
 
 def _merge_intervals(intervals):
@@ -240,7 +269,11 @@ class WeylSystem:
     n : boundary-space dimension.
     kind : "interval" | "graph" | "points" | "spin_points".
     excluded : the spectrum of the free operator, as an exclusion set object.
-    gamma : z -> n x n Weyl matrix.
+    gamma : the Weyl family. A scalar z gives the n x n matrix Gamma(z); a 1-D
+        array of m values gives the (m, n, n) stack Gamma(z_0), ..., Gamma(z_m-1),
+        bit-for-bit equal to m scalar calls. Every z is checked against
+        ``excluded`` first; one excluded entry raises :class:`ExcludedPointError`
+        naming it.
     gram : (z, w) -> n x n Gram matrix G(conj(w))^* G(z) of deficiency elements,
         a closed form in every model (it feeds the Green-combination route).
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.
@@ -268,13 +301,11 @@ class WeylSystem:
     renorm_trace: Optional[Callable] = None
     edge_lengths: Optional[tuple] = None
 
-    def require_admissible(self, z) -> complex:
-        z = complex(z)
-        if self.excluded.contains(z):
-            raise ExcludedPointError(
-                f"z={z} lies in the excluded spectral set: {self.excluded.describe()}"
-            )
-        return z
+    def require_admissible(self, z):
+        """z as a complex scalar, or a complex array for an array, once every
+        entry is checked against the excluded set."""
+        check_admissible(self.excluded, z)
+        return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +418,32 @@ def kernel_basis(pi) -> np.ndarray:
 # secular matrix, regular points, Krein correction
 
 
-def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
+def secular_matrix(system: WeylSystem, params: ExtensionParams, z, basis=None) -> np.ndarray:
     """Compression of theta + pi Gamma(z) pi to an orthonormal basis of range(pi).
 
     The vanishing of its determinant at real admissible lambda is the
     secular equation for the point spectrum; its inverse drives the Krein
-    correction. For pi = 0 the 0 x 0 matrix is returned. A non-finite
-    matrix raises :class:`ModelConsistencyError`, so no NaN reaches LAPACK.
+    correction. A scalar z gives one r x r matrix, a 1-D array of m values
+    the (m, r, r) stack from one ``system.gamma`` call; for pi = 0, r = 0.
+    ``basis`` is ``range_basis(params.pi)`` when the caller already holds
+    it. Every z is checked against the excluded set, and a non-finite
+    matrix raises :class:`ModelConsistencyError` naming its z, so no NaN
+    reaches LAPACK.
     """
     z = system.require_admissible(z)
-    v = range_basis(params.pi)
+    v = range_basis(params.pi) if basis is None else basis
     if v.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros(np.shape(z) + (0, 0), dtype=complex)
     m = v.conj().T @ (params.theta + system.gamma(z)) @ v
-    if not np.all(np.isfinite(m)):
-        raise ModelConsistencyError(f"secular matrix is not finite at z={z}")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        bad = complex(np.ravel(z)[np.argmin(np.ravel(finite))])
+        raise ModelConsistencyError(f"secular matrix is not finite at z={bad}")
     return m
 
 
-def _secular_sigma(system, params, z):
-    m = secular_matrix(system, params, z)
+def _secular_sigma(system, params, z, basis=None):
+    m = secular_matrix(system, params, z, basis)
     if m.shape[0] == 0:
         return m, np.inf, 0.0
     smin = linalg.min_singular(m)
@@ -431,14 +468,19 @@ def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
     return ok
 
 
-def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
-    """The boundary-space factor pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n."""
+def krein_correction(
+    system: WeylSystem, params: ExtensionParams, z, basis=None
+) -> np.ndarray:
+    """The boundary-space factor pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n.
+
+    ``basis`` is ``range_basis(params.pi)`` when the caller already holds it.
+    """
     z = complex(z)
-    v = range_basis(params.pi)
+    v = range_basis(params.pi) if basis is None else basis
     n = params.n
     if v.shape[1] == 0:
         return np.zeros((n, n), dtype=complex)
-    m, smin, norm = _secular_sigma(system, params, z)
+    m, smin, norm = _secular_sigma(system, params, z, v)
     if smin <= SINGULARITY_RTOL * (1.0 + norm):
         if z.imag != 0.0:
             raise ModelConsistencyError(
@@ -492,9 +534,10 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     _check_grid(system, grid)
     z = system.require_admissible(z)
     free = system.r_apply(z, psi, grid)
-    if range_basis(params.pi).shape[1] == 0:
+    basis = range_basis(params.pi)
+    if basis.shape[1] == 0:
         return free
-    corr = krein_correction(system, params, z)
+    corr = krein_correction(system, params, z, basis)
     weights = corr @ system.g_adjoint_apply(z, psi, grid)
     return _combine(free, system.g_apply(z, weights, grid))
 

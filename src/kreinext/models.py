@@ -16,6 +16,11 @@ Spectral-parameter conventions: the free operator is the second derivative
 spectra sit at -(n pi / a)^2 and point models exclude the half line
 (-inf, 0]. The principal branch of the square root is used throughout,
 applied to -z for interval kernels and to z for point kernels.
+
+Every ``gamma`` follows the :class:`WeylSystem` contract: a scalar z gives
+the n x n matrix, a 1-D array of m values the (m, n, n) stack. The kernels
+below broadcast over the shape of z, so the scalar is the 0-d case of the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ import numpy as np
 
 from .krein import (
     DirichletExclusions,
-    ExcludedPointError,
     ExtensionParams,
     HalfLineExclusions,
+    ModelConsistencyError,
     SmoothFunction,
     TraceMaps,
     WeylSystem,
+    check_admissible,
 )
 from .quad import cumulative_simpson, simpson
 
@@ -188,12 +194,24 @@ def _sqrt_minus(z: complex) -> complex:
     return complex(np.sqrt(complex(-z)))
 
 
-def _interval_gamma(a: float, z: complex) -> np.ndarray:
-    if z == 0:
-        return np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a
-    k = _sqrt_minus(z)
-    c, s = np.cos(k * a), np.sin(k * a)
-    return (k / s) * np.array([[c, -1.0], [-1.0, c]], dtype=complex)
+def _edge_gammas(lengths, z) -> np.ndarray:
+    """Gamma blocks of the edges (0, a_k): shape (*z.shape, K, 2, 2)."""
+    a = np.array(lengths, dtype=float)
+    z = np.asarray(z)
+    zero = z == 0
+    # z is negated before it is made complex, as in _sqrt_minus; z = 0 is filled in below
+    k = np.sqrt(np.asarray(-np.where(zero, -1.0, z), dtype=complex))[..., None]
+    ratio = k / np.sin(k * a)
+    out = np.empty(ratio.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = ratio * np.cos(k * a)
+    out[..., 0, 1] = out[..., 1, 0] = ratio * -1.0  # times -1 + 0j; -ratio flips signed zeros
+    out[zero] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a[:, None, None]
+    return out
+
+
+def _interval_gamma(a: float, z) -> np.ndarray:
+    """Gamma of the interval (0, a): (2, 2) for a scalar z, (*z.shape, 2, 2) for an array."""
+    return _edge_gammas((a,), z)[..., 0, :, :]
 
 
 def interval_green(model: IntervalModel, z: complex, zeta) -> SmoothFunction:
@@ -333,8 +351,23 @@ def _edge_gram(a: float, z: complex, w: complex) -> tuple:
       delta = q - k, which has no branch at z = w;
     * otherwise |z - w| a^2 >= 3/4, and the difference quotient
       (Gamma(z) - Gamma(w)) / (z - w) loses nothing.
+
+    A sine that overflows (|Im ka| or |Im qa| above about 710) or an entry
+    that is not finite raises :class:`ModelConsistencyError` naming z and w.
     """
     z, w = complex(z), complex(w)
+    try:
+        same, opposite = _edge_gram_entries(a, z, w)
+        if cmath.isfinite(same) and cmath.isfinite(opposite):
+            return same, opposite
+    except OverflowError:
+        pass
+    raise ModelConsistencyError(
+        f"edge Gram matrix is not finite at z={z}, w={w} (edge length {a!r})"
+    )
+
+
+def _edge_gram_entries(a: float, z: complex, w: complex) -> tuple:
     k, q = cmath.sqrt(-z), cmath.sqrt(-w)
     lo, hi = sorted((abs(k) * a, abs(q) * a))
     if hi <= 1.0:
@@ -347,7 +380,8 @@ def _edge_gram(a: float, z: complex, w: complex) -> tuple:
         same = _sinc(delta * a) - _sinc(sigma * a)
         opposite = cmath.cos(sigma * h) * _sinc(delta * h) - cmath.cos(delta * h) * _sinc(sigma * h)
         return scale * same, -scale * opposite
-    quotient = (_interval_gamma(a, z) - _interval_gamma(a, w)) / (z - w)
+    at_z, at_w = _interval_gamma(a, (z, w))
+    quotient = (at_z - at_w) / (z - w)
     return quotient[0, 0], quotient[0, 1]
 
 
@@ -371,16 +405,14 @@ def interval_weyl(model: IntervalModel) -> WeylSystem:
     excluded = DirichletExclusions([a])
 
     def excl_guard(z):
-        if excluded.contains(complex(z)):
-            raise_excluded(excluded, z)
+        check_admissible(excluded, z)
 
     def gamma(z):
         excl_guard(z)
         return _interval_gamma(a, z)
 
     def gram(z, w):
-        excl_guard(z)
-        excl_guard(w)
+        excl_guard((z, w))
         return _edge_gram_blocks((a,), z, w)
 
     def g_apply(z, zeta, grid):
@@ -420,12 +452,6 @@ def interval_weyl(model: IntervalModel) -> WeylSystem:
     )
 
 
-def raise_excluded(excluded, z):
-    raise ExcludedPointError(
-        f"z={complex(z)} lies in the excluded spectral set: {excluded.describe()}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # graph model
 
@@ -456,19 +482,18 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
     excluded = DirichletExclusions(lengths)
 
     def guard(z):
-        if excluded.contains(complex(z)):
-            raise_excluded(excluded, z)
+        check_admissible(excluded, z)
 
     def gamma(z):
         guard(z)
-        out = np.zeros((2 * K, 2 * K), dtype=complex)
-        for k, a in enumerate(lengths):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _interval_gamma(a, z)
+        blocks = _edge_gammas(lengths, z)
+        out = np.zeros(np.shape(z) + (2 * K, 2 * K), dtype=complex)
+        for k in range(K):
+            out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[..., k, :, :]
         return out
 
     def gram(z, w):
-        guard(z)
-        guard(w)
+        guard((z, w))
         return _edge_gram_blocks(lengths, z, w)
 
     def g_apply(z, zeta, grids):
@@ -584,26 +609,30 @@ def _pairwise_distances(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def point_gamma(model: PointModel, z: complex) -> np.ndarray:
+def point_gamma(model: PointModel, z) -> np.ndarray:
     """Weyl matrix of the point model: sqrt(z)/(4 pi) on the diagonal,
-    -exp(-sqrt(z) d)/(4 pi d) off it, principal branch Re sqrt(z) > 0."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise_excluded(HalfLineExclusions(0.0), z)
-    sq = np.sqrt(z)
+    -exp(-sqrt(z) d)/(4 pi d) off it, principal branch Re sqrt(z) > 0.
+
+    A scalar z gives the (n, n) matrix, an array the (*z.shape, n, n) stack.
+    """
+    z = np.asarray(z, dtype=complex)
+    check_admissible(HalfLineExclusions(0.0), z)
+    sq = np.sqrt(z)[..., None]
     d = _pairwise_distances(model.centers)
     n = model.n_centers
-    out = np.full((n, n), 0.0, dtype=complex)
+    out = np.zeros(z.shape + (n, n), dtype=complex)
     mask = ~np.eye(n, dtype=bool)
-    out[mask] = -np.exp(-sq * d[mask]) / (FOUR_PI * d[mask])
-    np.fill_diagonal(out, sq / FOUR_PI)
+    out[..., mask] = -np.exp(-sq * d[mask]) / (FOUR_PI * d[mask])
+    diagonal = np.arange(n)
+    out[..., diagonal, diagonal] = sq / FOUR_PI
     return out
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     z, w = complex(z), complex(w)
     if z != w:
-        return (point_gamma(model, z) - point_gamma(model, w)) / (z - w)
+        at_z, at_w = point_gamma(model, (z, w))
+        return (at_z - at_w) / (z - w)
     sq = np.sqrt(z)
     d = _pairwise_distances(model.centers)
     n = model.n_centers
@@ -685,16 +714,14 @@ def point_weyl(model: PointModel) -> WeylSystem:
     excluded = HalfLineExclusions(0.0)
 
     def guard(z):
-        if excluded.contains(complex(z)):
-            raise_excluded(excluded, z)
+        check_admissible(excluded, z)
 
     def gamma(z):
         guard(z)
         return point_gamma(model, z)
 
     def gram(z, w):
-        guard(z)
-        guard(w)
+        guard((z, w))
         return _point_gram(model, z, w)
 
     def g_apply(z, zeta, grid):
@@ -730,19 +757,18 @@ def spin_weyl(model: SpinPointModel) -> WeylSystem:
     excluded = HalfLineExclusions(max(model.b))
 
     def guard(z):
-        if excluded.contains(complex(z)):
-            raise_excluded(excluded, z)
+        check_admissible(excluded, z)
 
     def gamma(z):
         guard(z)
-        out = np.zeros((n * d, n * d), dtype=complex)
+        z = np.asarray(z)
+        out = np.zeros(z.shape + (n * d, n * d), dtype=complex)
         for i, b in enumerate(model.b):
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = point_gamma(point, z - b)
+            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = point_gamma(point, z - b)
         return out
 
     def gram(z, w):
-        guard(z)
-        guard(w)
+        guard((z, w))
         out = np.zeros((n * d, n * d), dtype=complex)
         for i, b in enumerate(model.b):
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gram(

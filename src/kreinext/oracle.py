@@ -19,8 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import DirichletExclusions, ExtensionParams, range_basis, require_valid
-from .models import GraphModel, IntervalModel, _interval_g_columns, raise_excluded
+from .krein import (
+    DirichletExclusions,
+    ExtensionParams,
+    check_admissible,
+    range_basis,
+    require_valid,
+)
+from .models import GraphModel, IntervalModel, _interval_g_columns
 from .quad import simpson
 
 __all__ = [
@@ -192,9 +198,7 @@ def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
     (default 2001 per unit length, at least 501, odd).
     """
     excluded = DirichletExclusions(lengths)
-    for point in (z, w):
-        if excluded.contains(complex(point)):
-            raise_excluded(excluded, point)
+    check_admissible(excluded, (z, w))
     n = 2 * len(excluded.lengths)
     out = np.zeros((n, n), dtype=complex)
     for k, a in enumerate(excluded.lengths):

@@ -12,6 +12,14 @@ matrix. The search bisects on that count (Sturm bisection) down to
 floating-point resolution; each final bracket is one eigenvalue whose
 multiplicity is the size of the drop.
 
+The bisection runs in rounds, breadth first: each round takes the midpoint
+of every live bracket of every searchable segment, builds all their secular
+matrices from one ``system.gamma`` call on the array of midpoints and
+counts with one stacked ``eigvalsh``. Each bracket is split, kept or
+stopped exactly as a depth-first bisection would, so the roots are the same
+to the bit; only the number of Python and LAPACK dispatches falls, to one
+per round. The kernel check at the roots is one stacked ``eigh``.
+
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
 the results as unsearchable gaps.
@@ -87,7 +95,7 @@ class SearchOptions:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
 
 def _subtract_gaps(lo, hi, gaps):
@@ -117,41 +125,50 @@ def _admissible_start(excluded, lo: float) -> float:
     return lo
 
 
-def _isolate(eigs, lo, hi, theta_norm):
-    """Brackets (midpoint, drop) of the count drops on a pole-free [lo, hi].
+def _isolate(eigs, segments, theta_norm):
+    """Brackets (midpoint, drop) of the count drops on pole-free segments.
 
-    ``eigs(lam)`` gives the secular eigenvalues; the count is how many are
-    negative. Every bracket whose count drops is bisected until it is as
-    narrow as floating point allows or, for a drop of several, until that
-    many secular eigenvalues are within the rounding error of forming and
-    diagonalising V^*(theta + Gamma)V at its midpoint: errors of that size
-    shift each branch's crossing, so the count cannot split such a root any
-    further. Brackets come out in increasing lambda.
+    ``eigs(lams)`` gives the (m, r) secular eigenvalues at an array of m
+    points; the count is how many are negative. Every bracket whose count
+    drops is bisected until it is as narrow as floating point allows or,
+    for a drop of several, until that many secular eigenvalues are within
+    the rounding error of forming and diagonalising V^*(theta + Gamma)V at
+    its midpoint: errors of that size shift each branch's crossing, so the
+    count cannot split such a root any further. All live brackets are
+    halved together, one ``eigs`` call per round. Brackets come out in
+    increasing lambda.
     """
-
-    def count(w):
-        return int(np.sum(w < 0.0))
-
+    ends = eigs(np.array([x for segment in segments for x in segment]))
+    counts = np.sum(ends < 0.0, axis=1).tolist()
+    live = [
+        (lo, hi, clo, chi) for (lo, hi), clo, chi in zip(segments, counts[0::2], counts[1::2])
+    ]
     out = []
-    stack = [(lo, hi, count(eigs(lo)), count(eigs(hi)))]
-    while stack:
-        lo, hi, clo, chi = stack.pop()
-        drop = clo - chi
-        if drop == 0:
-            continue
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
-            out.append((mid, drop))
-            continue
-        w = eigs(mid)
-        rounding = BRACKET_FLOOR * w.size * (np.max(np.abs(w)) + theta_norm)
-        if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
-            out.append((mid, drop))
-            continue
-        cmid = count(w)
-        stack.append((mid, hi, cmid, chi))
-        stack.append((lo, mid, clo, cmid))
-    return out
+    while live:
+        split = []
+        for lo, hi, clo, chi in live:
+            drop = clo - chi
+            if drop == 0:
+                continue
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
+                out.append((mid, drop))
+            else:
+                split.append((lo, mid, hi, clo, chi))
+        if not split:
+            break
+        w = eigs(np.array([mid for _, mid, _, _, _ in split]))
+        rounding = BRACKET_FLOOR * w.shape[1] * (np.max(np.abs(w), axis=1) + theta_norm)
+        nearest = np.sort(np.abs(w), axis=1)
+        cmids = np.sum(w < 0.0, axis=1).tolist()
+        live = []
+        for i, (lo, mid, hi, clo, chi) in enumerate(split):
+            drop = clo - chi
+            if drop > 1 and nearest[i, drop - 1] <= rounding[i]:
+                out.append((mid, drop))
+            else:
+                live += [(lo, mid, clo, cmids[i]), (mid, hi, cmids[i], chi)]
+    return sorted(out)
 
 
 def eigenvalue_search(
@@ -197,15 +214,19 @@ def eigenvalue_search(
     if basis.shape[1] == 0 or not segments:
         return SpectrumResult((), gaps, metadata)
 
-    def eigs(lam):
-        return np.linalg.eigvalsh(_hermitian_part(secular_matrix(system, params, lam)))
+    def eigs(lams):
+        return np.linalg.eigvalsh(
+            _hermitian_part(secular_matrix(system, params, lams, basis))
+        )
 
     theta_norm = float(np.linalg.norm(params.theta, 2))
+    roots = _isolate(eigs, segments, theta_norm)
+    metadata["expected_count"] = sum(drop for _, drop in roots)
     results = []
-    for slo, shi in segments:
-        for lam, drop in _isolate(eigs, slo, shi, theta_norm):
-            metadata["expected_count"] += drop
-            w, u = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lam)))
+    if roots:
+        lams = np.array([lam for lam, _ in roots])
+        ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams, basis)))
+        for (lam, drop), w, u in zip(roots, ws, us):
             near = np.argsort(np.abs(w), kind="stable")[:drop]
             if np.max(np.abs(w[near])) > opts.kernel_tol:
                 continue  # the drop did not close onto a kernel

@@ -33,3 +33,88 @@ def one_sided_derivatives(samples, h):
     d0 = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
     da = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / (12 * h)
     return d0, -da
+
+
+def depth_first_search(system, params, window, opts=None):
+    """Reference eigenvalue search: depth-first count bisection, one lambda per call.
+
+    A copy of the search before it was batched: ``_isolate`` bisects one
+    bracket at a time through scalar ``secular_matrix`` calls, and each
+    root gets its own ``eigh``. The batched search must agree with it bit
+    for bit.
+    """
+    from kreinext import spectral
+    from kreinext.krein import range_basis, require_valid, secular_matrix
+
+    opts = opts or spectral.SearchOptions()
+    lo, hi = float(window[0]), float(window[1])
+    require_valid(params)
+    basis = range_basis(params.pi)
+    gaps = tuple(system.excluded.gaps_in(lo, hi))
+    segments = [
+        (spectral._admissible_start(system.excluded, a), b)
+        for a, b in spectral._subtract_gaps(lo, hi, gaps)
+    ]
+    metadata = {
+        "scope": spectral.SCOPE_NOTE,
+        "window": [lo, hi],
+        "segments": [[a, b] for a, b in segments],
+        "searchable": bool(segments) and basis.shape[1] > 0,
+        "expected_count": 0,
+        "found_count": 0,
+    }
+    if basis.shape[1] == 0 or not segments:
+        return spectral.SpectrumResult((), gaps, metadata)
+
+    def hermitian(lam):
+        m = secular_matrix(system, params, lam)
+        return (m + m.conj().T) / 2.0
+
+    def eigs(lam):
+        return np.linalg.eigvalsh(hermitian(lam))
+
+    def count(w):
+        return int(np.sum(w < 0.0))
+
+    def isolate(lo, hi, theta_norm):
+        floor = spectral.BRACKET_FLOOR
+        out = []
+        stack = [(lo, hi, count(eigs(lo)), count(eigs(hi)))]
+        while stack:
+            lo, hi, clo, chi = stack.pop()
+            drop = clo - chi
+            if drop == 0:
+                continue
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= floor * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
+                out.append((mid, drop))
+                continue
+            w = eigs(mid)
+            rounding = floor * w.size * (np.max(np.abs(w)) + theta_norm)
+            if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
+                out.append((mid, drop))
+                continue
+            cmid = count(w)
+            stack.append((mid, hi, cmid, chi))
+            stack.append((lo, mid, clo, cmid))
+        return out
+
+    theta_norm = float(np.linalg.norm(params.theta, 2))
+    results = []
+    for slo, shi in segments:
+        for lam, drop in isolate(slo, shi, theta_norm):
+            metadata["expected_count"] += drop
+            w, u = np.linalg.eigh(hermitian(lam))
+            near = np.argsort(np.abs(w), kind="stable")[:drop]
+            if np.max(np.abs(w[near])) > opts.kernel_tol:
+                continue
+            results.append(
+                spectral.EigenResult(
+                    lam=lam,
+                    sigma_min=float(np.min(np.abs(w))),
+                    multiplicity=drop,
+                    null_basis=basis @ u[:, np.sort(near)],
+                )
+            )
+    metadata["found_count"] = sum(r.multiplicity for r in results)
+    return spectral.SpectrumResult(tuple(results), gaps, metadata)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,6 +11,7 @@ from kreinext import (
     ExtensionSingularError,
     GreenCombination,
 )
+from kreinext import krein
 from kreinext.quad import simpson
 
 from helpers import one_sided_derivatives, random_hermitian, random_params
@@ -79,6 +81,34 @@ def test_secular_matrix_point_scalar(point_one):
     assert np.allclose(m, [[alpha + 1 / FOUR_PI]])
 
 
+def test_secular_matrix_batch_equals_scalar_calls():
+    rng = np.random.default_rng(9)
+    system = kx.graph_weyl(kx.GraphModel((1.0, 1.6, 0.7)))
+    params = random_params(rng, 6, rank=4)
+    zs = np.array([-3.5, 0.0, 2.0, 1.0 + 2.0j, -20.0 - 0.5j])
+    basis = kx.range_basis(params.pi)
+    stack = kx.secular_matrix(system, params, zs)
+    assert stack.shape == (5, 4, 4)
+    assert np.array_equal(stack, np.stack([kx.secular_matrix(system, params, z) for z in zs]))
+    assert np.array_equal(stack, kx.secular_matrix(system, params, zs, basis))
+    assert kx.secular_matrix(system, ExtensionParams.trivial(6), zs).shape == (5, 0, 0)
+
+
+def test_secular_matrix_batch_names_the_failing_point(interval_pi):
+    params = ExtensionParams.full(np.zeros((2, 2)))
+    with pytest.raises(ExcludedPointError, match=r"z=\(-1\+0j\)"):
+        kx.secular_matrix(interval_pi, params, np.array([0.5, -1.0, 2.0]))
+
+    def gamma(z):  # not finite at z = 2 only
+        out = interval_pi.gamma(z)
+        out[np.asarray(z) == 2.0] = np.nan
+        return out
+
+    broken = dataclasses.replace(interval_pi, gamma=gamma)
+    with pytest.raises(kx.ModelConsistencyError, match=r"z=\(2\+0j\)"):
+        kx.secular_matrix(broken, params, np.array([0.5, 1.0, 2.0, 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # regular points
 
@@ -127,6 +157,19 @@ def test_correction_is_secular_inverse(interval_pi):
     c = kx.krein_correction(interval_pi, p, 1.0)
     m = kx.secular_matrix(interval_pi, p, 1.0)
     assert np.allclose(c, np.linalg.inv(m), atol=1e-12)
+
+
+def test_resolvent_computes_the_range_basis_once(monkeypatch, interval_pi):
+    calls = []
+    original = krein.range_basis
+    monkeypatch.setattr(krein, "range_basis", lambda pi: calls.append(pi) or original(pi))
+    params = ExtensionParams.full(np.diag([0.3, -0.2]).astype(complex))
+    x = np.linspace(0.0, PI, 801)
+    kx.apply_resolvent(interval_pi, params, 1.0 + 1.0j, np.sin(x) + 0j, x)
+    assert len(calls) == 1
+    calls.clear()
+    kx.krein_correction(interval_pi, params, 1.0 + 1.0j)
+    assert len(calls) == 1
 
 
 def test_correction_point_scalar(point_one):

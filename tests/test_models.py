@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -337,3 +339,105 @@ def test_spin_renormalized_trace_shape():
     assert out.shape == (4,)
     assert np.allclose(out[:2], [0.0, 1.0 / FOUR_PI])
     assert np.allclose(out[2:], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched Gamma and the vectorised exclusion guard
+
+_rng = np.random.default_rng(2024)
+BATCH_SYSTEMS = {
+    "interval_pi": kx.interval_weyl(kx.IntervalModel(PI)),
+    "graph_8": kx.graph_weyl(kx.GraphModel(EIGHT_EDGES)),
+    "points_20": kx.point_weyl(kx.PointModel(_rng.uniform(-2.0, 2.0, (20, 3)))),
+    "spin": kx.spin_weyl(kx.SpinPointModel(_rng.uniform(-1.0, 1.0, (3, 3)), (0.0, 0.7, -1.3))),
+}
+
+
+def _batch_points(excluded):
+    # real of either sign, non-real at any angle, |z| log-uniform in [1e-8, 1e4], and z = 0
+    rng = np.random.default_rng(5)
+    mag = 10.0 ** rng.uniform(-8.0, 4.0, 40)
+    zs = np.concatenate([mag, -mag, mag * np.exp(1j * rng.uniform(-PI, PI, 40)), [0.0]])
+    zs = zs.astype(complex)
+    return zs[~excluded.contains(zs)]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_batched_gamma_equals_scalar_calls_bit_for_bit(name):
+    system = BATCH_SYSTEMS[name]
+    zs = _batch_points(system.excluded)
+    assert zs.size > 50
+    stack = system.gamma(zs)
+    one_by_one = np.stack([system.gamma(complex(z)) for z in zs])
+    assert stack.shape == (zs.size, system.n, system.n)
+    assert np.array_equal(stack, one_by_one)
+    assert stack.tobytes() == one_by_one.tobytes()
+    if name == "interval_pi":
+        assert 0.0 in zs
+        assert np.array_equal(system.gamma(zs[zs == 0]), [[[1, -1], [-1, 1]]] / np.float64(PI))
+    assert system.gamma(zs[:1]).shape == (1, system.n, system.n)
+
+
+def _scalar_dirichlet_contains(excluded, z):
+    # the guard evaluated one point at a time in Python floats
+    z = complex(z)
+    for a in excluded.lengths:
+        base = np.sqrt(max(-z.real, 0.0)) * a / np.pi
+        for n in {max(1, int(np.floor(base))), max(1, int(np.ceil(base))), 1}:
+            pole = -((n * np.pi / a) ** 2)
+            if abs(z - pole) <= excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2:
+                return True
+    return False
+
+
+def _around(centre, radius):
+    # at the radius and 1e-9 (relative) inside and outside it, on and off the axis
+    out = []
+    for r in (radius, radius * (1 - 1e-9), radius * (1 + 1e-9)):
+        out += [centre - r, centre + r, complex(centre, r), complex(centre, -r)]
+    return out
+
+
+def test_vectorised_dirichlet_guard_matches_scalar():
+    excluded = kx.DirichletExclusions((0.3, 1.0, PI))
+    points = []
+    for a in excluded.lengths:
+        for n in range(1, 6):
+            pole = -((n * np.pi / a) ** 2)
+            points += _around(pole, excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2)
+    zs = np.array(points + [0.0, 1.0, 1j], dtype=complex)
+    hit = excluded.contains(zs)
+    assert np.array_equal(hit, [excluded.contains(complex(z)) for z in zs])
+    assert np.array_equal(hit, [_scalar_dirichlet_contains(excluded, z) for z in zs])
+    assert hit.any() and not hit.all()
+
+
+def test_vectorised_half_line_guard_matches_scalar():
+    excluded = kx.HalfLineExclusions(0.7)
+    zs = np.array(_around(0.7, 1e-9) + _around(0.7, 0.0) + [-5.0, 5.0], dtype=complex)
+    hit = excluded.contains(zs)
+    assert np.array_equal(hit, [excluded.contains(complex(z)) for z in zs])
+    assert np.array_equal(hit, [z.imag == 0.0 and z.real <= 0.7 for z in zs])
+    assert hit.any() and not hit.all()
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("interval_pi", -1.0 + 1e-12), ("graph_8", -((PI / 3.0) ** 2)), ("points_20", -0.5), ("spin", 0.5)],
+)
+def test_batch_with_one_excluded_point_names_it(name, bad):
+    system = BATCH_SYSTEMS[name]
+    zs = np.array([2.0 + 1j, 3.0, bad, 1.5 - 2j], dtype=complex)
+    with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(bad)} ")):
+        system.gamma(zs)
+
+
+def test_edge_gram_overflow_is_a_model_failure():
+    # sin(sqrt(-z) a) overflows once |Im sqrt(-z)| a exceeds about 710
+    system = kx.interval_weyl(kx.IntervalModel(1.0))
+    with pytest.raises(kx.ModelConsistencyError, match=re.escape("z=(1000000+0j), w=(1000000+0j)")):
+        system.gram(1e6, 1e6)
+    params = ExtensionParams.full(np.eye(2))
+    combo = kx.GreenCombination(((1j, np.array([1.0, 0.5])),))
+    with pytest.raises(kx.ModelConsistencyError, match=re.escape("w=(1000000+1j)")):
+        kx.apply_resolvent_green(system, params, 1e6 + 1j, combo)

@@ -7,7 +7,7 @@ import pytest
 import kreinext as kx
 from kreinext import ExtensionParams, FDSpec, SearchOptions
 
-from helpers import random_hermitian
+from helpers import depth_first_search, random_hermitian, random_params
 
 PI = np.pi
 FOUR_PI = 4 * np.pi
@@ -324,3 +324,102 @@ def test_spin_model_shifted_bound_states():
     for hit in result.eigenvalues:
         assert hit.multiplicity == 1
     assert result.metadata["expected_count"] == result.metadata["found_count"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched search against a depth-first bisection, bit for bit
+
+
+def _star(lengths, centre=0.0, tips=None):
+    graph = kx.GraphModel(lengths)
+    tips = tips or [0.0] * len(lengths)
+    params = kx.vertex_params(
+        graph,
+        [kx.VertexGroup(tuple((e, "left") for e in range(len(lengths))), centre)]
+        + [kx.VertexGroup(((e, "right"),), t) for e, t in enumerate(tips)],
+    )
+    return kx.graph_weyl(graph), params
+
+
+def _random_graph():
+    rng = np.random.default_rng(31)
+    graph = kx.GraphModel((0.3, 0.6, 0.9, 1.0, 1.4, 2.0, 2.5, 3.0))
+    return kx.graph_weyl(graph), ExtensionParams.full(random_hermitian(rng, 16, 1.5))
+
+
+def _partial_projector_graph():
+    rng = np.random.default_rng(8)
+    return kx.graph_weyl(kx.GraphModel((1.0, 1.7, 2.2))), random_params(rng, 6, rank=3, scale=2.0)
+
+
+def _points():
+    rng = np.random.default_rng(12)
+    model = kx.PointModel(rng.uniform(-1.5, 1.5, (20, 3)))
+    alpha = rng.uniform(-0.6, -0.05, 20)
+    return kx.point_weyl(model), ExtensionParams.full(np.diag(alpha).astype(complex))
+
+
+def _spin():
+    model = kx.SpinPointModel([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]], (0.0, 1.5))
+    theta = np.diag([-0.1, -0.12, -0.1, -0.12]).astype(complex)
+    return kx.spin_weyl(model), ExtensionParams.full(theta)
+
+
+SEARCH_CASES = {
+    "interval_robin": (
+        lambda: (
+            kx.interval_weyl(kx.IntervalModel(PI)),
+            ExtensionParams.full(-1.2 * np.eye(2, dtype=complex)),
+        ),
+        (-50.0, 5.0),
+    ),
+    "graph_random_theta": (_random_graph, (-30.0, 5.0)),
+    "star_partial_projector": (lambda: _star((1.0, 1.3, 0.8), 0.7, [0.0, -0.4, -0.8]), (-40.0, 3.0)),
+    "graph_random_partial_projector": (_partial_projector_graph, (-25.0, 4.0)),
+    "star_double_root": (lambda: _star((1.0, 1.0, 1.0)), (-60.0, 2.0)),
+    "near_coincident_roots": (
+        lambda: (
+            kx.graph_weyl(kx.GraphModel((PI, PI * (1 + 1e-9)))),
+            ExtensionParams.full(0.8 * np.eye(4, dtype=complex)),
+        ),
+        (-0.9, 0.0),
+    ),
+    "points_20": (_points, (0.01, 6.0)),
+    "spin": (_spin, (-1.0, 8.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_batched_search_equals_depth_first_bisection(name):
+    build, window = SEARCH_CASES[name]
+    system, params = build()
+    got = kx.eigenvalue_search(system, params, window)
+    ref = depth_first_search(system, params, window)
+    assert got.eigenvalues, "the case must have roots"
+    assert got.gaps == ref.gaps
+    assert got.metadata == ref.metadata
+    assert len(got.eigenvalues) == len(ref.eigenvalues)
+    for hit, want in zip(got.eigenvalues, ref.eigenvalues):
+        assert np.array_equal(hit.lam, want.lam)
+        assert hit.multiplicity == want.multiplicity
+        assert np.array_equal(hit.sigma_min, want.sigma_min)
+        assert hit.null_basis.tobytes() == want.null_basis.tobytes()
+    assert got.lambdas().tolist() == sorted(got.lambdas().tolist())
+
+
+def test_search_evaluates_gamma_once_per_round():
+    # all live brackets share one Gamma call per bisection round; a search
+    # that goes back to one call per lambda makes about 400 here
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    calls = []
+
+    def gamma(z):
+        calls.append(np.shape(z))
+        return system.gamma(z)
+
+    counted = dataclasses.replace(system, gamma=gamma)
+    params = ExtensionParams.full(-1.2 * np.eye(2, dtype=complex))
+    result = kx.eigenvalue_search(counted, params, (-50.0, 5.0))
+    assert result.metadata["expected_count"] == result.metadata["found_count"] >= 5
+    assert len(calls) <= 60
+    assert all(len(shape) == 1 for shape in calls)
