@@ -15,9 +15,11 @@ from .krein import (
     ExtensionParams,
     ExtensionSingularError,
     GreenCombination,
+    GridMismatchError,
     GridTooCoarseError,
     HalfLineExclusions,
     ModelConsistencyError,
+    SampledKernels,
     SmoothFunction,
     TraceMaps,
     UnsupportedModelError,

@@ -29,8 +29,10 @@ __all__ = [
     "ModelConsistencyError",
     "UnsupportedModelError",
     "GridTooCoarseError",
+    "GridMismatchError",
     "SmoothFunction",
     "TraceMaps",
+    "SampledKernels",
     "WeylSystem",
     "ExtensionParams",
     "ValidationReport",
@@ -81,6 +83,10 @@ class UnsupportedModelError(ValueError):
 
 class GridTooCoarseError(ValueError):
     """Sample grid below the documented quadrature floor."""
+
+
+class GridMismatchError(ValueError):
+    """Sample grid that does not span its edge uniformly, or samples of another length."""
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +267,20 @@ class TraceMaps:
 
 
 @dataclass(frozen=True)
+class SampledKernels:
+    """The three sampled factors of the Krein formula, bound to one z and one grid.
+
+    ``resolvent`` maps samples psi to samples of the free resolvent R_0(z) psi,
+    ``adjoint`` maps samples psi to G(conj(z))^* psi in C^n, and ``apply`` maps
+    a boundary vector zeta to samples of G(z) zeta.
+    """
+
+    resolvent: Callable
+    adjoint: Callable
+    apply: Callable
+
+
+@dataclass(frozen=True)
 class WeylSystem:
     """Analytic engine of one model.
 
@@ -279,6 +299,16 @@ class WeylSystem:
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.
     r_apply : (z, samples, grid) -> samples of the free resolvent (quadrature models).
     g_adjoint_apply : (z, samples, grid) -> C^n, the map G(conj(z))^* on samples.
+    sampled_kernels : (z, grid) -> :class:`SampledKernels` (quadrature models).
+        On an edge all three sampled factors come from the same two solutions
+        sin(kx) and sin(k(a - x)), k = sqrt(-z), so one call evaluates them
+        once per edge and serves the free resolvent, the adjoint and G(z).
+        It does not check z: :func:`apply_resolvent` checks z once and then
+        builds the kernels once. For interval and graph models ``g_apply``,
+        ``r_apply`` and ``g_adjoint_apply`` are views of this field that check
+        z first. The quadrature maps raise :class:`GridMismatchError` unless
+        each edge grid runs uniformly from 0 to the edge length and the
+        samples have its length; ``apply`` takes arbitrary points.
     trace_maps : rho/tau on closed-form functions (interval and graph models).
     g_closed : (z, zeta) -> per-edge closed forms of G(z) zeta (interval/graph).
     renorm_trace : renormalised trace (point-interaction models).
@@ -300,6 +330,7 @@ class WeylSystem:
     g_closed: Optional[Callable] = None
     renorm_trace: Optional[Callable] = None
     edge_lengths: Optional[tuple] = None
+    sampled_kernels: Optional[Callable] = None
 
     def require_admissible(self, z):
         """z as a complex scalar, or a complex array for an array, once every
@@ -426,14 +457,16 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z, basis=None) -
     correction. A scalar z gives one r x r matrix, a 1-D array of m values
     the (m, r, r) stack from one ``system.gamma`` call; for pi = 0, r = 0.
     ``basis`` is ``range_basis(params.pi)`` when the caller already holds
-    it. Every z is checked against the excluded set, and a non-finite
-    matrix raises :class:`ModelConsistencyError` naming its z, so no NaN
-    reaches LAPACK.
+    it. Every z is checked against the excluded set (by ``system.gamma``,
+    or here when r = 0 and Gamma is not needed), and a non-finite matrix
+    raises :class:`ModelConsistencyError` naming its z, so no NaN reaches
+    LAPACK.
     """
-    z = system.require_admissible(z)
     v = range_basis(params.pi) if basis is None else basis
     if v.shape[1] == 0:
+        z = system.require_admissible(z)
         return np.zeros(np.shape(z) + (0, 0), dtype=complex)
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     m = v.conj().T @ (params.theta + system.gamma(z)) @ v
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
@@ -521,11 +554,12 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     """Samples of the extension resolvent applied to sampled input.
 
     Computes free-resolvent samples plus the rank-<= n Krein correction
-    G(z) C(z) G(conj(z))^* psi. Available for models with quadrature trace
-    data (interval, graph); point-interaction models use
-    :func:`apply_resolvent_green`.
+    G(z) C(z) G(conj(z))^* psi. z is checked once, and the three sampled
+    factors come from one ``system.sampled_kernels(z, grid)`` call.
+    Available for models with quadrature trace data (interval, graph);
+    point-interaction models use :func:`apply_resolvent_green`.
     """
-    if system.r_apply is None or system.g_adjoint_apply is None:
+    if system.sampled_kernels is None:
         raise UnsupportedModelError(
             f"model kind {system.kind!r} has no sampled resolvent; "
             "use apply_resolvent_green with a Green-function combination"
@@ -533,13 +567,14 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     require_valid(params)
     _check_grid(system, grid)
     z = system.require_admissible(z)
-    free = system.r_apply(z, psi, grid)
+    kernels = system.sampled_kernels(z, grid)
+    free = kernels.resolvent(psi)
     basis = range_basis(params.pi)
     if basis.shape[1] == 0:
         return free
     corr = krein_correction(system, params, z, basis)
-    weights = corr @ system.g_adjoint_apply(z, psi, grid)
-    return _combine(free, system.g_apply(z, weights, grid))
+    weights = corr @ kernels.adjoint(psi)
+    return _combine(free, kernels.apply(weights))
 
 
 @dataclass(frozen=True)
@@ -563,7 +598,7 @@ def apply_resolvent_green(
     Uses the resolvent difference identity R(z) G(w) = (G(z) - G(w)) / (w - z)
     and the Gram matrix for the adjoint factor, so no volume quadrature is
     needed; this is the supported route for point-interaction models. z must
-    differ from every combination node.
+    differ from every combination node; each node is checked by ``system.gram``.
     """
     require_valid(params)
     z = system.require_admissible(z)
@@ -571,7 +606,7 @@ def apply_resolvent_green(
     adjoint = np.zeros(n, dtype=complex)
     new_terms: dict = {}
     for zj, cj in combo.terms:
-        zj = system.require_admissible(zj)
+        zj = complex(zj)
         cj = np.asarray(cj, dtype=complex)
         if zj == z:
             raise ValueError(

@@ -35,8 +35,10 @@ import numpy as np
 from .krein import (
     DirichletExclusions,
     ExtensionParams,
+    GridMismatchError,
     HalfLineExclusions,
     ModelConsistencyError,
+    SampledKernels,
     SmoothFunction,
     TraceMaps,
     WeylSystem,
@@ -69,6 +71,10 @@ __all__ = [
 
 FOUR_PI = 4.0 * np.pi
 MIN_CENTER_DISTANCE = 1e-9
+# A quadrature grid must start at 0 and end at the edge length to this
+# fraction of the length, with every step equal to the first to this fraction.
+GRID_END_RTOL = 1e-12
+GRID_STEP_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +111,11 @@ class GraphModel:
 
 @dataclass(frozen=True)
 class PointModel:
-    """3-D Laplacian restricted off n pairwise distinct centres."""
+    """3-D Laplacian restricted off n pairwise distinct centres.
+
+    The pairwise centre distances are kept in the private attribute
+    ``_distances`` (not a field), which the kernels read.
+    """
 
     centers: np.ndarray
 
@@ -115,6 +125,7 @@ class PointModel:
             raise ValueError("centers must be an (n, 3) array of points")
         object.__setattr__(self, "centers", c)
         d = _pairwise_distances(c)
+        object.__setattr__(self, "_distances", d)
         off = d[~np.eye(c.shape[0], dtype=bool)]
         if off.size and off.min() <= MIN_CENTER_DISTANCE:
             raise ValueError(
@@ -238,41 +249,97 @@ def interval_green(model: IntervalModel, z: complex, zeta) -> SmoothFunction:
     )
 
 
-def _interval_g_columns(a: float, z: complex, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if z == 0:
-        return np.stack([(a - x) / a, x / a], axis=1).astype(complex)
-    k = _sqrt_minus(z)
-    s = np.sin(k * a)
-    return np.stack([np.sin(k * (a - x)) / s, np.sin(k * x) / s], axis=1)
-
-
-def _interval_r_apply(a, z, psi, x):
-    psi = np.asarray(psi)
-    x = np.asarray(x, dtype=float)
+def _grid_problem(a: float, x: np.ndarray):
+    """Why x is not a uniform grid from 0 to a, or None when it is one."""
+    if x.ndim != 1 or x.shape[0] < 2:
+        return f"need a 1-D grid of at least 2 nodes, got shape {x.shape}"
+    if abs(x[0]) > GRID_END_RTOL * a or abs(x[-1] - a) > GRID_END_RTOL * a:
+        return f"grid runs from {x[0]!r} to {x[-1]!r}, not from 0 to the edge length {a!r}"
     dx = x[1] - x[0]
-    if z == 0:
-        left = cumulative_simpson(x * psi, dx)
-        f2 = (a - x) * psi
+    deviation = np.max(np.abs(np.diff(x) - dx))
+    if deviation > GRID_STEP_RTOL * dx:
+        return f"grid spacing is not uniform (steps deviate by {deviation / dx:.1e} of the first)"
+    return None
+
+
+class _EdgeKernels:
+    """Sampled kernels of the edge (0, a) at one admissible z on the nodes x.
+
+    With k = sqrt(-z) and s = sin(ka), sin(kx) and sin(k(a - x)) are
+    evaluated once. They give the deficiency columns
+    [sin(k(a - x)) / s, sin(kx) / s] and the free resolvent kernel
+    sin(k x_<) sin(k(a - x_>)) / (k s); z = 0 has its own linear kernels.
+    ``apply`` takes arbitrary points. ``resolvent`` and ``adjoint`` integrate
+    by Simpson's rule and raise :class:`GridMismatchError`, naming ``edge``,
+    unless x runs uniformly from 0 to a and psi has its length.
+    """
+
+    def __init__(self, a: float, z, x, edge: int = 0):
+        x = np.asarray(x, dtype=float)
+        self.a, self.edge, self.x = a, edge, x
+        self._problem = _grid_problem(a, x)
+        if z == 0:
+            self._sines = None
+            self.columns = np.stack([(a - x) / a, x / a], axis=1).astype(complex)
+            return
+        k = _sqrt_minus(z)
+        s = np.sin(k * a)
+        sx, sax = np.sin(k * x), np.sin(k * (a - x))
+        self._sines = (sx, sax, k * s)
+        self.columns = np.stack([sax / s, sx / s], axis=1)
+
+    def _step(self, psi) -> float:
+        problem = self._problem
+        if problem is None and np.shape(psi)[:1] != self.x.shape:
+            problem = f"{np.shape(psi)[0]} samples on a grid of {self.x.shape[0]} nodes"
+        if problem is not None:
+            raise GridMismatchError(f"edge {self.edge} (length {self.a!r}): {problem}")
+        return self.x[1] - self.x[0]
+
+    def apply(self, zeta) -> np.ndarray:
+        """Samples of G(z) zeta for zeta in C^2."""
+        return self.columns @ np.asarray(zeta, dtype=complex)
+
+    def resolvent(self, psi) -> np.ndarray:
+        """Samples of the free resolvent applied to the samples psi."""
+        psi = np.asarray(psi)
+        dx = self._step(psi)
+        a, x = self.a, self.x
+        if self._sines is None:
+            left = cumulative_simpson(x * psi, dx)
+            f2 = (a - x) * psi
+            right = simpson(f2, dx) - cumulative_simpson(f2, dx)
+            return (a - x) / a * left + x / a * right
+        sx, sax, wronskian = self._sines
+        left = cumulative_simpson(sx * psi, dx)
+        f2 = sax * psi
         right = simpson(f2, dx) - cumulative_simpson(f2, dx)
-        return (a - x) / a * left + x / a * right
-    k = _sqrt_minus(z)
-    s = np.sin(k * a)
-    f1 = np.sin(k * x) * psi
-    f2 = np.sin(k * (a - x)) * psi
-    left = cumulative_simpson(f1, dx)
-    right = simpson(f2, dx) - cumulative_simpson(f2, dx)
-    return (np.sin(k * (a - x)) * left + np.sin(k * x) * right) / (k * s)
+        return (sax * left + sx * right) / wronskian
+
+    def adjoint(self, psi) -> np.ndarray:
+        """G(conj(z))^* psi: the integrals of the z-columns against psi."""
+        psi = np.asarray(psi)
+        dx = self._step(psi)
+        cols = self.columns
+        return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
 
 
-def _interval_g_adjoint(a, z, psi, x):
-    # integrals of the z-kernel against psi: the adjoint at conj(z)
-    x = np.asarray(x, dtype=float)
-    dx = x[1] - x[0]
-    cols = _interval_g_columns(a, z, x)
-    return np.array(
-        [simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)]
-    )
+def _guarded_views(excluded, sampled_kernels) -> dict:
+    """``g_apply``, ``r_apply`` and ``g_adjoint_apply`` as views of
+    ``sampled_kernels`` that check z first."""
+
+    def view(name):
+        def field(z, data, grid):
+            check_admissible(excluded, z)
+            return getattr(sampled_kernels(z, grid), name)(data)
+
+        return field
+
+    return {
+        "g_apply": view("apply"),
+        "r_apply": view("resolvent"),
+        "g_adjoint_apply": view("adjoint"),
+    }
 
 
 def _one_sided_derivative(samples: np.ndarray, h: float, left: bool) -> complex:
@@ -399,7 +466,7 @@ def interval_weyl(model: IntervalModel) -> WeylSystem:
 
     Gamma and the Gram matrix of deficiency elements are closed forms; the
     free resolvent and the adjoint deficiency map act on uniform samples by
-    Simpson quadrature.
+    Simpson quadrature. The sampled fields are views of ``sampled_kernels``.
     """
     a = model.a
     excluded = DirichletExclusions([a])
@@ -415,19 +482,9 @@ def interval_weyl(model: IntervalModel) -> WeylSystem:
         excl_guard((z, w))
         return _edge_gram_blocks((a,), z, w)
 
-    def g_apply(z, zeta, grid):
-        excl_guard(z)
-        return _interval_g_columns(a, z, np.asarray(grid, dtype=float)) @ np.asarray(
-            zeta, dtype=complex
-        )
-
-    def r_apply(z, psi, grid):
-        excl_guard(z)
-        return _interval_r_apply(a, z, psi, grid)
-
-    def g_adjoint(z, psi, grid):
-        excl_guard(z)
-        return _interval_g_adjoint(a, z, psi, grid)
+    def sampled_kernels(z, grid):
+        edge = _EdgeKernels(a, z, grid)
+        return SampledKernels(edge.resolvent, edge.adjoint, edge.apply)
 
     def g_closed(z, zeta):
         excl_guard(z)
@@ -443,12 +500,11 @@ def interval_weyl(model: IntervalModel) -> WeylSystem:
         excluded=excluded,
         gamma=gamma,
         gram=gram,
-        g_apply=g_apply,
-        r_apply=r_apply,
-        g_adjoint_apply=g_adjoint,
         trace_maps=traces,
         g_closed=g_closed,
         edge_lengths=(a,),
+        sampled_kernels=sampled_kernels,
+        **_guarded_views(excluded, sampled_kernels),
     )
 
 
@@ -476,6 +532,7 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
     the same edge order as the boundary indexing (edge k owns boundary
     coordinates 2k and 2k+1 for its left and right endpoints). Gamma and the
     Gram matrix are block-diagonal closed forms, one 2 x 2 block per edge.
+    The sampled fields are views of ``sampled_kernels``.
     """
     lengths = model.lengths
     K = model.n_edges
@@ -496,27 +553,30 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
         guard((z, w))
         return _edge_gram_blocks(lengths, z, w)
 
-    def g_apply(z, zeta, grids):
-        guard(z)
-        zeta = np.asarray(zeta, dtype=complex)
-        return [
-            _interval_g_columns(a, z, np.asarray(grids[k], dtype=float))
-            @ zeta[2 * k : 2 * k + 2]
-            for k, a in enumerate(lengths)
-        ]
+    def sampled_kernels(z, grids):
+        if len(grids) != K:
+            raise GridMismatchError(f"need one grid per edge: {len(grids)} grids for {K} edges")
+        edges = [_EdgeKernels(a, z, grids[k], k) for k, a in enumerate(lengths)]
 
-    def r_apply(z, psis, grids):
-        guard(z)
-        return [
-            _interval_r_apply(a, z, psis[k], grids[k]) for k, a in enumerate(lengths)
-        ]
+        def per_edge(parts):
+            if len(parts) != K:
+                raise GridMismatchError(f"need one sample array per edge: {len(parts)} for {K} edges")
+            return zip(edges, parts)
 
-    def g_adjoint(z, psis, grids):
-        guard(z)
-        out = np.empty(2 * K, dtype=complex)
-        for k, a in enumerate(lengths):
-            out[2 * k : 2 * k + 2] = _interval_g_adjoint(a, z, psis[k], grids[k])
-        return out
+        def resolvent(psis):
+            return [edge.resolvent(psi) for edge, psi in per_edge(psis)]
+
+        def adjoint(psis):
+            out = np.empty(2 * K, dtype=complex)
+            for k, (edge, psi) in enumerate(per_edge(psis)):
+                out[2 * k : 2 * k + 2] = edge.adjoint(psi)
+            return out
+
+        def apply(zeta):
+            zeta = np.asarray(zeta, dtype=complex)
+            return [edge.apply(zeta[2 * k : 2 * k + 2]) for k, edge in enumerate(edges)]
+
+        return SampledKernels(resolvent, adjoint, apply)
 
     def g_closed(z, zeta):
         guard(z)
@@ -536,12 +596,11 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
         excluded=excluded,
         gamma=gamma,
         gram=gram,
-        g_apply=g_apply,
-        r_apply=r_apply,
-        g_adjoint_apply=g_adjoint,
         trace_maps=traces,
         g_closed=g_closed,
         edge_lengths=lengths,
+        sampled_kernels=sampled_kernels,
+        **_guarded_views(excluded, sampled_kernels),
     )
 
 
@@ -618,7 +677,7 @@ def point_gamma(model: PointModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     check_admissible(HalfLineExclusions(0.0), z)
     sq = np.sqrt(z)[..., None]
-    d = _pairwise_distances(model.centers)
+    d = model._distances
     n = model.n_centers
     out = np.zeros(z.shape + (n, n), dtype=complex)
     mask = ~np.eye(n, dtype=bool)
@@ -634,7 +693,7 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
         at_z, at_w = point_gamma(model, (z, w))
         return (at_z - at_w) / (z - w)
     sq = np.sqrt(z)
-    d = _pairwise_distances(model.centers)
+    d = model._distances
     n = model.n_centers
     out = np.zeros((n, n), dtype=complex)
     mask = ~np.eye(n, dtype=bool)
@@ -670,8 +729,7 @@ def point_renormalized_trace(model: PointModel, part, zeta) -> np.ndarray:
         vals = np.asarray(part, dtype=complex)
     if vals.shape != (model.n_centers,):
         raise ValueError("continuous part must give one value per center")
-    d = _pairwise_distances(model.centers)
-    cross = np.zeros_like(vals)
+    d = model._distances
     mask = ~np.eye(model.n_centers, dtype=bool)
     coeff = np.zeros_like(d, dtype=complex)
     coeff[mask] = 1.0 / (FOUR_PI * d[mask])

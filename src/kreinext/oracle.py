@@ -26,7 +26,7 @@ from .krein import (
     range_basis,
     require_valid,
 )
-from .models import GraphModel, IntervalModel, _interval_g_columns
+from .models import GraphModel, IntervalModel, _EdgeKernels
 from .quad import simpson
 
 __all__ = [
@@ -204,8 +204,8 @@ def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
     for k, a in enumerate(excluded.lengths):
         xq = np.linspace(0.0, a, nodes or _default_gram_nodes(a))
         dxq = xq[1] - xq[0]
-        gz = _interval_g_columns(a, z, xq)
-        gw = _interval_g_columns(a, w, xq)
+        gz = _EdgeKernels(a, z, xq).columns
+        gw = _EdgeKernels(a, w, xq).columns
         for i in range(2):
             for j in range(2):
                 out[2 * k + i, 2 * k + j] = simpson(gw[:, i] * gz[:, j], dxq)

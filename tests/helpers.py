@@ -35,6 +35,52 @@ def one_sided_derivatives(samples, h):
     return d0, -da
 
 
+def reference_g_columns(a, z, x):
+    """Deficiency columns [sin(k(a-x)), sin(kx)] / sin(ka), one edge, as first written.
+
+    This and the two functions after it are copies of the per-field edge
+    kernels that each evaluated their own sines. The shared kernels of
+    ``models._EdgeKernels`` must agree with them bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if z == 0:
+        return np.stack([(a - x) / a, x / a], axis=1).astype(complex)
+    k = complex(np.sqrt(complex(-z)))
+    s = np.sin(k * a)
+    return np.stack([np.sin(k * (a - x)) / s, np.sin(k * x) / s], axis=1)
+
+
+def reference_r_apply(a, z, psi, x):
+    """Free resolvent samples on one edge, as first written."""
+    from kreinext.quad import cumulative_simpson, simpson
+
+    psi = np.asarray(psi)
+    x = np.asarray(x, dtype=float)
+    dx = x[1] - x[0]
+    if z == 0:
+        left = cumulative_simpson(x * psi, dx)
+        f2 = (a - x) * psi
+        right = simpson(f2, dx) - cumulative_simpson(f2, dx)
+        return (a - x) / a * left + x / a * right
+    k = complex(np.sqrt(complex(-z)))
+    s = np.sin(k * a)
+    f1 = np.sin(k * x) * psi
+    f2 = np.sin(k * (a - x)) * psi
+    left = cumulative_simpson(f1, dx)
+    right = simpson(f2, dx) - cumulative_simpson(f2, dx)
+    return (np.sin(k * (a - x)) * left + np.sin(k * x) * right) / (k * s)
+
+
+def reference_g_adjoint(a, z, psi, x):
+    """G(conj(z))^* on one edge's samples, as first written."""
+    from kreinext.quad import simpson
+
+    x = np.asarray(x, dtype=float)
+    dx = x[1] - x[0]
+    cols = reference_g_columns(a, z, x)
+    return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
+
+
 def depth_first_search(system, params, window, opts=None):
     """Reference eigenvalue search: depth-first count bisection, one lambda per call.
 

@@ -1,0 +1,235 @@
+"""Shared edge kernels: one pair of sines per edge and z feeds all three sampled factors."""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import kreinext as kx
+from kreinext import ExcludedPointError, ExtensionParams, GridMismatchError, models
+
+from helpers import reference_g_adjoint, reference_g_columns, reference_r_apply
+
+PI = np.pi
+EIGHT_EDGES = (0.79, 1.23, 0.95, 1.41, 0.62, 1.08, 1.3, 0.88)
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _samples(rng, x):
+    return rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+
+
+def _check_edge(system, kernels, a, z, x, psi, zeta):
+    """The shared maps and the guarded fields against the per-field reference kernels."""
+    _same(kernels.resolvent(psi), reference_r_apply(a, z, psi, x))
+    _same(kernels.adjoint(psi), reference_g_adjoint(a, z, psi, x))
+    _same(kernels.apply(zeta), reference_g_columns(a, z, x) @ zeta)
+    _same(system.r_apply(z, psi, x), reference_r_apply(a, z, psi, x))
+    _same(system.g_adjoint_apply(z, psi, x), reference_g_adjoint(a, z, psi, x))
+    _same(system.g_apply(z, zeta, x), reference_g_columns(a, z, x) @ zeta)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit against the per-field kernels
+
+
+@pytest.mark.parametrize("z", [0.0, 0j, -2.5, -2.5 + 0j, 3.0, 1 + 1j, -7.3 - 0.2j])
+@pytest.mark.parametrize("nodes", [501, 2000, 2001])
+def test_interval_kernels_bit_identical(z, nodes):
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    x = np.linspace(0.0, PI, nodes)
+    rng = np.random.default_rng(nodes)
+    psi = _samples(rng, x)
+    zeta = np.array([0.7 - 0.2j, -0.3 + 0.4j])
+    _check_edge(system, system.sampled_kernels(z, x), PI, z, x, psi, zeta)
+
+
+def _polar(magnitude, angle):
+    if angle in (0.0, np.pi):
+        return complex(np.cos(angle) * magnitude, 0.0)
+    return complex(magnitude * np.cos(angle), magnitude * np.sin(angle))
+
+
+# |z| log-uniform in [1e-8, 1e4], on either real half axis or at any angle
+spectral_parameters = st.builds(
+    _polar,
+    st.floats(-8.0, 4.0).map(lambda e: 10.0**e),
+    st.one_of(st.sampled_from((0.0, np.pi)), st.floats(-np.pi, np.pi)),
+)
+
+
+@given(z=spectral_parameters)
+def test_interval_kernels_bit_identical_log_uniform(z):
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    assume(not system.excluded.contains(z))
+    x = np.linspace(0.0, PI, 2001)
+    psi = kx.poly_bump(PI)(x) * (1 + 0.5j)
+    _check_edge(system, system.sampled_kernels(z, x), PI, z, x, psi, np.array([1.0, -2j]))
+
+
+@pytest.mark.parametrize("nodes", [501, 2000, 2001])
+@pytest.mark.parametrize("z", [0j, -4.1, 2.0, 1 + 1j])
+def test_graph_kernels_bit_identical(nodes, z):
+    system = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
+    grids = [np.linspace(0.0, a, nodes) for a in EIGHT_EDGES]
+    rng = np.random.default_rng(nodes)
+    psis = [_samples(rng, x) for x in grids]
+    zeta = rng.normal(size=16) + 1j * rng.normal(size=16)
+    kernels = system.sampled_kernels(z, grids)
+    free, adjoint, applied = kernels.resolvent(psis), kernels.adjoint(psis), kernels.apply(zeta)
+    for k, (a, x, psi) in enumerate(zip(EIGHT_EDGES, grids, psis)):
+        _same(free[k], reference_r_apply(a, z, psi, x))
+        _same(adjoint[2 * k : 2 * k + 2], reference_g_adjoint(a, z, psi, x))
+        _same(applied[k], reference_g_columns(a, z, x) @ zeta[2 * k : 2 * k + 2])
+    _same(system.g_adjoint_apply(z, psis, grids), adjoint)
+    for got, want in zip(system.r_apply(z, psis, grids), free):
+        _same(got, want)
+    for got, want in zip(system.g_apply(z, zeta, grids), applied):
+        _same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# work count: the kernels are built once per edge per apply_resolvent
+
+
+def _count_builds(monkeypatch):
+    built = []
+
+    class Counting(models._EdgeKernels):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(models, "_EdgeKernels", Counting)
+    return built
+
+
+def test_apply_resolvent_builds_each_edge_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    interval = kx.interval_weyl(kx.IntervalModel(PI))
+    x = np.linspace(0.0, PI, 2001)
+    params = ExtensionParams.full(np.diag([0.3, 0.3]))
+    kx.apply_resolvent(interval, params, 1 + 1j, kx.poly_bump(PI)(x), x)
+    assert built == [PI]
+
+    built.clear()
+    graph = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
+    grids = [np.linspace(0.0, a, 2001) for a in EIGHT_EDGES]
+    psis = [kx.poly_bump(a)(g) for a, g in zip(EIGHT_EDGES, grids)]
+    params = ExtensionParams.full(0.2 * np.eye(16))
+    kx.apply_resolvent(graph, params, 1 + 1j, psis, grids)
+    assert built == list(EIGHT_EDGES)
+
+
+# ---------------------------------------------------------------------------
+# grids that do not fit the edge
+
+
+def _bad_grids():
+    t = np.linspace(0.0, 1.0, 2001)
+    return {
+        "too_long": np.linspace(0.0, 2.0, 2001),
+        "shifted": np.linspace(1.0, 1.0 + PI, 2001),
+        "non_uniform": PI * t * t,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_grids()))
+def test_apply_resolvent_rejects_a_grid_that_does_not_fit(name):
+    grid = _bad_grids()[name]
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    params = ExtensionParams.full(np.diag([0.3, 0.3]))
+    psi = kx.poly_bump(PI)(grid)
+    with pytest.raises(GridMismatchError, match="edge 0"):
+        kx.apply_resolvent(system, params, 1 + 1j, psi, grid)
+    with pytest.raises(GridMismatchError):
+        system.r_apply(1 + 1j, psi, grid)
+    with pytest.raises(GridMismatchError):
+        system.g_adjoint_apply(1 + 1j, psi, grid)
+
+
+def test_fitting_grid_passes_and_samples_must_match_it():
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    params = ExtensionParams.full(np.diag([0.3, 0.3]))
+    x = np.linspace(0.0, PI, 2001)
+    phi = kx.apply_resolvent(system, params, 1 + 1j, kx.poly_bump(PI)(x), x)
+    assert phi.shape == x.shape and np.all(np.isfinite(phi))
+    with pytest.raises(GridMismatchError, match="2000 samples on a grid of 2001 nodes"):
+        kx.apply_resolvent(system, params, 1 + 1j, kx.poly_bump(PI)(x)[:-1], x)
+    assert issubclass(GridMismatchError, ValueError)  # the CLI reports invalid-config
+
+
+def test_graph_grid_mismatch_names_the_edge():
+    system = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
+    grids = [np.linspace(0.0, a, 1001) for a in EIGHT_EDGES]
+    grids[3] = np.linspace(0.0, 1.0, 1001)
+    psis = [np.ones(1001, dtype=complex) for _ in EIGHT_EDGES]
+    params = ExtensionParams.full(0.2 * np.eye(16))
+    with pytest.raises(GridMismatchError, match="edge 3 "):
+        kx.apply_resolvent(system, params, 1 + 1j, psis, grids)
+    with pytest.raises(GridMismatchError, match="one grid per edge"):
+        kx.apply_resolvent(system, params, 1 + 1j, psis[:7], grids[:7])
+    grids[3] = np.linspace(0.0, EIGHT_EDGES[3], 1001)
+    with pytest.raises(GridMismatchError, match="one sample array per edge"):
+        kx.apply_resolvent(system, params, 1 + 1j, psis[:7], grids)
+
+
+def test_g_apply_takes_arbitrary_points():
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    pts = np.array([0.1, 2.0, 0.5, 3.0])
+    zeta = np.array([1.0, 0.5j])
+    _same(system.g_apply(1 + 1j, zeta, pts), reference_g_columns(PI, 1 + 1j, pts) @ zeta)
+
+
+# ---------------------------------------------------------------------------
+# each z is checked once, and still checked
+
+
+def test_secular_matrix_still_rejects_excluded_points():
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    message = re.escape(f"z={complex(-1.0)} lies in the excluded spectral set")
+    for params in (ExtensionParams.trivial(2), ExtensionParams.full(np.eye(2))):
+        with pytest.raises(ExcludedPointError, match=message):
+            kx.secular_matrix(system, params, -1.0)
+        with pytest.raises(ExcludedPointError, match=message):
+            kx.secular_matrix(system, params, np.array([-0.5, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "system, node",
+    [
+        (kx.point_weyl(kx.PointModel([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])), -1.0),
+        (kx.graph_weyl(kx.GraphModel((PI, 2.0))), -1.0),
+    ],
+)
+def test_green_route_rejects_an_excluded_node(system, node):
+    combo = kx.GreenCombination(((2j, np.ones(system.n)), (node, np.ones(system.n))))
+    message = f"z={complex(node)} lies in the excluded spectral set: {system.excluded.describe()}"
+    params = ExtensionParams.full(np.eye(system.n))
+    with pytest.raises(ExcludedPointError, match=re.escape(message)):
+        kx.apply_resolvent_green(system, params, 1 + 1j, combo)
+
+
+def test_point_model_keeps_its_distances(monkeypatch):
+    centers = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.5]]
+    model = kx.PointModel(centers)
+    assert "_distances" not in {f.name for f in dataclasses.fields(model)}
+    _same(model._distances, models._pairwise_distances(model.centers))
+
+    def recompute(_):
+        raise AssertionError("pairwise distances recomputed")
+
+    monkeypatch.setattr(models, "_pairwise_distances", recompute)
+    system = kx.point_weyl(model)
+    system.gamma(np.array([1.0, 2 + 1j]))
+    system.gram(1.0, 1.0)
+    system.gram(1.0, 2.0)
