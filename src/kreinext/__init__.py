@@ -11,6 +11,7 @@ finite-difference and closed-form oracles.
 from .krein import (
     BoundaryReport,
     DirichletExclusions,
+    EdgeWeylSystem,
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
@@ -19,6 +20,7 @@ from .krein import (
     GridTooCoarseError,
     HalfLineExclusions,
     ModelConsistencyError,
+    PointWeylSystem,
     SampledKernels,
     SmoothFunction,
     TraceMaps,
@@ -86,13 +88,13 @@ from .parametrize import (
     params_from_pair,
     relation_from_pair,
     relation_from_params,
+    relation_gap,
     subspace_equal,
     von_neumann_block,
 )
 from .spectral import (
     EigenpairReport,
     EigenResult,
-    SearchOptions,
     SpectrumResult,
     eigenfunction,
     eigenvalue_search,

@@ -1,14 +1,17 @@
 """Batch front door.
 
 One JSON job file describes a model, an extension and a task; the command
-runs it and writes deterministic CSV/JSON artifacts::
+parses it, hands the task to the library and writes deterministic CSV/JSON
+artifacts::
 
     kreinext job.json --out results/
 
-Tasks: ``spectrum`` (secular eigenvalue search over a real window),
-``resolvent`` (sampled resolvent application for a preset input),
-``convert`` (all four extension parametrizations plus residuals) and
-``verify`` (the identity suite of the model's Weyl family).
+Tasks: ``spectrum`` (:func:`kreinext.spectral.eigenvalue_search` over a real
+window), ``resolvent`` (:func:`kreinext.krein.apply_resolvent` on a preset
+input of :mod:`kreinext.verify`), ``convert`` (all four extension
+parametrizations plus residuals) and ``verify``
+(:func:`kreinext.verify.run_verify`, the identity suite of the model's Weyl
+family).
 
 Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
 spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
@@ -20,15 +23,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import serialize, verify
 from .krein import (
+    EdgeWeylSystem,
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
@@ -36,25 +39,10 @@ from .krein import (
     UnsupportedModelError,
     WeylSystem,
     apply_resolvent,
-    conjugation_residual,
-    difference_identity_residual,
-    green_identity_residual,
     secular_matrix,
 )
 from .linalg import min_singular
-from .models import (
-    GraphModel,
-    IntervalModel,
-    PointModel,
-    _interval_gamma,
-    graph_weyl,
-    interval_weyl,
-    point_weyl,
-    poly_bump,
-    sine_mode,
-    spin_weyl,
-)
-from .oracle import simpson_gram
+from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
 from .parametrize import (
     PairConditionError,
     check_pair_conditions,
@@ -62,6 +50,7 @@ from .parametrize import (
     params_from_pair,
     relation_from_pair,
     relation_from_params,
+    relation_gap,
     von_neumann_block,
 )
 from .spectral import eigenvalue_search
@@ -118,11 +107,6 @@ def _load_extension(obj, n: int) -> ExtensionParams:
     return params
 
 
-def _edge_grids(system: WeylSystem, nodes: int):
-    grids = [np.linspace(0.0, length, nodes) for length in system.edge_lengths]
-    return grids[0] if system.kind == "interval" else grids
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -175,40 +159,11 @@ def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
 # resolvent
 
 
-def _kernel_column(length: float, z: complex, center: float, x: np.ndarray) -> np.ndarray:
-    if z == 0:
-        lo = np.minimum(x, center)
-        hi = np.maximum(x, center)
-        return (lo * (length - hi) / length).astype(complex)
-    k = np.sqrt(complex(-z))
-    lo = np.minimum(x, center)
-    hi = np.maximum(x, center)
-    return np.sin(k * lo) * np.sin(k * (length - hi)) / (k * np.sin(k * length))
-
-
-def _preset_samples(system: WeylSystem, task, z: complex, grids):
-    spec = task.get("input", {"preset": "sin_k", "k": 1})
-    preset = spec.get("preset")
-    glist = [grids] if system.kind == "interval" else grids
-    out = []
-    for length, x in zip(system.edge_lengths, glist):
-        if preset == "sin_k":
-            k = int(spec.get("k", 1))
-            out.append(np.sin(k * np.pi * x / length).astype(complex))
-        elif preset == "poly_bump":
-            out.append(poly_bump(length)(x))
-        elif preset == "green_at_center":
-            out.append(_kernel_column(length, z, length / 2.0, x))
-        else:
-            raise ConfigError(f"unknown input preset {preset!r}")
-    return out[0] if system.kind == "interval" else out
-
-
 def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
     task = config["task"]
     model = serialize.model_from_obj(config["model"])
     system = _weyl_for(model)
-    if system.r_apply is None:
+    if not isinstance(system, EdgeWeylSystem):
         raise ConfigError(
             "resolvent task needs a quadrature model (interval or graph); "
             "point models support Green-function combinations in-process only"
@@ -216,31 +171,33 @@ def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
     params = _load_extension(config.get("extension"), system.n)
     z = serialize.complex_from_pair(task.get("z", [1.0, 1.0]))
     nodes = int(grid_override or task.get("grid", 2000))
-    grids = _edge_grids(system, nodes)
-    psi = _preset_samples(system, task, z, grids)
+    grids = verify.edge_grids(system, nodes)
+    spec = task.get("input", {"preset": "sin_k", "k": 1})
+    if spec.get("preset") not in verify.PRESETS:
+        raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
+    psi = verify.preset_samples(system, spec, z, grids)
 
     m = secular_matrix(system, params, z)
     sigma = min_singular(m) if m.size else None
     phi = apply_resolvent(system, params, z, psi, grids)
 
-    if system.kind == "interval":
+    # the interval's samples are one bare array, a graph's one array per edge
+    if system.bare:
         rows = [(x, v.real, v.imag) for x, v in zip(grids, phi)]
-        _write(out_dir / "resolvent.csv", serialize.csv_text(["x", "re_phi", "im_phi"], rows))
+        header = ["x", "re_phi", "im_phi"]
     else:
         rows = [
             (e, x, v.real, v.imag)
             for e, (xs, vs) in enumerate(zip(grids, phi))
             for x, v in zip(xs, vs)
         ]
-        _write(
-            out_dir / "resolvent.csv",
-            serialize.csv_text(["edge", "x", "re_phi", "im_phi"], rows),
-        )
+        header = ["edge", "x", "re_phi", "im_phi"]
+    _write(out_dir / "resolvent.csv", serialize.csv_text(header, rows))
     doc = {
         "z": serialize.complex_to_pair(z),
         "sigma_min": sigma,
         "grid": nodes,
-        "input": task.get("input", {"preset": "sin_k", "k": 1}),
+        "input": spec,
     }
     _write(out_dir / "resolvent.json", serialize.canonical_json(doc))
     return EXIT_OK
@@ -299,11 +256,7 @@ def cmd_convert(config, out_dir: Path, grid_override) -> int:
     round_params = params_from_pair(pair)
     rel_params = relation_from_params(params)
     rel_pair = relation_from_pair(pair)
-    from .linalg import orthonormal_span
-
-    q1 = orthonormal_span(rel_params.basis)
-    q2 = orthonormal_span(rel_pair.basis)
-    gap = float(np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T, 2))
+    gap = relation_gap(rel_params, rel_pair)
     block = von_neumann_block(system, params)
 
     doc = {
@@ -332,130 +285,6 @@ def cmd_convert(config, out_dir: Path, grid_override) -> int:
 # verify
 
 
-def _verify_z_grid(system: WeylSystem):
-    if system.kind in ("interval", "graph"):
-        base = 0.0
-    else:
-        base = system.excluded.upper
-    complex_points = [
-        base + w
-        for w in (
-            0.5 + 0.8j, 1.5 - 0.6j, 2.0 + 2.0j, -3.0 + 0.5j, 0.1 + 0.4j,
-            4.0 - 3.0j, 0.7 + 0.05j, 2.5 - 1.5j, -1.0 + 1.0j, 3.3 + 0.9j,
-            -5.0 - 0.7j, 1.1 + 3.0j, 0.2 - 0.2j, 6.0 + 1.0j,
-        )
-    ]
-    real_points = [base + t for t in (0.3, 0.7, 1.3, 2.9, 4.7, 6.1)]
-    return complex_points, real_points
-
-
-def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
-    """Identity suite of a model's Weyl family; deterministic inputs only."""
-    checks = {}
-    complex_points, real_points = _verify_z_grid(system)
-    grid20 = (complex_points + real_points)[:20]
-
-    conj = max(conjugation_residual(system, z) for z in grid20)
-    checks["conjugation"] = {"residual": conj, "tolerance": 1e-12, "passed": conj <= 1e-12}
-
-    pairs = list(zip(complex_points[0::2], complex_points[1::2]))[:7]
-    diff_tol = 1e-8 if system.kind in ("interval", "graph") else 1e-12
-    # edge models: Simpson quadrature, independent of their closed-form Gram
-    gram = None
-    if system.kind in ("interval", "graph"):
-        gram = functools.partial(simpson_gram, system.edge_lengths)
-    diff = max(difference_identity_residual(system, z, v, gram) for z, v in pairs)
-    checks["difference_identity"] = {
-        "residual": diff,
-        "tolerance": diff_tol,
-        "passed": diff <= diff_tol,
-    }
-
-    qmat = (system.gamma(1j) - system.gamma(1j).conj().T) / 2j
-    qmin = float(np.linalg.eigvalsh((qmat + qmat.conj().T) / 2).min())
-    checks["defect_gram_positive"] = {
-        "residual": -min(qmin, 0.0),
-        "tolerance": 0.0,
-        "passed": qmin > 0.0,
-        "smallest_eigenvalue": qmin,
-    }
-
-    if qmin > 0.0:
-        unit = von_neumann_block(system, params).unitarity_residual()
-    else:
-        unit = float("inf")
-    checks["gram_unitarity"] = {
-        "residual": unit if np.isfinite(unit) else 1.0,
-        "tolerance": 1e-8,
-        "passed": bool(np.isfinite(unit) and unit <= 1e-8),
-        "skipped_degenerate_gram": not np.isfinite(unit),
-    }
-
-    if system.kind in ("interval", "graph"):
-        det_res = 0.0
-        for z in grid20:
-            for length in system.edge_lengths:
-                det = np.linalg.det(_interval_gamma(length, z))
-                det_res = max(det_res, abs(det - z) / (1.0 + abs(z)))
-        checks["determinant_identity"] = {
-            "residual": det_res,
-            "tolerance": 1e-10,
-            "passed": det_res <= 1e-10,
-        }
-
-        n = system.n
-        zeta = np.array([(0.4 + 0.3j) ** (i + 1) for i in range(n)])
-        xi = np.array([(0.7 - 0.2j) ** (i + 1) + 0.1 for i in range(n)])
-        phi_star = [
-            sine_mode(np.pi / length) * (1.0 / (e + 1))
-            for e, length in enumerate(system.edge_lengths)
-        ]
-        psi_star = [
-            sine_mode(2 * np.pi / length) * (0.5 + 0.25 * e)
-            for e, length in enumerate(system.edge_lengths)
-        ]
-        if system.kind == "interval":
-            phi_star, psi_star = phi_star[0], psi_star[0]
-        green = green_identity_residual(system, (phi_star, zeta), (psi_star, xi))
-        checks["green_identity"] = {
-            "residual": green,
-            "tolerance": 1e-4,
-            "passed": green <= 1e-4,
-        }
-
-        grids = _edge_grids(system, 2000)
-        psi = _preset_samples(system, {"input": {"preset": "poly_bump"}}, 1 + 1j, grids)
-        za, wb = 1 + 1j, 2 - 1j
-        r_z = apply_resolvent(system, params, za, psi, grids)
-        r_w = apply_resolvent(system, params, wb, psi, grids)
-        r_wz = apply_resolvent(
-            system, params, wb, r_z, grids
-        )
-        def flat(v):
-            return np.concatenate([np.ravel(p) for p in v]) if isinstance(v, list) else v
-        lhs = (za - wb) * flat(r_wz)
-        rhs = flat(r_w) - flat(r_z)
-        scale = np.max(np.abs(flat(psi)))
-        res_ident = float(np.max(np.abs(lhs - rhs)) / scale)
-        checks["resolvent_identity"] = {
-            "residual": res_ident,
-            "tolerance": 1e-3,
-            "passed": res_ident <= 1e-3,
-        }
-    else:
-        herm = max(
-            float(np.linalg.norm(system.gamma(lam) - system.gamma(lam).conj().T, 2))
-            for lam in real_points
-        )
-        checks["hermitian_on_reals"] = {
-            "residual": herm,
-            "tolerance": 1e-12,
-            "passed": herm <= 1e-12,
-        }
-
-    return checks
-
-
 def cmd_verify(config, out_dir: Path, grid_override) -> int:
     task = config["task"]
     model = serialize.model_from_obj(config["model"])
@@ -468,7 +297,7 @@ def cmd_verify(config, out_dir: Path, grid_override) -> int:
         raise ConfigError(f"unknown fault flag {fault!r}")
     params = _load_extension(config.get("extension"), system.n)
 
-    checks = run_verify(system, params)
+    checks = verify.run_verify(system, params)
     passed = all(c["passed"] for c in checks.values())
     doc = {"checks": checks, "passed": passed, "fault": fault}
     _write(out_dir / "verify.json", serialize.canonical_json(doc))

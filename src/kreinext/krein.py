@@ -3,8 +3,11 @@
 Two objects carry everything: :class:`ExtensionParams`, the pair of an
 orthogonal boundary projector and a self-adjoint operator on its range
 that labels one extension, and :class:`WeylSystem`, the analytic data of
-a concrete model (the Weyl family z -> Gamma(z), the deficiency-element
-map G(z), the free resolvent and the boundary traces). On top of those
+a concrete model (the Weyl family z -> Gamma(z) and the deficiency-element
+map G(z)). Its two subclasses add what one model family has:
+:class:`EdgeWeylSystem` the free resolvent and the boundary traces of
+intervals and graphs, :class:`PointWeylSystem` the renormalised trace of
+point interactions. On top of those
 this module evaluates the Krein resolvent correction, decides which
 spectral parameters are regular for a given extension, and provides the
 residual probes for the identities the Weyl family must satisfy.
@@ -13,7 +16,7 @@ residual probes for the identities the Weyl family must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +37,8 @@ __all__ = [
     "TraceMaps",
     "SampledKernels",
     "WeylSystem",
+    "EdgeWeylSystem",
+    "PointWeylSystem",
     "ExtensionParams",
     "ValidationReport",
     "BoundaryReport",
@@ -282,12 +287,12 @@ class SampledKernels:
 
 @dataclass(frozen=True)
 class WeylSystem:
-    """Analytic engine of one model.
+    """Analytic engine of one model: what every model carries.
 
     Fields
     ------
     n : boundary-space dimension.
-    kind : "interval" | "graph" | "points" | "spin_points".
+    kind : "interval", "graph", "points" or "spin_points"; a label only.
     excluded : the spectrum of the free operator, as an exclusion set object.
     gamma : the Weyl family. A scalar z gives the n x n matrix Gamma(z); a 1-D
         array of m values gives the (m, n, n) stack Gamma(z_0), ..., Gamma(z_m-1),
@@ -297,25 +302,10 @@ class WeylSystem:
     gram : (z, w) -> n x n Gram matrix G(conj(w))^* G(z) of deficiency elements,
         a closed form in every model (it feeds the Green-combination route).
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.
-    r_apply : (z, samples, grid) -> samples of the free resolvent (quadrature models).
-    g_adjoint_apply : (z, samples, grid) -> C^n, the map G(conj(z))^* on samples.
-    sampled_kernels : (z, grid) -> :class:`SampledKernels` (quadrature models).
-        On an edge all three sampled factors come from the same two solutions
-        sin(kx) and sin(k(a - x)), k = sqrt(-z), so one call evaluates them
-        once per edge and serves the free resolvent, the adjoint and G(z).
-        It does not check z: :func:`apply_resolvent` checks z once and then
-        builds the kernels once. For interval and graph models ``g_apply``,
-        ``r_apply`` and ``g_adjoint_apply`` are views of this field that check
-        z first. The quadrature maps raise :class:`GridMismatchError` unless
-        each edge grid runs uniformly from 0 to the edge length and the
-        samples have its length; ``apply`` takes arbitrary points.
-    trace_maps : rho/tau on closed-form functions (interval and graph models).
-    g_closed : (z, zeta) -> per-edge closed forms of G(z) zeta (interval/graph).
-    renorm_trace : renormalised trace (point-interaction models).
-    edge_lengths : per-edge lengths for grid construction (interval/graph).
 
-    Instances are immutable; every callable is pure, so systems may be
-    evaluated concurrently over spectral or sample grids without restriction.
+    :class:`EdgeWeylSystem` and :class:`PointWeylSystem` add each family's
+    data. Instances are immutable and every callable is pure, so systems may
+    be evaluated concurrently without restriction.
     """
 
     n: int
@@ -324,19 +314,66 @@ class WeylSystem:
     gamma: Callable[[complex], np.ndarray]
     gram: Callable[[complex, complex], np.ndarray]
     g_apply: Callable
-    r_apply: Optional[Callable] = None
-    g_adjoint_apply: Optional[Callable] = None
-    trace_maps: Optional[TraceMaps] = None
-    g_closed: Optional[Callable] = None
-    renorm_trace: Optional[Callable] = None
-    edge_lengths: Optional[tuple] = None
-    sampled_kernels: Optional[Callable] = None
 
     def require_admissible(self, z):
         """z as a complex scalar, or a complex array for an array, once every
         entry is checked against the excluded set."""
         check_admissible(self.excluded, z)
         return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+
+
+@dataclass(frozen=True)
+class EdgeWeylSystem(WeylSystem):
+    """Weyl system of a metric graph, or of the interval as its one edge.
+
+    Functions on the edges are lists with one entry per edge (edge k owns
+    boundary coordinates 2k and 2k + 1); with ``bare`` set, on the interval,
+    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert.
+
+    ``sampled_kernels(z, grid)`` gives the :class:`SampledKernels` of z on
+    uniform edge grids, from sin(kx) and sin(k(a - x)), k = sqrt(-z),
+    evaluated once per edge. It does not check z; :func:`apply_resolvent`
+    checks it once. Its quadrature maps raise :class:`GridMismatchError`
+    unless each grid runs uniformly from 0 to the edge length and the
+    samples have its length; ``apply`` and ``g_apply`` take any points.
+    ``trace_maps`` are rho/tau on closed forms, and ``g_closed(z, zeta)`` is
+    the list of per-edge closed forms of G(z) zeta.
+    """
+
+    lengths: tuple
+    sampled_kernels: Callable
+    trace_maps: TraceMaps
+    g_closed: Callable
+    bare: bool = False
+
+    def edges(self, obj) -> list:
+        """``obj`` (samples, grids or closed forms) as a list with one entry per edge."""
+        return [obj] if self.bare else list(obj)
+
+    def shaped(self, parts):
+        """A list with one entry per edge, in the shape this system takes and returns."""
+        return parts[0] if self.bare else list(parts)
+
+    def r_apply(self, z, samples, grid):
+        """Samples of the free resolvent R_0(z) applied to ``samples``, once z is checked."""
+        check_admissible(self.excluded, z)
+        return self.sampled_kernels(z, grid).resolvent(samples)
+
+    def g_adjoint_apply(self, z, samples, grid):
+        """G(conj(z))^* applied to ``samples``, a vector in C^n, once z is checked."""
+        check_admissible(self.excluded, z)
+        return self.sampled_kernels(z, grid).adjoint(samples)
+
+
+@dataclass(frozen=True)
+class PointWeylSystem(WeylSystem):
+    """Weyl system of a point-interaction model; no volume quadrature.
+
+    ``renorm_trace(part, zeta)`` is the renormalised trace at the centres of
+    psi = part + G(0) zeta, which realises the boundary condition.
+    """
+
+    renorm_trace: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +593,10 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     Computes free-resolvent samples plus the rank-<= n Krein correction
     G(z) C(z) G(conj(z))^* psi. z is checked once, and the three sampled
     factors come from one ``system.sampled_kernels(z, grid)`` call.
-    Available for models with quadrature trace data (interval, graph);
-    point-interaction models use :func:`apply_resolvent_green`.
+    Available for edge models (:class:`EdgeWeylSystem`); point-interaction
+    models use :func:`apply_resolvent_green`.
     """
-    if system.sampled_kernels is None:
+    if not isinstance(system, EdgeWeylSystem):
         raise UnsupportedModelError(
             f"model kind {system.kind!r} has no sampled resolvent; "
             "use apply_resolvent_green with a Green-function combination"
@@ -657,12 +694,6 @@ def conjugation_residual(system: WeylSystem, z) -> float:
     )
 
 
-def _edge_parts(system: WeylSystem, obj):
-    if system.kind == "interval":
-        return [obj]
-    return list(obj)
-
-
 def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -> float:
     """Residual of the abstract Lagrange (Green) identity on the doubled boundary space.
 
@@ -673,7 +704,7 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
     charge and the trace of the regular part; the identity pairs the trace
     of one side with the charge of the other.
     """
-    if system.g_closed is None or system.trace_maps is None or system.edge_lengths is None:
+    if not isinstance(system, EdgeWeylSystem):
         raise UnsupportedModelError(
             f"model kind {system.kind!r} carries no quadrature trace maps"
         )
@@ -682,7 +713,7 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
     xi = np.asarray(xi, dtype=complex)
 
     def assemble(star, charge):
-        star_edges = _edge_parts(system, star)
+        star_edges = system.edges(star)
         plus = system.g_closed(1j, charge)
         minus = system.g_closed(-1j, charge)
         full, image = [], []
@@ -698,7 +729,7 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
 
     lhs = 0.0 + 0.0j
     for length, pf, sp_, qf, sq in zip(
-        system.edge_lengths, phi_full, s_phi, psi_full, s_psi
+        system.lengths, phi_full, s_phi, psi_full, s_psi
     ):
         x = np.linspace(0.0, length, n_nodes)
         dx = x[1] - x[0]
@@ -735,7 +766,7 @@ def boundary_condition_residuals(
     """
     zeta = np.asarray(zeta, dtype=complex)
     pi, theta = params.pi, params.theta
-    if system.trace_maps is not None:
+    if isinstance(system, EdgeWeylSystem):
         rho = np.asarray(system.trace_maps.rho(part), dtype=complex) + zeta
         reg = 0.5 * (system.gamma(1j) + system.gamma(-1j))
         tau = np.asarray(system.trace_maps.tau(part), dtype=complex) - reg @ zeta
@@ -743,7 +774,7 @@ def boundary_condition_residuals(
             float(np.linalg.norm(rho - pi @ rho)),
             float(np.linalg.norm(pi @ tau - theta @ rho)),
         )
-    if system.renorm_trace is not None:
+    if isinstance(system, PointWeylSystem):
         tau0 = np.asarray(system.renorm_trace(part, zeta), dtype=complex)
         return BoundaryReport(
             float(np.linalg.norm(zeta - pi @ zeta)),

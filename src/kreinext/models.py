@@ -1,15 +1,17 @@
 """Concrete boundary models.
 
-Four constructors turn a geometric description into a :class:`WeylSystem`:
+Two builders carry the models, and two public ones are their special cases:
 
-* :func:`interval_weyl` -- the second-derivative operator on (0, a) restricted
-  below its Dirichlet realisation; boundary space C^2 of endpoint data.
 * :func:`graph_weyl` -- the edgewise direct sum of intervals (a metric graph
   before any vertex identification); boundary space C^{2K}.
-* :func:`point_weyl` -- the 3-D Laplacian restricted off n centres; boundary
-  space C^n of point charges, Weyl matrix with sqrt(z)/(4 pi) diagonal.
+* :func:`interval_weyl` -- the second-derivative operator on (0, a) restricted
+  below its Dirichlet realisation: the one-edge graph, taking bare sample
+  arrays where the graph takes one-element lists; boundary space C^2.
 * :func:`spin_weyl` -- the vector-valued point model with an internal
   Hermitian term, block diagonal over its eigenchannels at shifted energies.
+* :func:`point_weyl` -- the 3-D Laplacian restricted off n centres: the spin
+  model with the single internal eigenvalue 0; boundary space C^n of point
+  charges, Weyl matrix with sqrt(z)/(4 pi) diagonal.
 
 Spectral-parameter conventions: the free operator is the second derivative
 (respectively the 3-D Laplacian), not its negative, so interval Dirichlet
@@ -26,6 +28,7 @@ same arithmetic.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -34,14 +37,15 @@ import numpy as np
 
 from .krein import (
     DirichletExclusions,
+    EdgeWeylSystem,
     ExtensionParams,
     GridMismatchError,
     HalfLineExclusions,
     ModelConsistencyError,
+    PointWeylSystem,
     SampledKernels,
     SmoothFunction,
     TraceMaps,
-    WeylSystem,
     check_admissible,
 )
 from .quad import cumulative_simpson, simpson
@@ -198,7 +202,7 @@ def zero_function() -> SmoothFunction:
 
 
 # ---------------------------------------------------------------------------
-# interval model
+# edge building blocks
 
 
 def _sqrt_minus(z: complex) -> complex:
@@ -218,11 +222,6 @@ def _edge_gammas(lengths, z) -> np.ndarray:
     out[..., 0, 1] = out[..., 1, 0] = ratio * -1.0  # times -1 + 0j; -ratio flips signed zeros
     out[zero] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a[:, None, None]
     return out
-
-
-def _interval_gamma(a: float, z) -> np.ndarray:
-    """Gamma of the interval (0, a): (2, 2) for a scalar z, (*z.shape, 2, 2) for an array."""
-    return _edge_gammas((a,), z)[..., 0, :, :]
 
 
 def interval_green(model: IntervalModel, z: complex, zeta) -> SmoothFunction:
@@ -262,6 +261,17 @@ def _grid_problem(a: float, x: np.ndarray):
     return None
 
 
+def _sample_step(a: float, x: np.ndarray, samples, edge: int, problem) -> float:
+    """The step of the grid x of edge ``edge`` (length a), unless ``problem``
+    (from :func:`_grid_problem`) is set or the samples do not have its
+    length; then :class:`GridMismatchError` naming the edge."""
+    if problem is None and np.shape(samples)[:1] != x.shape:
+        problem = f"{np.shape(samples)[0]} samples on a grid of {x.shape[0]} nodes"
+    if problem is not None:
+        raise GridMismatchError(f"edge {edge} (length {a!r}): {problem}")
+    return x[1] - x[0]
+
+
 class _EdgeKernels:
     """Sampled kernels of the edge (0, a) at one admissible z on the nodes x.
 
@@ -289,12 +299,7 @@ class _EdgeKernels:
         self.columns = np.stack([sax / s, sx / s], axis=1)
 
     def _step(self, psi) -> float:
-        problem = self._problem
-        if problem is None and np.shape(psi)[:1] != self.x.shape:
-            problem = f"{np.shape(psi)[0]} samples on a grid of {self.x.shape[0]} nodes"
-        if problem is not None:
-            raise GridMismatchError(f"edge {self.edge} (length {self.a!r}): {problem}")
-        return self.x[1] - self.x[0]
+        return _sample_step(self.a, self.x, psi, self.edge, self._problem)
 
     def apply(self, zeta) -> np.ndarray:
         """Samples of G(z) zeta for zeta in C^2."""
@@ -324,30 +329,16 @@ class _EdgeKernels:
         return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
 
 
-def _guarded_views(excluded, sampled_kernels) -> dict:
-    """``g_apply``, ``r_apply`` and ``g_adjoint_apply`` as views of
-    ``sampled_kernels`` that check z first."""
+def _inward_derivative(samples: np.ndarray, h: float, left: bool) -> complex:
+    """Derivative at the left or right end pointing into the edge, to fourth order.
 
-    def view(name):
-        def field(z, data, grid):
-            check_admissible(excluded, z)
-            return getattr(sampled_kernels(z, grid), name)(data)
-
-        return field
-
-    return {
-        "g_apply": view("apply"),
-        "r_apply": view("resolvent"),
-        "g_adjoint_apply": view("adjoint"),
-    }
-
-
-def _one_sided_derivative(samples: np.ndarray, h: float, left: bool) -> complex:
+    The right end reads the samples backwards, so the one stencil gives
+    psi'(0+) on the left and -psi'(a-) on the right.
+    """
     if samples.shape[0] < 5:
         raise ValueError("sampled traces need at least 5 nodes next to each endpoint")
     f = samples[:5] if left else samples[-1:-6:-1]
-    d = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    return d if left else -d
+    return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
 
 
 def interval_traces(model: IntervalModel, psi, grid=None):
@@ -356,10 +347,16 @@ def interval_traces(model: IntervalModel, psi, grid=None):
     rho psi = (psi(0+), psi(a-)); tau psi = (psi'(0+), -psi'(a-)), i.e. the
     derivatives pointing into the interval. Accepts a closed-form
     :class:`SmoothFunction` or uniform samples with their grid; sampled
-    derivatives use one-sided fourth-order stencils.
+    derivatives use one-sided fourth-order stencils. A grid that does not run
+    uniformly from 0 to a, or samples of another length, raise
+    :class:`GridMismatchError`.
     """
+    return _edge_traces(model.a, psi, grid, 0)
+
+
+def _edge_traces(a: float, psi, grid, edge: int):
     if isinstance(psi, SmoothFunction):
-        ends = np.array([0.0, model.a])
+        ends = np.array([0.0, a])
         vals = psi.f(ends)
         ders = psi.df(ends)
         rho = np.array([vals[0], vals[1]], dtype=complex)
@@ -369,12 +366,12 @@ def interval_traces(model: IntervalModel, psi, grid=None):
     if grid is None:
         raise ValueError("sampled traces need the sample grid")
     x = np.asarray(grid, dtype=float)
-    h = x[1] - x[0]
+    h = _sample_step(a, x, samples, edge, _grid_problem(a, x))
     rho = np.array([samples[0], samples[-1]], dtype=complex)
     tau = np.array(
         [
-            _one_sided_derivative(samples, h, left=True),
-            _one_sided_derivative(samples, h, left=False),
+            _inward_derivative(samples, h, left=True),
+            _inward_derivative(samples, h, left=False),
         ],
         dtype=complex,
     )
@@ -447,7 +444,7 @@ def _edge_gram_entries(a: float, z: complex, w: complex) -> tuple:
         same = _sinc(delta * a) - _sinc(sigma * a)
         opposite = cmath.cos(sigma * h) * _sinc(delta * h) - cmath.cos(delta * h) * _sinc(sigma * h)
         return scale * same, -scale * opposite
-    at_z, at_w = _interval_gamma(a, (z, w))
+    at_z, at_w = _edge_gammas((a,), (z, w))[:, 0]
     quotient = (at_z - at_w) / (z - w)
     return quotient[0, 0], quotient[0, 1]
 
@@ -461,88 +458,44 @@ def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
     return out
 
 
-def interval_weyl(model: IntervalModel) -> WeylSystem:
-    """Weyl system of the interval model.
-
-    Gamma and the Gram matrix of deficiency elements are closed forms; the
-    free resolvent and the adjoint deficiency map act on uniform samples by
-    Simpson quadrature. The sampled fields are views of ``sampled_kernels``.
-    """
-    a = model.a
-    excluded = DirichletExclusions([a])
-
-    def excl_guard(z):
-        check_admissible(excluded, z)
-
-    def gamma(z):
-        excl_guard(z)
-        return _interval_gamma(a, z)
-
-    def gram(z, w):
-        excl_guard((z, w))
-        return _edge_gram_blocks((a,), z, w)
-
-    def sampled_kernels(z, grid):
-        edge = _EdgeKernels(a, z, grid)
-        return SampledKernels(edge.resolvent, edge.adjoint, edge.apply)
-
-    def g_closed(z, zeta):
-        excl_guard(z)
-        return [interval_green(model, z, np.asarray(zeta, dtype=complex))]
-
-    traces = TraceMaps(
-        rho=lambda fn: interval_traces(model, fn)[0],
-        tau=lambda fn: interval_traces(model, fn)[1],
-    )
-    return WeylSystem(
-        n=2,
-        kind="interval",
-        excluded=excluded,
-        gamma=gamma,
-        gram=gram,
-        trace_maps=traces,
-        g_closed=g_closed,
-        edge_lengths=(a,),
-        sampled_kernels=sampled_kernels,
-        **_guarded_views(excluded, sampled_kernels),
-    )
-
-
 # ---------------------------------------------------------------------------
-# graph model
+# graph model and the interval as its one edge
 
 
 def graph_traces(model: GraphModel, parts, grids=None):
-    """Edgewise traces: concatenated (rho_k, tau_k) in edge order."""
+    """Edgewise traces: concatenated (rho_k, tau_k) in edge order.
+
+    Sampled parts need their grids; a sampled edge whose grid does not run
+    uniformly from 0 to its length, or whose samples have another length,
+    raises :class:`GridMismatchError` naming the edge.
+    """
     rho = np.empty(2 * model.n_edges, dtype=complex)
     tau = np.empty(2 * model.n_edges, dtype=complex)
     for k, a in enumerate(model.lengths):
-        edge = IntervalModel(a)
         grid = None if grids is None else grids[k]
-        r, t = interval_traces(edge, parts[k], grid)
+        r, t = _edge_traces(a, parts[k], grid, k)
         rho[2 * k : 2 * k + 2] = r
         tau[2 * k : 2 * k + 2] = t
     return rho, tau
 
 
-def graph_weyl(model: GraphModel) -> WeylSystem:
+def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
     """Weyl system of the edgewise model: every map acts block by block.
 
     Sampled functions are lists with one uniform sample array per edge, in
     the same edge order as the boundary indexing (edge k owns boundary
     coordinates 2k and 2k+1 for its left and right endpoints). Gamma and the
-    Gram matrix are block-diagonal closed forms, one 2 x 2 block per edge.
-    The sampled fields are views of ``sampled_kernels``.
+    Gram matrix are block-diagonal closed forms, one 2 x 2 block per edge;
+    the free resolvent and the adjoint deficiency map act on uniform samples
+    by Simpson quadrature. ``g_apply`` is ``sampled_kernels(z, grids).apply``
+    after a check of z.
     """
     lengths = model.lengths
     K = model.n_edges
     excluded = DirichletExclusions(lengths)
 
-    def guard(z):
-        check_admissible(excluded, z)
-
     def gamma(z):
-        guard(z)
+        check_admissible(excluded, z)
         blocks = _edge_gammas(lengths, z)
         out = np.zeros(np.shape(z) + (2 * K, 2 * K), dtype=complex)
         for k in range(K):
@@ -550,7 +503,7 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
         return out
 
     def gram(z, w):
-        guard((z, w))
+        check_admissible(excluded, (z, w))
         return _edge_gram_blocks(lengths, z, w)
 
     def sampled_kernels(z, grids):
@@ -578,8 +531,12 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
 
         return SampledKernels(resolvent, adjoint, apply)
 
+    def g_apply(z, zeta, grids):
+        check_admissible(excluded, z)
+        return sampled_kernels(z, grids).apply(zeta)
+
     def g_closed(z, zeta):
-        guard(z)
+        check_admissible(excluded, z)
         zeta = np.asarray(zeta, dtype=complex)
         return [
             interval_green(IntervalModel(a), z, zeta[2 * k : 2 * k + 2])
@@ -590,17 +547,46 @@ def graph_weyl(model: GraphModel) -> WeylSystem:
         rho=lambda parts: graph_traces(model, parts)[0],
         tau=lambda parts: graph_traces(model, parts)[1],
     )
-    return WeylSystem(
+    return EdgeWeylSystem(
         n=2 * K,
         kind="graph",
         excluded=excluded,
         gamma=gamma,
         gram=gram,
+        g_apply=g_apply,
+        lengths=lengths,
+        sampled_kernels=sampled_kernels,
         trace_maps=traces,
         g_closed=g_closed,
-        edge_lengths=lengths,
+    )
+
+
+def interval_weyl(model: IntervalModel) -> EdgeWeylSystem:
+    """Weyl system of the interval model: the one-edge graph (0, a).
+
+    Only the shapes differ from the graph's: sample arrays, grids and closed
+    forms are bare where the graph takes and returns one-element lists. The
+    graph's maps are lifted through :meth:`EdgeWeylSystem.edges` and
+    :meth:`EdgeWeylSystem.shaped`, which own that rule.
+    """
+    graph = graph_weyl(GraphModel((model.a,)))
+    system = dataclasses.replace(graph, kind="interval", bare=True)
+    edges, shaped = system.edges, system.shaped
+    kernels, g_apply, traces = graph.sampled_kernels, graph.g_apply, graph.trace_maps
+
+    def sampled_kernels(z, grid):
+        edge = kernels(z, edges(grid))
+        return SampledKernels(
+            lambda psi: shaped(edge.resolvent(edges(psi))),
+            lambda psi: edge.adjoint(edges(psi)),
+            lambda zeta: shaped(edge.apply(zeta)),
+        )
+
+    return dataclasses.replace(
+        system,
+        g_apply=lambda z, zeta, grid: shaped(g_apply(z, zeta, edges(grid))),
         sampled_kernels=sampled_kernels,
-        **_guarded_views(excluded, sampled_kernels),
+        trace_maps=TraceMaps(lambda fn: traces.rho(edges(fn)), lambda fn: traces.tau(edges(fn))),
     )
 
 
@@ -761,39 +747,26 @@ def point_green_regular_part(model: PointModel, lam, coeff):
     return evaluate
 
 
-def point_weyl(model: PointModel) -> WeylSystem:
-    """Weyl system of the point-interaction model.
+def point_weyl(model: PointModel) -> PointWeylSystem:
+    """Weyl system of the point-interaction model: the spin model with b = (0,).
 
-    No volume quadrature is carried: the resolvent acts on Green-function
-    combinations through the Gram matrix (closed forms), sampled deficiency
-    elements are available through ``g_apply`` on (m, 3) point grids, and
-    the renormalised trace realises the boundary condition.
+    ``g_apply`` samples G(z) zeta on (m, 3) point grids. Only two shapes
+    differ from the one-channel spin system's: ``g_apply`` returns (m,), not
+    (1, m), and ``renorm_trace`` takes a continuous part of shape (n,), not
+    (1, n).
     """
-    excluded = HalfLineExclusions(0.0)
+    spin = _spin_system(model, (0.0,), "points")
+    g_apply, renorm_trace = spin.g_apply, spin.renorm_trace
 
-    def guard(z):
-        check_admissible(excluded, z)
+    def one_channel(part):
+        if callable(part):
+            return lambda points: np.asarray(part(points))[None]
+        return np.asarray(part)[None]
 
-    def gamma(z):
-        guard(z)
-        return point_gamma(model, z)
-
-    def gram(z, w):
-        guard((z, w))
-        return _point_gram(model, z, w)
-
-    def g_apply(z, zeta, grid):
-        guard(z)
-        return _point_g_values(model, z, zeta, grid)
-
-    return WeylSystem(
-        n=model.n_centers,
-        kind="points",
-        excluded=excluded,
-        gamma=gamma,
-        gram=gram,
-        g_apply=g_apply,
-        renorm_trace=lambda part, zeta: point_renormalized_trace(model, part, zeta),
+    return dataclasses.replace(
+        spin,
+        g_apply=lambda z, zeta, grid: g_apply(z, zeta, grid)[0],
+        renorm_trace=lambda part, zeta: renorm_trace(one_channel(part), zeta),
     )
 
 
@@ -801,7 +774,7 @@ def point_weyl(model: PointModel) -> WeylSystem:
 # spin (vector-valued) point model
 
 
-def spin_weyl(model: SpinPointModel) -> WeylSystem:
+def spin_weyl(model: SpinPointModel) -> PointWeylSystem:
     """Weyl system of the vector-valued point model.
 
     The boundary space is the direct sum over internal eigenchannels of one
@@ -810,43 +783,43 @@ def spin_weyl(model: SpinPointModel) -> WeylSystem:
     at the shifted parameter z - b_i, and z is admissible only when every
     shift avoids (-inf, 0].
     """
-    point = PointModel(model.centers)
-    n, d = model.n_centers, model.dim_internal
-    excluded = HalfLineExclusions(max(model.b))
+    return _spin_system(PointModel(model.centers), model.b, "spin_points")
 
-    def guard(z):
-        check_admissible(excluded, z)
+
+def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
+    n, d = point.n_centers, len(b)
+    excluded = HalfLineExclusions(max(b))
 
     def gamma(z):
-        guard(z)
+        check_admissible(excluded, z)
         z = np.asarray(z)
         out = np.zeros(z.shape + (n * d, n * d), dtype=complex)
-        for i, b in enumerate(model.b):
-            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = point_gamma(point, z - b)
+        for i, shift in enumerate(b):
+            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = point_gamma(point, z - shift)
         return out
 
     def gram(z, w):
-        guard((z, w))
+        check_admissible(excluded, (z, w))
         out = np.zeros((n * d, n * d), dtype=complex)
-        for i, b in enumerate(model.b):
+        for i, shift in enumerate(b):
             out[i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gram(
-                point, z - b, w - b
+                point, z - shift, w - shift
             )
         return out
 
     def g_apply(z, zeta, grid):
-        guard(z)
+        check_admissible(excluded, z)
         zeta = np.asarray(zeta, dtype=complex)
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
         out = np.empty((d, pts.shape[0]), dtype=complex)
-        for i, b in enumerate(model.b):
-            out[i] = _point_g_values(point, z - b, zeta[i * n : (i + 1) * n], pts)
+        for i, shift in enumerate(b):
+            out[i] = _point_g_values(point, z - shift, zeta[i * n : (i + 1) * n], pts)
         return out
 
     def renorm_trace(part, zeta):
         zeta = np.asarray(zeta, dtype=complex)
         if callable(part):
-            vals = np.asarray(part(model.centers), dtype=complex)
+            vals = np.asarray(part(point.centers), dtype=complex)
         else:
             vals = np.asarray(part, dtype=complex)
         if vals.shape != (d, n):
@@ -858,9 +831,9 @@ def spin_weyl(model: SpinPointModel) -> WeylSystem:
             )
         return out
 
-    return WeylSystem(
+    return PointWeylSystem(
         n=n * d,
-        kind="spin_points",
+        kind=kind,
         excluded=excluded,
         gamma=gamma,
         gram=gram,

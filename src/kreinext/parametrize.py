@@ -35,6 +35,7 @@ __all__ = [
     "check_pair_conditions",
     "relation_from_params",
     "relation_from_pair",
+    "relation_gap",
     "subspace_equal",
     "is_selfadjoint_relation",
     "von_neumann_block",
@@ -245,17 +246,22 @@ def relation_from_pair(pair: BoundaryPair) -> SelfAdjointRelation:
     )
 
 
-def subspace_equal(r1: SelfAdjointRelation, r2: SelfAdjointRelation, tol: float = ANGLE_TOL) -> bool:
-    """True iff the two column spans agree to within principal angle ``tol``."""
+def relation_gap(r1: SelfAdjointRelation, r2: SelfAdjointRelation) -> float:
+    """Spectral norm of the difference of the orthogonal projectors onto the two spans.
+
+    It is the sine of the largest principal angle between spans of equal
+    dimension, and 1 between spans of different dimension.
+    """
     if r1.dim_h != r2.dim_h:
         raise ValueError("relations live in different boundary spaces")
     q1 = linalg.orthonormal_span(r1.basis)
     q2 = linalg.orthonormal_span(r2.basis)
-    if q1.shape[1] != q2.shape[1]:
-        return False
-    # spectral norm of the projector difference = sin(largest principal angle)
-    gap = np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T, 2)
-    return bool(gap < tol)
+    return float(np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T, 2))
+
+
+def subspace_equal(r1: SelfAdjointRelation, r2: SelfAdjointRelation, tol: float = ANGLE_TOL) -> bool:
+    """True iff the two column spans agree to within principal angle ``tol``."""
+    return relation_gap(r1, r2) < tol
 
 
 def is_selfadjoint_relation(rel: SelfAdjointRelation) -> bool:

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import linalg
 from .krein import (
-    ExcludedPointError,
     ExtensionParams,
     WeylSystem,
     range_basis,
@@ -44,7 +43,6 @@ from .krein import (
 __all__ = [
     "EigenResult",
     "SpectrumResult",
-    "SearchOptions",
     "eigenvalue_search",
     "eigenfunction",
     "validate_eigenpair",
@@ -52,6 +50,10 @@ __all__ = [
 ]
 
 KERNEL_RTOL = 1e-10
+# Absolute ceiling on the secular eigenvalues that must vanish at a reported
+# root; a count drop whose eigenvalues stay above it is counted in
+# ``expected_count`` but not reported.
+KERNEL_TOL = 1e-10
 # Brackets narrower than this (relative to max(1, |lambda|)) are final.
 BRACKET_FLOOR = 4.0 * np.finfo(float).eps
 SCOPE_NOTE = (
@@ -78,20 +80,6 @@ class SpectrumResult:
 
     def lambdas(self) -> np.ndarray:
         return np.array([r.lam for r in self.eigenvalues])
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs of the spectral search.
-
-    ``kernel_tol``: absolute ceiling on the secular eigenvalues that must
-    vanish at a reported root; a count drop whose eigenvalues stay above it
-    is counted in ``expected_count`` but not reported. ``skip_excluded``:
-    report excluded subintervals as gaps instead of erroring.
-    """
-
-    kernel_tol: float = 1e-10
-    skip_excluded: bool = True
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -171,12 +159,7 @@ def _isolate(eigs, segments, theta_norm):
     return sorted(out)
 
 
-def eigenvalue_search(
-    system: WeylSystem,
-    params: ExtensionParams,
-    window,
-    opts: SearchOptions | None = None,
-) -> SpectrumResult:
+def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> SpectrumResult:
     """Find the extension's eigenvalues in a real window.
 
     Returns a :class:`SpectrumResult` whose eigenvalues carry the refined
@@ -186,9 +169,8 @@ def eigenvalue_search(
     in ``gaps``. ``metadata["expected_count"]`` is the total count drop over
     the searchable segments and ``metadata["found_count"]`` the sum of the
     reported multiplicities; they differ only when a drop failed the
-    ``kernel_tol`` check.
+    ``KERNEL_TOL`` check.
     """
-    opts = opts or SearchOptions()
     lo, hi = float(window[0]), float(window[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValueError(f"empty or invalid search window [{lo}, {hi}]")
@@ -196,10 +178,6 @@ def eigenvalue_search(
     basis = range_basis(params.pi)
 
     gaps = tuple(system.excluded.gaps_in(lo, hi))
-    if gaps and not opts.skip_excluded:
-        raise ExcludedPointError(
-            f"window [{lo}, {hi}] touches the excluded set and gap skipping is disabled"
-        )
     segments = [
         (_admissible_start(system.excluded, a), b) for a, b in _subtract_gaps(lo, hi, gaps)
     ]
@@ -228,7 +206,7 @@ def eigenvalue_search(
         ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams, basis)))
         for (lam, drop), w, u in zip(roots, ws, us):
             near = np.argsort(np.abs(w), kind="stable")[:drop]
-            if np.max(np.abs(w[near])) > opts.kernel_tol:
+            if np.max(np.abs(w[near])) > KERNEL_TOL:
                 continue  # the drop did not close onto a kernel
             results.append(
                 EigenResult(

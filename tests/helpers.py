@@ -81,7 +81,7 @@ def reference_g_adjoint(a, z, psi, x):
     return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
 
 
-def depth_first_search(system, params, window, opts=None):
+def depth_first_search(system, params, window):
     """Reference eigenvalue search: depth-first count bisection, one lambda per call.
 
     A copy of the search before it was batched: ``_isolate`` bisects one
@@ -92,7 +92,6 @@ def depth_first_search(system, params, window, opts=None):
     from kreinext import spectral
     from kreinext.krein import range_basis, require_valid, secular_matrix
 
-    opts = opts or spectral.SearchOptions()
     lo, hi = float(window[0]), float(window[1])
     require_valid(params)
     basis = range_basis(params.pi)
@@ -152,7 +151,7 @@ def depth_first_search(system, params, window, opts=None):
             metadata["expected_count"] += drop
             w, u = np.linalg.eigh(hermitian(lam))
             near = np.argsort(np.abs(w), kind="stable")[:drop]
-            if np.max(np.abs(w[near])) > opts.kernel_tol:
+            if np.max(np.abs(w[near])) > spectral.KERNEL_TOL:
                 continue
             results.append(
                 spectral.EigenResult(

@@ -85,7 +85,7 @@ def test_criterion_03_weyl_family_laws():
                 assert kx.conjugation_residual(system, z) <= 1e-12
         for system in quad_systems:
             # against the Simpson Gram: the models' own Gram is a closed form
-            gram = functools.partial(kx.simpson_gram, system.edge_lengths, nodes=2001)
+            gram = functools.partial(kx.simpson_gram, system.lengths, nodes=2001)
             for z, v in ((1j, -1j), (1 + 1j, 2 - 0.5j), (0.5 + 0.2j, 3.0 + 1j)):
                 assert kx.difference_identity_residual(system, z, v, gram) <= 1e-8
         for system in closed_systems:

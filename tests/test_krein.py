@@ -369,6 +369,19 @@ def test_green_identity_unsupported_for_points(point_one):
         kx.green_identity_residual(point_one, (None, [0.0]), (None, [0.0]))
 
 
+def test_model_data_is_chosen_by_system_type(point_one):
+    # the sampled resolvent needs an edge system, the traces an edge or point system
+    x = np.linspace(0.0, 1.0, 601)
+    params = ExtensionParams.full([[0.5]])
+    with pytest.raises(kx.UnsupportedModelError, match="no sampled resolvent"):
+        kx.apply_resolvent(point_one, params, 1 + 1j, x, x)
+    bare = kx.WeylSystem(
+        point_one.n, "custom", point_one.excluded, point_one.gamma, point_one.gram, point_one.g_apply
+    )
+    with pytest.raises(kx.UnsupportedModelError, match="no trace data"):
+        kx.boundary_condition_residuals(bare, params, np.zeros(1), np.zeros(1))
+
+
 # ---------------------------------------------------------------------------
 # boundary condition residuals
 

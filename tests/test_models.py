@@ -68,6 +68,17 @@ def test_interval_traces_green_samples():
     assert np.linalg.norm(rho - np.array([1.0, 0.0])) < 1e-8
 
 
+def test_interval_sampled_traces_match_closed_form():
+    # both ends of tau are inward derivatives, sampled or closed form
+    model = kx.IntervalModel(2.0)
+    x = np.linspace(0.0, 2.0, 2001)
+    for fn in (kx.sine_mode(PI / 2.0), kx.cosine_mode(1.3), kx.poly_bump(2.0)):
+        rho, tau = kx.interval_traces(model, fn(x), x)
+        exact_rho, exact_tau = kx.interval_traces(model, fn)
+        assert np.allclose(rho, exact_rho, atol=1e-14)
+        assert np.allclose(tau, exact_tau, atol=1e-9)
+
+
 def test_interval_traces_constant():
     model = kx.IntervalModel(1.5)
     one = kx.zero_function() + kx.cosine_mode(0.0)

@@ -1,0 +1,95 @@
+"""The public names of the package, and the models built as special cases of others.
+
+The name lists are pinned so that adding, renaming or removing a public name
+shows up in the diff of this file. The interval is the one-edge graph and the
+scalar point model is the spin model with the single internal eigenvalue 0;
+their shared data must agree bit for bit.
+"""
+
+import types
+
+import numpy as np
+
+import kreinext as kx
+from kreinext import verify
+
+KREINEXT = [
+    "BoundaryPair", "BoundaryReport", "DirichletExclusions", "EdgeWeylSystem",
+    "EigenResult", "EigenpairReport", "ExcludedPointError", "ExtensionParams",
+    "ExtensionSingularError", "FDSpec", "GraphModel", "GreenCombination",
+    "GridMismatchError", "GridTooCoarseError", "HalfLineExclusions", "IntervalModel",
+    "ModelConsistencyError", "PairConditionError", "PairConditions", "PointModel",
+    "PointWeylSystem", "SampledKernels", "SelfAdjointRelation", "SmoothFunction",
+    "SpectrumResult", "SpinPointModel", "TraceMaps", "UnsupportedModelError",
+    "ValidationReport", "VertexGroup", "VonNeumannBlock", "WeylSystem",
+    "apply_resolvent", "apply_resolvent_green", "bisect_root",
+    "boundary_condition_residuals", "check_pair_conditions", "conjugation_residual",
+    "cosine_mode", "difference_identity_residual", "eigenfunction", "eigenvalue_search",
+    "fd_graph_spectrum", "fd_interval_spectrum", "graph_traces", "graph_weyl",
+    "green_identity_residual", "green_norm", "hermitian_eig", "interval_green",
+    "interval_traces", "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
+    "kernel_basis", "krein_correction", "min_singular", "pair_from_params",
+    "params_from_pair", "point_gamma", "point_green_regular_part",
+    "point_renormalized_trace", "point_weyl", "poly_bump", "projector_from_span",
+    "range_basis", "relation_from_pair", "relation_from_params", "relation_gap",
+    "secular_matrix", "simpson_gram", "sine_mode", "single_point_eigenvalue",
+    "spin_weyl", "subspace_equal", "validate_eigenpair", "validate_params",
+    "vertex_params", "von_neumann_block", "zero_function",
+]
+VERIFY = ["PRESETS", "edge_grids", "preset_samples", "run_verify", "z_grid"]
+
+PI = np.pi
+CENTERS = [[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 1.1, 0.4]]
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kreinext_public_names():
+    public = sorted(
+        name
+        for name, value in vars(kx).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == KREINEXT
+
+
+def test_verify_public_names():
+    assert sorted(verify.__all__) == VERIFY
+    assert all(hasattr(verify, name) for name in VERIFY)
+
+
+def test_interval_is_the_one_edge_graph():
+    interval = kx.interval_weyl(kx.IntervalModel(PI))
+    graph = kx.graph_weyl(kx.GraphModel((PI,)))
+    assert isinstance(interval, kx.EdgeWeylSystem) and interval.kind == "interval"
+    zs = np.array([1 + 1j, -0.5, 0.0, 3.0 - 2j, -30.0 + 1e-3j])
+    for z in zs:
+        _same(interval.gamma(z), graph.gamma(z))
+    _same(interval.gamma(zs), graph.gamma(zs))
+    for z, w in ((1 + 1j, 2 - 1j), (0.0, 0.5j), (-4.0 + 1j, -4.0 + 1j)):
+        _same(interval.gram(z, w), graph.gram(z, w))
+
+    x = np.linspace(0.0, PI, 2001)
+    psi = np.exp(1j * x) * x * (PI - x)
+    zeta = np.array([0.7, -0.3 + 0.4j])
+    for z in (1 + 1j, 0.0):
+        bare, boxed = interval.sampled_kernels(z, x), graph.sampled_kernels(z, [x])
+        _same(bare.resolvent(psi), boxed.resolvent([psi])[0])
+        _same(bare.adjoint(psi), boxed.adjoint([psi]))
+        _same(bare.apply(zeta), boxed.apply(zeta)[0])
+
+
+def test_point_model_is_the_zero_shift_spin_model():
+    point = kx.point_weyl(kx.PointModel(CENTERS))
+    spin = kx.spin_weyl(kx.SpinPointModel(CENTERS, (0.0,)))
+    assert isinstance(point, kx.PointWeylSystem) and point.kind == "points"
+    zs = np.array([1 + 1j, 0.5, 2.0 - 3j, 1e-6 + 1e-6j])
+    for z in zs:
+        _same(point.gamma(z), spin.gamma(z))
+    _same(point.gamma(zs), spin.gamma(zs))
+    for z, w in ((1 + 1j, 2 - 1j), (0.5, 0.5), (3.0 + 1j, 0.2)):
+        _same(point.gram(z, w), spin.gram(z, w))

@@ -183,6 +183,33 @@ def test_graph_grid_mismatch_names_the_edge():
         kx.apply_resolvent(system, params, 1 + 1j, psis[:7], grids)
 
 
+@pytest.mark.parametrize("name", sorted(_bad_grids()))
+def test_sampled_traces_reject_a_grid_that_does_not_fit(name):
+    # the boundary values are the end samples only on a grid from 0 to a
+    grid = _bad_grids()[name]
+    with pytest.raises(GridMismatchError, match="edge 0"):
+        kx.interval_traces(kx.IntervalModel(PI), np.sin(grid) + 0j, grid)
+
+
+def test_sampled_traces_need_one_sample_per_node():
+    x = np.linspace(0.0, PI, 2001)
+    with pytest.raises(GridMismatchError, match="1500 samples on a grid of 2001 nodes"):
+        kx.interval_traces(kx.IntervalModel(PI), np.sin(x[:1500]) + 0j, x)
+
+
+def test_graph_traces_name_the_edge():
+    model = kx.GraphModel((1.0, 2.0))
+    grids = [np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 3.0, 1001)]
+    parts = [np.sin(PI * g) + 0j for g in grids]
+    with pytest.raises(GridMismatchError, match="edge 1 "):
+        kx.graph_traces(model, parts, grids)
+    grids[1] = np.linspace(0.0, 2.0, 1001)
+    parts[1] = np.sin(0.5 * PI * grids[1]) + 0j
+    rho, tau = kx.graph_traces(model, parts, grids)
+    assert np.max(np.abs(rho)) < 1e-12
+    assert np.allclose(tau, [PI, PI, 0.5 * PI, 0.5 * PI], rtol=1e-8)
+
+
 def test_g_apply_takes_arbitrary_points():
     system = kx.interval_weyl(kx.IntervalModel(PI))
     pts = np.array([0.1, 2.0, 0.5, 3.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext import ExtensionParams, FDSpec, SearchOptions
+from kreinext import ExtensionParams, FDSpec
 
 from helpers import depth_first_search, random_hermitian, random_params
 
@@ -92,14 +92,6 @@ def test_trivial_projector_has_no_point_spectrum(neumann_interval):
     result = kx.eigenvalue_search(system, ExtensionParams.trivial(2), (-20.0, 5.0))
     assert result.eigenvalues == ()
     assert result.metadata["searchable"] is False
-
-
-def test_gap_skipping_can_be_disabled(neumann_interval):
-    system, params = neumann_interval
-    with pytest.raises(kx.ExcludedPointError):
-        kx.eigenvalue_search(
-            system, params, (-4.5, -3.5), SearchOptions(skip_excluded=False)
-        )
 
 
 def test_robin_completeness_against_fd_oracle():
