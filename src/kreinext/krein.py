@@ -2,9 +2,10 @@
 
 Two objects carry everything: :class:`ExtensionParams`, the pair of an
 orthogonal boundary projector and a self-adjoint operator on its range
-that labels one extension, and :class:`WeylSystem`, the analytic data of
-a concrete model (the Weyl family z -> Gamma(z) and the deficiency-element
-map G(z)). Its two subclasses add what one model family has:
+that labels one extension (checked when it is built, and carrying the
+range and kernel bases of the projector), and :class:`WeylSystem`, the
+analytic data of a concrete model (the Weyl family z -> Gamma(z) and the
+deficiency-element map G(z)). Its two subclasses add what one model family has:
 :class:`EdgeWeylSystem` the free resolvent and the boundary traces of
 intervals and graphs, :class:`PointWeylSystem` the renormalised trace of
 point interactions. On top of those
@@ -15,7 +16,7 @@ residual probes for the identities the Weyl family must satisfy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -156,36 +157,34 @@ class DirichletExclusions:
         self._a = np.array(self.lengths)
         self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
 
-    def _candidates(self, z: complex, a: float):
-        base = np.sqrt(max(-z.real, 0.0)) * a / np.pi
-        for n in {max(1, int(np.floor(base))), max(1, int(np.ceil(base))), 1}:
-            yield n, -((n * np.pi / a) ** 2)
-
     def _guard(self, n: int, a: float) -> float:
         return self.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
 
-    def distance(self, z) -> float:
-        z = complex(z)
-        return min(
-            abs(z - pole) for a in self.lengths for _, pole in self._candidates(z, a)
-        )
+    def _nearest(self, z):
+        """Distances to the candidate poles nearest z, with their indices n.
 
-    def contains(self, z):
-        """True where z (a scalar or an array) lies in a guard ball.
-
-        The candidate poles per edge are those of :meth:`distance`, for all
-        edges and points at once; squares go through ``float_power`` (C
-        ``pow``) and moduli through ``hypot``, as in Python float arithmetic,
-        so an array gets the same answers as its entries one by one.
+        Per edge the candidates are n = floor, ceil of sqrt(-Re z) a / pi
+        and 1, for all edges and points at once; the arrays have shape
+        (*z.shape, 3, edges). Squares go through ``float_power`` (C ``pow``)
+        and moduli through ``hypot``, as in Python float arithmetic, so an
+        array gets the same answers as its entries one by one.
         """
         z = np.asarray(z, dtype=complex)
-        zr, zi = z.real[..., None, None], z.imag[..., None, None]  # (..., candidate, edge)
+        zr, zi = z.real[..., None, None], z.imag[..., None, None]
         base = np.sqrt(np.maximum(-zr, 0.0)) * self._a / np.pi
         n = np.concatenate([np.floor(base), np.ceil(base), np.ones_like(base)], -2)
         n = np.maximum(n, 1.0)
         pole = -np.float_power(n * np.pi / self._a, 2)
-        guard = self.guard_rel * (2 * n + 1) * self._unit
-        hit = (np.hypot(zr - pole, zi) <= guard).any(axis=(-2, -1))
+        return np.hypot(zr - pole, zi), n
+
+    def distance(self, z) -> float:
+        """Distance from the scalar z to the nearest edge Dirichlet eigenvalue."""
+        return float(np.min(self._nearest(complex(z))[0]))
+
+    def contains(self, z):
+        """True where z (a scalar or an array) lies in a guard ball."""
+        dist, n = self._nearest(z)
+        hit = (dist <= self.guard_rel * (2 * n + 1) * self._unit).any(axis=(-2, -1))
         return hit if hit.ndim else bool(hit)
 
     def gaps_in(self, lo: float, hi: float):
@@ -384,21 +383,38 @@ class PointWeylSystem(WeylSystem):
 class ExtensionParams:
     """Label of one self-adjoint extension: projector ``pi`` and operator ``theta``.
 
-    ``theta`` is stored embedded in C^n with ``pi @ theta @ pi == theta``;
-    compression to the projector range happens inside the operations that
-    need it, so parameter pairs stay composable without carrying basis data.
+    A label is valid by construction: building one runs
+    :func:`validate_params` and raises ``ValueError`` with its report unless
+    ``pi`` is an orthogonal projector and ``theta`` a self-adjoint operator
+    on its range, stored embedded in C^n with ``pi @ theta @ pi == theta``.
+    The label also carries its frame, from one eigendecomposition of ``pi``:
+    ``range_basis`` and ``kernel_basis`` are orthonormal columns spanning
+    the range and the kernel of ``pi``. They are read-only arrays and no
+    init, repr or compare fields; every operation that compresses to the
+    range reads them instead of diagonalising ``pi`` again.
     """
 
     pi: np.ndarray
     theta: np.ndarray
+    range_basis: np.ndarray = field(init=False, repr=False, compare=False)
+    kernel_basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", linalg.as_square(self.pi))
-        object.__setattr__(self, "theta", linalg.as_square(self.theta))
-        if self.pi.shape != self.theta.shape:
+        pi, theta = linalg.as_square(self.pi), linalg.as_square(self.theta)
+        if pi.shape != theta.shape:
             raise ValueError(
-                f"projector and operator dimensions differ: {self.pi.shape} vs {self.theta.shape}"
+                f"projector and operator dimensions differ: {pi.shape} vs {theta.shape}"
             )
+        report = validate_params(pi, theta)
+        if not report.passed:
+            raise ValueError(f"invalid extension parameters:\n{report}")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "theta", theta)
+        vals, vecs = linalg.hermitian_eig(pi)
+        frame = (("range_basis", vecs[:, vals > 0.5]), ("kernel_basis", vecs[:, vals <= 0.5]))
+        for name, basis in frame:
+            basis.setflags(write=False)
+            object.__setattr__(self, name, basis)
 
     @property
     def n(self) -> int:
@@ -443,15 +459,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_params(params: ExtensionParams) -> ValidationReport:
-    """Check the defining invariants of an extension label.
+def validate_params(pi, theta) -> ValidationReport:
+    """Check the defining invariants of an extension label (pi, theta).
 
     Reports Frobenius residuals of: projector idempotence, projector
     self-adjointness, operator self-adjointness, and the range condition
     pi theta pi = theta. Passes iff every residual is at most
     ``1e-12 * (1 + ||.||_F)`` of the matrix it constrains.
+    :class:`ExtensionParams` runs it on every label it builds.
     """
-    pi, theta = params.pi, params.theta
+    pi, theta = linalg.as_square(pi), linalg.as_square(theta)
     scale_pi = 1.0 + np.linalg.norm(pi)
     scale_th = 1.0 + np.linalg.norm(theta)
     residuals = {
@@ -462,12 +479,6 @@ def validate_params(params: ExtensionParams) -> ValidationReport:
     }
     passed = all(v <= PARAMS_RTOL for v in residuals.values())
     return ValidationReport(residuals, PARAMS_RTOL, passed)
-
-
-def require_valid(params: ExtensionParams) -> None:
-    report = validate_params(params)
-    if not report.passed:
-        raise ValueError(f"invalid extension parameters:\n{report}")
 
 
 def range_basis(pi) -> np.ndarray:
@@ -486,20 +497,19 @@ def kernel_basis(pi) -> np.ndarray:
 # secular matrix, regular points, Krein correction
 
 
-def secular_matrix(system: WeylSystem, params: ExtensionParams, z, basis=None) -> np.ndarray:
-    """Compression of theta + pi Gamma(z) pi to an orthonormal basis of range(pi).
+def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
+    """Compression V^*(theta + Gamma(z))V of theta + pi Gamma(z) pi to range(pi).
 
-    The vanishing of its determinant at real admissible lambda is the
-    secular equation for the point spectrum; its inverse drives the Krein
-    correction. A scalar z gives one r x r matrix, a 1-D array of m values
-    the (m, r, r) stack from one ``system.gamma`` call; for pi = 0, r = 0.
-    ``basis`` is ``range_basis(params.pi)`` when the caller already holds
-    it. Every z is checked against the excluded set (by ``system.gamma``,
-    or here when r = 0 and Gamma is not needed), and a non-finite matrix
-    raises :class:`ModelConsistencyError` naming its z, so no NaN reaches
-    LAPACK.
+    V is the label's ``range_basis``. The vanishing of the determinant at
+    real admissible lambda is the secular equation for the point spectrum;
+    the inverse drives the Krein correction. A scalar z gives one r x r
+    matrix, a 1-D array of m values the (m, r, r) stack from one
+    ``system.gamma`` call; for pi = 0, r = 0. Every z is checked against
+    the excluded set (by ``system.gamma``, or here when r = 0 and Gamma is
+    not needed), and a non-finite matrix raises
+    :class:`ModelConsistencyError` naming its z, so no NaN reaches LAPACK.
     """
-    v = range_basis(params.pi) if basis is None else basis
+    v = params.range_basis
     if v.shape[1] == 0:
         z = system.require_admissible(z)
         return np.zeros(np.shape(z) + (0, 0), dtype=complex)
@@ -512,12 +522,13 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z, basis=None) -
     return m
 
 
-def _secular_sigma(system, params, z, basis=None):
-    m = secular_matrix(system, params, z, basis)
+def _secular_sigma(system, params, z):
+    """The secular matrix at z with its smallest and largest singular values."""
+    m = secular_matrix(system, params, z)
     if m.shape[0] == 0:
         return m, np.inf, 0.0
-    smin = linalg.min_singular(m)
-    return m, smin, float(np.linalg.norm(m, 2))
+    s = np.linalg.svd(m, compute_uv=False)
+    return m, float(s[-1]), float(s.max())
 
 
 def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
@@ -538,19 +549,18 @@ def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
     return ok
 
 
-def krein_correction(
-    system: WeylSystem, params: ExtensionParams, z, basis=None
-) -> np.ndarray:
+def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
     """The boundary-space factor pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n.
 
-    ``basis`` is ``range_basis(params.pi)`` when the caller already holds it.
+    It is V m^{-1} V^* with V the label's ``range_basis`` and m the
+    :func:`secular_matrix` at z.
     """
     z = complex(z)
-    v = range_basis(params.pi) if basis is None else basis
+    v = params.range_basis
     n = params.n
     if v.shape[1] == 0:
         return np.zeros((n, n), dtype=complex)
-    m, smin, norm = _secular_sigma(system, params, z, v)
+    m, smin, norm = _secular_sigma(system, params, z)
     if smin <= SINGULARITY_RTOL * (1.0 + norm):
         if z.imag != 0.0:
             raise ModelConsistencyError(
@@ -568,23 +578,13 @@ def krein_correction(
 # resolvent application
 
 
-def _is_edge_list(obj):
-    return isinstance(obj, (list, tuple))
-
-
-def _check_grid(system: WeylSystem, grid) -> None:
-    grids = grid if _is_edge_list(grid) else [grid]
-    for g in grids:
-        if np.shape(g)[0] < MIN_EDGE_NODES:
+def _check_grid(system: EdgeWeylSystem, grid) -> None:
+    # an entry that is not a 1-D grid is left to sampled_kernels, which names the mismatch
+    for g in system.edges(grid):
+        if np.ndim(g) == 1 and len(g) < MIN_EDGE_NODES:
             raise GridTooCoarseError(
-                f"need at least {MIN_EDGE_NODES} nodes per edge, got {np.shape(g)[0]}"
+                f"need at least {MIN_EDGE_NODES} nodes per edge, got {len(g)}"
             )
-
-
-def _combine(a, b):
-    if _is_edge_list(a):
-        return [x + y for x, y in zip(a, b)]
-    return a + b
 
 
 def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
@@ -601,17 +601,15 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
             f"model kind {system.kind!r} has no sampled resolvent; "
             "use apply_resolvent_green with a Green-function combination"
         )
-    require_valid(params)
     _check_grid(system, grid)
     z = system.require_admissible(z)
     kernels = system.sampled_kernels(z, grid)
     free = kernels.resolvent(psi)
-    basis = range_basis(params.pi)
-    if basis.shape[1] == 0:
+    if params.range_basis.shape[1] == 0:
         return free
-    corr = krein_correction(system, params, z, basis)
-    weights = corr @ kernels.adjoint(psi)
-    return _combine(free, kernels.apply(weights))
+    corr = krein_correction(system, params, z)
+    applied = system.edges(kernels.apply(corr @ kernels.adjoint(psi)))
+    return system.shaped([f + g for f, g in zip(system.edges(free), applied)])
 
 
 @dataclass(frozen=True)
@@ -637,7 +635,6 @@ def apply_resolvent_green(
     needed; this is the supported route for point-interaction models. z must
     differ from every combination node; each node is checked by ``system.gram``.
     """
-    require_valid(params)
     z = system.require_admissible(z)
     n = system.n
     adjoint = np.zeros(n, dtype=complex)

@@ -662,6 +662,12 @@ def point_gamma(model: PointModel, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     check_admissible(HalfLineExclusions(0.0), z)
+    return _point_gamma_unchecked(model, z)
+
+
+def _point_gamma_unchecked(model: PointModel, z) -> np.ndarray:
+    """:func:`point_gamma` without the check of z, for callers that made it."""
+    z = np.asarray(z, dtype=complex)
     sq = np.sqrt(z)[..., None]
     d = model._distances
     n = model.n_centers
@@ -674,9 +680,10 @@ def point_gamma(model: PointModel, z) -> np.ndarray:
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
+    """Gram matrix of the point model at (z, w); neither argument is checked."""
     z, w = complex(z), complex(w)
     if z != w:
-        at_z, at_w = point_gamma(model, (z, w))
+        at_z, at_w = _point_gamma_unchecked(model, (z, w))
         return (at_z - at_w) / (z - w)
     sq = np.sqrt(z)
     d = model._distances
@@ -788,6 +795,7 @@ def spin_weyl(model: SpinPointModel) -> PointWeylSystem:
 
 def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
     n, d = point.n_centers, len(b)
+    # z off (-inf, max b] puts every shifted z - b_i off (-inf, 0]: one check per call
     excluded = HalfLineExclusions(max(b))
 
     def gamma(z):
@@ -795,7 +803,9 @@ def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
         z = np.asarray(z)
         out = np.zeros(z.shape + (n * d, n * d), dtype=complex)
         for i, shift in enumerate(b):
-            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = point_gamma(point, z - shift)
+            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gamma_unchecked(
+                point, z - shift
+            )
         return out
 
     def gram(z, w):

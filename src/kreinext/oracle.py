@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import (
-    DirichletExclusions,
-    ExtensionParams,
-    check_admissible,
-    range_basis,
-    require_valid,
-)
+from .krein import DirichletExclusions, ExtensionParams, check_admissible
 from .models import GraphModel, IntervalModel, _EdgeKernels
 from .quad import simpson
 
@@ -54,10 +48,9 @@ def _assemble_constrained(lengths, n_nodes, params: ExtensionParams):
     """Hermitian matrix of the mass-normalised constrained quadratic form."""
     import scipy.sparse as sp  # imported here to keep scipy out of the CLI start-up
 
-    require_valid(params)
     n_edges = len(lengths)
     theta = params.theta
-    basis = range_basis(params.pi)  # 2K x k
+    basis = params.range_basis  # 2K x k
     k = basis.shape[1]
     real_case = bool(
         np.allclose(params.theta.imag, 0.0, atol=0.0)

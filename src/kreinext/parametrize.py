@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .krein import (
-    ExtensionParams,
-    ModelConsistencyError,
-    WeylSystem,
-    kernel_basis,
-    range_basis,
-    require_valid,
-)
+from .krein import ExtensionParams, ModelConsistencyError, WeylSystem
 
 __all__ = [
     "BoundaryPair",
@@ -186,9 +179,7 @@ def pair_from_params(params: ExtensionParams) -> BoundaryPair:
     on its orthogonal complement: B1 = 1, B2 = 0. The Cayley-type factor
     (-theta + i) is always invertible, so the construction never branches.
     """
-    require_valid(params)
-    v = range_basis(params.pi)
-    w = kernel_basis(params.pi)
+    v, w = params.range_basis, params.kernel_basis
     k = v.shape[1]
     n = params.n
     b1 = w @ w.conj().T
@@ -220,16 +211,12 @@ def params_from_pair(pair: BoundaryPair) -> ExtensionParams:
     pi_tilde = u @ u.conj().T
     theta = pi @ b1.conj().T @ np.linalg.pinv(b2.conj().T @ pi_tilde, rcond=1e-10) @ pi
     theta = pi @ ((theta + theta.conj().T) / 2.0) @ pi
-    params = ExtensionParams(pi, theta)
-    require_valid(params)
-    return params
+    return ExtensionParams(pi, theta)
 
 
 def relation_from_params(params: ExtensionParams) -> SelfAdjointRelation:
     """The relation {(v, theta v) : v in range(pi)} + {(0, u) : u in ker(pi)}."""
-    require_valid(params)
-    v = range_basis(params.pi)
-    w = kernel_basis(params.pi)
+    v, w = params.range_basis, params.kernel_basis
     n = params.n
     top = np.hstack([v, np.zeros((n, w.shape[1]), dtype=complex)])
     bottom = np.hstack([params.theta @ v, w])
@@ -286,7 +273,6 @@ def von_neumann_block(system: WeylSystem, params: ExtensionParams) -> VonNeumann
     as a direct (not orthogonal) sum, and only along that splitting is the
     resulting map q-unitary.
     """
-    require_valid(params)
     gi = system.gamma(1j)
     q = (gi - gi.conj().T) / 2j
     q = (q + q.conj().T) / 2.0
@@ -295,8 +281,7 @@ def von_neumann_block(system: WeylSystem, params: ExtensionParams) -> VonNeumann
             "Im Gamma(i) is not positive definite; deficiency Gram matrix degenerate"
         )
     gamma_hat = 1j * q
-    v = range_basis(params.pi)
-    w = kernel_basis(params.pi)
+    v, w = params.range_basis, params.kernel_basis
     n = params.n
     k = v.shape[1]
     if k == 0:

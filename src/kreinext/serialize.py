@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .krein import ExtensionParams, require_valid
+from .krein import ExtensionParams
 from .models import GraphModel, IntervalModel, PointModel, SpinPointModel
 from .parametrize import BoundaryPair, SelfAdjointRelation
 
@@ -83,11 +83,7 @@ def params_to_obj(params: ExtensionParams) -> dict:
 
 
 def params_from_obj(obj) -> ExtensionParams:
-    params = ExtensionParams(
-        matrix_from_lists(obj["pi"]), matrix_from_lists(obj["theta"])
-    )
-    require_valid(params)
-    return params
+    return ExtensionParams(matrix_from_lists(obj["pi"]), matrix_from_lists(obj["theta"]))
 
 
 def pair_to_obj(pair: BoundaryPair) -> dict:

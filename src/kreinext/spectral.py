@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .krein import (
-    ExtensionParams,
-    WeylSystem,
-    range_basis,
-    require_valid,
-    secular_matrix,
-)
+from .krein import ExtensionParams, WeylSystem, secular_matrix
 
 __all__ = [
     "EigenResult",
@@ -174,8 +168,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     lo, hi = float(window[0]), float(window[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise ValueError(f"empty or invalid search window [{lo}, {hi}]")
-    require_valid(params)
-    basis = range_basis(params.pi)
+    basis = params.range_basis
 
     gaps = tuple(system.excluded.gaps_in(lo, hi))
     segments = [
@@ -194,7 +187,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
 
     def eigs(lams):
         return np.linalg.eigvalsh(
-            _hermitian_part(secular_matrix(system, params, lams, basis))
+            _hermitian_part(secular_matrix(system, params, lams))
         )
 
     theta_norm = float(np.linalg.norm(params.theta, 2))
@@ -203,7 +196,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     results = []
     if roots:
         lams = np.array([lam for lam, _ in roots])
-        ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams, basis)))
+        ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams)))
         for (lam, drop), w, u in zip(roots, ws, us):
             near = np.argsort(np.abs(w), kind="stable")[:drop]
             if np.max(np.abs(w[near])) > KERNEL_TOL:
@@ -231,7 +224,7 @@ def eigenfunction(system: WeylSystem, params: ExtensionParams, lam, zeta, grid):
     if norm == 0.0:
         raise ValueError("zero vector cannot define an eigenfunction")
     m = secular_matrix(system, params, lam)
-    basis = range_basis(params.pi)
+    basis = params.range_basis
     scale = 1.0 + (np.linalg.norm(m, 2) if m.size else 0.0)
     off_range = np.linalg.norm(zeta - basis @ (basis.conj().T @ zeta))
     in_kernel = np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else 0.0
@@ -273,7 +266,7 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
         return EigenpairReport(np.inf, np.inf, distance, True, np.inf, np.inf)
     m = secular_matrix(system, params, lam)
     smin = linalg.min_singular(m) if m.size else np.inf
-    basis = range_basis(params.pi)
+    basis = params.range_basis
     kernel_residual = float(
         np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else np.inf
     )

@@ -90,11 +90,10 @@ def depth_first_search(system, params, window):
     for bit.
     """
     from kreinext import spectral
-    from kreinext.krein import range_basis, require_valid, secular_matrix
+    from kreinext.krein import secular_matrix
 
     lo, hi = float(window[0]), float(window[1])
-    require_valid(params)
-    basis = range_basis(params.pi)
+    basis = params.range_basis
     gaps = tuple(system.excluded.gaps_in(lo, hi))
     segments = [
         (spectral._admissible_start(system.excluded, a), b)

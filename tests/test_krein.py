@@ -3,6 +3,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import (
@@ -35,22 +37,46 @@ def point_one():
 
 
 def test_validate_params_passes_full_swap():
-    p = ExtensionParams(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert kx.validate_params(p).passed
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert kx.validate_params(np.eye(2), swap).passed
+    p = ExtensionParams(np.eye(2), swap)
+    assert np.array_equal(p.range_basis @ p.range_basis.conj().T, np.eye(2))
+    assert p.kernel_basis.shape == (2, 0)
 
 
 def test_validate_params_range_violation():
-    p = ExtensionParams(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    report = kx.validate_params(p)
+    pi, theta = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    report = kx.validate_params(pi, theta)
     assert not report.passed
     assert report.residuals["operator_on_range"] > 1e-6
+    with pytest.raises(ValueError, match="operator_on_range") as excinfo:
+        ExtensionParams(pi, theta)
+    assert str(excinfo.value) == f"invalid extension parameters:\n{report}"
 
 
 def test_validate_params_non_selfadjoint_projector():
-    p = ExtensionParams(np.array([[1, 1], [0, 0]], dtype=complex), np.zeros((2, 2)))
-    report = kx.validate_params(p)
+    pi, theta = np.array([[1, 1], [0, 0]], dtype=complex), np.zeros((2, 2))
+    report = kx.validate_params(pi, theta)
     assert not report.passed
     assert report.residuals["projector_selfadjoint"] > 1e-6
+    with pytest.raises(ValueError, match="projector_selfadjoint") as excinfo:
+        ExtensionParams(pi, theta)
+    assert str(excinfo.value) == f"invalid extension parameters:\n{report}"
+
+
+@given(n=st.integers(1, 8), rank=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_label_bases_are_those_of_its_projector(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, n, rank=min(rank, n))
+    for got, want in (
+        (params.range_basis, kx.range_basis(params.pi)),
+        (params.kernel_basis, kx.kernel_basis(params.pi)),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert params.range_basis.shape[1] == min(rank, n)
+    assert params.kernel_basis.shape[1] == n - min(rank, n)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +112,9 @@ def test_secular_matrix_batch_equals_scalar_calls():
     system = kx.graph_weyl(kx.GraphModel((1.0, 1.6, 0.7)))
     params = random_params(rng, 6, rank=4)
     zs = np.array([-3.5, 0.0, 2.0, 1.0 + 2.0j, -20.0 - 0.5j])
-    basis = kx.range_basis(params.pi)
     stack = kx.secular_matrix(system, params, zs)
     assert stack.shape == (5, 4, 4)
     assert np.array_equal(stack, np.stack([kx.secular_matrix(system, params, z) for z in zs]))
-    assert np.array_equal(stack, kx.secular_matrix(system, params, zs, basis))
     assert kx.secular_matrix(system, ExtensionParams.trivial(6), zs).shape == (5, 0, 0)
 
 
@@ -166,10 +190,8 @@ def test_resolvent_computes_the_range_basis_once(monkeypatch, interval_pi):
     params = ExtensionParams.full(np.diag([0.3, -0.2]).astype(complex))
     x = np.linspace(0.0, PI, 801)
     kx.apply_resolvent(interval_pi, params, 1.0 + 1.0j, np.sin(x) + 0j, x)
-    assert len(calls) == 1
-    calls.clear()
     kx.krein_correction(interval_pi, params, 1.0 + 1.0j)
-    assert len(calls) == 1
+    assert len(calls) == 0  # the label carries its range basis
 
 
 def test_correction_point_scalar(point_one):
@@ -252,6 +274,19 @@ def test_resolvent_grid_too_coarse(interval_pi):
         kx.apply_resolvent(
             interval_pi, ExtensionParams.trivial(2), 1j, np.sin(x), x
         )
+
+
+def test_interval_resolvent_takes_a_list_or_tuple_grid(interval_pi):
+    params = ExtensionParams.full(np.diag([0.3, -0.2]).astype(complex))
+    x = np.linspace(0.0, PI, 801)
+    psi = np.sin(x) + 0j
+    want = kx.apply_resolvent(interval_pi, params, 1.0 + 1.0j, psi, x)
+    for grid in (x.tolist(), tuple(x)):
+        got = kx.apply_resolvent(interval_pi, params, 1.0 + 1.0j, psi, grid)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    coarse = np.linspace(0.0, PI, 100)
+    with pytest.raises(kx.GridTooCoarseError):
+        kx.apply_resolvent(interval_pi, params, 1j, np.sin(coarse), coarse.tolist())
 
 
 def test_resolvent_green_combination(point_one):

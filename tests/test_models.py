@@ -173,7 +173,7 @@ def test_vertex_params_gluing_projector():
     expected[1:3, 1:3] = 0.5
     assert np.allclose(params.pi, expected)
     assert np.allclose(params.theta, 0.0)
-    assert kx.validate_params(params).passed
+    assert kx.validate_params(params.pi, params.theta).passed
 
 
 def test_vertex_params_rejects_bad_partitions():
@@ -389,16 +389,26 @@ def test_batched_gamma_equals_scalar_calls_bit_for_bit(name):
     assert system.gamma(zs[:1]).shape == (1, system.n, system.n)
 
 
-def _scalar_dirichlet_contains(excluded, z):
-    # the guard evaluated one point at a time in Python floats
-    z = complex(z)
+def _scalar_dirichlet_poles(excluded, z):
+    # the candidate poles (n, a, pole) of one point, in Python floats
     for a in excluded.lengths:
         base = np.sqrt(max(-z.real, 0.0)) * a / np.pi
         for n in {max(1, int(np.floor(base))), max(1, int(np.ceil(base))), 1}:
-            pole = -((n * np.pi / a) ** 2)
-            if abs(z - pole) <= excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2:
-                return True
-    return False
+            yield n, a, -((n * np.pi / a) ** 2)
+
+
+def _scalar_dirichlet_contains(excluded, z):
+    # the guard evaluated one point at a time in Python floats
+    z = complex(z)
+    return any(
+        abs(z - pole) <= excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
+        for n, a, pole in _scalar_dirichlet_poles(excluded, z)
+    )
+
+
+def _scalar_dirichlet_distance(excluded, z):
+    z = complex(z)
+    return min(abs(z - pole) for _, _, pole in _scalar_dirichlet_poles(excluded, z))
 
 
 def _around(centre, radius):
@@ -421,6 +431,8 @@ def test_vectorised_dirichlet_guard_matches_scalar():
     assert np.array_equal(hit, [excluded.contains(complex(z)) for z in zs])
     assert np.array_equal(hit, [_scalar_dirichlet_contains(excluded, z) for z in zs])
     assert hit.any() and not hit.all()
+    distances = [excluded.distance(z) for z in zs]
+    assert distances == [_scalar_dirichlet_distance(excluded, z) for z in zs]
 
 
 def test_vectorised_half_line_guard_matches_scalar():
@@ -441,6 +453,23 @@ def test_batch_with_one_excluded_point_names_it(name, bad):
     zs = np.array([2.0 + 1j, 3.0, bad, 1.5 - 2j], dtype=complex)
     with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(bad)} ")):
         system.gamma(zs)
+
+
+@pytest.mark.parametrize("name", ["points_20", "spin"])
+def test_point_systems_check_z_once_per_call(monkeypatch, name):
+    system = BATCH_SYSTEMS[name]
+    calls = []
+    contains = kx.HalfLineExclusions.contains
+    monkeypatch.setattr(
+        kx.HalfLineExclusions, "contains", lambda self, z: calls.append(z) or contains(self, z)
+    )
+    zs = np.array([2.0 + 1j, 3.0, 1.5 - 2j])
+    system.gamma(zs)
+    system.gamma(2.5)
+    assert len(calls) == 2
+    system.gram(2.0 + 1j, 3.0)
+    system.gram(3.0, 3.0)
+    assert len(calls) == 4
 
 
 def test_edge_gram_overflow_is_a_model_failure():

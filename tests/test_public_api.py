@@ -6,6 +6,8 @@ scalar point model is the spin model with the single internal eigenvalue 0;
 their shared data must agree bit for bit.
 """
 
+import dataclasses
+import inspect
 import types
 
 import numpy as np
@@ -55,6 +57,24 @@ def test_kreinext_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == KREINEXT
+
+
+def test_label_signatures_and_frame():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(kx.validate_params) == ["pi", "theta"]
+    assert params(kx.secular_matrix) == ["system", "params", "z"]
+    assert params(kx.krein_correction) == ["system", "params", "z"]
+    fields = dataclasses.fields(kx.ExtensionParams)
+    assert [f.name for f in fields if f.init] == ["pi", "theta"]
+    assert [(f.name, f.repr, f.compare) for f in fields if not f.init] == [
+        ("range_basis", False, False),
+        ("kernel_basis", False, False),
+    ]
+    label = kx.ExtensionParams(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]))
+    assert label.range_basis.shape == (2, 1) and label.kernel_basis.shape == (2, 1)
+    assert "basis" not in repr(label)
 
 
 def test_verify_public_names():
