@@ -23,7 +23,6 @@ from .krein import (
     PointWeylSystem,
     SampledKernels,
     SmoothFunction,
-    TraceMaps,
     UnsupportedModelError,
     ValidationReport,
     WeylSystem,

@@ -35,7 +35,6 @@ __all__ = [
     "GridTooCoarseError",
     "GridMismatchError",
     "SmoothFunction",
-    "TraceMaps",
     "SampledKernels",
     "WeylSystem",
     "EdgeWeylSystem",
@@ -263,14 +262,6 @@ def _merge_intervals(intervals):
 
 
 @dataclass(frozen=True)
-class TraceMaps:
-    """Boundary value (rho) and boundary derivative (tau) maps on closed forms."""
-
-    rho: Callable
-    tau: Callable
-
-
-@dataclass(frozen=True)
 class SampledKernels:
     """The three sampled factors of the Krein formula, bound to one z and one grid.
 
@@ -327,21 +318,23 @@ class EdgeWeylSystem(WeylSystem):
 
     Functions on the edges are lists with one entry per edge (edge k owns
     boundary coordinates 2k and 2k + 1); with ``bare`` set, on the interval,
-    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert.
+    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert;
+    every map below takes edge functions in that shape and returns samples in it.
 
-    ``sampled_kernels(z, grid)`` gives the :class:`SampledKernels` of z on
-    uniform edge grids, from sin(kx) and sin(k(a - x)), k = sqrt(-z),
-    evaluated once per edge. It does not check z; :func:`apply_resolvent`
-    checks it once. Its quadrature maps raise :class:`GridMismatchError`
-    unless each grid runs uniformly from 0 to the edge length and the
-    samples have its length; ``apply`` and ``g_apply`` take any points.
-    ``trace_maps`` are rho/tau on closed forms, and ``g_closed(z, zeta)`` is
-    the list of per-edge closed forms of G(z) zeta.
+    ``sampled_kernels(z, grid)`` checks z and gives the
+    :class:`SampledKernels` of z on uniform edge grids, from sin(kx) and
+    sin(k(a - x)), k = sqrt(-z), evaluated once per edge; ``g_apply(z, zeta,
+    grid)`` is its ``apply``. Its quadrature maps raise
+    :class:`GridMismatchError` unless each grid runs uniformly from 0 to the
+    edge length and the samples have its length; ``apply`` and ``g_apply``
+    take any points. ``traces(parts)`` is the pair (rho, tau) of boundary
+    values and inward derivatives of closed forms, and ``g_closed(z, zeta)``
+    is the list of per-edge closed forms of G(z) zeta.
     """
 
     lengths: tuple
     sampled_kernels: Callable
-    trace_maps: TraceMaps
+    traces: Callable
     g_closed: Callable
     bare: bool = False
 
@@ -352,16 +345,6 @@ class EdgeWeylSystem(WeylSystem):
     def shaped(self, parts):
         """A list with one entry per edge, in the shape this system takes and returns."""
         return parts[0] if self.bare else list(parts)
-
-    def r_apply(self, z, samples, grid):
-        """Samples of the free resolvent R_0(z) applied to ``samples``, once z is checked."""
-        check_admissible(self.excluded, z)
-        return self.sampled_kernels(z, grid).resolvent(samples)
-
-    def g_adjoint_apply(self, z, samples, grid):
-        """G(conj(z))^* applied to ``samples``, a vector in C^n, once z is checked."""
-        check_admissible(self.excluded, z)
-        return self.sampled_kernels(z, grid).adjoint(samples)
 
 
 @dataclass(frozen=True)
@@ -431,20 +414,6 @@ class ExtensionParams:
         """pi = 0: the extension is the free operator itself."""
         z = np.zeros((n, n), dtype=complex)
         return cls(z, z.copy())
-
-    @classmethod
-    def from_range_basis(cls, vectors, theta_block, dim: int | None = None) -> "ExtensionParams":
-        """Build (pi, theta) from spanning vectors and the operator block on their span."""
-        pi = linalg.projector_from_span(vectors, dim=dim)
-        v = linalg.orthonormal_span(
-            vectors if isinstance(vectors, np.ndarray) else np.stack(
-                [np.asarray(x, dtype=complex) for x in vectors], axis=1
-            )
-        )
-        tb = linalg.as_square(theta_block)
-        if tb.shape[0] != v.shape[1]:
-            raise ValueError("operator block does not match the span dimension")
-        return cls(pi, v @ tb @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -591,8 +560,8 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     """Samples of the extension resolvent applied to sampled input.
 
     Computes free-resolvent samples plus the rank-<= n Krein correction
-    G(z) C(z) G(conj(z))^* psi. z is checked once, and the three sampled
-    factors come from one ``system.sampled_kernels(z, grid)`` call.
+    G(z) C(z) G(conj(z))^* psi. The three sampled factors come from one
+    ``system.sampled_kernels(z, grid)`` call, which checks z.
     Available for edge models (:class:`EdgeWeylSystem`); point-interaction
     models use :func:`apply_resolvent_green`.
     """
@@ -602,7 +571,7 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
             "use apply_resolvent_green with a Green-function combination"
         )
     _check_grid(system, grid)
-    z = system.require_admissible(z)
+    z = complex(z)
     kernels = system.sampled_kernels(z, grid)
     free = kernels.resolvent(psi)
     if params.range_basis.shape[1] == 0:
@@ -733,8 +702,8 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
         lhs += simpson(np.conj(pf(x)) * sq(x), dx)
         lhs -= simpson(np.conj(sp_(x)) * qf(x), dx)
 
-    tau_phi = np.asarray(system.trace_maps.tau(phi_star), dtype=complex)
-    tau_psi = np.asarray(system.trace_maps.tau(psi_star), dtype=complex)
+    tau_phi = np.asarray(system.traces(phi_star)[1], dtype=complex)
+    tau_psi = np.asarray(system.traces(psi_star)[1], dtype=complex)
     rhs = np.vdot(tau_phi, xi) - np.vdot(zeta, tau_psi)
     return float(abs(lhs - rhs))
 
@@ -745,9 +714,6 @@ class BoundaryReport:
 
     range_residual: float     # component of the boundary datum outside range(pi)
     coupling_residual: float  # || pi (derivative-type trace) - theta (value-type datum) ||
-
-    def passes(self, tol: float = 1e-10) -> bool:
-        return self.range_residual <= tol and self.coupling_residual <= tol
 
 
 def boundary_condition_residuals(
@@ -764,9 +730,10 @@ def boundary_condition_residuals(
     zeta = np.asarray(zeta, dtype=complex)
     pi, theta = params.pi, params.theta
     if isinstance(system, EdgeWeylSystem):
-        rho = np.asarray(system.trace_maps.rho(part), dtype=complex) + zeta
+        rho, tau = system.traces(part)
+        rho = np.asarray(rho, dtype=complex) + zeta
         reg = 0.5 * (system.gamma(1j) + system.gamma(-1j))
-        tau = np.asarray(system.trace_maps.tau(part), dtype=complex) - reg @ zeta
+        tau = np.asarray(tau, dtype=complex) - reg @ zeta
         return BoundaryReport(
             float(np.linalg.norm(rho - pi @ rho)),
             float(np.linalg.norm(pi @ tau - theta @ rho)),

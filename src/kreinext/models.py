@@ -1,12 +1,14 @@
 """Concrete boundary models.
 
-Two builders carry the models, and two public ones are their special cases:
+One private builder per model family carries the models; the public ones
+call it:
 
 * :func:`graph_weyl` -- the edgewise direct sum of intervals (a metric graph
   before any vertex identification); boundary space C^{2K}.
 * :func:`interval_weyl` -- the second-derivative operator on (0, a) restricted
-  below its Dirichlet realisation: the one-edge graph, taking bare sample
-  arrays where the graph takes one-element lists; boundary space C^2.
+  below its Dirichlet realisation: the one-edge graph from the same builder,
+  taking bare sample arrays where the graph takes one-element lists;
+  boundary space C^2.
 * :func:`spin_weyl` -- the vector-valued point model with an internal
   Hermitian term, block diagonal over its eigenchannels at shifted energies.
 * :func:`point_weyl` -- the 3-D Laplacian restricted off n centres: the spin
@@ -45,7 +47,6 @@ from .krein import (
     PointWeylSystem,
     SampledKernels,
     SmoothFunction,
-    TraceMaps,
     check_admissible,
 )
 from .quad import cumulative_simpson, simpson
@@ -158,10 +159,6 @@ class SpinPointModel:
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def dim_internal(self) -> int:
-        return len(self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +484,29 @@ def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
     coordinates 2k and 2k+1 for its left and right endpoints). Gamma and the
     Gram matrix are block-diagonal closed forms, one 2 x 2 block per edge;
     the free resolvent and the adjoint deficiency map act on uniform samples
-    by Simpson quadrature. ``g_apply`` is ``sampled_kernels(z, grids).apply``
-    after a check of z.
+    by Simpson quadrature.
     """
-    lengths = model.lengths
-    K = model.n_edges
+    return _edge_system(model.lengths, "graph", bare=False)
+
+
+def interval_weyl(model: IntervalModel) -> EdgeWeylSystem:
+    """Weyl system of the interval model: the one-edge graph (0, a).
+
+    Only the shapes differ from the graph's: sample arrays and grids are
+    bare where the graph takes and returns one-element lists.
+    """
+    return _edge_system((model.a,), "interval", bare=True)
+
+
+def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
+    """The Weyl system of the edges (0, a_k); with ``bare``, of the one edge.
+
+    The maps take and return edge functions through the ``edges`` and
+    ``shaped`` methods of the system they are bound into, which own the
+    shape rule, and every map that takes z checks it first.
+    """
+    graph = GraphModel(lengths)
+    lengths, K = graph.lengths, graph.n_edges
     excluded = DirichletExclusions(lengths)
 
     def gamma(z):
@@ -506,34 +521,36 @@ def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
         check_admissible(excluded, (z, w))
         return _edge_gram_blocks(lengths, z, w)
 
-    def sampled_kernels(z, grids):
+    def sampled_kernels(z, grid):
+        check_admissible(excluded, z)
+        grids = system.edges(grid)
         if len(grids) != K:
             raise GridMismatchError(f"need one grid per edge: {len(grids)} grids for {K} edges")
         edges = [_EdgeKernels(a, z, grids[k], k) for k, a in enumerate(lengths)]
 
-        def per_edge(parts):
+        def per_edge(psi):
+            parts = system.edges(psi)
             if len(parts) != K:
                 raise GridMismatchError(f"need one sample array per edge: {len(parts)} for {K} edges")
             return zip(edges, parts)
 
-        def resolvent(psis):
-            return [edge.resolvent(psi) for edge, psi in per_edge(psis)]
+        def resolvent(psi):
+            return system.shaped([edge.resolvent(part) for edge, part in per_edge(psi)])
 
-        def adjoint(psis):
+        def adjoint(psi):
             out = np.empty(2 * K, dtype=complex)
-            for k, (edge, psi) in enumerate(per_edge(psis)):
-                out[2 * k : 2 * k + 2] = edge.adjoint(psi)
+            for k, (edge, part) in enumerate(per_edge(psi)):
+                out[2 * k : 2 * k + 2] = edge.adjoint(part)
             return out
 
         def apply(zeta):
             zeta = np.asarray(zeta, dtype=complex)
-            return [edge.apply(zeta[2 * k : 2 * k + 2]) for k, edge in enumerate(edges)]
+            return system.shaped([edge.apply(zeta[2 * k : 2 * k + 2]) for k, edge in enumerate(edges)])
 
         return SampledKernels(resolvent, adjoint, apply)
 
-    def g_apply(z, zeta, grids):
-        check_admissible(excluded, z)
-        return sampled_kernels(z, grids).apply(zeta)
+    def g_apply(z, zeta, grid):
+        return sampled_kernels(z, grid).apply(zeta)
 
     def g_closed(z, zeta):
         check_admissible(excluded, z)
@@ -543,51 +560,23 @@ def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
             for k, a in enumerate(lengths)
         ]
 
-    traces = TraceMaps(
-        rho=lambda parts: graph_traces(model, parts)[0],
-        tau=lambda parts: graph_traces(model, parts)[1],
-    )
-    return EdgeWeylSystem(
+    def traces(parts):
+        return graph_traces(graph, system.edges(parts))
+
+    system = EdgeWeylSystem(
         n=2 * K,
-        kind="graph",
+        kind=kind,
         excluded=excluded,
         gamma=gamma,
         gram=gram,
         g_apply=g_apply,
         lengths=lengths,
         sampled_kernels=sampled_kernels,
-        trace_maps=traces,
+        traces=traces,
         g_closed=g_closed,
+        bare=bare,
     )
-
-
-def interval_weyl(model: IntervalModel) -> EdgeWeylSystem:
-    """Weyl system of the interval model: the one-edge graph (0, a).
-
-    Only the shapes differ from the graph's: sample arrays, grids and closed
-    forms are bare where the graph takes and returns one-element lists. The
-    graph's maps are lifted through :meth:`EdgeWeylSystem.edges` and
-    :meth:`EdgeWeylSystem.shaped`, which own that rule.
-    """
-    graph = graph_weyl(GraphModel((model.a,)))
-    system = dataclasses.replace(graph, kind="interval", bare=True)
-    edges, shaped = system.edges, system.shaped
-    kernels, g_apply, traces = graph.sampled_kernels, graph.g_apply, graph.trace_maps
-
-    def sampled_kernels(z, grid):
-        edge = kernels(z, edges(grid))
-        return SampledKernels(
-            lambda psi: shaped(edge.resolvent(edges(psi))),
-            lambda psi: edge.adjoint(edges(psi)),
-            lambda zeta: shaped(edge.apply(zeta)),
-        )
-
-    return dataclasses.replace(
-        system,
-        g_apply=lambda z, zeta, grid: shaped(g_apply(z, zeta, edges(grid))),
-        sampled_kernels=sampled_kernels,
-        trace_maps=TraceMaps(lambda fn: traces.rho(edges(fn)), lambda fn: traces.tau(edges(fn))),
-    )
+    return system
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ checks the defining conditions of each picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,16 +42,25 @@ ANGLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Matrix pair (b1, b2) describing the relation b1 zeta_1 = b2 zeta_2."""
+    """Matrix pair (b1, b2) describing the relation b1 zeta_1 = b2 zeta_2.
+
+    Building a pair checks it once: ``conditions`` holds the
+    :class:`PairConditions` of :func:`check_pair_conditions`. It is no
+    init, repr or compare field, and every conversion reads it. A pair that
+    fails its conditions can still be built, so that its report can be
+    shown; the conversions from it raise :class:`PairConditionError`.
+    """
 
     b1: np.ndarray
     b2: np.ndarray
+    conditions: PairConditions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b1", linalg.as_square(self.b1))
         object.__setattr__(self, "b2", linalg.as_square(self.b2))
         if self.b1.shape != self.b2.shape:
             raise ValueError("boundary pair matrices must share one dimension")
+        object.__setattr__(self, "conditions", check_pair_conditions(self))
 
     @property
     def n(self) -> int:
@@ -149,6 +158,11 @@ class PairConditions:
 
 
 def check_pair_conditions(pair: BoundaryPair) -> PairConditions:
+    """Residuals and verdicts of the pair conditions of (pair.b1, pair.b2).
+
+    :class:`BoundaryPair` runs it once, when it is built, and stores the
+    result as ``pair.conditions``.
+    """
     b1, b2 = pair.b1, pair.b2
     n = pair.n
     scale = 1.0 + np.linalg.norm(b1, 2) * np.linalg.norm(b2, 2)
@@ -198,9 +212,11 @@ def params_from_pair(pair: BoundaryPair) -> ExtensionParams:
     The projector is the orthogonal projection onto the orthogonal
     complement of ker(B2); the operator is pi B1^* (B2^* pi~)^{-1} pi with
     pi~ projecting onto the complement of ker(B2^*), the inverse taken as a
-    pseudo-inverse restricted to the range of B2^*.
+    pseudo-inverse restricted to the range of B2^*. The pair's stored
+    ``conditions`` must hold, or :class:`PairConditionError` names those
+    that failed.
     """
-    conditions = check_pair_conditions(pair)
+    conditions = pair.conditions
     if not conditions.all_ok:
         raise PairConditionError(conditions.failed)
     b1, b2 = pair.b1, pair.b2
@@ -225,7 +241,7 @@ def relation_from_params(params: ExtensionParams) -> SelfAdjointRelation:
 
 def relation_from_pair(pair: BoundaryPair) -> SelfAdjointRelation:
     """The relation {(B2^* zeta, B1^* zeta) : zeta in C^n}."""
-    conditions = check_pair_conditions(pair)
+    conditions = pair.conditions
     if not conditions.all_ok:
         raise PairConditionError(conditions.failed)
     return SelfAdjointRelation(

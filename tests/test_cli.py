@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext import cli
+from kreinext import cli, parametrize
 from kreinext import serialize as ser
 from kreinext.cli import main
 
@@ -282,6 +282,51 @@ def test_convert_corrupted_pair_exits_3(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "pair-conditions-failed"
     assert "nondeg" in err["error"]["detail"]["failed"]
+
+
+def robin_convert_job(tmp_path, kind):
+    """A convert job for the interval pair B1 = diag(0.3, 1), B2 = diag(1, 0.5)."""
+    pair = kx.BoundaryPair(np.diag([0.3, 1.0]), np.diag([1.0, 0.5]))
+    if kind == "pair":
+        ext = ser.pair_to_obj(pair)
+    else:
+        ext = ser.params_to_obj(kx.params_from_pair(pair))
+    ext["kind"] = kind
+    doc = {"model": {"type": "interval", "a": PI}, "extension": ext, "task": {"name": "convert"}}
+    return write_job(tmp_path / f"{kind}.json", doc)
+
+
+@pytest.mark.parametrize("kind, pairs_built", [("params", 1), ("pair", 2)])
+def test_convert_checks_each_pair_once(tmp_path, monkeypatch, kind, pairs_built):
+    # params: the pair of the label; pair: the input and the round trip's pair
+    job = robin_convert_job(tmp_path, kind)
+    checked = []
+    check = parametrize.check_pair_conditions
+
+    def counting(pair):
+        checked.append(pair)
+        return check(pair)
+
+    monkeypatch.setattr(parametrize, "check_pair_conditions", counting)
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    assert len(checked) == len({id(pair) for pair in checked}) == pairs_built
+
+
+def test_convert_round_trip_of_a_pair_goes_through_params(tmp_path, monkeypatch):
+    job = robin_convert_job(tmp_path, "pair")
+    assert main([job, "--out", str(tmp_path / "exact")]) == 0
+    exact = json.loads((tmp_path / "exact" / "convert.json").read_text())["round_trip"]
+    assert exact["pi_residual"] < 1e-12 and exact["theta_residual"] < 1e-12
+
+    convert = cli.pair_from_params
+
+    def perturbed(params):
+        return convert(kx.ExtensionParams(params.pi, params.theta + 1e-3 * params.pi))
+
+    monkeypatch.setattr(cli, "pair_from_params", perturbed)
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "convert.json").read_text())
+    assert doc["round_trip"]["theta_residual"] > 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def test_resolvent_trivial_projector_is_free(interval_pi):
     psi = np.sin(2 * x) + 0j
     p = ExtensionParams.trivial(2)
     phi = kx.apply_resolvent(interval_pi, p, 1 + 1j, psi, x)
-    free = interval_pi.r_apply(1 + 1j, psi, x)
+    free = interval_pi.sampled_kernels(1 + 1j, x).resolvent(psi)
     assert np.allclose(phi, free)
 
 

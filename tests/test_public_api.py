@@ -22,7 +22,7 @@ KREINEXT = [
     "GridMismatchError", "GridTooCoarseError", "HalfLineExclusions", "IntervalModel",
     "ModelConsistencyError", "PairConditionError", "PairConditions", "PointModel",
     "PointWeylSystem", "SampledKernels", "SelfAdjointRelation", "SmoothFunction",
-    "SpectrumResult", "SpinPointModel", "TraceMaps", "UnsupportedModelError",
+    "SpectrumResult", "SpinPointModel", "UnsupportedModelError",
     "ValidationReport", "VertexGroup", "VonNeumannBlock", "WeylSystem",
     "apply_resolvent", "apply_resolvent_green", "bisect_root",
     "boundary_condition_residuals", "check_pair_conditions", "conjugation_residual",
@@ -75,6 +75,21 @@ def test_label_signatures_and_frame():
     label = kx.ExtensionParams(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]))
     assert label.range_basis.shape == (2, 1) and label.kernel_basis.shape == (2, 1)
     assert "basis" not in repr(label)
+
+
+def test_edge_system_fields_and_pair_conditions():
+    fields = [f.name for f in dataclasses.fields(kx.EdgeWeylSystem)]
+    assert fields == [
+        "n", "kind", "excluded", "gamma", "gram", "g_apply",
+        "lengths", "sampled_kernels", "traces", "g_closed", "bare",
+    ]
+    interval = kx.interval_weyl(kx.IntervalModel(PI))
+    assert not hasattr(interval, "r_apply") and not hasattr(interval, "g_adjoint_apply")
+    [conditions] = [f for f in dataclasses.fields(kx.BoundaryPair) if not f.init]
+    assert (conditions.name, conditions.repr, conditions.compare) == ("conditions", False, False)
+    pair = kx.BoundaryPair(np.eye(2), np.diag([0.5, 0.0]))
+    assert pair.conditions == kx.check_pair_conditions(pair)
+    assert "conditions" not in repr(pair)
 
 
 def test_verify_public_names():

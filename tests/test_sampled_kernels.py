@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import ExcludedPointError, ExtensionParams, GridMismatchError, models
+from kreinext.verify import edge_grids
 
 from helpers import reference_g_adjoint, reference_g_columns, reference_r_apply
 
@@ -28,13 +29,12 @@ def _samples(rng, x):
     return rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
 
 
-def _check_edge(system, kernels, a, z, x, psi, zeta):
-    """The shared maps and the guarded fields against the per-field reference kernels."""
+def _check_edge(system, a, z, x, psi, zeta):
+    """The shared maps and ``g_apply`` against the per-field reference kernels."""
+    kernels = system.sampled_kernels(z, x)
     _same(kernels.resolvent(psi), reference_r_apply(a, z, psi, x))
     _same(kernels.adjoint(psi), reference_g_adjoint(a, z, psi, x))
     _same(kernels.apply(zeta), reference_g_columns(a, z, x) @ zeta)
-    _same(system.r_apply(z, psi, x), reference_r_apply(a, z, psi, x))
-    _same(system.g_adjoint_apply(z, psi, x), reference_g_adjoint(a, z, psi, x))
     _same(system.g_apply(z, zeta, x), reference_g_columns(a, z, x) @ zeta)
 
 
@@ -50,7 +50,7 @@ def test_interval_kernels_bit_identical(z, nodes):
     rng = np.random.default_rng(nodes)
     psi = _samples(rng, x)
     zeta = np.array([0.7 - 0.2j, -0.3 + 0.4j])
-    _check_edge(system, system.sampled_kernels(z, x), PI, z, x, psi, zeta)
+    _check_edge(system, PI, z, x, psi, zeta)
 
 
 def _polar(magnitude, angle):
@@ -73,7 +73,7 @@ def test_interval_kernels_bit_identical_log_uniform(z):
     assume(not system.excluded.contains(z))
     x = np.linspace(0.0, PI, 2001)
     psi = kx.poly_bump(PI)(x) * (1 + 0.5j)
-    _check_edge(system, system.sampled_kernels(z, x), PI, z, x, psi, np.array([1.0, -2j]))
+    _check_edge(system, PI, z, x, psi, np.array([1.0, -2j]))
 
 
 @pytest.mark.parametrize("nodes", [501, 2000, 2001])
@@ -90,9 +90,6 @@ def test_graph_kernels_bit_identical(nodes, z):
         _same(free[k], reference_r_apply(a, z, psi, x))
         _same(adjoint[2 * k : 2 * k + 2], reference_g_adjoint(a, z, psi, x))
         _same(applied[k], reference_g_columns(a, z, x) @ zeta[2 * k : 2 * k + 2])
-    _same(system.g_adjoint_apply(z, psis, grids), adjoint)
-    for got, want in zip(system.r_apply(z, psis, grids), free):
-        _same(got, want)
     for got, want in zip(system.g_apply(z, zeta, grids), applied):
         _same(got, want)
 
@@ -152,9 +149,9 @@ def test_apply_resolvent_rejects_a_grid_that_does_not_fit(name):
     with pytest.raises(GridMismatchError, match="edge 0"):
         kx.apply_resolvent(system, params, 1 + 1j, psi, grid)
     with pytest.raises(GridMismatchError):
-        system.r_apply(1 + 1j, psi, grid)
+        system.sampled_kernels(1 + 1j, grid).resolvent(psi)
     with pytest.raises(GridMismatchError):
-        system.g_adjoint_apply(1 + 1j, psi, grid)
+        system.sampled_kernels(1 + 1j, grid).adjoint(psi)
 
 
 def test_fitting_grid_passes_and_samples_must_match_it():
@@ -219,6 +216,24 @@ def test_g_apply_takes_arbitrary_points():
 
 # ---------------------------------------------------------------------------
 # each z is checked once, and still checked
+
+
+@pytest.mark.parametrize(
+    "system",
+    [kx.interval_weyl(kx.IntervalModel(PI)), kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))],
+    ids=["interval", "graph"],
+)
+def test_sampled_kernels_reject_a_dirichlet_pole(system):
+    z = -((PI / system.lengths[0]) ** 2)  # the first pole of edge 0: -1.0 on the interval
+    grid = edge_grids(system, 2001)
+    message = re.escape(f"z={complex(z)} lies in the excluded spectral set: {system.excluded.describe()}")
+    with pytest.raises(ExcludedPointError, match=message):
+        system.sampled_kernels(z, grid)
+    with pytest.raises(ExcludedPointError, match=message):
+        system.g_apply(z, np.ones(system.n), grid)
+    # z is checked before the grids are
+    with pytest.raises(ExcludedPointError, match=message):
+        system.sampled_kernels(z, [np.linspace(0.0, 1.0, 11)] * 3)
 
 
 def test_secular_matrix_still_rejects_excluded_points():

@@ -262,7 +262,7 @@ def test_pole_blowup_probe_interval():
 
     def correction_norm(z):
         corr = kx.krein_correction(system, params, z)
-        weights = corr @ system.g_adjoint_apply(z, psi, x)
+        weights = corr @ system.sampled_kernels(z, x).adjoint(psi)
         return np.max(np.abs(system.g_apply(z, weights, x)))
 
     near = correction_norm(lam + 1e-6j)
