@@ -170,7 +170,7 @@ def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
         )
     params = _load_extension(config.get("extension"), system.n)
     z = serialize.complex_from_pair(task.get("z", [1.0, 1.0]))
-    nodes = int(grid_override or task.get("grid", 2000))
+    nodes = int(grid_override if grid_override is not None else task.get("grid", 2000))
     grids = verify.edge_grids(system, nodes)
     spec = task.get("input", {"preset": "sin_k", "k": 1})
     if spec.get("preset") not in verify.PRESETS:

@@ -305,12 +305,6 @@ class WeylSystem:
     gram: Callable[[complex, complex], np.ndarray]
     g_apply: Callable
 
-    def require_admissible(self, z):
-        """z as a complex scalar, or a complex array for an array, once every
-        entry is checked against the excluded set."""
-        check_admissible(self.excluded, z)
-        return complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-
 
 @dataclass(frozen=True)
 class EdgeWeylSystem(WeylSystem):
@@ -479,10 +473,10 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
     :class:`ModelConsistencyError` naming its z, so no NaN reaches LAPACK.
     """
     v = params.range_basis
-    if v.shape[1] == 0:
-        z = system.require_admissible(z)
-        return np.zeros(np.shape(z) + (0, 0), dtype=complex)
     z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    if v.shape[1] == 0:
+        check_admissible(system.excluded, z)
+        return np.zeros(np.shape(z) + (0, 0), dtype=complex)
     m = v.conj().T @ (params.theta + system.gamma(z)) @ v
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
@@ -491,13 +485,23 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
     return m
 
 
-def _secular_sigma(system, params, z):
-    """The secular matrix at z with its smallest and largest singular values."""
+def _secular_verdict(system, params, z):
+    """(m, sigma_min, regular) at the scalar z: the secular matrix, its
+    smallest singular value and sigma_min > SINGULARITY_RTOL (1 + ||m||_2);
+    see :func:`is_regular_point` for the raise at a nonreal singular z."""
+    z = complex(z)
     m = secular_matrix(system, params, z)
     if m.shape[0] == 0:
-        return m, np.inf, 0.0
+        return m, np.inf, True
     s = np.linalg.svd(m, compute_uv=False)
-    return m, float(s[-1]), float(s.max())
+    smin = float(s[-1])
+    regular = smin > SINGULARITY_RTOL * (1.0 + float(s.max()))
+    if not regular and z.imag != 0.0:
+        raise ModelConsistencyError(
+            f"secular matrix singular at nonreal z={z} (sigma_min={smin:.3e}); "
+            "the Weyl family violates its defining identities"
+        )
+    return m, smin, regular
 
 
 def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
@@ -507,15 +511,7 @@ def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
     secular matrix off the real axis therefore raises
     :class:`ModelConsistencyError` instead of returning False.
     """
-    z = complex(z)
-    _, smin, norm = _secular_sigma(system, params, z)
-    ok = smin > SINGULARITY_RTOL * (1.0 + norm)
-    if not ok and z.imag != 0.0:
-        raise ModelConsistencyError(
-            f"secular matrix singular at nonreal z={z} (sigma_min={smin:.3e}); "
-            "the Weyl family violates its defining identities"
-        )
-    return ok
+    return _secular_verdict(system, params, z)[2]
 
 
 def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
@@ -529,12 +525,8 @@ def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarr
     n = params.n
     if v.shape[1] == 0:
         return np.zeros((n, n), dtype=complex)
-    m, smin, norm = _secular_sigma(system, params, z)
-    if smin <= SINGULARITY_RTOL * (1.0 + norm):
-        if z.imag != 0.0:
-            raise ModelConsistencyError(
-                f"secular matrix singular at nonreal z={z} (sigma_min={smin:.3e})"
-            )
+    m, smin, regular = _secular_verdict(system, params, z)
+    if not regular:
         raise ExtensionSingularError(
             f"z={z} is in the extension's point spectrum to working precision "
             f"(sigma_min={smin:.3e})",
@@ -604,7 +596,8 @@ def apply_resolvent_green(
     needed; this is the supported route for point-interaction models. z must
     differ from every combination node; each node is checked by ``system.gram``.
     """
-    z = system.require_admissible(z)
+    check_admissible(system.excluded, z)
+    z = complex(z)
     n = system.n
     adjoint = np.zeros(n, dtype=complex)
     new_terms: dict = {}
@@ -639,25 +632,31 @@ def green_norm(system: WeylSystem, combo: GreenCombination) -> float:
 def difference_identity_residual(system: WeylSystem, z, v, gram=None) -> float:
     """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||, a correctness probe.
 
-    ``gram`` replaces ``system.gram``: pass an independent one (such as
-    :func:`kreinext.oracle.simpson_gram`) so that a closed-form Gram matrix
-    is not checked against itself.
+    Gamma(z) and Gamma(v) come from one ``system.gamma`` call, which checks
+    both, even when z == v. ``gram`` replaces ``system.gram``: pass an
+    independent one (such as :func:`kreinext.oracle.simpson_gram`) so that
+    a closed-form Gram matrix is not checked against itself.
     """
-    z = system.require_admissible(z)
-    v = system.require_admissible(v)
+    at_z, at_v = system.gamma(np.array([z, v], dtype=complex))
+    z, v = complex(z), complex(v)
     if z == v:
         return 0.0
     gram = gram or system.gram
-    return float(np.linalg.norm(system.gamma(z) - system.gamma(v) - (z - v) * gram(z, v), 2))
+    return float(np.linalg.norm(at_z - at_v - (z - v) * gram(z, v), 2))
 
 
-def conjugation_residual(system: WeylSystem, z) -> float:
-    """|| Gamma(z)^* - Gamma(conj(z)) ||."""
-    z = system.require_admissible(z)
-    system.require_admissible(np.conj(z))
-    return float(
-        np.linalg.norm(system.gamma(z).conj().T - system.gamma(np.conj(z)), 2)
-    )
+def conjugation_residual(system: WeylSystem, z):
+    """|| Gamma(z)^* - Gamma(conj(z)) ||_2, the conjugation identity probe.
+
+    A scalar z gives a float, a 1-D array of m values the m residuals, all
+    from one ``system.gamma`` call on z and its conjugates, which checks
+    every point. At real z the residual measures the Hermiticity of Gamma.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    m = zs.shape[0]
+    g = system.gamma(np.concatenate([zs, zs.conj()]))
+    res = np.linalg.norm(np.swapaxes(g[:m], -2, -1).conj() - g[m:], 2, axis=(-2, -1))
+    return float(res[0]) if np.ndim(z) == 0 else res
 
 
 def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -> float:
@@ -732,7 +731,8 @@ def boundary_condition_residuals(
     if isinstance(system, EdgeWeylSystem):
         rho, tau = system.traces(part)
         rho = np.asarray(rho, dtype=complex) + zeta
-        reg = 0.5 * (system.gamma(1j) + system.gamma(-1j))
+        at_i, at_minus_i = system.gamma(np.array([1j, -1j]))
+        reg = 0.5 * (at_i + at_minus_i)
         tau = np.asarray(tau, dtype=complex) - reg @ zeta
         return BoundaryReport(
             float(np.linalg.norm(rho - pi @ rho)),

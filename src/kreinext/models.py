@@ -30,7 +30,6 @@ same arithmetic.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -128,6 +127,8 @@ class PointModel:
         c = np.asarray(self.centers, dtype=float)
         if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1:
             raise ValueError("centers must be an (n, 3) array of points")
+        if not np.isfinite(c).all():
+            raise ValueError("centers must be finite")
         object.__setattr__(self, "centers", c)
         d = _pairwise_distances(c)
         object.__setattr__(self, "_distances", d)
@@ -154,6 +155,8 @@ class SpinPointModel:
         b = tuple(float(x) for x in self.b)
         if not b:
             raise ValueError("need at least one internal eigenvalue")
+        if not np.isfinite(b).all():
+            raise ValueError(f"internal eigenvalues must be finite, got {b}")
         object.__setattr__(self, "b", b)
 
     @property
@@ -746,24 +749,12 @@ def point_green_regular_part(model: PointModel, lam, coeff):
 def point_weyl(model: PointModel) -> PointWeylSystem:
     """Weyl system of the point-interaction model: the spin model with b = (0,).
 
-    ``g_apply`` samples G(z) zeta on (m, 3) point grids. Only two shapes
-    differ from the one-channel spin system's: ``g_apply`` returns (m,), not
-    (1, m), and ``renorm_trace`` takes a continuous part of shape (n,), not
-    (1, n).
+    One spin-builder call; ``g_apply`` samples G(z) zeta on (m, 3) point
+    grids. Only two shapes differ from the one-channel spin system's:
+    ``g_apply`` returns (m,), not (1, m), and ``renorm_trace`` takes a
+    continuous part of shape (n,), not (1, n).
     """
-    spin = _spin_system(model, (0.0,), "points")
-    g_apply, renorm_trace = spin.g_apply, spin.renorm_trace
-
-    def one_channel(part):
-        if callable(part):
-            return lambda points: np.asarray(part(points))[None]
-        return np.asarray(part)[None]
-
-    return dataclasses.replace(
-        spin,
-        g_apply=lambda z, zeta, grid: g_apply(z, zeta, grid)[0],
-        renorm_trace=lambda part, zeta: renorm_trace(one_channel(part), zeta),
-    )
+    return _spin_system(model, (0.0,), "points", bare=True)
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +773,9 @@ def spin_weyl(model: SpinPointModel) -> PointWeylSystem:
     return _spin_system(PointModel(model.centers), model.b, "spin_points")
 
 
-def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
+def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> PointWeylSystem:
+    """The Weyl system of the channels z - b_i; with ``bare``, of the one
+    channel b = (0,), whose samples and continuous parts drop the channel axis."""
     n, d = point.n_centers, len(b)
     # z off (-inf, max b] puts every shifted z - b_i off (-inf, 0]: one check per call
     excluded = HalfLineExclusions(max(b))
@@ -813,7 +806,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
         out = np.empty((d, pts.shape[0]), dtype=complex)
         for i, shift in enumerate(b):
             out[i] = _point_g_values(point, z - shift, zeta[i * n : (i + 1) * n], pts)
-        return out
+        return out[0] if bare else out
 
     def renorm_trace(part, zeta):
         zeta = np.asarray(zeta, dtype=complex)
@@ -821,6 +814,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str) -> PointWeylSystem:
             vals = np.asarray(part(point.centers), dtype=complex)
         else:
             vals = np.asarray(part, dtype=complex)
+        vals = vals[None] if bare else vals
         if vals.shape != (d, n):
             raise ValueError("continuous part must give a (channels, centers) array")
         out = np.empty(n * d, dtype=complex)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .krein import ExtensionParams, WeylSystem, secular_matrix
+from .krein import ExtensionParams, WeylSystem, _secular_verdict, secular_matrix
 
 __all__ = [
     "EigenResult",
@@ -254,18 +253,19 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
     excluded set (with a flag when lambda sits inside it), and the boundary
     condition residuals of the synthesized eigenfunction G(lambda) zeta,
     which hold for every model through pi Gamma(lambda) zeta + theta zeta.
+    A zero zeta raises ``ValueError``, as in :func:`eigenfunction`.
     """
     lam = float(lam)
     zeta = np.asarray(zeta, dtype=complex)
     norm = np.linalg.norm(zeta)
-    if norm > 0:
-        zeta = zeta / norm
+    if norm == 0.0:
+        raise ValueError("zero vector cannot define an eigenfunction")
+    zeta = zeta / norm
     excluded = bool(system.excluded.contains(lam))
     distance = float(system.excluded.distance(lam))
     if excluded:
         return EigenpairReport(np.inf, np.inf, distance, True, np.inf, np.inf)
-    m = secular_matrix(system, params, lam)
-    smin = linalg.min_singular(m) if m.size else np.inf
+    m, smin, _ = _secular_verdict(system, params, lam)
     basis = params.range_basis
     kernel_residual = float(
         np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else np.inf

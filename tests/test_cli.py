@@ -382,6 +382,38 @@ def test_verify_fault_injection_fails(tmp_path, capsys):
 # error handling and determinism
 
 
+INVALID_INPUTS = {
+    "nan-centre": (
+        {"model": {"type": "points", "centers": [[0, 0, 0], [1, 0, float("nan")]]}, "task": {"name": "verify"}},
+        [],
+        "ValueError: centers must be finite",
+    ),
+    "infinite-b": (
+        {
+            "model": {"type": "spin_points", "centers": [[0, 0, 0]], "b": [0, float("inf")]},
+            "task": {"name": "spectrum", "window": [0.1, 3.0]},
+        },
+        [],
+        "ValueError: internal eigenvalues must be finite, got (0.0, inf)",
+    ),
+    "grid-0": (
+        interval_job({"name": "resolvent", "z": [1.0, 1.0]}),
+        ["--grid", "0"],
+        "GridTooCoarseError: need at least 501 nodes per edge, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_exits_1(tmp_path, capsys, case):
+    doc, flags, message = INVALID_INPUTS[case]
+    job = write_job(tmp_path / "job.json", doc)
+    assert main([job, "--out", str(tmp_path / "out"), *flags]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"code": "invalid-config", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main([str(tmp_path / "nope.json")]) == 1
     err = json.loads(capsys.readouterr().err)

@@ -13,7 +13,7 @@ from kreinext import (
     ExtensionSingularError,
     GreenCombination,
 )
-from kreinext import krein
+from kreinext import krein, verify
 from kreinext.quad import simpson
 
 from helpers import one_sided_derivatives, random_hermitian, random_params
@@ -376,6 +376,68 @@ def test_excluded_point_rejected(interval_pi):
         interval_pi.gamma(-1.0)  # Dirichlet point for a = pi
     with pytest.raises(ExcludedPointError):
         kx.secular_matrix(interval_pi, ExtensionParams.full(np.zeros((2, 2))), -4.0)
+    # the probes check z through Gamma, before any shortcut
+    with pytest.raises(ExcludedPointError, match=r"^z=\(-1\+0j\) lies"):
+        kx.difference_identity_residual(interval_pi, -1.0, -1.0)
+    with pytest.raises(ExcludedPointError, match=r"^z=\(-4\+0j\) lies"):
+        kx.conjugation_residual(interval_pi, np.array([1j, -4.0]))
+
+
+def _probe_systems():
+    return {
+        "edge": kx.graph_weyl(kx.GraphModel((PI, 1.3))),
+        "points": kx.point_weyl(kx.PointModel([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]])),
+        "spin": kx.spin_weyl(kx.SpinPointModel([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]], (0.0, 1.5))),
+    }
+
+
+@pytest.mark.parametrize("name", ["edge", "points", "spin"])
+def test_conjugation_residual_takes_an_array(name):
+    system = _probe_systems()[name]
+    complex_points, real_points = verify.z_grid(system)
+    grid20 = np.array(complex_points + real_points)
+    calls = []
+
+    def gamma(z):
+        calls.append(np.shape(z))
+        return system.gamma(z)
+
+    got = kx.conjugation_residual(dataclasses.replace(system, gamma=gamma), grid20)
+    assert calls == [(40,)]
+    want = np.array([kx.conjugation_residual(system, z) for z in grid20])
+    assert got.shape == (20,) and got.tobytes() == want.tobytes()
+    assert max(got) < 1e-12
+
+
+def _count_verify_calls(monkeypatch, system, params):
+    calls = {"gamma": 0, "contains": 0}
+    gamma, contains = system.gamma, system.excluded.contains
+
+    def counted_gamma(z):
+        calls["gamma"] += 1
+        return gamma(z)
+
+    def counted_contains(z):
+        calls["contains"] += 1
+        return contains(z)
+
+    monkeypatch.setattr(system.excluded, "contains", counted_contains)
+    checks = verify.run_verify(dataclasses.replace(system, gamma=counted_gamma), params)
+    assert all(check["passed"] for check in checks.values())
+    return calls
+
+
+def test_run_verify_checks_each_point_once(monkeypatch):
+    # one Gamma call per identity; only gamma, the Gram matrices and the
+    # sampled kernels check z (probes that check z themselves and take one
+    # point per Gamma call make 61/122 and 69/130 here)
+    rng = np.random.default_rng(3)
+    graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
+    params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
+    assert _count_verify_calls(monkeypatch, graph, params) == {"gamma": 14, "contains": 21}
+    points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
+    params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))
+    assert _count_verify_calls(monkeypatch, points, params) == {"gamma": 11, "contains": 18}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import inspect
 import types
 
 import numpy as np
+import pytest
 
 import kreinext as kx
 from kreinext import verify
@@ -85,6 +86,7 @@ def test_edge_system_fields_and_pair_conditions():
     ]
     interval = kx.interval_weyl(kx.IntervalModel(PI))
     assert not hasattr(interval, "r_apply") and not hasattr(interval, "g_adjoint_apply")
+    assert not hasattr(kx.WeylSystem, "require_admissible")  # gamma checks z
     [conditions] = [f for f in dataclasses.fields(kx.BoundaryPair) if not f.init]
     assert (conditions.name, conditions.repr, conditions.compare) == ("conditions", False, False)
     pair = kx.BoundaryPair(np.eye(2), np.diag([0.5, 0.0]))
@@ -128,3 +130,15 @@ def test_point_model_is_the_zero_shift_spin_model():
     _same(point.gamma(zs), spin.gamma(zs))
     for z, w in ((1 + 1j, 2 - 1j), (0.5, 0.5), (3.0 + 1j, 0.2)):
         _same(point.gram(z, w), spin.gram(z, w))
+
+    # only the channel axis of samples and continuous parts differs
+    pts = np.array([[0.5, 0.5, 0.5], [2.0, -1.0, 0.3]])
+    zeta = np.array([1.0, -0.5j, 0.25])
+    for z in (1 + 1j, 0.5):
+        _same(point.g_apply(z, zeta, pts), spin.g_apply(z, zeta, pts)[0])
+        regular = kx.point_green_regular_part(kx.PointModel(CENTERS), z, zeta)
+        _same(point.renorm_trace(regular, zeta), spin.renorm_trace(lambda x: regular(x)[None], zeta))
+    values = np.array([0.3, -1.0j, 2.0])
+    _same(point.renorm_trace(values, zeta), spin.renorm_trace(values[None], zeta))
+    with pytest.raises(ValueError, match=r"^continuous part must give a \(channels, centers\) array$"):
+        point.renorm_trace(values[None], zeta)

@@ -248,6 +248,9 @@ def test_validate_eigenpair_reports(neumann_interval):
     at_pole = kx.validate_eigenpair(system, params, -1.0, zeta)
     assert at_pole.excluded
 
+    with pytest.raises(ValueError, match="zero vector"):
+        kx.validate_eigenpair(system, params, -0.5, np.zeros(2))
+
 
 def test_pole_blowup_probe_interval():
     # the Krein correction norm must blow up approaching a found eigenvalue
