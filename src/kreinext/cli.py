@@ -15,7 +15,8 @@ family).
 
 Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
 spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
-5 numerical failure (a non-finite Weyl matrix or a LAPACK breakdown).
+5 numerical failure (a non-finite Weyl matrix, a LAPACK breakdown or
+non-finite resolvent samples).
 Errors are mirrored as machine-readable JSON on stderr.
 """
 
@@ -125,23 +126,26 @@ def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
     params = _load_extension(config.get("extension"), system.n)
     result = eigenvalue_search(system, params, window)
 
-    rows = [(r.lam, r.multiplicity, r.sigma_min) for r in result.eigenvalues]
-    _write(out_dir / "spectrum.csv", serialize.csv_text(["lambda", "multiplicity", "sigma_min"], rows))
-    _write(out_dir / "spectrum_gaps.csv", serialize.csv_text(["lo", "hi"], list(result.gaps)))
+    eigs = result.eigenvalues
+    columns = [
+        np.array([r.lam for r in eigs], dtype=float),
+        np.array([r.multiplicity for r in eigs], dtype=int),
+        np.array([r.sigma_min for r in eigs], dtype=float),
+    ]
+    gaps = np.reshape(np.asarray(result.gaps, dtype=float), (-1, 2))
+    _write(out_dir / "spectrum.csv", serialize.csv_text(["lambda", "multiplicity", "sigma_min"], columns))
+    _write(out_dir / "spectrum_gaps.csv", serialize.csv_text(["lo", "hi"], gaps.T))
     doc = {
         "eigenvalues": [
             {
                 "lambda": r.lam,
                 "multiplicity": r.multiplicity,
                 "sigma_min": r.sigma_min,
-                "null_basis": [
-                    serialize.vector_to_lists(r.null_basis[:, j])
-                    for j in range(r.multiplicity)
-                ],
+                "null_basis": r.null_basis.T,
             }
-            for r in result.eigenvalues
+            for r in eigs
         ],
-        "gaps": [[a, b] for a, b in result.gaps],
+        "gaps": gaps,
         "metadata": result.metadata,
     }
     _write(out_dir / "spectrum.json", serialize.canonical_json(doc))
@@ -183,16 +187,13 @@ def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
 
     # the interval's samples are one bare array, a graph's one array per edge
     if system.bare:
-        rows = [(x, v.real, v.imag) for x, v in zip(grids, phi)]
-        header = ["x", "re_phi", "im_phi"]
+        header, columns = ["x", "re_phi", "im_phi"], [grids, phi.real, phi.imag]
     else:
-        rows = [
-            (e, x, v.real, v.imag)
-            for e, (xs, vs) in enumerate(zip(grids, phi))
-            for x, v in zip(xs, vs)
-        ]
+        edge = np.repeat(np.arange(len(grids)), [len(xs) for xs in grids])
+        phi = np.concatenate(phi)
         header = ["edge", "x", "re_phi", "im_phi"]
-    _write(out_dir / "resolvent.csv", serialize.csv_text(header, rows))
+        columns = [edge, np.concatenate(grids), phi.real, phi.imag]
+    _write(out_dir / "resolvent.csv", serialize.csv_text(header, columns))
     doc = {
         "z": serialize.complex_to_pair(z),
         "sigma_min": sigma,
@@ -261,20 +262,20 @@ def cmd_convert(config, out_dir: Path, grid_override) -> int:
     block = von_neumann_block(system, params)
 
     doc = {
-        "params": serialize.params_to_obj(params),
-        "pair": serialize.pair_to_obj(pair),
+        "params": {"pi": params.pi, "theta": params.theta},
+        "pair": {"b1": pair.b1, "b2": pair.b2},
         "conditions": _conditions_obj(pair.conditions),
-        "relation_from_params": serialize.relation_to_obj(rel_params),
-        "relation_from_pair": serialize.relation_to_obj(rel_pair),
+        "relation_from_params": {"dim_h": rel_params.dim_h, "basis": rel_params.basis},
+        "relation_from_pair": {"dim_h": rel_pair.dim_h, "basis": rel_pair.basis},
         "relation_gap": gap,
         "round_trip": {
             "pi_residual": float(np.linalg.norm(round_params.pi - params.pi, 2)),
             "theta_residual": float(np.linalg.norm(round_params.theta - params.theta, 2)),
         },
         "von_neumann": {
-            "m": serialize.matrix_to_lists(block.m),
-            "q": serialize.matrix_to_lists(block.q),
-            "gamma_hat": serialize.matrix_to_lists(block.gamma_hat),
+            "m": block.m,
+            "q": block.q,
+            "gamma_hat": block.gamma_hat,
             "unitarity_residual": block.unitarity_residual(),
         },
     }

@@ -553,7 +553,8 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
 
     Computes free-resolvent samples plus the rank-<= n Krein correction
     G(z) C(z) G(conj(z))^* psi. The three sampled factors come from one
-    ``system.sampled_kernels(z, grid)`` call, which checks z.
+    ``system.sampled_kernels(z, grid)`` call, which checks z. Samples that
+    are not finite on some edge raise :class:`ModelConsistencyError`.
     Available for edge models (:class:`EdgeWeylSystem`); point-interaction
     models use :func:`apply_resolvent_green`.
     """
@@ -565,12 +566,17 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     _check_grid(system, grid)
     z = complex(z)
     kernels = system.sampled_kernels(z, grid)
-    free = kernels.resolvent(psi)
-    if params.range_basis.shape[1] == 0:
-        return free
-    corr = krein_correction(system, params, z)
-    applied = system.edges(kernels.apply(corr @ kernels.adjoint(psi)))
-    return system.shaped([f + g for f, g in zip(system.edges(free), applied)])
+    parts = system.edges(kernels.resolvent(psi))
+    if params.range_basis.shape[1]:
+        corr = krein_correction(system, params, z)
+        applied = system.edges(kernels.apply(corr @ kernels.adjoint(psi)))
+        parts = [f + g for f, g in zip(parts, applied)]
+    for e, part in enumerate(parts):
+        if not np.isfinite(part).all():
+            raise ModelConsistencyError(
+                f"resolvent samples at z = {z} are not finite on edge {e}"
+            )
+    return system.shaped(parts)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext import cli, parametrize
+from kreinext import cli, parametrize, verify
 from kreinext import serialize as ser
 from kreinext.cli import main
 
@@ -84,6 +84,45 @@ def test_spectrum_window_straddling_the_half_line(tmp_path):
     lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
     assert len(lines) == 2
     assert abs(float(lines[1].split(",")[0]) - 1.5791367041742976) <= 1e-12
+
+
+def test_spectrum_csv_parses_back_to_the_search(tmp_path):
+    theta = np.diag([0.3, -0.2]).astype(complex)
+    ext = ser.params_to_obj(kx.ExtensionParams.full(theta))
+    ext["kind"] = "params"
+    job = write_job(
+        tmp_path / "job.json",
+        {
+            "model": {"type": "interval", "a": PI},
+            "extension": ext,
+            "task": {"name": "spectrum", "window": [-30.0, 5.0]},
+        },
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    result = kx.eigenvalue_search(system, kx.ExtensionParams.full(theta), [-30.0, 5.0])
+    assert result.eigenvalues and result.gaps
+    header, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+    assert header == ["lambda", "multiplicity", "sigma_min"]
+    assert [(float(lam), int(mult), float(sigma)) for lam, mult, sigma in rows] == [
+        (r.lam, r.multiplicity, r.sigma_min) for r in result.eigenvalues
+    ]
+    header, rows = read_csv(tmp_path / "out" / "spectrum_gaps.csv")
+    assert header == ["lo", "hi"]
+    assert [(float(lo), float(hi)) for lo, hi in rows] == [tuple(g) for g in result.gaps]
+
+
+def test_spectrum_window_without_eigenvalues_writes_headers(tmp_path):
+    job = write_job(
+        tmp_path / "job.json", interval_job({"name": "spectrum", "window": [0.5, 5.0]})
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    assert (out / "spectrum.csv").read_text() == "lambda,multiplicity,sigma_min\n"
+    assert (out / "spectrum_gaps.csv").read_text() == "lo,hi\n"
+    doc = json.loads((out / "spectrum.json").read_text())
+    assert doc["eigenvalues"] == [] and doc["gaps"] == []
 
 
 def test_spectrum_empty_window_is_config_error(tmp_path, capsys):
@@ -191,6 +230,67 @@ def test_resolvent_robin_fd_residual(tmp_path):
     psi = x * (PI - x)
     residual = -(phi[:-2] - 2 * phi[1:-1] + phi[2:]) / h**2 + z * phi[1:-1] - psi[1:-1]
     assert np.max(np.abs(residual)) / np.max(np.abs(psi)) < 1e-3
+
+
+def test_resolvent_non_finite_samples_exit_5(tmp_path):
+    # a subprocess, so the kernels' overflow warnings stay warnings
+    job = write_job(
+        tmp_path / "job.json",
+        {
+            "model": {"type": "graph", "lengths": [1.0, 500.0]},
+            "task": {"name": "resolvent", "z": [0.5, 1.0], "grid": 2001},
+        },
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "kreinext.cli", job, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL == 5
+    err = json.loads(proc.stderr.splitlines()[-1])
+    assert err["error"]["code"] == "numerical-failure"
+    assert "z = (0.5+1j)" in err["error"]["message"] and "edge 1" in err["error"]["message"]
+    assert not (tmp_path / "out" / "resolvent.csv").exists()
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_resolvent_csv_parses_back_to_the_samples(tmp_path):
+    lengths = [1.0, 2.5, 0.75]
+    theta = np.diag(np.linspace(-0.4, 0.6, 6)).astype(complex)
+    ext = ser.params_to_obj(kx.ExtensionParams.full(theta))
+    ext["kind"] = "params"
+    spec = {"preset": "poly_bump"}
+    job = write_job(
+        tmp_path / "job.json",
+        {
+            "model": {"type": "graph", "lengths": lengths},
+            "extension": ext,
+            "task": {"name": "resolvent", "z": [-1.5, 0.5], "grid": 601, "input": spec},
+        },
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+
+    system = kx.graph_weyl(kx.GraphModel(tuple(lengths)))
+    grids = verify.edge_grids(system, 601)
+    z = -1.5 + 0.5j
+    psi = verify.preset_samples(system, spec, z, grids)
+    phi = kx.apply_resolvent(system, kx.ExtensionParams.full(theta), z, psi, grids)
+    header, rows = read_csv(tmp_path / "out" / "resolvent.csv")
+    assert header == ["edge", "x", "re_phi", "im_phi"]
+    assert len(rows) == sum(len(xs) for xs in grids) == 3 * 601
+    edge = np.array([int(r[0]) for r in rows])
+    data = np.array([[float(c) for c in r[1:]] for r in rows])
+    bounds = np.cumsum([0] + [len(xs) for xs in grids])
+    for e, (xs, vs) in enumerate(zip(grids, phi)):
+        part = slice(bounds[e], bounds[e + 1])
+        assert np.all(edge[part] == e)
+        assert data[part, 0].tobytes() == np.asarray(xs, dtype=float).tobytes()
+        assert data[part, 1].tobytes() == vs.real.tobytes()
+        assert data[part, 2].tobytes() == vs.imag.tobytes()
 
 
 def test_resolvent_at_extension_eigenvalue_exits_2(tmp_path, capsys):

@@ -276,6 +276,18 @@ def test_resolvent_grid_too_coarse(interval_pi):
         )
 
 
+@pytest.mark.parametrize("params", [ExtensionParams.trivial(4), ExtensionParams.full(np.zeros((4, 4)))])
+def test_resolvent_non_finite_samples_raise(params):
+    # sinh(k a) overflows on the 500-long edge at z = 0.5 + i; the samples
+    # there are not finite, and that is a numerical failure, not bad input
+    system = kx.graph_weyl(kx.GraphModel((1.0, 500.0)))
+    grids = verify.edge_grids(system, 2001)
+    psi = verify.preset_samples(system, {"preset": "sin_k", "k": 1}, 0.5 + 1j, grids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(kx.ModelConsistencyError, match=r"z = \(0\.5\+1j\) .* on edge 1$"):
+            kx.apply_resolvent(system, params, 0.5 + 1j, psi, grids)
+
+
 def test_interval_resolvent_takes_a_list_or_tuple_grid(interval_pi):
     params = ExtensionParams.full(np.diag([0.3, -0.2]).astype(complex))
     x = np.linspace(0.0, PI, 801)

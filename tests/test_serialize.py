@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import serialize as ser
@@ -67,8 +69,122 @@ def test_canonical_json_sorted_and_stable():
 
 
 def test_csv_text_format():
-    text = ser.csv_text(["x", "re", "n"], [(0.5, 1.0 / 3.0, 2)])
+    text = ser.csv_text(["x", "re", "n"], [[0.5], [1.0 / 3.0], [2]])
     lines = text.splitlines()
     assert lines[0] == "x,re,n"
     assert lines[1] == "0.5,0.33333333333333331,2"
     assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the writers take whole arrays and keep the per-value bytes
+
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+EXTREMES_TEXT = "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001"
+
+
+def test_csv_text_golden():
+    columns = [
+        np.array([0, -3, 7]),
+        np.array([-0.0, 5e-324, 0.1]),
+        np.array([1.7976931348623157e308, 1.0, -2.5]),
+    ]
+    assert ser.csv_text(["n", "x", "y"], columns) == (
+        "n,x,y\n"
+        "0,-0,1.7976931348623157e+308\n"
+        "-3,4.9406564584124654e-324,1\n"
+        "7,0.10000000000000001,-2.5\n"
+    )
+    assert ser.csv_text(["v"], [EXTREMES]) == "v\n" + EXTREMES_TEXT.replace(",", "\n") + "\n"
+
+
+def test_csv_text_zero_rows_is_the_header():
+    assert ser.csv_text(["lo", "hi"], np.empty((0, 2)).T) == "lo,hi\n"
+    assert ser.csv_text(["n", "x"], [np.array([], dtype=int), np.array([])]) == "n,x\n"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (np.array(0.1), "0.10000000000000001"),
+        (np.array(1 - 0.5j), "[1,-0.5]"),
+        (np.empty(0), "[]"),
+        (np.empty((2, 0)), "[[],[]]"),
+        (np.empty((0, 3), dtype=complex), "[]"),
+        (EXTREMES, "[" + EXTREMES_TEXT + "]"),
+        (np.array([[1.0, -0.0], [5e-324, 3.0]]), "[[1,-0],[4.9406564584124654e-324,3]]"),
+        (
+            np.array([[1 + 2j, -0.5j], [0.1, -0.0]]),
+            "[[[1,2],[-0,-0.5]],[[0.10000000000000001,0],[-0,0]]]",
+        ),
+        (np.arange(8.0).reshape(2, 2, 2) / 4, "[[[0,0.25],[0.5,0.75]],[[1,1.25],[1.5,1.75]]]"),
+        (np.array([[[1j, -1.0]]]), "[[[[0,1],[-1,0]]]]"),
+        ({"b": np.array([0.5, 2.0]), "a": np.array([[1j]])}, '{"a":[[[0,1]]],"b":[0.5,2]}'),
+    ],
+)
+def test_canonical_json_array_golden(value, text):
+    assert ser.canonical_json(value) == text + "\n"
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 0), (0, 3), (2, 3), (2, 3, 2), (1, 2, 0, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+def test_canonical_json_array_equals_its_list(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    decades = int(np.log10(np.finfo(dtype).max)) - 1
+    value = rng.normal(size=shape) * 10.0 ** rng.integers(-decades, decades, size=shape)
+    if np.dtype(dtype).kind == "c":
+        value = value - 1j * rng.normal(size=shape)
+    value = np.asarray(value).astype(dtype)
+    assert ser.canonical_json(value) == ser.canonical_json(value.tolist())
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=rows, max_size=rows),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_csv_text_equals_a_row_by_row_join(columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = [",".join(ser.format_float(x) for x in row) for row in zip(*columns)]
+    expected = "\n".join([",".join(header), *rows]) + "\n"
+    assert ser.csv_text(header, [np.array(c, dtype=float) for c in columns]) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", [0, 1])
+def test_csv_text_rejects_non_finite(bad, where):
+    columns = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
+    columns[where][1] = bad
+    with pytest.raises(ValueError, match=f"non-finite value {bad}"):
+        ser.csv_text(["a", "b"], columns)
+
+
+def test_csv_text_rejects_unequal_columns():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        ser.csv_text(["a", "b"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        ser.csv_text(["a", "b"], [np.arange(2), np.zeros(0)])
+    with pytest.raises(ValueError, match="names 3 columns, got 1"):
+        ser.csv_text(["x", "re", "n"], [(0.5, 1.0 / 3.0, 2)])  # a row, not columns
+    with pytest.raises(ValueError, match="must be 1-D"):
+        ser.csv_text(["a", "b"], [np.zeros((2, 2)), np.zeros(2)])
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        (np.array(float("nan")), "nan"),
+        (np.array([1.0, float("inf"), float("nan")]), "inf"),
+        (np.array([[0.0, 1.0], [float("-inf"), 2.0]]), "-inf"),
+        (np.array([complex(1.0, float("nan")), complex(float("inf"), 0.0)]), "nan"),
+        (np.array([[complex(0.0, 1.0)], [complex(float("-inf"), float("nan"))]]), "-inf"),
+        ({"a": [np.zeros(2), np.array([float("inf")])]}, "inf"),
+    ],
+)
+def test_canonical_json_rejects_the_first_non_finite_entry(value, named):
+    with pytest.raises(ValueError, match=f"non-finite value {named}$"):
+        ser.canonical_json(value)
