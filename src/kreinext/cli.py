@@ -16,8 +16,11 @@ family).
 Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
 spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
 5 numerical failure (a non-finite Weyl matrix, a LAPACK breakdown or
-non-finite resolvent samples).
-Errors are mirrored as machine-readable JSON on stderr.
+non-finite resolvent samples). A handler returns its artifacts and a
+:class:`JobFailure` or None; :func:`failure_of` maps every exception a job
+raises onto one. On failure stderr holds that one JSON error and nothing
+else: numpy's RuntimeWarnings are recorded, not printed, and the library's
+own finiteness checks refuse the values they announce.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,17 +72,44 @@ class ConfigError(ValueError):
     """Job file rejected before any computation."""
 
 
-def _fail(code: str, message: str, detail=None) -> dict:
-    err = {"code": code, "message": message}
-    if detail is not None:
-        err["detail"] = detail
-    return {"error": err}
+@dataclasses.dataclass(frozen=True)
+class JobFailure:
+    """A job's typed failure: exit status, error code, message and optional detail."""
+
+    status: int
+    code: str
+    message: str
+    detail: dict | None = None
+
+    def to_json(self) -> str:
+        err = {"code": self.code, "message": self.message}
+        if self.detail is not None:
+            err["detail"] = self.detail
+        return serialize.canonical_json({"error": err})
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+def failure_of(exc: Exception) -> JobFailure | None:
+    """The failure a job's exception stands for, or None for an unexpected one."""
+    if isinstance(exc, PairConditionError):
+        detail = {"failed": list(exc.failed), "conditions": _conditions_obj(exc.conditions)}
+        return JobFailure(EXIT_PAIR, "pair-conditions-failed", str(exc), detail)
+    if isinstance(exc, ExtensionSingularError):
+        return JobFailure(
+            EXIT_SPECTRAL,
+            "extension-singular",
+            "z lies in the extension's spectrum to working precision",
+            {"sigma_min": exc.sigma_min},
+        )
+    # before the config rule: LinAlgError subclasses ValueError
+    if isinstance(exc, (ModelConsistencyError, np.linalg.LinAlgError)):
+        return JobFailure(EXIT_NUMERICAL, "numerical-failure", f"{type(exc).__name__}: {exc}")
+    if isinstance(exc, (ExcludedPointError, UnsupportedModelError, KeyError, TypeError, ValueError, OSError)):
+        return JobFailure(EXIT_CONFIG, "invalid-config", f"{type(exc).__name__}: {exc}")
+    return None
+
+
+def _conditions_obj(cond) -> dict:
+    return {**dataclasses.asdict(cond), "consistent": cond.consistent}
 
 
 def _weyl_for(model) -> WeylSystem:
@@ -91,28 +122,36 @@ def _weyl_for(model) -> WeylSystem:
     return spin_weyl(model)
 
 
-def _load_extension(obj, n: int) -> ExtensionParams:
+def _load_extension(obj, n: int):
+    """The job's extension label, and the boundary pair a pair-kind job gave (else None).
+
+    No extension is the Neumann-type label (pi = 1, theta = 0).
+    """
     if obj is None:
-        return ExtensionParams.full(np.zeros((n, n), dtype=complex))
+        return ExtensionParams.full(np.zeros((n, n), dtype=complex)), None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"extension must be an object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
+    pair = None
     if kind == "params":
         params = serialize.params_from_obj(obj)
     elif kind == "pair":
-        params = params_from_pair(serialize.pair_from_obj(obj))
+        pair = serialize.pair_from_obj(obj)
+        params = params_from_pair(pair)
     else:
         raise ConfigError(f"extension kind must be 'params' or 'pair', got {kind!r}")
     if params.n != n:
         raise ConfigError(
             f"extension dimension {params.n} does not match the model boundary dimension {n}"
         )
-    return params
+    return params, pair
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
+def cmd_spectrum(config):
     task = config["task"]
     window = task.get("window")
     if (
@@ -121,9 +160,8 @@ def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
         or not float(window[0]) < float(window[1])
     ):
         raise ConfigError(f"spectrum task needs a real window [lo, hi], got {window!r}")
-    model = serialize.model_from_obj(config["model"])
-    system = _weyl_for(model)
-    params = _load_extension(config.get("extension"), system.n)
+    system = _weyl_for(serialize.model_from_obj(config["model"]))
+    params, _ = _load_extension(config.get("extension"), system.n)
     result = eigenvalue_search(system, params, window)
 
     eigs = result.eigenvalues
@@ -133,8 +171,6 @@ def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
         np.array([r.sigma_min for r in eigs], dtype=float),
     ]
     gaps = np.reshape(np.asarray(result.gaps, dtype=float), (-1, 2))
-    _write(out_dir / "spectrum.csv", serialize.csv_text(["lambda", "multiplicity", "sigma_min"], columns))
-    _write(out_dir / "spectrum_gaps.csv", serialize.csv_text(["lo", "hi"], gaps.T))
     doc = {
         "eigenvalues": [
             {
@@ -148,35 +184,37 @@ def cmd_spectrum(config, out_dir: Path, grid_override) -> int:
         "gaps": gaps,
         "metadata": result.metadata,
     }
-    _write(out_dir / "spectrum.json", serialize.canonical_json(doc))
+    files = {
+        "spectrum.csv": serialize.csv_text(["lambda", "multiplicity", "sigma_min"], columns),
+        "spectrum_gaps.csv": serialize.csv_text(["lo", "hi"], gaps.T),
+        "spectrum.json": serialize.canonical_json(doc),
+    }
     if not result.metadata["segments"]:
-        sys.stderr.write(
-            serialize.canonical_json(
-                _fail("unsearchable-window", "the whole window lies in the excluded spectral set")
-            )
+        return files, JobFailure(
+            EXIT_SPECTRAL, "unsearchable-window", "the whole window lies in the excluded spectral set"
         )
-        return EXIT_SPECTRAL
-    return EXIT_OK
+    return files, None
 
 
 # ---------------------------------------------------------------------------
 # resolvent
 
 
-def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
+def cmd_resolvent(config):
     task = config["task"]
-    model = serialize.model_from_obj(config["model"])
-    system = _weyl_for(model)
+    system = _weyl_for(serialize.model_from_obj(config["model"]))
     if not isinstance(system, EdgeWeylSystem):
         raise ConfigError(
             "resolvent task needs a quadrature model (interval or graph); "
             "point models support Green-function combinations in-process only"
         )
-    params = _load_extension(config.get("extension"), system.n)
+    params, _ = _load_extension(config.get("extension"), system.n)
     z = serialize.complex_from_pair(task.get("z", [1.0, 1.0]))
-    nodes = int(grid_override if grid_override is not None else task.get("grid", 2000))
+    nodes = int(task.get("grid", 2000))
     grids = verify.edge_grids(system, nodes)
     spec = task.get("input", {"preset": "sin_k", "k": 1})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"resolvent input must be an object with a 'preset', got {spec!r}")
     if spec.get("preset") not in verify.PRESETS:
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
     psi = verify.preset_samples(system, spec, z, grids)
@@ -193,66 +231,29 @@ def cmd_resolvent(config, out_dir: Path, grid_override) -> int:
         phi = np.concatenate(phi)
         header = ["edge", "x", "re_phi", "im_phi"]
         columns = [edge, np.concatenate(grids), phi.real, phi.imag]
-    _write(out_dir / "resolvent.csv", serialize.csv_text(header, columns))
     doc = {
         "z": serialize.complex_to_pair(z),
         "sigma_min": sigma,
         "grid": nodes,
         "input": spec,
     }
-    _write(out_dir / "resolvent.json", serialize.canonical_json(doc))
-    return EXIT_OK
+    return {
+        "resolvent.csv": serialize.csv_text(header, columns),
+        "resolvent.json": serialize.canonical_json(doc),
+    }, None
 
 
 # ---------------------------------------------------------------------------
 # convert
 
 
-def _conditions_obj(cond) -> dict:
-    return {
-        "comm_residual": cond.comm_residual,
-        "comm_ok": cond.comm_ok,
-        "nondeg_sigma": cond.nondeg_sigma,
-        "nondeg_ok": cond.nondeg_ok,
-        "joint_kernel_ok": cond.joint_kernel_ok,
-        "normalization_sigma": cond.normalization_sigma,
-        "normalization_ok": cond.normalization_ok,
-        "consistent": cond.consistent,
-    }
-
-
-def cmd_convert(config, out_dir: Path, grid_override) -> int:
-    ext = config.get("extension")
-    if ext is None:
+def cmd_convert(config):
+    if config.get("extension") is None:
         raise ConfigError("convert task needs an extension")
-    if ext.get("kind") == "pair":
-        pair = serialize.pair_from_obj(ext)
-        conditions = pair.conditions
-        if not conditions.all_ok:
-            sys.stderr.write(
-                serialize.canonical_json(
-                    _fail(
-                        "pair-conditions-failed",
-                        "boundary pair violates its defining conditions",
-                        {"failed": list(conditions.failed), "conditions": _conditions_obj(conditions)},
-                    )
-                )
-            )
-            return EXIT_PAIR
-        params = params_from_pair(pair)
-        round_pair = pair_from_params(params)
-    elif ext.get("kind") == "params":
-        params = serialize.params_from_obj(ext)
-        pair = round_pair = pair_from_params(params)
-    else:
-        raise ConfigError(f"extension kind must be 'params' or 'pair', got {ext.get('kind')!r}")
-
-    model = serialize.model_from_obj(config["model"])
-    system = _weyl_for(model)
-    if params.n != system.n:
-        raise ConfigError(
-            f"extension dimension {params.n} does not match model boundary dimension {system.n}"
-        )
+    system = _weyl_for(serialize.model_from_obj(config["model"]))
+    params, given = _load_extension(config["extension"], system.n)
+    round_pair = pair_from_params(params)
+    pair = given or round_pair
 
     # both kinds go round params -> pair -> params
     round_params = params_from_pair(round_pair)
@@ -279,39 +280,34 @@ def cmd_convert(config, out_dir: Path, grid_override) -> int:
             "unitarity_residual": block.unitarity_residual(),
         },
     }
-    _write(out_dir / "convert.json", serialize.canonical_json(doc))
-    return EXIT_OK
+    return {"convert.json": serialize.canonical_json(doc)}, None
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(config, out_dir: Path, grid_override) -> int:
+def cmd_verify(config):
     task = config["task"]
-    model = serialize.model_from_obj(config["model"])
-    system = _weyl_for(model)
+    system = _weyl_for(serialize.model_from_obj(config["model"]))
     fault = task.get("fault")
     if fault == "negate_gamma":
         original = system.gamma
         system = dataclasses.replace(system, gamma=lambda z: -original(z))
     elif fault is not None:
         raise ConfigError(f"unknown fault flag {fault!r}")
-    params = _load_extension(config.get("extension"), system.n)
+    params, _ = _load_extension(config.get("extension"), system.n)
 
     checks = verify.run_verify(system, params)
     passed = all(c["passed"] for c in checks.values())
     doc = {"checks": checks, "passed": passed, "fault": fault}
-    _write(out_dir / "verify.json", serialize.canonical_json(doc))
+    files = {"verify.json": serialize.canonical_json(doc)}
     if not passed:
         failed = sorted(k for k, c in checks.items() if not c["passed"])
-        sys.stderr.write(
-            serialize.canonical_json(
-                _fail("verification-failed", "identity checks failed", {"failed": failed})
-            )
+        return files, JobFailure(
+            EXIT_VERIFY, "verification-failed", "identity checks failed", {"failed": failed}
         )
-        return EXIT_VERIFY
-    return EXIT_OK
+    return files, None
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +320,24 @@ _HANDLERS = {
     "convert": cmd_convert,
     "verify": cmd_verify,
 }
+
+
+def _read_job(path, grid) -> dict:
+    """The job file's object, with a known task and a model; ``--grid`` goes into the task."""
+    with open(path) as handle:
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ConfigError("job file must hold a JSON object")
+    task = config.get("task")
+    if not isinstance(task, dict) or "name" not in task:
+        raise ConfigError("job needs a task object with a 'name'")
+    if task["name"] not in _HANDLERS:
+        raise ConfigError(f"unknown task {task['name']!r}")
+    if "model" not in config:
+        raise ConfigError("job needs a model descriptor")
+    if grid is not None:
+        task["grid"] = grid
+    return config
 
 
 def main(argv=None) -> int:
@@ -340,48 +354,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise ConfigError("job file must hold a JSON object")
-        task = config.get("task")
-        if not isinstance(task, dict) or "name" not in task:
-            raise ConfigError("job needs a task object with a 'name'")
-        name = task["name"]
-        if name not in _HANDLERS:
-            raise ConfigError(f"unknown task {name!r}")
-        if "model" not in config:
-            raise ConfigError("job needs a model descriptor")
-        return _HANDLERS[name](config, Path(args.out), args.grid)
-    except PairConditionError as exc:
-        sys.stderr.write(
-            serialize.canonical_json(
-                _fail("pair-conditions-failed", str(exc), {"failed": list(exc.failed)})
-            )
-        )
-        return EXIT_PAIR
-    except ExtensionSingularError as exc:
-        sys.stderr.write(
-            serialize.canonical_json(
-                _fail(
-                    "extension-singular",
-                    "z lies in the extension's spectrum to working precision",
-                    {"sigma_min": exc.sigma_min},
-                )
-            )
-        )
-        return EXIT_SPECTRAL
-    except (ModelConsistencyError, np.linalg.LinAlgError) as exc:
-        # before the ValueError clause: LinAlgError subclasses ValueError
-        sys.stderr.write(
-            serialize.canonical_json(_fail("numerical-failure", f"{type(exc).__name__}: {exc}"))
-        )
-        return EXIT_NUMERICAL
-    except (ConfigError, ExcludedPointError, UnsupportedModelError, KeyError, TypeError, ValueError, OSError) as exc:
-        sys.stderr.write(
-            serialize.canonical_json(_fail("invalid-config", f"{type(exc).__name__}: {exc}"))
-        )
-        return EXIT_CONFIG
+        config = _read_job(args.config, args.grid)
+        with warnings.catch_warnings(record=True):
+            files, failure = _HANDLERS[config["task"]["name"]](config)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(Path(args.out, name), "w", newline="\n") as handle:
+                handle.write(text)
+    except Exception as exc:
+        failure = failure_of(exc)
+        if failure is None:
+            raise
+    if failure is None:
+        return EXIT_OK
+    sys.stderr.write(failure.to_json())
+    return failure.status
 
 
 if __name__ == "__main__":

@@ -156,9 +156,6 @@ class DirichletExclusions:
         self._a = np.array(self.lengths)
         self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
 
-    def _guard(self, n: int, a: float) -> float:
-        return self.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
-
     def _nearest(self, z):
         """Distances to the candidate poles nearest z, with their indices n.
 
@@ -190,12 +187,12 @@ class DirichletExclusions:
         # reported gaps are twice the evaluation guard, so scanning up to a
         # gap edge can never land inside a guard ball
         gaps = []
-        for a in self.lengths:
+        for a, unit in zip(self.lengths, self._unit.tolist()):
             n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
             n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
             for n in range(max(1, n_lo - 1), n_hi + 2):
                 pole = -((n * np.pi / a) ** 2)
-                g = 2.0 * self._guard(n, a)
+                g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)
                 if pole + g >= lo and pole - g <= hi:
                     gaps.append((max(lo, pole - g), min(hi, pole + g)))
         return _merge_intervals(gaps)

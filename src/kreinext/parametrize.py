@@ -109,10 +109,11 @@ class VonNeumannBlock:
 
 
 class PairConditionError(ValueError):
-    """Boundary pair rejected: one of the defining conditions failed."""
+    """Boundary pair rejected: one of the defining ``conditions`` failed."""
 
-    def __init__(self, failed):
-        self.failed = tuple(failed)
+    def __init__(self, conditions: PairConditions):
+        self.conditions = conditions
+        self.failed = conditions.failed
         super().__init__(f"boundary pair conditions failed: {', '.join(self.failed)}")
 
 
@@ -218,7 +219,7 @@ def params_from_pair(pair: BoundaryPair) -> ExtensionParams:
     """
     conditions = pair.conditions
     if not conditions.all_ok:
-        raise PairConditionError(conditions.failed)
+        raise PairConditionError(conditions)
     b1, b2 = pair.b1, pair.b2
     # range(B2^*) = ker(B2)^perp; range(B2) = ker(B2^*)^perp
     v = linalg.orthonormal_span(b2.conj().T)
@@ -243,7 +244,7 @@ def relation_from_pair(pair: BoundaryPair) -> SelfAdjointRelation:
     """The relation {(B2^* zeta, B1^* zeta) : zeta in C^n}."""
     conditions = pair.conditions
     if not conditions.all_ok:
-        raise PairConditionError(conditions.failed)
+        raise PairConditionError(conditions)
     return SelfAdjointRelation(
         pair.n, np.vstack([pair.b2.conj().T, pair.b1.conj().T])
     )

@@ -232,25 +232,34 @@ def test_resolvent_robin_fd_residual(tmp_path):
     assert np.max(np.abs(residual)) / np.max(np.abs(psi)) < 1e-3
 
 
+# the kernels overflow on the 500-long edge at z = 0.5+1j
+NON_FINITE_JOB = {
+    "model": {"type": "graph", "lengths": [1.0, 500.0]},
+    "task": {"name": "resolvent", "z": [0.5, 1.0], "grid": 2001},
+}
+
+
 def test_resolvent_non_finite_samples_exit_5(tmp_path):
     # a subprocess, so the kernels' overflow warnings stay warnings
-    job = write_job(
-        tmp_path / "job.json",
-        {
-            "model": {"type": "graph", "lengths": [1.0, 500.0]},
-            "task": {"name": "resolvent", "z": [0.5, 1.0], "grid": 2001},
-        },
-    )
+    job = write_job(tmp_path / "job.json", NON_FINITE_JOB)
     proc = subprocess.run(
         [sys.executable, "-m", "kreinext.cli", job, "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == cli.EXIT_NUMERICAL == 5
-    err = json.loads(proc.stderr.splitlines()[-1])
+    err = json.loads(proc.stderr)  # the JSON error and nothing else
     assert err["error"]["code"] == "numerical-failure"
     assert "z = (0.5+1j)" in err["error"]["message"] and "edge 1" in err["error"]["message"]
     assert not (tmp_path / "out" / "resolvent.csv").exists()
+
+
+def test_recorded_warnings_still_raise_under_an_error_filter(tmp_path):
+    # main records RuntimeWarnings instead of printing them; the suite's
+    # error::RuntimeWarning filter still raises them out of main
+    job = write_job(tmp_path / "job.json", NON_FINITE_JOB)
+    with pytest.raises(RuntimeWarning):
+        main([job, "--out", str(tmp_path / "out")])
 
 
 def read_csv(path):
@@ -384,6 +393,35 @@ def test_convert_corrupted_pair_exits_3(tmp_path, capsys):
     assert "nondeg" in err["error"]["detail"]["failed"]
 
 
+def test_failing_pair_reports_the_same_error_from_every_task(tmp_path, capsys):
+    ext = {
+        "kind": "pair",
+        "b1": ser.matrix_to_lists(np.zeros((2, 2))),
+        "b2": ser.matrix_to_lists(np.zeros((2, 2))),
+    }
+    tasks = [
+        {"name": "spectrum", "window": [-0.5, 0.5]},
+        {"name": "resolvent", "z": [1.0, 1.0], "grid": 800},
+        {"name": "convert"},
+        {"name": "verify"},
+    ]
+    errors = []
+    for task in tasks:
+        doc = {"model": {"type": "interval", "a": PI}, "extension": ext, "task": task}
+        job = write_job(tmp_path / f"{task['name']}.json", doc)
+        assert main([job, "--out", str(tmp_path / task["name"])]) == cli.EXIT_PAIR == 3
+        errors.append(json.loads(capsys.readouterr().err)["error"])
+        assert not (tmp_path / task["name"]).exists()
+    assert all(err == errors[0] for err in errors)
+    err = errors[0]
+    assert err["code"] == "pair-conditions-failed"
+    assert err["message"] == "boundary pair conditions failed: nondeg, joint_kernel, normalization"
+    assert sorted(err["detail"]) == ["conditions", "failed"]
+    assert err["detail"]["failed"] == ["nondeg", "joint_kernel", "normalization"]
+    assert err["detail"]["conditions"]["nondeg_ok"] is False
+    assert err["detail"]["conditions"]["consistent"] is True
+
+
 def robin_convert_job(tmp_path, kind):
     """A convert job for the interval pair B1 = diag(0.3, 1), B2 = diag(1, 0.5)."""
     pair = kx.BoundaryPair(np.diag([0.3, 1.0]), np.diag([1.0, 0.5]))
@@ -500,6 +538,16 @@ INVALID_INPUTS = {
         interval_job({"name": "resolvent", "z": [1.0, 1.0]}),
         ["--grid", "0"],
         "GridTooCoarseError: need at least 501 nodes per edge, got 0",
+    ),
+    "extension-not-object": (
+        {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": [1, 2]},
+        [],
+        "ConfigError: extension must be an object with a 'kind', got [1, 2]",
+    ),
+    "input-not-object": (
+        interval_job({"name": "resolvent", "input": "sin_k"}),
+        [],
+        "ConfigError: resolvent input must be an object with a 'preset', got 'sin_k'",
     ),
 }
 

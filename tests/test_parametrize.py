@@ -91,8 +91,11 @@ def test_relation_from_pair_examples():
     rel = kx.relation_from_pair(BoundaryPair(np.eye(2), np.zeros((2, 2))))
     assert np.allclose(rel.top, 0.0)
 
-    with pytest.raises(PairConditionError):
-        kx.relation_from_pair(BoundaryPair(np.zeros((1, 1)), np.zeros((1, 1))))
+    degenerate = BoundaryPair(np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(PairConditionError) as info:
+        kx.relation_from_pair(degenerate)
+    assert info.value.conditions is degenerate.conditions
+    assert info.value.failed == degenerate.conditions.failed == ("nondeg", "joint_kernel", "normalization")
 
 
 def test_subspace_equal_cases():
