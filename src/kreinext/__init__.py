@@ -34,9 +34,7 @@ from .krein import (
     green_identity_residual,
     green_norm,
     is_regular_point,
-    kernel_basis,
     krein_correction,
-    range_basis,
     secular_matrix,
     validate_params,
 )
@@ -52,14 +50,9 @@ from .models import (
     SpinPointModel,
     VertexGroup,
     cosine_mode,
-    graph_traces,
     graph_weyl,
-    interval_green,
-    interval_traces,
     interval_weyl,
-    point_gamma,
     point_green_regular_part,
-    point_renormalized_trace,
     point_weyl,
     poly_bump,
     sine_mode,

@@ -47,8 +47,6 @@ __all__ = [
     "HalfLineExclusions",
     "check_admissible",
     "validate_params",
-    "range_basis",
-    "kernel_basis",
     "secular_matrix",
     "is_regular_point",
     "krein_correction",
@@ -264,7 +262,8 @@ class SampledKernels:
 
     ``resolvent`` maps samples psi to samples of the free resolvent R_0(z) psi,
     ``adjoint`` maps samples psi to G(conj(z))^* psi in C^n, and ``apply`` maps
-    a boundary vector zeta to samples of G(z) zeta.
+    a boundary vector zeta to samples of G(z) zeta; a zeta whose length is
+    not n raises ``ValueError``.
     """
 
     resolvent: Callable
@@ -309,8 +308,10 @@ class EdgeWeylSystem(WeylSystem):
 
     Functions on the edges are lists with one entry per edge (edge k owns
     boundary coordinates 2k and 2k + 1); with ``bare`` set, on the interval,
-    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert;
-    every map below takes edge functions in that shape and returns samples in it.
+    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert,
+    and :meth:`edges` raises :class:`GridMismatchError` for any number of
+    entries but one per edge. Every map below takes edge functions, samples
+    and grids in that shape and returns edge functions and samples in it.
 
     ``sampled_kernels(z, grid)`` checks z and gives the
     :class:`SampledKernels` of z on uniform edge grids, from sin(kx) and
@@ -318,9 +319,12 @@ class EdgeWeylSystem(WeylSystem):
     grid)`` is its ``apply``. Its quadrature maps raise
     :class:`GridMismatchError` unless each grid runs uniformly from 0 to the
     edge length and the samples have its length; ``apply`` and ``g_apply``
-    take any points. ``traces(parts)`` is the pair (rho, tau) of boundary
-    values and inward derivatives of closed forms, and ``g_closed(z, zeta)``
-    is the list of per-edge closed forms of G(z) zeta.
+    take any points. ``traces(parts, grid=None)`` is the pair (rho, tau) in
+    C^n of boundary values and inward derivatives: of closed forms, or of
+    uniform samples on ``grid`` by one-sided fourth-order stencils.
+    ``g_closed(z, zeta)`` checks z and gives the closed form of G(z) zeta on
+    each edge, in the system's shape. A zeta whose length is not n raises
+    ``ValueError``.
     """
 
     lengths: tuple
@@ -330,8 +334,18 @@ class EdgeWeylSystem(WeylSystem):
     bare: bool = False
 
     def edges(self, obj) -> list:
-        """``obj`` (samples, grids or closed forms) as a list with one entry per edge."""
-        return [obj] if self.bare else list(obj)
+        """``obj`` (samples, grids or closed forms) as a list with one entry per edge.
+
+        Raises :class:`GridMismatchError` unless ``obj`` has one entry per edge.
+        """
+        if self.bare:
+            return [obj]
+        parts = list(obj)
+        if len(parts) != len(self.lengths):
+            raise GridMismatchError(
+                f"need one entry per edge: {len(parts)} for {len(self.lengths)} edges"
+            )
+        return parts
 
     def shaped(self, parts):
         """A list with one entry per edge, in the shape this system takes and returns."""
@@ -343,7 +357,8 @@ class PointWeylSystem(WeylSystem):
     """Weyl system of a point-interaction model; no volume quadrature.
 
     ``renorm_trace(part, zeta)`` is the renormalised trace at the centres of
-    psi = part + G(0) zeta, which realises the boundary condition.
+    psi = part + G(0) zeta, which realises the boundary condition. It and
+    ``g_apply`` raise ``ValueError`` for a zeta whose length is not n.
     """
 
     renorm_trace: Callable
@@ -439,18 +454,6 @@ def validate_params(pi, theta) -> ValidationReport:
     }
     passed = all(v <= PARAMS_RTOL for v in residuals.values())
     return ValidationReport(residuals, PARAMS_RTOL, passed)
-
-
-def range_basis(pi) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of an orthogonal projector."""
-    vals, vecs = linalg.hermitian_eig(pi)
-    return vecs[:, vals > 0.5]
-
-
-def kernel_basis(pi) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of an orthogonal projector."""
-    vals, vecs = linalg.hermitian_eig(pi)
-    return vecs[:, vals <= 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +665,7 @@ def conjugation_residual(system: WeylSystem, z):
     return float(res[0]) if np.ndim(z) == 0 else res
 
 
-def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -> float:
+def green_identity_residual(system: WeylSystem, phi, psi) -> float:
     """Residual of the abstract Lagrange (Green) identity on the doubled boundary space.
 
     ``phi`` and ``psi`` are pairs ``(regular_part, charge)``: a closed-form
@@ -670,7 +673,8 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
     boundary vector multiplying the reference deficiency element
     G_* = (G(i) + G(-i)) / 2. The two boundary maps of the triple are the
     charge and the trace of the regular part; the identity pairs the trace
-    of one side with the charge of the other.
+    of one side with the charge of the other. The volume integrals use
+    Simpson's rule on 4001 nodes per edge.
     """
     if not isinstance(system, EdgeWeylSystem):
         raise UnsupportedModelError(
@@ -682,8 +686,8 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
 
     def assemble(star, charge):
         star_edges = system.edges(star)
-        plus = system.g_closed(1j, charge)
-        minus = system.g_closed(-1j, charge)
+        plus = system.edges(system.g_closed(1j, charge))
+        minus = system.edges(system.g_closed(-1j, charge))
         full, image = [], []
         for fs, gp, gm in zip(star_edges, plus, minus):
             g_star = 0.5 * (gp + gm)
@@ -699,7 +703,7 @@ def green_identity_residual(system: WeylSystem, phi, psi, n_nodes: int = 4001) -
     for length, pf, sp_, qf, sq in zip(
         system.lengths, phi_full, s_phi, psi_full, s_psi
     ):
-        x = np.linspace(0.0, length, n_nodes)
+        x = np.linspace(0.0, length, 4001)
         dx = x[1] - x[0]
         lhs += simpson(np.conj(pf(x)) * sq(x), dx)
         lhs -= simpson(np.conj(sp_(x)) * qf(x), dx)

@@ -74,15 +74,15 @@ def min_singular(mat) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def orthonormal_span(columns, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the column span, rank cut at ``rtol * sigma_max``."""
+def orthonormal_span(columns) -> np.ndarray:
+    """Orthonormal basis of the column span, rank cut at ``RANK_RTOL * sigma_max``."""
     m = as_matrix(columns)
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :rank]
 
 

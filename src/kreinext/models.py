@@ -15,6 +15,11 @@ call it:
   model with the single internal eigenvalue 0; boundary space C^n of point
   charges, Weyl matrix with sqrt(z)/(4 pi) diagonal.
 
+The systems are the only door to a model quantity: Gamma, the Gram matrix,
+G(z) zeta (sampled, or in closed form on edges), the boundary traces and
+the renormalised trace are fields of the system a builder returns, which
+checks z and shapes before the private kernels below run.
+
 Spectral-parameter conventions: the free operator is the second derivative
 (respectively the 3-D Laplacian), not its negative, so interval Dirichlet
 spectra sit at -(n pi / a)^2 and point models exclude the half line
@@ -57,14 +62,9 @@ __all__ = [
     "SpinPointModel",
     "VertexGroup",
     "interval_weyl",
-    "interval_traces",
-    "interval_green",
     "graph_weyl",
-    "graph_traces",
     "vertex_params",
     "point_weyl",
-    "point_gamma",
-    "point_renormalized_trace",
     "point_green_regular_part",
     "spin_weyl",
     "sine_mode",
@@ -201,6 +201,15 @@ def zero_function() -> SmoothFunction:
     return SmoothFunction(zero, zero, zero)
 
 
+def _boundary_vector(zeta, n: int) -> np.ndarray:
+    """zeta as a complex vector of the boundary space C^n; any other shape
+    raises ``ValueError`` naming n."""
+    zeta = np.asarray(zeta, dtype=complex)
+    if zeta.shape != (n,):
+        raise ValueError(f"need a boundary vector of length {n}, got shape {zeta.shape}")
+    return zeta
+
+
 # ---------------------------------------------------------------------------
 # edge building blocks
 
@@ -224,13 +233,12 @@ def _edge_gammas(lengths, z) -> np.ndarray:
     return out
 
 
-def interval_green(model: IntervalModel, z: complex, zeta) -> SmoothFunction:
-    """Closed form of the deficiency element G(z) zeta on the interval.
+def _edge_green(a: float, z: complex, zeta) -> SmoothFunction:
+    """Closed form of the deficiency element G(z) zeta on the edge (0, a).
 
     Solves u'' = z u with boundary values u(0) = zeta_1, u(a) = zeta_2; the
     z = 0 case uses the explicit linear interpolant rather than a limit.
     """
-    a = model.a
     z1, z2 = complex(zeta[0]), complex(zeta[1])
     if z == 0:
         return SmoothFunction(
@@ -341,20 +349,16 @@ def _inward_derivative(samples: np.ndarray, h: float, left: bool) -> complex:
     return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
 
 
-def interval_traces(model: IntervalModel, psi, grid=None):
-    """Boundary value and boundary derivative traces (rho, tau).
+def _edge_traces(a: float, psi, grid, edge: int):
+    """Boundary value and inward derivative traces (rho, tau) on the edge (0, a).
 
     rho psi = (psi(0+), psi(a-)); tau psi = (psi'(0+), -psi'(a-)), i.e. the
-    derivatives pointing into the interval. Accepts a closed-form
+    derivatives pointing into the edge. Accepts a closed-form
     :class:`SmoothFunction` or uniform samples with their grid; sampled
     derivatives use one-sided fourth-order stencils. A grid that does not run
     uniformly from 0 to a, or samples of another length, raise
-    :class:`GridMismatchError`.
+    :class:`GridMismatchError` naming ``edge``.
     """
-    return _edge_traces(model.a, psi, grid, 0)
-
-
-def _edge_traces(a: float, psi, grid, edge: int):
     if isinstance(psi, SmoothFunction):
         ends = np.array([0.0, a])
         vals = psi.f(ends)
@@ -462,23 +466,6 @@ def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
 # graph model and the interval as its one edge
 
 
-def graph_traces(model: GraphModel, parts, grids=None):
-    """Edgewise traces: concatenated (rho_k, tau_k) in edge order.
-
-    Sampled parts need their grids; a sampled edge whose grid does not run
-    uniformly from 0 to its length, or whose samples have another length,
-    raises :class:`GridMismatchError` naming the edge.
-    """
-    rho = np.empty(2 * model.n_edges, dtype=complex)
-    tau = np.empty(2 * model.n_edges, dtype=complex)
-    for k, a in enumerate(model.lengths):
-        grid = None if grids is None else grids[k]
-        r, t = _edge_traces(a, parts[k], grid, k)
-        rho[2 * k : 2 * k + 2] = r
-        tau[2 * k : 2 * k + 2] = t
-    return rho, tau
-
-
 def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
     """Weyl system of the edgewise model: every map acts block by block.
 
@@ -527,27 +514,19 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
     def sampled_kernels(z, grid):
         check_admissible(excluded, z)
         grids = system.edges(grid)
-        if len(grids) != K:
-            raise GridMismatchError(f"need one grid per edge: {len(grids)} grids for {K} edges")
         edges = [_EdgeKernels(a, z, grids[k], k) for k, a in enumerate(lengths)]
 
-        def per_edge(psi):
-            parts = system.edges(psi)
-            if len(parts) != K:
-                raise GridMismatchError(f"need one sample array per edge: {len(parts)} for {K} edges")
-            return zip(edges, parts)
-
         def resolvent(psi):
-            return system.shaped([edge.resolvent(part) for edge, part in per_edge(psi)])
+            return system.shaped([edge.resolvent(part) for edge, part in zip(edges, system.edges(psi))])
 
         def adjoint(psi):
             out = np.empty(2 * K, dtype=complex)
-            for k, (edge, part) in enumerate(per_edge(psi)):
+            for k, (edge, part) in enumerate(zip(edges, system.edges(psi))):
                 out[2 * k : 2 * k + 2] = edge.adjoint(part)
             return out
 
         def apply(zeta):
-            zeta = np.asarray(zeta, dtype=complex)
+            zeta = _boundary_vector(zeta, 2 * K)
             return system.shaped([edge.apply(zeta[2 * k : 2 * k + 2]) for k, edge in enumerate(edges)])
 
         return SampledKernels(resolvent, adjoint, apply)
@@ -557,14 +536,17 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
 
     def g_closed(z, zeta):
         check_admissible(excluded, z)
-        zeta = np.asarray(zeta, dtype=complex)
-        return [
-            interval_green(IntervalModel(a), z, zeta[2 * k : 2 * k + 2])
-            for k, a in enumerate(lengths)
-        ]
+        zeta = _boundary_vector(zeta, 2 * K)
+        return system.shaped([_edge_green(a, z, zeta[2 * k : 2 * k + 2]) for k, a in enumerate(lengths)])
 
-    def traces(parts):
-        return graph_traces(graph, system.edges(parts))
+    def traces(parts, grid=None):
+        parts = system.edges(parts)
+        grids = [None] * K if grid is None else system.edges(grid)
+        rho = np.empty(2 * K, dtype=complex)
+        tau = np.empty(2 * K, dtype=complex)
+        for k, a in enumerate(lengths):
+            rho[2 * k : 2 * k + 2], tau[2 * k : 2 * k + 2] = _edge_traces(a, parts[k], grids[k], k)
+        return rho, tau
 
     system = EdgeWeylSystem(
         n=2 * K,
@@ -646,19 +628,13 @@ def _pairwise_distances(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def point_gamma(model: PointModel, z) -> np.ndarray:
+def _point_gamma(model: PointModel, z) -> np.ndarray:
     """Weyl matrix of the point model: sqrt(z)/(4 pi) on the diagonal,
     -exp(-sqrt(z) d)/(4 pi d) off it, principal branch Re sqrt(z) > 0.
 
     A scalar z gives the (n, n) matrix, an array the (*z.shape, n, n) stack.
+    z is not checked; the system's ``gamma`` checks it first.
     """
-    z = np.asarray(z, dtype=complex)
-    check_admissible(HalfLineExclusions(0.0), z)
-    return _point_gamma_unchecked(model, z)
-
-
-def _point_gamma_unchecked(model: PointModel, z) -> np.ndarray:
-    """:func:`point_gamma` without the check of z, for callers that made it."""
     z = np.asarray(z, dtype=complex)
     sq = np.sqrt(z)[..., None]
     d = model._distances
@@ -675,7 +651,7 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     """Gram matrix of the point model at (z, w); neither argument is checked."""
     z, w = complex(z), complex(w)
     if z != w:
-        at_z, at_w = _point_gamma_unchecked(model, (z, w))
+        at_z, at_w = _point_gamma(model, (z, w))
         return (at_z - at_w) / (z - w)
     sq = np.sqrt(z)
     d = model._distances
@@ -699,21 +675,14 @@ def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:
     return (np.exp(-sq * r) / (FOUR_PI * r)) @ zeta
 
 
-def point_renormalized_trace(model: PointModel, part, zeta) -> np.ndarray:
-    """Renormalised trace of psi = part + G(0) zeta at the centers.
+def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Renormalised trace of psi = part + G(0) zeta at the centers, from the
+    values ``vals`` of the continuous part there.
 
-    ``part`` is the continuous component: a callable on (m, 3) point arrays
-    or a vector of its values at the centers. Component k is the limit of
-    psi(x) - zeta_k / (4 pi |x - y_k|) as x -> y_k, which evaluates to
-    part(y_k) plus the cross terms zeta_j / (4 pi |y_k - y_j|), j != k.
+    Component k is the limit of psi(x) - zeta_k / (4 pi |x - y_k|) as
+    x -> y_k, which evaluates to part(y_k) plus the cross terms
+    zeta_j / (4 pi |y_k - y_j|), j != k.
     """
-    zeta = np.asarray(zeta, dtype=complex)
-    if callable(part):
-        vals = np.asarray(part(model.centers), dtype=complex)
-    else:
-        vals = np.asarray(part, dtype=complex)
-    if vals.shape != (model.n_centers,):
-        raise ValueError("continuous part must give one value per center")
     d = model._distances
     mask = ~np.eye(model.n_centers, dtype=bool)
     coeff = np.zeros_like(d, dtype=complex)
@@ -726,7 +695,7 @@ def point_green_regular_part(model: PointModel, lam, coeff):
 
     Away from the centers this is the plain kernel difference; at a center
     y_k it takes the limit value -sqrt(lam) c_k / (4 pi) plus the smooth
-    cross terms, so it can feed :func:`point_renormalized_trace` directly.
+    cross terms, so it can feed the point system's ``renorm_trace`` directly.
     """
     lam = complex(lam)
     coeff = np.asarray(coeff, dtype=complex)
@@ -785,9 +754,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
         z = np.asarray(z)
         out = np.zeros(z.shape + (n * d, n * d), dtype=complex)
         for i, shift in enumerate(b):
-            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gamma_unchecked(
-                point, z - shift
-            )
+            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gamma(point, z - shift)
         return out
 
     def gram(z, w):
@@ -801,7 +768,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
 
     def g_apply(z, zeta, grid):
         check_admissible(excluded, z)
-        zeta = np.asarray(zeta, dtype=complex)
+        zeta = _boundary_vector(zeta, n * d)
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
         out = np.empty((d, pts.shape[0]), dtype=complex)
         for i, shift in enumerate(b):
@@ -809,7 +776,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
         return out[0] if bare else out
 
     def renorm_trace(part, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
+        zeta = _boundary_vector(zeta, n * d)
         if callable(part):
             vals = np.asarray(part(point.centers), dtype=complex)
         else:
@@ -819,9 +786,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
             raise ValueError("continuous part must give a (channels, centers) array")
         out = np.empty(n * d, dtype=complex)
         for i in range(d):
-            out[i * n : (i + 1) * n] = point_renormalized_trace(
-                point, vals[i], zeta[i * n : (i + 1) * n]
-            )
+            out[i * n : (i + 1) * n] = _renormalized_trace(point, vals[i], zeta[i * n : (i + 1) * n])
         return out
 
     return PointWeylSystem(

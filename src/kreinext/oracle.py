@@ -205,8 +205,8 @@ def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
     return out
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Plain bisection for a bracketed sign change of a scalar function."""
+def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Plain bisection for a bracketed sign change of a scalar function, at most 200 halvings."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -214,7 +214,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200
         return hi
     if flo * fhi > 0:
         raise ValueError("bisection needs a sign change over the bracket")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or hi - lo <= tol * max(1.0, abs(mid)):

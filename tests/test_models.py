@@ -52,52 +52,51 @@ def test_interval_green_solves_ode():
 
 def test_interval_traces_closed_form():
     a = 2.0
-    model = kx.IntervalModel(a)
-    rho, tau = kx.interval_traces(model, kx.sine_mode(PI / a))
+    system = kx.interval_weyl(kx.IntervalModel(a))
+    rho, tau = system.traces(kx.sine_mode(PI / a))
     assert np.allclose(rho, [0.0, 0.0], atol=1e-15)
     assert np.allclose(tau, [PI / a, PI / a], atol=1e-12)
 
 
 def test_interval_traces_green_samples():
     a = PI
-    model = kx.IntervalModel(a)
-    system = kx.interval_weyl(model)
+    system = kx.interval_weyl(kx.IntervalModel(a))
     x = np.linspace(0, a, 2001)
     samples = system.g_apply(1 + 1j, np.array([1.0, 0.0]), x)
-    rho, _ = kx.interval_traces(model, samples, x)
+    rho, _ = system.traces(samples, x)
     assert np.linalg.norm(rho - np.array([1.0, 0.0])) < 1e-8
 
 
 def test_interval_sampled_traces_match_closed_form():
     # both ends of tau are inward derivatives, sampled or closed form
-    model = kx.IntervalModel(2.0)
+    system = kx.interval_weyl(kx.IntervalModel(2.0))
     x = np.linspace(0.0, 2.0, 2001)
     for fn in (kx.sine_mode(PI / 2.0), kx.cosine_mode(1.3), kx.poly_bump(2.0)):
-        rho, tau = kx.interval_traces(model, fn(x), x)
-        exact_rho, exact_tau = kx.interval_traces(model, fn)
+        rho, tau = system.traces(fn(x), x)
+        exact_rho, exact_tau = system.traces(fn)
         assert np.allclose(rho, exact_rho, atol=1e-14)
         assert np.allclose(tau, exact_tau, atol=1e-9)
 
 
 def test_interval_traces_constant():
-    model = kx.IntervalModel(1.5)
+    system = kx.interval_weyl(kx.IntervalModel(1.5))
     one = kx.zero_function() + kx.cosine_mode(0.0)
-    rho, tau = kx.interval_traces(model, one)
+    rho, tau = system.traces(one)
     assert np.allclose(rho, [1.0, 1.0])
     assert np.allclose(tau, [0.0, 0.0])
 
 
 def test_interval_traces_need_grid_for_samples():
     with pytest.raises(ValueError):
-        kx.interval_traces(kx.IntervalModel(1.0), np.ones(10))
+        kx.interval_weyl(kx.IntervalModel(1.0)).traces(np.ones(10))
 
 
 def test_interval_rho_of_green_is_identity_exactly():
-    model = kx.IntervalModel(1.3)
+    system = kx.interval_weyl(kx.IntervalModel(1.3))
     for z in (0.0, 1 + 2j, -0.7):
         for zeta in (np.array([1.0, 0.0]), np.array([0.3, -1j])):
-            fn = kx.interval_green(model, z, zeta)
-            rho, _ = kx.interval_traces(model, fn)
+            fn = system.g_closed(z, zeta)
+            rho, _ = system.traces(fn)
             assert np.allclose(rho, zeta, atol=1e-12)
 
 
@@ -295,14 +294,25 @@ def test_point_model_validation():
 
 
 def test_point_renormalized_trace_cases():
-    model = kx.PointModel([[0, 0, 0]])
-    vals = kx.point_renormalized_trace(model, np.array([2.5 + 1j]), np.zeros(1))
+    system = kx.point_weyl(kx.PointModel([[0, 0, 0]]))
+    vals = system.renorm_trace(np.array([2.5 + 1j]), np.zeros(1))
     assert np.allclose(vals, [2.5 + 1j])
-    vals = kx.point_renormalized_trace(model, np.array([0.0]), np.array([1.0]))
+    vals = system.renorm_trace(np.array([0.0]), np.array([1.0]))
     assert np.allclose(vals, [0.0])
-    model2 = kx.PointModel([[0, 0, 0], [1.0, 0, 0]])
-    vals = kx.point_renormalized_trace(model2, np.zeros(2), np.array([1.0, 0.0]))
+    system2 = kx.point_weyl(kx.PointModel([[0, 0, 0], [1.0, 0, 0]]))
+    vals = system2.renorm_trace(np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(vals, [0.0, 1.0 / FOUR_PI])
+
+
+def test_point_maps_take_n_boundary_values():
+    system = kx.point_weyl(kx.PointModel([[0, 0, 0], [1.0, 0, 0]]))
+    pts = np.array([[0.3, 0.2, 0.1], [2.0, 0.0, 0.0]])
+    for m in (1, 3):
+        message = re.escape(f"need a boundary vector of length 2, got shape ({m},)")
+        with pytest.raises(ValueError, match=message):
+            system.g_apply(1j, np.ones(m), pts)
+        with pytest.raises(ValueError, match=message):
+            system.renorm_trace(np.zeros(2), np.ones(m))
 
 
 def test_point_green_samples_match_kernel():

@@ -191,7 +191,7 @@ def test_von_neumann_alternative_form():
     for _ in range(10):
         params = random_params(rng, 2, rank=2)
         block = kx.von_neumann_block(system, params)
-        v = kx.range_basis(params.pi)
+        v = params.range_basis
         theta_c = v.conj().T @ params.theta @ v
         hat_c = v.conj().T @ block.gamma_hat @ v
         primary = v.conj().T @ block.m @ v

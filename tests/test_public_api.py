@@ -7,7 +7,9 @@ their shared data must agree bit for bit.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 import types
 
 import numpy as np
@@ -28,13 +30,13 @@ KREINEXT = [
     "apply_resolvent", "apply_resolvent_green", "bisect_root",
     "boundary_condition_residuals", "check_pair_conditions", "conjugation_residual",
     "cosine_mode", "difference_identity_residual", "eigenfunction", "eigenvalue_search",
-    "fd_graph_spectrum", "fd_interval_spectrum", "graph_traces", "graph_weyl",
-    "green_identity_residual", "green_norm", "hermitian_eig", "interval_green",
-    "interval_traces", "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
-    "kernel_basis", "krein_correction", "min_singular", "pair_from_params",
-    "params_from_pair", "point_gamma", "point_green_regular_part",
-    "point_renormalized_trace", "point_weyl", "poly_bump", "projector_from_span",
-    "range_basis", "relation_from_pair", "relation_from_params", "relation_gap",
+    "fd_graph_spectrum", "fd_interval_spectrum", "graph_weyl",
+    "green_identity_residual", "green_norm", "hermitian_eig",
+    "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
+    "krein_correction", "min_singular", "pair_from_params",
+    "params_from_pair", "point_green_regular_part",
+    "point_weyl", "poly_bump", "projector_from_span",
+    "relation_from_pair", "relation_from_params", "relation_gap",
     "secular_matrix", "simpson_gram", "sine_mode", "single_point_eigenvalue",
     "spin_weyl", "subspace_equal", "validate_eigenpair", "validate_params",
     "vertex_params", "von_neumann_block", "zero_function",
@@ -58,6 +60,20 @@ def test_kreinext_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert public == KREINEXT
+
+
+def test_module_exports_are_honest():
+    # every exported name exists, and each public name of the package is
+    # exported by exactly one module, the one it comes from
+    names = [info.name for info in pkgutil.iter_modules(kx.__path__)]
+    modules = [importlib.import_module(f"kreinext.{name}") for name in names]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    for name in KREINEXT:
+        homes = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(homes) == 1, (name, [m.__name__ for m in homes])
+        assert getattr(homes[0], name) is getattr(kx, name)
 
 
 def test_label_signatures_and_frame():

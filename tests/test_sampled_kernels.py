@@ -173,11 +173,32 @@ def test_graph_grid_mismatch_names_the_edge():
     params = ExtensionParams.full(0.2 * np.eye(16))
     with pytest.raises(GridMismatchError, match="edge 3 "):
         kx.apply_resolvent(system, params, 1 + 1j, psis, grids)
-    with pytest.raises(GridMismatchError, match="one grid per edge"):
+    with pytest.raises(GridMismatchError, match="need one entry per edge: 7 for 8 edges"):
         kx.apply_resolvent(system, params, 1 + 1j, psis[:7], grids[:7])
     grids[3] = np.linspace(0.0, EIGHT_EDGES[3], 1001)
-    with pytest.raises(GridMismatchError, match="one sample array per edge"):
+    with pytest.raises(GridMismatchError, match="need one entry per edge: 7 for 8 edges"):
         kx.apply_resolvent(system, params, 1 + 1j, psis[:7], grids)
+
+
+def test_edge_maps_take_one_entry_per_edge_and_n_boundary_values():
+    system = kx.graph_weyl(kx.GraphModel((1.0, 2.0)))
+    f = kx.sine_mode(PI)
+    params = ExtensionParams.full(np.zeros((4, 4)))
+    grids = edge_grids(system, 601)
+    for parts in ([f, f, f], [f]):
+        message = f"need one entry per edge: {len(parts)} for 2 edges"
+        with pytest.raises(GridMismatchError, match=message):
+            system.traces(parts)
+        with pytest.raises(GridMismatchError, match=message):
+            kx.boundary_condition_residuals(system, params, parts, np.zeros(4))
+        with pytest.raises(GridMismatchError, match=message):
+            system.traces([np.sin(PI * x) + 0j for x in grids], grids[:1] * len(parts))
+    for m in (2, 6):
+        message = re.escape(f"need a boundary vector of length 4, got shape ({m},)")
+        with pytest.raises(ValueError, match=message):
+            system.g_closed(1j, np.ones(m))
+        with pytest.raises(ValueError, match=message):
+            system.sampled_kernels(1j, grids).apply(np.ones(m))
 
 
 @pytest.mark.parametrize("name", sorted(_bad_grids()))
@@ -185,24 +206,24 @@ def test_sampled_traces_reject_a_grid_that_does_not_fit(name):
     # the boundary values are the end samples only on a grid from 0 to a
     grid = _bad_grids()[name]
     with pytest.raises(GridMismatchError, match="edge 0"):
-        kx.interval_traces(kx.IntervalModel(PI), np.sin(grid) + 0j, grid)
+        kx.interval_weyl(kx.IntervalModel(PI)).traces(np.sin(grid) + 0j, grid)
 
 
 def test_sampled_traces_need_one_sample_per_node():
     x = np.linspace(0.0, PI, 2001)
     with pytest.raises(GridMismatchError, match="1500 samples on a grid of 2001 nodes"):
-        kx.interval_traces(kx.IntervalModel(PI), np.sin(x[:1500]) + 0j, x)
+        kx.interval_weyl(kx.IntervalModel(PI)).traces(np.sin(x[:1500]) + 0j, x)
 
 
 def test_graph_traces_name_the_edge():
-    model = kx.GraphModel((1.0, 2.0))
+    system = kx.graph_weyl(kx.GraphModel((1.0, 2.0)))
     grids = [np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 3.0, 1001)]
     parts = [np.sin(PI * g) + 0j for g in grids]
     with pytest.raises(GridMismatchError, match="edge 1 "):
-        kx.graph_traces(model, parts, grids)
+        system.traces(parts, grids)
     grids[1] = np.linspace(0.0, 2.0, 1001)
     parts[1] = np.sin(0.5 * PI * grids[1]) + 0j
-    rho, tau = kx.graph_traces(model, parts, grids)
+    rho, tau = system.traces(parts, grids)
     assert np.max(np.abs(rho)) < 1e-12
     assert np.allclose(tau, [PI, PI, 0.5 * PI, 0.5 * PI], rtol=1e-8)
 
@@ -231,6 +252,8 @@ def test_sampled_kernels_reject_a_dirichlet_pole(system):
         system.sampled_kernels(z, grid)
     with pytest.raises(ExcludedPointError, match=message):
         system.g_apply(z, np.ones(system.n), grid)
+    with pytest.raises(ExcludedPointError, match=message):
+        system.g_closed(z, np.ones(system.n))
     # z is checked before the grids are
     with pytest.raises(ExcludedPointError, match=message):
         system.sampled_kernels(z, [np.linspace(0.0, 1.0, 11)] * 3)
