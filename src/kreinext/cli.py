@@ -50,7 +50,6 @@ from .linalg import min_singular
 from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
 from .parametrize import (
     PairConditionError,
-    check_pair_conditions,  # noqa: F401  unused here; the benchmark's tracer wraps this name
     pair_from_params,
     params_from_pair,
     relation_from_pair,

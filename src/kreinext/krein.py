@@ -183,16 +183,17 @@ class DirichletExclusions:
 
     def gaps_in(self, lo: float, hi: float):
         # reported gaps are twice the evaluation guard, so scanning up to a
-        # gap edge can never land inside a guard ball
+        # gap edge can never land inside a guard ball; each edge's candidate
+        # poles are one array, squared by float_power (C pow, as Python's **)
         gaps = []
         for a, unit in zip(self.lengths, self._unit.tolist()):
             n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
             n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
-            for n in range(max(1, n_lo - 1), n_hi + 2):
-                pole = -((n * np.pi / a) ** 2)
-                g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)
-                if pole + g >= lo and pole - g <= hi:
-                    gaps.append((max(lo, pole - g), min(hi, pole + g)))
+            n = np.arange(max(1, n_lo - 1), n_hi + 2, dtype=float)
+            pole = -np.float_power(n * np.pi / a, 2)
+            g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)
+            meets = (pole + g >= lo) & (pole - g <= hi)
+            gaps += zip(np.maximum(lo, pole - g)[meets].tolist(), np.minimum(hi, pole + g)[meets].tolist())
         return _merge_intervals(gaps)
 
     def describe(self) -> str:
@@ -658,11 +659,17 @@ def conjugation_residual(system: WeylSystem, z):
     from one ``system.gamma`` call on z and its conjugates, which checks
     every point. At real z the residual measures the Hermiticity of Gamma.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    res = _conjugation(system, np.atleast_1d(z))[0]
+    return float(res[0]) if np.ndim(z) == 0 else res
+
+
+def _conjugation(system: WeylSystem, zs):
+    """(conjugation residuals, Gamma(zs)) at the 1-D array zs."""
+    zs = np.asarray(zs, dtype=complex)
     m = zs.shape[0]
     g = system.gamma(np.concatenate([zs, zs.conj()]))
     res = np.linalg.norm(np.swapaxes(g[:m], -2, -1).conj() - g[m:], 2, axis=(-2, -1))
-    return float(res[0]) if np.ndim(z) == 0 else res
+    return res, g[:m]
 
 
 def green_identity_residual(system: WeylSystem, phi, psi) -> float:

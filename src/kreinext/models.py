@@ -201,6 +201,19 @@ def zero_function() -> SmoothFunction:
     return SmoothFunction(zero, zero, zero)
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """The (..., K b, K b) block-diagonal matrices of a (..., K, b, b) stack.
+
+    Every boundary space here is such a direct sum (edges of C^2, spin
+    channels of C^n); its vectors are split by ``reshape(K, b)``.
+    """
+    *lead, K, b, _ = np.shape(blocks)
+    out = np.zeros((*lead, K * b, K * b), dtype=complex)
+    for k in range(K):
+        out[..., k * b : (k + 1) * b, k * b : (k + 1) * b] = blocks[..., k, :, :]
+    return out
+
+
 def _boundary_vector(zeta, n: int) -> np.ndarray:
     """zeta as a complex vector of the boundary space C^n; any other shape
     raises ``ValueError`` naming n."""
@@ -455,11 +468,8 @@ def _edge_gram_entries(a: float, z: complex, w: complex) -> tuple:
 
 def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
     """Block-diagonal Gram matrix G(conj(w))^* G(z) of the edgewise model."""
-    out = np.zeros((2 * len(lengths), 2 * len(lengths)), dtype=complex)
-    for e, a in enumerate(lengths):
-        same, opposite = _edge_gram(a, z, w)
-        out[2 * e : 2 * e + 2, 2 * e : 2 * e + 2] = ((same, opposite), (opposite, same))
-    return out
+    entries = [_edge_gram(a, z, w) for a in lengths]
+    return _block_diag(np.array([((A, B), (B, A)) for A, B in entries], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +511,7 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
 
     def gamma(z):
         check_admissible(excluded, z)
-        blocks = _edge_gammas(lengths, z)
-        out = np.zeros(np.shape(z) + (2 * K, 2 * K), dtype=complex)
-        for k in range(K):
-            out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[..., k, :, :]
-        return out
+        return _block_diag(_edge_gammas(lengths, z))
 
     def gram(z, w):
         check_admissible(excluded, (z, w))
@@ -520,14 +526,11 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
             return system.shaped([edge.resolvent(part) for edge, part in zip(edges, system.edges(psi))])
 
         def adjoint(psi):
-            out = np.empty(2 * K, dtype=complex)
-            for k, (edge, part) in enumerate(zip(edges, system.edges(psi))):
-                out[2 * k : 2 * k + 2] = edge.adjoint(part)
-            return out
+            return np.concatenate([edge.adjoint(part) for edge, part in zip(edges, system.edges(psi))])
 
         def apply(zeta):
-            zeta = _boundary_vector(zeta, 2 * K)
-            return system.shaped([edge.apply(zeta[2 * k : 2 * k + 2]) for k, edge in enumerate(edges)])
+            pairs = _boundary_vector(zeta, 2 * K).reshape(K, 2)
+            return system.shaped([edge.apply(pair) for edge, pair in zip(edges, pairs)])
 
         return SampledKernels(resolvent, adjoint, apply)
 
@@ -536,17 +539,14 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
 
     def g_closed(z, zeta):
         check_admissible(excluded, z)
-        zeta = _boundary_vector(zeta, 2 * K)
-        return system.shaped([_edge_green(a, z, zeta[2 * k : 2 * k + 2]) for k, a in enumerate(lengths)])
+        pairs = _boundary_vector(zeta, 2 * K).reshape(K, 2)
+        return system.shaped([_edge_green(a, z, pair) for a, pair in zip(lengths, pairs)])
 
     def traces(parts, grid=None):
         parts = system.edges(parts)
         grids = [None] * K if grid is None else system.edges(grid)
-        rho = np.empty(2 * K, dtype=complex)
-        tau = np.empty(2 * K, dtype=complex)
-        for k, a in enumerate(lengths):
-            rho[2 * k : 2 * k + 2], tau[2 * k : 2 * k + 2] = _edge_traces(a, parts[k], grids[k], k)
-        return rho, tau
+        rho, tau = zip(*(_edge_traces(a, parts[k], grids[k], k) for k, a in enumerate(lengths)))
+        return np.concatenate(rho), np.concatenate(tau)
 
     system = EdgeWeylSystem(
         n=2 * K,
@@ -696,7 +696,9 @@ def point_green_regular_part(model: PointModel, lam, coeff):
     Away from the centers this is the plain kernel difference; at a center
     y_k it takes the limit value -sqrt(lam) c_k / (4 pi) plus the smooth
     cross terms, so it can feed the point system's ``renorm_trace`` directly.
+    ``lam`` in (-inf, 0] raises :class:`ExcludedPointError`, as in ``gamma``.
     """
+    check_admissible(HalfLineExclusions(0.0), lam)
     lam = complex(lam)
     coeff = np.asarray(coeff, dtype=complex)
     sq = np.sqrt(lam)
@@ -748,35 +750,25 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
     n, d = point.n_centers, len(b)
     # z off (-inf, max b] puts every shifted z - b_i off (-inf, 0]: one check per call
     excluded = HalfLineExclusions(max(b))
+    shifts = np.array(b)
 
     def gamma(z):
         check_admissible(excluded, z)
-        z = np.asarray(z)
-        out = np.zeros(z.shape + (n * d, n * d), dtype=complex)
-        for i, shift in enumerate(b):
-            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gamma(point, z - shift)
-        return out
+        return _block_diag(_point_gamma(point, np.asarray(z)[..., None] - shifts))
 
     def gram(z, w):
         check_admissible(excluded, (z, w))
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for i, shift in enumerate(b):
-            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = _point_gram(
-                point, z - shift, w - shift
-            )
-        return out
+        return _block_diag(np.array([_point_gram(point, z - shift, w - shift) for shift in b]))
 
     def g_apply(z, zeta, grid):
         check_admissible(excluded, z)
-        zeta = _boundary_vector(zeta, n * d)
+        charges = _boundary_vector(zeta, n * d).reshape(d, n)
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
-        out = np.empty((d, pts.shape[0]), dtype=complex)
-        for i, shift in enumerate(b):
-            out[i] = _point_g_values(point, z - shift, zeta[i * n : (i + 1) * n], pts)
+        out = np.array([_point_g_values(point, z - shift, c, pts) for shift, c in zip(b, charges)])
         return out[0] if bare else out
 
     def renorm_trace(part, zeta):
-        zeta = _boundary_vector(zeta, n * d)
+        charges = _boundary_vector(zeta, n * d).reshape(d, n)
         if callable(part):
             vals = np.asarray(part(point.centers), dtype=complex)
         else:
@@ -784,10 +776,7 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
         vals = vals[None] if bare else vals
         if vals.shape != (d, n):
             raise ValueError("continuous part must give a (channels, centers) array")
-        out = np.empty(n * d, dtype=complex)
-        for i in range(d):
-            out[i * n : (i + 1) * n] = _renormalized_trace(point, vals[i], zeta[i * n : (i + 1) * n])
-        return out
+        return np.concatenate([_renormalized_trace(point, v, c) for v, c in zip(vals, charges)])
 
     return PointWeylSystem(
         n=n * d,

@@ -79,20 +79,18 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
 
-def _subtract_gaps(lo, hi, gaps):
-    segments = [(lo, hi)]
+def _complement(lo, hi, gaps):
+    """The nonempty pieces of [lo, hi] between the sorted, disjoint ``gaps``
+    (as ``gaps_in`` returns them), in one sweep."""
+    segments, start = [], lo
     for glo, ghi in gaps:
-        new = []
-        for slo, shi in segments:
-            if ghi <= slo or glo >= shi:
-                new.append((slo, shi))
-                continue
-            if glo > slo:
-                new.append((slo, glo))
-            if ghi < shi:
-                new.append((ghi, shi))
-        segments = new
-    return [(a, b) for a, b in segments if b > a]
+        end = min(glo, hi)
+        if end > start:
+            segments.append((start, end))
+        start = max(start, ghi)
+    if hi > start:
+        segments.append((start, hi))
+    return segments
 
 
 def _admissible_start(excluded, lo: float) -> float:
@@ -171,7 +169,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
 
     gaps = tuple(system.excluded.gaps_in(lo, hi))
     segments = [
-        (_admissible_start(system.excluded, a), b) for a, b in _subtract_gaps(lo, hi, gaps)
+        (_admissible_start(system.excluded, a), b) for a, b in _complement(lo, hi, gaps)
     ]
     metadata = {
         "scope": SCOPE_NOTE,

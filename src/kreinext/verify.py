@@ -14,8 +14,8 @@ from .krein import (
     EdgeWeylSystem,
     ExtensionParams,
     WeylSystem,
+    _conjugation,
     apply_resolvent,
-    conjugation_residual,
     difference_identity_residual,
     green_identity_residual,
 )
@@ -90,8 +90,9 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
     complex_points, real_points = z_grid(system)
     grid20 = (complex_points + real_points)[:20]
 
-    conj = max(conjugation_residual(system, np.asarray(grid20)).tolist())
-    checks["conjugation"] = _check(conj, 1e-12)
+    # one Gamma call serves the conjugation, Hermiticity and determinant checks
+    conj, gammas = _conjugation(system, np.asarray(grid20))
+    checks["conjugation"] = _check(max(conj.tolist()), 1e-12)
 
     pairs = list(zip(complex_points[0::2], complex_points[1::2]))[:7]
     # edge models: Simpson quadrature, independent of their closed-form Gram
@@ -122,12 +123,11 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
 
     if not edge:
         # at real lambda the conjugation identity is Hermiticity
-        herm = max(conjugation_residual(system, np.asarray(real_points)).tolist())
+        herm = max(conj[len(complex_points) :].tolist())
         checks["hermitian_on_reals"] = _check(herm, 1e-12)
         return checks
 
     # each edge's 2 x 2 diagonal block of Gamma(z) has determinant z
-    gammas = system.gamma(np.asarray(grid20))
     blocks = np.stack([gammas[:, k : k + 2, k : k + 2] for k in range(0, system.n, 2)], axis=1)
     det_res = max(
         abs(det - z) / (1.0 + abs(z)) for z, dets in zip(grid20, np.linalg.det(blocks)) for det in dets

@@ -81,6 +81,40 @@ def reference_g_adjoint(a, z, psi, x):
     return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
 
 
+def reference_gaps_in(excluded, lo, hi):
+    """``DirichletExclusions.gaps_in`` as first written: one pole at a time in Python floats."""
+    from kreinext.krein import _merge_intervals
+
+    gaps = []
+    for a in excluded.lengths:
+        unit = float(np.float_power(np.pi / a, 2))
+        n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
+        n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
+        for n in range(max(1, n_lo - 1), n_hi + 2):
+            pole = -((n * np.pi / a) ** 2)
+            g = 2.0 * (excluded.guard_rel * (2 * n + 1) * unit)
+            if pole + g >= lo and pole - g <= hi:
+                gaps.append((max(lo, pole - g), min(hi, pole + g)))
+    return _merge_intervals(gaps)
+
+
+def reference_subtract_gaps(lo, hi, gaps):
+    """The window split as first written: every gap cuts every segment."""
+    segments = [(lo, hi)]
+    for glo, ghi in gaps:
+        new = []
+        for slo, shi in segments:
+            if ghi <= slo or glo >= shi:
+                new.append((slo, shi))
+                continue
+            if glo > slo:
+                new.append((slo, glo))
+            if ghi < shi:
+                new.append((ghi, shi))
+        segments = new
+    return [(a, b) for a, b in segments if b > a]
+
+
 def depth_first_search(system, params, window):
     """Reference eigenvalue search: depth-first count bisection, one lambda per call.
 
@@ -97,7 +131,7 @@ def depth_first_search(system, params, window):
     gaps = tuple(system.excluded.gaps_in(lo, hi))
     segments = [
         (spectral._admissible_start(system.excluded, a), b)
-        for a, b in spectral._subtract_gaps(lo, hi, gaps)
+        for a, b in spectral._complement(lo, hi, gaps)
     ]
     metadata = {
         "scope": spectral.SCOPE_NOTE,

@@ -441,16 +441,17 @@ def _count_verify_calls(monkeypatch, system, params):
 
 
 def test_run_verify_checks_each_point_once(monkeypatch):
-    # one Gamma call per identity; only gamma, the Gram matrices and the
-    # sampled kernels check z (probes that check z themselves and take one
-    # point per Gamma call make 61/122 and 69/130 here)
+    # one Gamma call per identity, and the conjugation probe's call also
+    # serves the determinant and Hermiticity checks; only gamma, the Gram
+    # matrices and the sampled kernels check z (probes that check z
+    # themselves and take one point per Gamma call make 61/122 and 69/130 here)
     rng = np.random.default_rng(3)
     graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
     params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
-    assert _count_verify_calls(monkeypatch, graph, params) == {"gamma": 14, "contains": 21}
+    assert _count_verify_calls(monkeypatch, graph, params) == {"gamma": 13, "contains": 20}
     points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
     params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))
-    assert _count_verify_calls(monkeypatch, points, params) == {"gamma": 11, "contains": 18}
+    assert _count_verify_calls(monkeypatch, points, params) == {"gamma": 10, "contains": 17}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import kreinext as kx
 from kreinext import ExcludedPointError, ExtensionParams, VertexGroup
@@ -360,6 +361,91 @@ def test_spin_renormalized_trace_shape():
     assert out.shape == (4,)
     assert np.allclose(out[:2], [0.0, 1.0 / FOUR_PI])
     assert np.allclose(out[2:], 0.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0])
+def test_point_green_regular_part_rejects_the_half_line(lam):
+    # G(lam) is no deficiency element on (-inf, 0]; at -1 this was the outgoing wave
+    model = kx.PointModel([[0, 0, 0]])
+    with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(lam)}")):
+        kx.point_green_regular_part(model, lam, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# direct sums: every graph and spin map is the block diagonal or the
+# concatenation of its one-edge or one-channel maps, bit for bit
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _block_diagonals(stacks):
+    """scipy's block_diag of the i-th matrix of every stack, for each i."""
+    return np.stack([block_diag(*blocks) for blocks in zip(*stacks)])
+
+
+def test_graph_maps_are_the_direct_sum_of_their_edges():
+    graph = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
+    edges = [kx.graph_weyl(kx.GraphModel((a,))) for a in EIGHT_EDGES]
+    zs = np.array([0.0, 0.7, -0.3, 2 + 3j, 1j, -2.5 + 1e-3j, 40.0 - 2j])
+    assert _same(graph.gamma(zs), _block_diagonals([edge.gamma(zs) for edge in edges]))
+    for z in zs:
+        for w in (0.5 - 1j, -0.2, 3.0):
+            assert _same(graph.gram(z, w), block_diag(*[edge.gram(z, w) for edge in edges]))
+
+    rng = np.random.default_rng(8)
+    zeta = rng.normal(size=graph.n) + 1j * rng.normal(size=graph.n)
+    pairs = zeta.reshape(-1, 2)
+    grids = [np.linspace(0.0, a, 601) for a in EIGHT_EDGES]
+    psi = [np.sin(3.0 * x) * (1 + 0.5j) + x for x in grids]
+    for z in (0.0, 0.7, 2 + 3j, -2.5 + 1e-3j):
+        kernels = graph.sampled_kernels(z, grids)
+        one = [edge.sampled_kernels(z, [x]) for edge, x in zip(edges, grids)]
+        got = kernels.resolvent(psi)
+        for k, (kernel, part) in enumerate(zip(one, psi)):
+            assert _same(got[k], kernel.resolvent([part])[0])
+        assert _same(kernels.adjoint(psi), np.concatenate([e.adjoint([p]) for e, p in zip(one, psi)]))
+        got = kernels.apply(zeta)
+        for k, (kernel, pair) in enumerate(zip(one, pairs)):
+            assert _same(got[k], kernel.apply(pair)[0])
+        closed = graph.g_closed(z, zeta)
+        for k, (edge, pair, x) in enumerate(zip(edges, pairs, grids)):
+            part = edge.g_closed(z, pair)[0]
+            for name in ("f", "df", "d2f"):
+                assert _same(getattr(closed[k], name)(x), getattr(part, name)(x))
+        for parts, grid in ((closed, None), (psi, grids)):
+            rho, tau = graph.traces(parts, grid)
+            singles = [
+                edge.traces([p], None if grid is None else [x])
+                for edge, p, x in zip(edges, parts, grids)
+            ]
+            assert _same(rho, np.concatenate([r for r, _ in singles]))
+            assert _same(tau, np.concatenate([t for _, t in singles]))
+
+
+def test_spin_maps_are_the_direct_sum_of_their_shifted_channels():
+    b = (0.0, -0.7, 1.3)
+    centers = np.random.default_rng(9).uniform(-1.0, 1.0, (3, 3))
+    spin = kx.spin_weyl(kx.SpinPointModel(centers, b))
+    point = kx.point_weyl(kx.PointModel(centers))
+    zs = np.array([2.0, 1.31, 2 + 3j, 1j, -5.0 - 0.1j, 40.0 + 2j])
+    assert _same(spin.gamma(zs), _block_diagonals([point.gamma(zs - shift) for shift in b]))
+
+    rng = np.random.default_rng(10)
+    zeta = rng.normal(size=spin.n) + 1j * rng.normal(size=spin.n)
+    charges = zeta.reshape(len(b), -1)
+    pts = rng.uniform(-3.0, 3.0, (40, 3))
+    part = rng.normal(size=charges.shape) + 1j * rng.normal(size=charges.shape)
+    for z in zs:
+        for w in (3.0 - 1j, 2.5):
+            want = block_diag(*[point.gram(z - shift, w - shift) for shift in b])
+            assert _same(spin.gram(z, w), want)
+        want = np.stack([point.g_apply(z - shift, c, pts) for shift, c in zip(b, charges)])
+        assert _same(spin.g_apply(z, zeta, pts), want)
+    want = np.concatenate([point.renorm_trace(v, c) for v, c in zip(part, charges)])
+    assert _same(spin.renorm_trace(part, zeta), want)
 
 
 # ---------------------------------------------------------------------------

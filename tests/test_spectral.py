@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 import kreinext as kx
-from kreinext import ExtensionParams, FDSpec
+from kreinext import ExtensionParams, FDSpec, spectral
 
-from helpers import depth_first_search, random_hermitian, random_params
+from helpers import (
+    depth_first_search,
+    random_hermitian,
+    random_params,
+    reference_gaps_in,
+    reference_subtract_gaps,
+)
 
 PI = np.pi
 FOUR_PI = 4 * np.pi
@@ -43,6 +49,34 @@ def test_search_reports_gap_at_embedded_eigenvalue(neumann_interval):
     assert len(result.gaps) == 1
     lo, hi = result.gaps[0]
     assert lo <= -4.0 <= hi
+
+
+def test_wide_window_gaps_and_segments_tile_it():
+    # 3162 Dirichlet poles of a = pi lie in the window: the gaps and the
+    # searchable pieces between them alternate and cover it exactly
+    lo, hi = -1e7, -0.1
+    gaps = kx.interval_weyl(kx.IntervalModel(PI)).excluded.gaps_in(lo, hi)
+    segments = spectral._complement(lo, hi, gaps)
+    assert (len(gaps), len(segments)) == (3162, 3163)
+    pieces = [piece for pair in zip(segments, gaps) for piece in pair] + segments[-1:]
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    assert all(a < b for a, b in pieces)
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+
+
+def test_gaps_and_split_match_their_loop_versions():
+    # windows that start, end or sit on a pole and its gap, and wide ones
+    windows = [(-1e4, -0.1), (-30.0, 5.0), (-1.0, 0.0), (-4.0, -1.0), (-1.0 - 1e-9, -1.0 + 1e-9)]
+    windows += [(lo, lo + 7.5) for lo in np.linspace(-500.0, -3.0, 40)]
+    for lengths in [(PI,), (0.3, 1.0, PI), (1.0, 1.0, 2.0), (0.05, 7.0, 13.3, 20.0)]:
+        excluded = kx.DirichletExclusions(lengths)
+        for lo, hi in windows:
+            gaps = excluded.gaps_in(lo, hi)
+            assert gaps == reference_gaps_in(excluded, lo, hi)
+            assert spectral._complement(lo, hi, gaps) == reference_subtract_gaps(lo, hi, gaps)
+    for lo, hi in [(-1.0, 2.0), (0.0, 1.0), (-5.0, -1.0), (2.0, 5.0)]:
+        gaps = kx.HalfLineExclusions(0.0).gaps_in(lo, hi)
+        assert spectral._complement(lo, hi, gaps) == reference_subtract_gaps(lo, hi, gaps)
 
 
 def test_point_bound_state_single_center():
