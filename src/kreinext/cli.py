@@ -43,10 +43,9 @@ from .krein import (
     ModelConsistencyError,
     UnsupportedModelError,
     WeylSystem,
+    _secular_verdict,
     apply_resolvent,
-    secular_matrix,
 )
-from .linalg import min_singular
 from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
 from .parametrize import (
     PairConditionError,
@@ -218,8 +217,7 @@ def cmd_resolvent(config):
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
     psi = verify.preset_samples(system, spec, z, grids)
 
-    m = secular_matrix(system, params, z)
-    sigma = min_singular(m) if m.size else None
+    m, sigma, _, _ = _secular_verdict(system, params, z)
     phi = apply_resolvent(system, params, z, psi, grids)
 
     # the interval's samples are one bare array, a graph's one array per edge
@@ -232,7 +230,7 @@ def cmd_resolvent(config):
         columns = [edge, np.concatenate(grids), phi.real, phi.imag]
     doc = {
         "z": serialize.complex_to_pair(z),
-        "sigma_min": sigma,
+        "sigma_min": sigma if m.size else None,
         "grid": nodes,
         "input": spec,
     }

@@ -468,16 +468,13 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
     real admissible lambda is the secular equation for the point spectrum;
     the inverse drives the Krein correction. A scalar z gives one r x r
     matrix, a 1-D array of m values the (m, r, r) stack from one
-    ``system.gamma`` call; for pi = 0, r = 0. Every z is checked against
-    the excluded set (by ``system.gamma``, or here when r = 0 and Gamma is
-    not needed), and a non-finite matrix raises
-    :class:`ModelConsistencyError` naming its z, so no NaN reaches LAPACK.
+    ``system.gamma`` call; for pi = 0, r = 0 and the stack is empty. Every z
+    is checked against the excluded set by ``system.gamma``, and a
+    non-finite matrix raises :class:`ModelConsistencyError` naming its z,
+    so no NaN reaches LAPACK.
     """
     v = params.range_basis
     z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-    if v.shape[1] == 0:
-        check_admissible(system.excluded, z)
-        return np.zeros(np.shape(z) + (0, 0), dtype=complex)
     m = v.conj().T @ (params.theta + system.gamma(z)) @ v
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
@@ -487,22 +484,24 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
 
 
 def _secular_verdict(system, params, z):
-    """(m, sigma_min, regular) at the scalar z: the secular matrix, its
-    smallest singular value and sigma_min > SINGULARITY_RTOL (1 + ||m||_2);
-    see :func:`is_regular_point` for the raise at a nonreal singular z."""
+    """(m, sigma_min, sigma_max, regular) at the scalar z: the secular matrix,
+    its extreme singular values and sigma_min > SINGULARITY_RTOL (1 + sigma_max).
+
+    The one place a secular matrix is judged. For pi = 0 the matrix is
+    empty, and the verdict is (m, inf, 0.0, True); see
+    :func:`is_regular_point` for the raise at a nonreal singular z.
+    """
     z = complex(z)
     m = secular_matrix(system, params, z)
-    if m.shape[0] == 0:
-        return m, np.inf, True
     s = np.linalg.svd(m, compute_uv=False)
-    smin = float(s[-1])
-    regular = smin > SINGULARITY_RTOL * (1.0 + float(s.max()))
+    smin, smax = float(s.min(initial=np.inf)), float(s.max(initial=0.0))
+    regular = smin > SINGULARITY_RTOL * (1.0 + smax)
     if not regular and z.imag != 0.0:
         raise ModelConsistencyError(
             f"secular matrix singular at nonreal z={z} (sigma_min={smin:.3e}); "
             "the Weyl family violates its defining identities"
         )
-    return m, smin, regular
+    return m, smin, smax, regular
 
 
 def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
@@ -512,21 +511,18 @@ def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
     secular matrix off the real axis therefore raises
     :class:`ModelConsistencyError` instead of returning False.
     """
-    return _secular_verdict(system, params, z)[2]
+    return _secular_verdict(system, params, z)[3]
 
 
 def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
     """The boundary-space factor pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n.
 
     It is V m^{-1} V^* with V the label's ``range_basis`` and m the
-    :func:`secular_matrix` at z.
+    :func:`secular_matrix` at z, which checks z; for pi = 0 it is zero.
     """
     z = complex(z)
     v = params.range_basis
-    n = params.n
-    if v.shape[1] == 0:
-        return np.zeros((n, n), dtype=complex)
-    m, smin, regular = _secular_verdict(system, params, z)
+    m, smin, _, regular = _secular_verdict(system, params, z)
     if not regular:
         raise ExtensionSingularError(
             f"z={z} is in the extension's point spectrum to working precision "

@@ -273,6 +273,9 @@ def _grid_problem(a: float, x: np.ndarray):
     """Why x is not a uniform grid from 0 to a, or None when it is one."""
     if x.ndim != 1 or x.shape[0] < 2:
         return f"need a 1-D grid of at least 2 nodes, got shape {x.shape}"
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        return f"grid node {bad[0]} is {float(x[bad[0]])!r}, not finite"
     if abs(x[0]) > GRID_END_RTOL * a or abs(x[-1] - a) > GRID_END_RTOL * a:
         return f"grid runs from {x[0]!r} to {x[-1]!r}, not from 0 to the edge length {a!r}"
     dx = x[1] - x[0]
@@ -648,19 +651,20 @@ def _point_gamma(model: PointModel, z) -> np.ndarray:
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
-    """Gram matrix of the point model at (z, w); neither argument is checked."""
+    """Gram matrix G(conj(w))^* G(z) of the point model; neither argument is checked.
+
+    With a, b the roots of w and z, ordered so that Re a <= Re b, and d the
+    centre distances, entry (j, k) is exp(-a d) E(x) / (4 pi (a + b)) with
+    x = (b - a) d = (z_b - z_a) d / (a + b) and E(x) = (1 - exp(-x)) / x,
+    E(0) = 1. One formula covers the diagonal and z = w, nothing cancels
+    near z = w, and exp(-x) stays bounded; it does not read Gamma.
+    """
     z, w = complex(z), complex(w)
-    if z != w:
-        at_z, at_w = _point_gamma(model, (z, w))
-        return (at_z - at_w) / (z - w)
-    sq = np.sqrt(z)
+    (za, a), (zb, b) = sorted([(w, np.sqrt(w)), (z, np.sqrt(z))], key=lambda root: root[1].real)
     d = model._distances
-    n = model.n_centers
-    out = np.zeros((n, n), dtype=complex)
-    mask = ~np.eye(n, dtype=bool)
-    out[mask] = np.exp(-sq * d[mask]) / (8.0 * np.pi * sq)
-    np.fill_diagonal(out, 1.0 / (8.0 * np.pi * sq))
-    return out
+    x = (zb - za) / (a + b) * d
+    quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+    return np.exp(-a * d) * quotient / (FOUR_PI * (a + b))
 
 
 def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:
@@ -710,7 +714,7 @@ def point_green_regular_part(model: PointModel, lam, coeff):
         )
         near = r <= MIN_CENTER_DISTANCE
         smooth = np.where(near, 1.0, r)
-        term = (np.exp(-sq * smooth) - 1.0) / (FOUR_PI * smooth)
+        term = np.expm1(-sq * smooth) / (FOUR_PI * smooth)
         term = np.where(near, -sq / FOUR_PI, term)
         return term @ coeff
 

@@ -220,12 +220,11 @@ def eigenfunction(system: WeylSystem, params: ExtensionParams, lam, zeta, grid):
     norm = np.linalg.norm(zeta)
     if norm == 0.0:
         raise ValueError("zero vector cannot define an eigenfunction")
-    m = secular_matrix(system, params, lam)
+    m, _, smax, _ = _secular_verdict(system, params, lam)
     basis = params.range_basis
-    scale = 1.0 + (np.linalg.norm(m, 2) if m.size else 0.0)
     off_range = np.linalg.norm(zeta - basis @ (basis.conj().T @ zeta))
-    in_kernel = np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else 0.0
-    if off_range + in_kernel > KERNEL_RTOL * scale * norm:
+    in_kernel = np.linalg.norm(m @ (basis.conj().T @ zeta))
+    if off_range + in_kernel > KERNEL_RTOL * (1.0 + smax) * norm:
         raise ValueError(
             "zeta is not in the numerical kernel of the secular matrix at lambda "
             f"(residual {(off_range + in_kernel) / norm:.3e})"
@@ -263,7 +262,7 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
     distance = float(system.excluded.distance(lam))
     if excluded:
         return EigenpairReport(np.inf, np.inf, distance, True, np.inf, np.inf)
-    m, smin, _ = _secular_verdict(system, params, lam)
+    m, smin, _, _ = _secular_verdict(system, params, lam)
     basis = params.range_basis
     kernel_residual = float(
         np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else np.inf

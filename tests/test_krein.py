@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,9 @@ def test_nonreal_always_regular_all_models():
 def test_correction_trivial_projector(interval_pi):
     p = ExtensionParams.trivial(2)
     assert np.allclose(kx.krein_correction(interval_pi, p, 2j), np.zeros((2, 2)))
+    # -1 is a Dirichlet pole of the interval: the empty label still checks z
+    with pytest.raises(kx.ExcludedPointError, match=re.escape("z=(-1+0j)")):
+        kx.krein_correction(interval_pi, p, -1.0)
 
 
 def test_correction_is_secular_inverse(interval_pi):

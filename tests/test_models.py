@@ -271,6 +271,31 @@ def test_point_gram_coincident_argument():
         assert np.allclose(got, [[1.0 / (8 * np.pi * np.sqrt(complex(z)))]])
 
 
+@pytest.mark.parametrize("w", [2.0, 0.5 + 1.5j, 40.0 - 3.0j])
+def test_point_gram_is_its_own_closed_form(w):
+    # the difference quotient of Gamma lost about 1e-4 of relative accuracy at z - w = 1e-12
+    centres = np.array([[0, 0, 0], [0.6, 0, 0], [0, 1.1, 0.3]])
+    system = kx.point_weyl(kx.PointModel(centres))
+    d = np.linalg.norm(centres[:, None] - centres[None], axis=-1)
+    sq = np.sqrt(complex(w))
+    derivative = np.exp(-sq * d) / (8 * np.pi * sq)  # Gamma'(w)
+    near = system.gram(w + 1e-12, w)
+    assert np.all(np.abs(near - derivative) <= 1e-9 * np.abs(derivative))
+    for z in (np.conj(w), 3.0 + 1.0j, w + 1e-8):
+        assert np.allclose(system.gram(z, w), system.gram(w, z), rtol=1e-14, atol=0.0)
+    assert np.all(np.isfinite(system.gram(1e-6, 1e8)))
+    assert np.all(np.isfinite(system.gram(1e8, 1e-6)))
+
+
+def test_point_green_regular_part_near_a_centre():
+    # (exp(-x) - 1) / (4 pi r) cancelled to about 3e-9 at r = 1e-8
+    lam, r = 2.0, 1e-8
+    regular = kx.point_green_regular_part(kx.PointModel([[0, 0, 0]]), lam, [1.0])
+    x = np.sqrt(lam) * r
+    series = np.sqrt(lam) / FOUR_PI * (-1 + x / 2 - x**2 / 6)
+    assert abs(regular([[r, 0, 0]])[0] - series) <= 1e-13 * abs(series)
+
+
 def test_point_gamma_hermitian_on_positive_reals():
     system = kx.point_weyl(kx.PointModel([[0, 0, 0], [0.6, 0, 0], [0, 1.1, 0]]))
     for lam in (0.3, 1.0, 7.5):

@@ -133,10 +133,15 @@ def test_apply_resolvent_builds_each_edge_once(monkeypatch):
 
 def _bad_grids():
     t = np.linspace(0.0, 1.0, 2001)
+    # a NaN node compares False with every bound the other checks test
+    nan_first, nan_inside = PI * t, PI * t
+    nan_first[0] = nan_inside[1000] = np.nan
     return {
         "too_long": np.linspace(0.0, 2.0, 2001),
         "shifted": np.linspace(1.0, 1.0 + PI, 2001),
         "non_uniform": PI * t * t,
+        "nan_first": nan_first,
+        "nan_inside": nan_inside,
     }
 
 

@@ -237,6 +237,9 @@ def test_eigenfunction_rejects_non_kernel_vector(neumann_interval):
         kx.eigenfunction(system, params, 0.0, np.array([1.0, -1.0]), grid)
     with pytest.raises(ValueError):
         kx.eigenfunction(system, params, 0.0, np.zeros(2), grid)
+    # for pi = 0 every nonzero zeta lies off the (empty) range
+    with pytest.raises(ValueError):
+        kx.eigenfunction(system, ExtensionParams.trivial(2), 0.0, np.array([1.0, -1.0]), grid)
 
 
 def test_eigenfunction_fd_residual_interval():
