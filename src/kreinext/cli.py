@@ -15,8 +15,9 @@ family).
 
 Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
 spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
-5 numerical failure (a non-finite Weyl matrix, a LAPACK breakdown or
-non-finite resolvent samples). A handler returns its artifacts and a
+5 numerical failure (a non-finite Weyl matrix, a LAPACK breakdown,
+non-finite resolvent samples or a spectrum that found fewer eigenvalues
+than it counted). A handler returns its artifacts and a
 :class:`JobFailure` or None; :func:`failure_of` maps every exception a job
 raises onto one. On failure stderr holds that one JSON error and nothing
 else: numpy's RuntimeWarnings are recorded, not printed, and the library's
@@ -187,10 +188,15 @@ def cmd_spectrum(config):
         "spectrum_gaps.csv": serialize.csv_text(["lo", "hi"], gaps.T),
         "spectrum.json": serialize.canonical_json(doc),
     }
-    if not result.metadata["segments"]:
+    meta = result.metadata
+    if not meta["segments"]:
         return files, JobFailure(
             EXIT_SPECTRAL, "unsearchable-window", "the whole window lies in the excluded spectral set"
         )
+    if meta["expected_count"] != meta["found_count"]:
+        counts = {key: meta[key] for key in ("expected_count", "found_count")}
+        message = "the search found fewer eigenvalues than it counted"
+        return files, JobFailure(EXIT_NUMERICAL, "incomplete-spectrum", message, counts)
     return files, None
 
 

@@ -632,20 +632,25 @@ def green_norm(system: WeylSystem, combo: GreenCombination) -> float:
 # identity residual probes
 
 
-def difference_identity_residual(system: WeylSystem, z, v, gram=None) -> float:
-    """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||, a correctness probe.
+def difference_identity_residual(system: WeylSystem, z, v, gram=None):
+    """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||_2, a correctness probe.
 
-    Gamma(z) and Gamma(v) come from one ``system.gamma`` call, which checks
-    both, even when z == v. ``gram`` replaces ``system.gram``: pass an
-    independent one (such as :func:`kreinext.oracle.simpson_gram`) so that
-    a closed-form Gram matrix is not checked against itself.
+    Scalars z, v give a float, equal-length 1-D arrays one residual per pair,
+    all from one ``system.gamma`` call, which checks every point; a pair with
+    z == v gives 0. ``gram`` replaces ``system.gram``: pass an independent
+    one (such as :func:`kreinext.oracle.simpson_gram`) so that a closed-form
+    Gram matrix is not checked against itself.
     """
-    at_z, at_v = system.gamma(np.array([z, v], dtype=complex))
-    z, v = complex(z), complex(v)
-    if z == v:
-        return 0.0
+    zs, vs = np.atleast_1d(z).astype(complex), np.atleast_1d(v).astype(complex)
+    if zs.ndim != 1 or zs.shape != vs.shape:
+        raise ValueError(f"need scalars or 1-D arrays of one length, got {zs.shape}, {vs.shape}")
+    at_z, at_v = np.split(system.gamma(np.concatenate([zs, vs])), 2)
     gram = gram or system.gram
-    return float(np.linalg.norm(at_z - at_v - (z - v) * gram(z, v), 2))
+    res = np.array([
+        0.0 if a == b else np.linalg.norm(ga - gb - (a - b) * gram(a, b), 2)
+        for a, b, ga, gb in zip(zs.tolist(), vs.tolist(), at_z, at_v)
+    ])
+    return float(res[0]) if np.ndim(z) == 0 else res
 
 
 def conjugation_residual(system: WeylSystem, z):
@@ -684,37 +689,31 @@ def green_identity_residual(system: WeylSystem, phi, psi) -> float:
             f"model kind {system.kind!r} carries no quadrature trace maps"
         )
     (phi_star, zeta), (psi_star, xi) = phi, psi
-    zeta = np.asarray(zeta, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-
-    def assemble(star, charge):
-        star_edges = system.edges(star)
-        plus = system.edges(system.g_closed(1j, charge))
-        minus = system.edges(system.g_closed(-1j, charge))
-        full, image = [], []
-        for fs, gp, gm in zip(star_edges, plus, minus):
-            g_star = 0.5 * (gp + gm)
-            rg = (1.0 / 2j) * (gm - gp)  # free resolvent at i applied to G(-i) charge
-            full.append(fs + g_star)
-            image.append(lambda x, a=fs, b=rg: a.d2f(x) + b.f(x))
-        return full, image
-
-    phi_full, s_phi = assemble(phi_star, zeta)
-    psi_full, s_psi = assemble(psi_star, xi)
-
+    # per side, per edge: (f_*, G(i) charge, G(-i) charge)
+    sides = [
+        zip(*(system.edges(f) for f in (star, system.g_closed(1j, c), system.g_closed(-1j, c))))
+        for star, c in ((phi_star, zeta), (psi_star, xi))
+    ]
     lhs = 0.0 + 0.0j
-    for length, pf, sp_, qf, sq in zip(
-        system.lengths, phi_full, s_phi, psi_full, s_psi
-    ):
+    for length, phi_e, psi_e in zip(system.lengths, *sides):
         x = np.linspace(0.0, length, 4001)
         dx = x[1] - x[0]
-        lhs += simpson(np.conj(pf(x)) * sq(x), dx)
-        lhs -= simpson(np.conj(sp_(x)) * qf(x), dx)
+        phi_full, phi_image = _lagrange_samples(*phi_e, x)
+        psi_full, psi_image = _lagrange_samples(*psi_e, x)
+        lhs += simpson(np.conj(phi_full) * psi_image, dx)
+        lhs -= simpson(np.conj(phi_image) * psi_full, dx)
 
     tau_phi = np.asarray(system.traces(phi_star)[1], dtype=complex)
     tau_psi = np.asarray(system.traces(psi_star)[1], dtype=complex)
     rhs = np.vdot(tau_phi, xi) - np.vdot(zeta, tau_psi)
     return float(abs(lhs - rhs))
+
+
+def _lagrange_samples(star: SmoothFunction, plus: SmoothFunction, minus: SmoothFunction, x):
+    """Samples on x of f = f_* + G_* zeta and of its image f_*'' + R(i) G(-i) zeta on
+    one edge, from f_* and ``plus`` = G(i) zeta, ``minus`` = G(-i) zeta, each sampled once."""
+    gp, gm = plus.f(x), minus.f(x)
+    return star.f(x) + 0.5 * (gp + gm), star.d2f(x) + (1.0 / 2j) * (gm - gp)
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,7 @@ def _grid_problem(a: float, x: np.ndarray):
     if bad.size:
         return f"grid node {bad[0]} is {float(x[bad[0]])!r}, not finite"
     if abs(x[0]) > GRID_END_RTOL * a or abs(x[-1] - a) > GRID_END_RTOL * a:
-        return f"grid runs from {x[0]!r} to {x[-1]!r}, not from 0 to the edge length {a!r}"
+        return f"grid runs from {float(x[0])} to {float(x[-1])}, not from 0 to the edge length {a!r}"
     dx = x[1] - x[0]
     deviation = np.max(np.abs(np.diff(x) - dx))
     if deviation > GRID_STEP_RTOL * dx:

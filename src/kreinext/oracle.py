@@ -8,9 +8,10 @@ discrete problem genuinely Hermitian (real symmetric for real coupling
 matrices) and second-order accurate, independently of the Weyl-family
 route it validates. The point-interaction bound state has a closed form.
 The Gram matrix of the interval and graph deficiency elements is integrated
-by composite Simpson quadrature, independently of the closed form the
-models use, so the difference identity Gamma(z) - Gamma(w) =
-(z - w) G(conj(w))^* G(z) is checked against quadrature, not against itself.
+by composite Simpson quadrature of columns sampled here; it reads neither
+the models' closed form nor their sampled kernels, so the difference
+identity Gamma(z) - Gamma(w) = (z - w) G(conj(w))^* G(z) is checked
+against quadrature, not against itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krein import DirichletExclusions, ExtensionParams, check_admissible
-from .models import GraphModel, IntervalModel, _EdgeKernels
+from .models import GraphModel, IntervalModel
 from .quad import simpson
 
 __all__ = [
@@ -183,12 +184,22 @@ def _default_gram_nodes(length: float) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+def _deficiency_columns(a: float, z, x) -> np.ndarray:
+    """The solutions of u'' = z u on (0, a) with boundary values (1, 0) and (0, 1),
+    G(z) e_1 and G(z) e_2, sampled on x as two columns (linear at z = 0)."""
+    if z == 0:
+        return np.stack([(a - x) / a, x / a], axis=1).astype(complex)
+    k = complex(np.sqrt(complex(-z)))
+    s = np.sin(k * a)
+    return np.stack([np.sin(k * (a - x)) / s, np.sin(k * x) / s], axis=1)
+
+
 def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
     """Gram matrix G(conj(w))^* G(z) of the edgewise model by Simpson quadrature.
 
     ``lengths`` are the edge lengths (one for the interval). Each edge block
-    integrates products of the sampled deficiency columns on ``nodes`` nodes
-    (default 2001 per unit length, at least 501, odd).
+    integrates products of the deficiency columns, sampled here, on
+    ``nodes`` nodes (default 2001 per unit length, at least 501, odd).
     """
     excluded = DirichletExclusions(lengths)
     check_admissible(excluded, (z, w))
@@ -197,8 +208,7 @@ def simpson_gram(lengths, z, w, nodes: int | None = None) -> np.ndarray:
     for k, a in enumerate(excluded.lengths):
         xq = np.linspace(0.0, a, nodes or _default_gram_nodes(a))
         dxq = xq[1] - xq[0]
-        gz = _EdgeKernels(a, z, xq).columns
-        gw = _EdgeKernels(a, w, xq).columns
+        gz, gw = _deficiency_columns(a, z, xq), _deficiency_columns(a, w, xq)
         for i in range(2):
             for j in range(2):
                 out[2 * k + i, 2 * k + j] = simpson(gw[:, i] * gz[:, j], dxq)

@@ -196,14 +196,10 @@ def pair_from_params(params: ExtensionParams) -> BoundaryPair:
     """
     v, w = params.range_basis, params.kernel_basis
     k = v.shape[1]
-    n = params.n
-    b1 = w @ w.conj().T
-    b2 = np.zeros((n, n), dtype=complex)
-    if k:
-        theta_c = v.conj().T @ params.theta @ v
-        cayley = np.linalg.inv(-theta_c + 1j * np.eye(k))
-        b1 = b1 + v @ (theta_c @ cayley) @ v.conj().T
-        b2 = v @ cayley @ v.conj().T
+    theta_c = v.conj().T @ params.theta @ v
+    cayley = np.linalg.inv(-theta_c + 1j * np.eye(k))
+    b1 = w @ w.conj().T + v @ (theta_c @ cayley) @ v.conj().T
+    b2 = v @ cayley @ v.conj().T
     return BoundaryPair(b1, b2)
 
 
@@ -301,8 +297,6 @@ def von_neumann_block(system: WeylSystem, params: ExtensionParams) -> VonNeumann
     v, w = params.range_basis, params.kernel_basis
     n = params.n
     k = v.shape[1]
-    if k == 0:
-        return VonNeumannBlock(m=np.eye(n, dtype=complex), q=q, gamma_hat=gamma_hat)
     theta_c = v.conj().T @ params.theta @ v
     hat_c = v.conj().T @ gamma_hat @ v
     try:

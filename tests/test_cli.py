@@ -153,6 +153,27 @@ def test_spectrum_unsearchable_window(tmp_path, capsys):
     assert len(gaps) == 2
 
 
+def test_spectrum_that_misses_a_counted_eigenvalue_exits_5(tmp_path, capsys):
+    # on a long interval two counted drops stay above KERNEL_TOL at their roots
+    ext = ser.params_to_obj(kx.ExtensionParams.full(0.5 * np.eye(2)))
+    ext["kind"] = "params"
+    job = write_job(
+        tmp_path / "job.json",
+        {
+            "model": {"type": "interval", "a": 1000.0},
+            "extension": ext,
+            "task": {"name": "spectrum", "window": [-10.0, -1e-6]},
+        },
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "incomplete-spectrum"
+    assert err["detail"] == {"expected_count": 1007, "found_count": 1005}
+    meta = json.loads((tmp_path / "out" / "spectrum.json").read_text())["metadata"]
+    assert (meta["expected_count"], meta["found_count"]) == (1007, 1005)
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + 1005
+
+
 def _nan_gamma(z):
     return np.full((2, 2), np.nan + 0j)
 

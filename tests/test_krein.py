@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kreinext import (
     ExtensionSingularError,
     GreenCombination,
 )
-from kreinext import krein, verify
+from kreinext import krein, models, oracle, verify
 from kreinext.quad import simpson
 
 from helpers import one_sided_derivatives, random_hermitian, random_params
@@ -380,6 +381,28 @@ def test_difference_identity_point_closed_form(point_one):
     assert kx.difference_identity_residual(point_one, 1 + 1j, 3 - 2j) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["edge", "points", "spin"])
+def test_difference_identity_residual_takes_arrays(name):
+    system = _probe_systems()[name]
+    complex_points, _ = verify.z_grid(system)
+    z, v = np.array(complex_points[0::2]), np.array(complex_points[1::2])
+    z[3] = v[3]  # a pair with z == v gives 0
+    gram = functools.partial(kx.simpson_gram, system.lengths) if name == "edge" else None
+    calls = []
+
+    def gamma(zs):
+        calls.append(np.shape(zs))
+        return system.gamma(zs)
+
+    got = kx.difference_identity_residual(dataclasses.replace(system, gamma=gamma), z, v, gram)
+    assert calls == [(14,)]
+    want = np.array([kx.difference_identity_residual(system, a, b, gram) for a, b in zip(z, v)])
+    assert got.shape == (7,) and got.tobytes() == want.tobytes()
+    assert got[3] == 0.0 and max(got) < (1e-8 if name == "edge" else 1e-12)
+    with pytest.raises(ValueError, match="one length"):
+        kx.difference_identity_residual(system, z, v[:6], gram)
+
+
 def test_conjugation_residuals(interval_pi, point_one):
     # real admissible points: hermitian
     assert kx.conjugation_residual(interval_pi, 0.7) < 1e-12
@@ -427,8 +450,8 @@ def test_conjugation_residual_takes_an_array(name):
 
 
 def _count_verify_calls(monkeypatch, system, params):
-    calls = {"gamma": 0, "contains": 0}
-    gamma, contains = system.gamma, system.excluded.contains
+    calls = {"gamma": 0, "contains": 0, "kernels": 0}
+    gamma, contains, kernels = system.gamma, system.excluded.contains, models._EdgeKernels
 
     def counted_gamma(z):
         calls["gamma"] += 1
@@ -438,7 +461,12 @@ def _count_verify_calls(monkeypatch, system, params):
         calls["contains"] += 1
         return contains(z)
 
+    def counted_kernels(*args):
+        calls["kernels"] += 1
+        return kernels(*args)
+
     monkeypatch.setattr(system.excluded, "contains", counted_contains)
+    monkeypatch.setattr(models, "_EdgeKernels", counted_kernels)
     checks = verify.run_verify(dataclasses.replace(system, gamma=counted_gamma), params)
     assert all(check["passed"] for check in checks.values())
     return calls
@@ -448,14 +476,18 @@ def test_run_verify_checks_each_point_once(monkeypatch):
     # one Gamma call per identity, and the conjugation probe's call also
     # serves the determinant and Hermiticity checks; only gamma, the Gram
     # matrices and the sampled kernels check z (probes that check z
-    # themselves and take one point per Gamma call make 61/122 and 69/130 here)
+    # themselves and take one point per Gamma call make 61/122 and 69/130
+    # here). The edge kernels are built only for the three sampled
+    # resolvents, never for the quadrature Gram.
     rng = np.random.default_rng(3)
     graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
     params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
-    assert _count_verify_calls(monkeypatch, graph, params) == {"gamma": 13, "contains": 20}
+    want = {"gamma": 7, "contains": 14, "kernels": 24}
+    assert _count_verify_calls(monkeypatch, graph, params) == want
     points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
     params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))
-    assert _count_verify_calls(monkeypatch, points, params) == {"gamma": 10, "contains": 17}
+    want = {"gamma": 4, "contains": 11, "kernels": 0}
+    assert _count_verify_calls(monkeypatch, points, params) == want
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +509,34 @@ def test_green_identity_manufactured(interval_pi):
 def test_green_identity_antisymmetry(interval_pi):
     phi = (kx.sine_mode(1.0), np.array([0.3 + 1j, -0.2], dtype=complex))
     assert kx.green_identity_residual(interval_pi, phi, phi) < 1e-12
+
+
+def test_green_identity_samples_each_charge_once_per_edge(monkeypatch):
+    system = kx.graph_weyl(kx.GraphModel((PI, 1.3)))
+    zeta, xi = np.array([0.3 + 1j, -0.2, 0.5, 1j]), np.array([1.0, 0.5j, -0.4, 0.2])
+    phi = (system.shaped([kx.sine_mode(1.0), kx.sine_mode(PI / 1.3)]), zeta)
+    psi = (system.shaped([kx.sine_mode(2.0), kx.poly_bump(1.3)]), xi)
+    green, samples = models._edge_green, []
+
+    def counted_green(a, z, pair):
+        closed = green(a, z, pair)
+
+        def f(x):
+            samples.append((a, z))
+            return closed.f(x)
+
+        return krein.SmoothFunction(f, closed.df, closed.d2f)
+
+    monkeypatch.setattr(models, "_edge_green", counted_green)
+    assert kx.green_identity_residual(system, phi, psi) < 1e-4
+    # G(i) and G(-i) of both charges, on each of the two edges
+    assert Counter(samples) == Counter([(a, z) for a in (PI, 1.3) for z in (1j, -1j)] * 2)
+
+
+def test_quadrature_gram_reads_no_model_kernel():
+    # the oracle samples its own deficiency columns
+    assert not hasattr(oracle, "_EdgeKernels")
+    assert "_EdgeKernels" not in oracle.simpson_gram.__code__.co_names
 
 
 def test_green_identity_unsupported_for_points(point_one):

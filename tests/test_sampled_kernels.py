@@ -214,6 +214,16 @@ def test_sampled_traces_reject_a_grid_that_does_not_fit(name):
         kx.interval_weyl(kx.IntervalModel(PI)).traces(np.sin(grid) + 0j, grid)
 
 
+def test_grid_ends_are_named_as_plain_floats():
+    message = (
+        "edge 0 (length 3.141592653589793): grid runs from 1.0 to 4.0, "
+        "not from 0 to the edge length 3.141592653589793"
+    )
+    with pytest.raises(GridMismatchError) as info:
+        kx.interval_weyl(kx.IntervalModel(PI)).traces(np.zeros(501), np.linspace(1, 4, 501))
+    assert str(info.value) == message
+
+
 def test_sampled_traces_need_one_sample_per_node():
     x = np.linspace(0.0, PI, 2001)
     with pytest.raises(GridMismatchError, match="1500 samples on a grid of 2001 nodes"):
