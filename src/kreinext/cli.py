@@ -13,11 +13,12 @@ parametrizations plus residuals) and ``verify``
 (:func:`kreinext.verify.run_verify`, the identity suite of the model's Weyl
 family).
 
-Exit codes: 0 success; 1 invalid configuration; 2 unsearchable window or
-spectral-point z; 3 boundary-pair conditions failed; 4 verification failed;
-5 numerical failure (a non-finite Weyl matrix, a LAPACK breakdown,
-non-finite resolvent samples or a spectrum that found fewer eigenvalues
-than it counted). A handler returns its artifacts and a
+Exit codes: 0 success; 1 invalid configuration (a job too large to
+allocate included); 2 unsearchable window or spectral-point z; 3
+boundary-pair conditions failed; 4 verification failed; 5 numerical
+failure (a non-finite Weyl matrix, a LAPACK breakdown, non-finite
+resolvent samples or a spectrum that found fewer eigenvalues than it
+counted). A handler returns its artifacts and a
 :class:`JobFailure` or None; :func:`failure_of` maps every exception a job
 raises onto one. On failure stderr holds that one JSON error and nothing
 else: numpy's RuntimeWarnings are recorded, not printed, and the library's
@@ -102,6 +103,8 @@ def failure_of(exc: Exception) -> JobFailure | None:
     # before the config rule: LinAlgError subclasses ValueError
     if isinstance(exc, (ModelConsistencyError, np.linalg.LinAlgError)):
         return JobFailure(EXIT_NUMERICAL, "numerical-failure", f"{type(exc).__name__}: {exc}")
+    if isinstance(exc, MemoryError):  # numpy raises a private subclass; name the builtin
+        return JobFailure(EXIT_CONFIG, "invalid-config", f"MemoryError: {exc}")
     if isinstance(exc, (ExcludedPointError, UnsupportedModelError, KeyError, TypeError, ValueError, OSError)):
         return JobFailure(EXIT_CONFIG, "invalid-config", f"{type(exc).__name__}: {exc}")
     return None

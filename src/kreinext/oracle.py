@@ -3,10 +3,12 @@
 The interval and graph oracles discretize the quadratic form of the
 extension: lumped piecewise-linear elements on each edge, the projector
 range constraint imposed by restricting the trial space at the endpoints,
-and the coupling operator entering as a boundary form. That keeps the
-discrete problem genuinely Hermitian (real symmetric for real coupling
-matrices) and second-order accurate, independently of the Weyl-family
-route it validates. The point-interaction bound state has a closed form.
+and the coupling operator entering as a boundary form. The result is a
+Hermitian pencil (form, mass), real symmetric for real coupling matrices
+and second-order accurate, independent of the Weyl-family route it
+validates; its spectrum is a generalized eigenproblem, and a solve of
+form + z mass is a reference resolvent. The point-interaction bound state
+has a closed form.
 The Gram matrix of the interval and graph deficiency elements is integrated
 by composite Simpson quadrature of columns sampled here; it reads neither
 the models' closed form nor their sampled kernels, so the difference
@@ -46,106 +48,55 @@ class FDSpec:
 
 
 def _assemble_constrained(lengths, n_nodes, params: ExtensionParams):
-    """Hermitian matrix of the mass-normalised constrained quadratic form."""
+    """Hermitian pencil ``(form, mass)`` of the constrained quadratic form.
+
+    The unknowns are the k range coordinates c, whose endpoint values are
+    ``range_basis @ c``, then the interior nodes edge by edge. ``form`` is
+    ||u'||^2 + <theta c, c> and ``mass`` the lumped L^2 mass; both are real
+    for a real label.
+    """
     import scipy.sparse as sp  # imported here to keep scipy out of the CLI start-up
 
-    n_edges = len(lengths)
-    theta = params.theta
-    basis = params.range_basis  # 2K x k
-    k = basis.shape[1]
-    real_case = bool(
-        np.allclose(params.theta.imag, 0.0, atol=0.0)
-        and np.allclose(basis.imag, 0.0, atol=0.0)
-    )
-    dtype = float if real_case else complex
-    basis = basis.real.astype(float) if real_case else basis
-
-    sizes = [n_nodes] * n_edges
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    steps = [length / (n_nodes - 1) for length in lengths]
-
-    main = np.empty(total)
-    mass = np.empty(total)
-    off = np.empty(total - 1)
-    for e, h in enumerate(steps):
-        lo, hi = offsets[e], offsets[e + 1]
-        main[lo:hi] = 2.0 / h
-        main[lo] = main[hi - 1] = 1.0 / h
-        mass[lo:hi] = h
-        mass[lo] = mass[hi - 1] = h / 2.0
-        off[lo : hi - 1] = -1.0 / h
-        if e + 1 < n_edges:
-            off[hi - 1] = 0.0  # no stiffness coupling across edge boundaries
-    stiffness = sp.diags([off, main, off], [-1, 0, 1], format="csr", dtype=dtype)
-
-    endpoint_nodes = []
-    for e in range(n_edges):
-        endpoint_nodes.extend([int(offsets[e]), int(offsets[e + 1] - 1)])
-    interior = np.setdiff1d(np.arange(total), endpoint_nodes)
-
-    # unknowns: k range coordinates, then the interior nodes
-    reduced_dim = k + interior.size
-    rows, cols, vals = [], [], []
-    for b, node in enumerate(endpoint_nodes):
-        for j in range(k):
-            rows.append(node)
-            cols.append(j)
-            vals.append(basis[b, j])
-    for pos, node in enumerate(interior):
-        rows.append(int(node))
-        cols.append(k + pos)
-        vals.append(1.0)
-    expand = sp.csr_matrix(
-        (np.asarray(vals, dtype=dtype), (rows, cols)), shape=(total, reduced_dim)
-    )
-
-    reduced = (expand.conj().T @ stiffness @ expand).tocsr()
-    if k:
-        theta_c = basis.conj().T @ theta @ basis
-        if real_case:
-            theta_c = theta_c.real
-        pad = sp.csr_matrix((reduced_dim - k, reduced_dim - k), dtype=dtype)
-        bump = sp.bmat(
-            [[sp.csr_matrix(theta_c.astype(dtype)), None], [None, pad]], format="csr"
-        )
-        reduced = (reduced + bump).tocsr()
-
-    mass_reduced = (
-        expand.conj().T @ sp.diags(mass.astype(dtype)) @ expand
-    ).tocsr()
-    # mass is diagonal on interiors and a small Hermitian block on the range
-    # coordinates; invert its square root blockwise
-    tail = sp.diags(1.0 / np.sqrt(mass_reduced.diagonal()[k:].real))
-    if k:
-        w, u = np.linalg.eigh(mass_reduced[:k, :k].toarray())
-        block_inv_sqrt = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
-        scale = sp.bmat(
-            [[sp.csr_matrix(block_inv_sqrt.astype(dtype)), None], [None, tail]],
-            format="csr",
-        )
-    else:
-        scale = tail.tocsr().astype(dtype)
-
-    ham = (scale @ reduced @ scale).tocsc()
-    ham = (ham + ham.conj().T) / 2.0
-    return ham
+    basis, theta = params.range_basis, params.theta  # basis is 2K x k
+    if not (basis.imag.any() or theta.imag.any()):
+        basis, theta = basis.real, theta.real
+    n_edges, k = len(lengths), basis.shape[1]
+    h = np.asarray(lengths, dtype=float) / (n_nodes - 1)
+    first = np.arange(n_edges)[:, None] * n_nodes
+    ends = (first + [0, n_nodes - 1]).ravel()  # left and right end of each edge
+    interior = (first + np.arange(1, n_nodes - 1)).ravel()
+    dim = k + interior.size
+    # node values = expand @ unknowns: basis rows at the ends, identity inside
+    rows = np.concatenate([np.repeat(ends, k), interior])
+    cols = np.concatenate([np.tile(np.arange(k), 2 * n_edges), k + np.arange(interior.size)])
+    vals = np.concatenate([basis.ravel(), np.ones(interior.size)])
+    expand = sp.csr_matrix((vals, (rows, cols)), shape=(n_edges * n_nodes, dim))
+    main, lumped = np.repeat(2.0 / h, n_nodes), np.repeat(h, n_nodes)
+    off = np.repeat(-1.0 / h, n_nodes)[:-1]
+    main[ends] /= 2.0
+    lumped[ends] /= 2.0
+    off[n_nodes - 1 :: n_nodes] = 0.0  # no stiffness coupling across edge boundaries
+    stiffness = sp.diags([off, main, off], [-1, 0, 1])
+    # theta compressed onto the range, as the top-left k x k block
+    theta_c = basis.conj().T @ theta @ basis
+    coupling = sp.coo_matrix((theta_c.ravel(), np.indices((k, k)).reshape(2, -1)), shape=(dim, dim))
+    form = expand.conj().T @ stiffness @ expand + coupling
+    mass = expand.conj().T @ sp.diags(lumped) @ expand
+    return tuple(((x + x.conj().T) / 2.0).tocsc() for x in (form, mass))
 
 
 def _top_eigenvalues(lengths, n_nodes, params, count):
     import scipy.sparse.linalg as spla
 
-    ham = _assemble_constrained(lengths, n_nodes, params)
-    dim = ham.shape[0]
-    if count >= dim - 1:
+    form, mass = _assemble_constrained(lengths, n_nodes, params)
+    if count >= form.shape[0] - 1:
         raise ValueError("requested more eigenvalues than the discretization carries")
     theta_norm = np.linalg.norm(params.theta, 2)
     sigma = -(8.0 * theta_norm**2 + 8.0 * theta_norm / min(lengths) + 10.0)
     vals = spla.eigsh(
-        ham, k=count, sigma=sigma, which="LM", return_eigenvectors=False
+        form, k=count, M=mass, sigma=sigma, which="LM", return_eigenvectors=False
     )
-    lam = -np.sort(vals.real)  # form eigenvalues mu; operator eigenvalues are -mu
-    return np.sort(lam[:count])
+    return np.sort(-vals.real)  # form eigenvalues mu; operator eigenvalues are -mu
 
 
 def fd_interval_spectrum(

@@ -275,6 +275,29 @@ def test_resolvent_non_finite_samples_exit_5(tmp_path):
     assert not (tmp_path / "out" / "resolvent.csv").exists()
 
 
+def test_job_too_large_to_allocate_exits_1(tmp_path):
+    # the child's address space is capped, so the 16 GB grid fails to
+    # allocate at once; the failure is the one JSON error, not a traceback
+    import resource
+
+    job = write_job(
+        tmp_path / "job.json", interval_job({"name": "resolvent", "z": [1.0, 1.0], "grid": 2_000_000_000})
+    )
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(3_000_000_000, hard)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kreinext.cli", job, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG == 1
+    err = json.loads(proc.stderr)["error"]
+    assert err["code"] == "invalid-config"
+    assert err["message"].startswith("MemoryError")
+    assert not (tmp_path / "out").exists()
+
+
 def test_recorded_warnings_still_raise_under_an_error_filter(tmp_path):
     # main records RuntimeWarnings instead of printing them; the suite's
     # error::RuntimeWarning filter still raises them out of main

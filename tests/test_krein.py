@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import functools
+import inspect
 import re
 from collections import Counter
 
@@ -534,9 +536,25 @@ def test_green_identity_samples_each_charge_once_per_edge(monkeypatch):
 
 
 def test_quadrature_gram_reads_no_model_kernel():
-    # the oracle samples its own deficiency columns
-    assert not hasattr(oracle, "_EdgeKernels")
-    assert "_EdgeKernels" not in oracle.simpson_gram.__code__.co_names
+    # the oracles take model data and label checks from the library and
+    # evaluate no model map; names compare exactly ("_default_gram_nodes")
+    source = inspect.getsource(oracle)
+    bound = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("models", "krein", "kreinext.models", "kreinext.krein")
+        for alias in node.names
+    }
+    assert bound <= {"GraphModel", "IntervalModel", "DirichletExclusions", "ExtensionParams", "check_admissible"}
+
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                yield from names(const)
+
+    read = set(names(compile(source, oracle.__file__, "exec")))
+    assert not read & {"gamma", "gram", "sampled_kernels", "g_apply", "g_closed", "_EdgeKernels"}
 
 
 def test_green_identity_unsupported_for_points(point_one):

@@ -4,6 +4,8 @@ import pytest
 import kreinext as kx
 from kreinext import ExtensionParams, FDSpec, VertexGroup
 
+from helpers import random_params
+
 PI = np.pi
 
 
@@ -139,16 +141,66 @@ def test_assembled_matrix_is_hermitian():
     from kreinext.oracle import _assemble_constrained
 
     # real coupling: real symmetric; complex coupling: complex Hermitian
-    real_params = ExtensionParams.full(np.diag([0.4, -0.7]).astype(complex))
-    ham = _assemble_constrained((PI,), 300, real_params)
-    assert ham.dtype.kind == "f"
-    assert abs(ham - ham.T).max() == 0.0
-
     theta = np.array([[0.2, 0.5 - 0.25j], [0.5 + 0.25j, -0.1]])
-    cplx = _assemble_constrained((PI,), 300, ExtensionParams.full(theta))
-    assert cplx.dtype.kind == "c"
-    assert abs(cplx - cplx.conj().T).max() == 0.0
-    vals = np.sort(
-        np.linalg.eigvalsh(cplx.toarray())
-    )
-    assert np.all(np.abs(vals.imag) <= 1e-10)
+    cases = [
+        ((PI,), ExtensionParams.full(np.diag([0.4, -0.7]).astype(complex)), "f"),
+        ((PI,), ExtensionParams.full(theta), "c"),
+        ((1.0, 1.3, 0.8), random_params(np.random.default_rng(7), 6, rank=3), "c"),
+    ]
+    for lengths, params, kind in cases:
+        pencil = _assemble_constrained(lengths, 300, params)
+        for mat in pencil:
+            assert mat.dtype.kind == kind
+            assert abs(mat - mat.conj().T).max() == 0.0
+        form, mass = pencil
+        assert np.all(mass.diagonal().real > 0.0)
+        vals = np.linalg.eigvalsh(form.toarray())
+        assert np.all(np.abs(vals.imag) <= 1e-10)
+
+
+def test_graph_resolvent_matches_pencil_solve():
+    # (A - z)^{-1} psi against a direct solve of (form + z mass) u = mass psi,
+    # for a rank-deficient complex label; psi vanishes at every end, so it
+    # lives on the interior unknowns only
+    import scipy.sparse.linalg as spla
+
+    from kreinext.oracle import _assemble_constrained
+
+    lengths = (1.0, 1.3, 0.8)
+    params = random_params(np.random.default_rng(7), 6, rank=3)
+    k = params.range_basis.shape[1]
+    z = 1.5 + 1j
+    system = kx.graph_weyl(kx.GraphModel(lengths))
+    err = {}
+    for n in (1001, 2001):
+        grids = [np.linspace(0.0, a, n) for a in lengths]
+        psi = [np.sin(PI * x / a) ** 2 * (1 + 0.3j * e) for e, (a, x) in enumerate(zip(lengths, grids))]
+        want = np.concatenate([part[1:-1] for part in kx.apply_resolvent(system, params, z, psi, grids)])
+        form, mass = _assemble_constrained(lengths, n, params)
+        rhs = mass @ np.concatenate([np.zeros(k)] + [part[1:-1] for part in psi])
+        got = spla.spsolve((form + z * mass).tocsc(), rhs)[k:]
+        err[n] = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err[2001] < 1e-6
+    assert err[1001] / err[2001] >= 3.5
+
+
+def test_pencil_is_the_discrete_quadratic_form():
+    # y^H form y and y^H mass y against sums over each edge's node values,
+    # whose ends are range_basis @ c, for random unknowns y = (c, interiors)
+    from kreinext.oracle import _assemble_constrained
+
+    lengths, n = (1.0, 1.3, 0.8), 9
+    rng = np.random.default_rng(3)
+    params = random_params(rng, 6, rank=3)
+    form, mass = _assemble_constrained(lengths, n, params)
+    for _ in range(3):
+        y = rng.standard_normal(form.shape[0]) + 1j * rng.standard_normal(form.shape[0])
+        ends = params.range_basis @ y[:3]
+        energy, weight = np.vdot(ends, params.theta @ ends), 0.0
+        for e, a in enumerate(lengths):
+            h = a / (n - 1)
+            v = np.concatenate([[ends[2 * e]], y[3 + e * (n - 2) : 3 + (e + 1) * (n - 2)], [ends[2 * e + 1]]])
+            energy += np.sum(np.abs(np.diff(v)) ** 2) / h
+            weight += h * (np.sum(np.abs(v) ** 2) - (abs(v[0]) ** 2 + abs(v[-1]) ** 2) / 2)
+        assert np.vdot(y, form @ y) == pytest.approx(energy, rel=1e-12)
+        assert np.vdot(y, mass @ y) == pytest.approx(weight, rel=1e-12)
