@@ -45,8 +45,8 @@ from .krein import (
     ModelConsistencyError,
     UnsupportedModelError,
     WeylSystem,
+    _apply_resolvent,
     _secular_verdict,
-    apply_resolvent,
 )
 from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
 from .parametrize import (
@@ -226,8 +226,8 @@ def cmd_resolvent(config):
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
     psi = verify.preset_samples(system, spec, z, grids)
 
-    m, sigma, _, _ = _secular_verdict(system, params, z)
-    phi = apply_resolvent(system, params, z, psi, grids)
+    verdict = _secular_verdict(system, params, z)
+    phi = _apply_resolvent(system, params, z, psi, grids, verdict)
 
     # the interval's samples are one bare array, a graph's one array per edge
     if system.bare:
@@ -239,7 +239,7 @@ def cmd_resolvent(config):
         columns = [edge, np.concatenate(grids), phi.real, phi.imag]
     doc = {
         "z": serialize.complex_to_pair(z),
-        "sigma_min": sigma if m.size else None,
+        "sigma_min": verdict[1] if verdict[0].size else None,
         "grid": nodes,
         "input": spec,
     }

@@ -473,9 +473,15 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
     non-finite matrix raises :class:`ModelConsistencyError` naming its z,
     so no NaN reaches LAPACK.
     """
-    v = params.range_basis
     z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-    m = v.conj().T @ (params.theta + system.gamma(z)) @ v
+    return _compress(params, z, system.gamma(z))
+
+
+def _compress(params, z, gamma):
+    """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated; a
+    non-finite matrix raises :class:`ModelConsistencyError` naming its z."""
+    v = params.range_basis
+    m = v.conj().T @ (params.theta + gamma) @ v
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         bad = complex(np.ravel(z)[np.argmin(np.ravel(finite))])
@@ -483,16 +489,17 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
     return m
 
 
-def _secular_verdict(system, params, z):
+def _secular_verdict(system, params, z, gamma=None):
     """(m, sigma_min, sigma_max, regular) at the scalar z: the secular matrix,
     its extreme singular values and sigma_min > SINGULARITY_RTOL (1 + sigma_max).
 
-    The one place a secular matrix is judged. For pi = 0 the matrix is
-    empty, and the verdict is (m, inf, 0.0, True); see
-    :func:`is_regular_point` for the raise at a nonreal singular z.
+    The one place a secular matrix is judged. ``gamma`` is Gamma(z) when
+    the caller has evaluated it already. For pi = 0 the matrix is empty,
+    and the verdict is (m, inf, 0.0, True); see :func:`is_regular_point`
+    for the raise at a nonreal singular z.
     """
     z = complex(z)
-    m = secular_matrix(system, params, z)
+    m = secular_matrix(system, params, z) if gamma is None else _compress(params, z, gamma)
     s = np.linalg.svd(m, compute_uv=False)
     smin, smax = float(s.min(initial=np.inf)), float(s.max(initial=0.0))
     regular = smin > SINGULARITY_RTOL * (1.0 + smax)
@@ -521,14 +528,20 @@ def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarr
     :func:`secular_matrix` at z, which checks z; for pi = 0 it is zero.
     """
     z = complex(z)
-    v = params.range_basis
-    m, smin, _, regular = _secular_verdict(system, params, z)
+    return _correction(params, z, _secular_verdict(system, params, z))
+
+
+def _correction(params, z, verdict):
+    """V m^{-1} V^* from the secular verdict at z; a singular m raises
+    :class:`ExtensionSingularError`."""
+    m, smin, _, regular = verdict
     if not regular:
         raise ExtensionSingularError(
             f"z={z} is in the extension's point spectrum to working precision "
             f"(sigma_min={smin:.3e})",
             smin,
         )
+    v = params.range_basis
     return v @ np.linalg.solve(m, v.conj().T)
 
 
@@ -555,6 +568,12 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     Available for edge models (:class:`EdgeWeylSystem`); point-interaction
     models use :func:`apply_resolvent_green`.
     """
+    return _apply_resolvent(system, params, z, psi, grid, None)
+
+
+def _apply_resolvent(system, params, z, psi, grid, verdict):
+    """:func:`apply_resolvent` for a caller that holds the secular verdict at
+    z already; None forms it here, through :func:`krein_correction`."""
     if not isinstance(system, EdgeWeylSystem):
         raise UnsupportedModelError(
             f"model kind {system.kind!r} has no sampled resolvent; "
@@ -565,7 +584,10 @@ def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
     kernels = system.sampled_kernels(z, grid)
     parts = system.edges(kernels.resolvent(psi))
     if params.range_basis.shape[1]:
-        corr = krein_correction(system, params, z)
+        if verdict is None:
+            corr = krein_correction(system, params, z)
+        else:
+            corr = _correction(params, z, verdict)
         applied = system.edges(kernels.apply(corr @ kernels.adjoint(psi)))
         parts = [f + g for f, g in zip(parts, applied)]
     for e, part in enumerate(parts):

@@ -12,13 +12,18 @@ matrix. The search bisects on that count (Sturm bisection) down to
 floating-point resolution; each final bracket is one eigenvalue whose
 multiplicity is the size of the drop.
 
-The bisection runs in rounds, breadth first: each round takes the midpoint
-of every live bracket of every searchable segment, builds all their secular
-matrices from one ``system.gamma`` call on the array of midpoints and
-counts with one stacked ``eigvalsh``. Each bracket is split, kept or
-stopped exactly as a depth-first bisection would, so the roots are the same
-to the bit; only the number of Python and LAPACK dispatches falls, to one
-per round. The kernel check at the roots is one stacked ``eigh``.
+The search runs in rounds, breadth first: each round evaluates every point
+that any live bracket of any searchable segment asks for, builds all their
+secular matrices from one ``system.gamma`` call and counts with one stacked
+``eigvalsh``. A bracket whose count drops by more than one is halved. Once
+it drops by one, its crossing branch is one increasing function with one
+zero: a secant step (regula falsi) finds that zero, two probes certify a
+window around it outside which rounding cannot change the count, and the
+bisection's own dyadic path is then walked, evaluating only the midpoints
+inside the window. Every bracket is therefore split, kept or stopped
+exactly as a depth-first bisection would, so the roots are the same to the
+bit, in about half the rounds. The kernel check at the roots is one
+stacked ``eigh``.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
@@ -104,49 +109,170 @@ def _admissible_start(excluded, lo: float) -> float:
     return lo
 
 
+def _final(lo, mid, hi) -> bool:
+    """True when the bracket (lo, hi) with midpoint ``mid`` is as narrow as
+    floating point allows: its midpoint is the root."""
+    return hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi
+
+
+def _window(lo, hi, left, right):
+    """The certified window of a bracket whose count drops by one, or None;
+    a coroutine like :func:`_bracket`.
+
+    ``left`` and ``right`` are the (eigenvalues, count, rounding) at lo and
+    hi; on (lo, hi) the crossing branch f = w[clo - 1] increases through its
+    one zero. A point with count clo and f < -8 R (R its rounding bound)
+    certifies a window's left end, one with count clo - 1 and f > 8 R its
+    right end: every point beyond such an end has that end's count, so only
+    inside the window can rounding decide the count. Regula falsi narrows
+    the window (a, b) until it lands on an x with |f| <= 8 R; the end it
+    keeps twice in a row has its value rescaled (Anderson-Bjorck, or the
+    Illinois halving when that factor is not positive), and a step that
+    rounds onto an end is a bisection. Probes at x -+ delta, with delta =
+    16 R / slope over the last two steps, then narrow the window from both
+    sides, and delta grows 16 times until no probe falls inside it. None is
+    returned when a count is neither clo nor clo - 1 or the probes disagree.
+    """
+    clo, k = left[1], left[1] - 1
+    a, fa, b, fb = lo, left[0][k], hi, right[0][k]
+    px, pf, side = a, fa, 0
+    while True:
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                return a, b
+        ((w, count, rounding),) = yield [x]
+        if count not in (clo, k):
+            return None
+        fx = w[k]
+        if abs(fx) <= 8.0 * rounding:
+            break
+        if fx < 0.0:
+            if side < 0:
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa, side = x, fx, -1
+        else:
+            if side > 0:
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb, side = x, fx, 1
+        px, pf = x, fx
+    delta = 16.0 * rounding * (x - px) / (fx - pf)
+    while delta > 0.0:
+        probes = [p for p in (x - delta, x + delta) if a < p < b]
+        if not probes:
+            return a, b
+        replies = yield probes
+        for p, (w, count, r) in zip(probes, replies):
+            if count == clo and w[k] < -8.0 * r:
+                a = max(a, p)
+            elif count == k and w[k] > 8.0 * r:
+                b = min(b, p)
+            elif count not in (clo, k):
+                return None
+        if not a < b:
+            return None
+        delta *= 16.0
+    return None
+
+
+def _bracket(lo, hi, left, right):
+    """The bisection of one bracket, as a coroutine.
+
+    ``left`` and ``right`` are the (eigenvalues, count, rounding) at lo and
+    hi, with eigenvalues None at a point whose count was inferred. The
+    coroutine yields the points it needs evaluated, is sent their
+    (eigenvalues, count, rounding) and returns (roots, sub-brackets).
+
+    A drop of one walks the plain bisection's own path: a midpoint left of
+    the certified window (:func:`_window`) has count clo and one right of it
+    count clo - 1 without evaluation, and only midpoints inside the window
+    are evaluated; without a window, every midpoint is. A count that is
+    neither splits the bracket as plain bisection does. Any other drop is
+    halved once and split, or stops as a root.
+    """
+    clo, chi = left[1], right[1]
+    drop = clo - chi
+    if drop == 0:
+        return [], []
+    if drop == 1:
+        window = None
+        if left[0] is not None and right[0] is not None:
+            window = yield from _window(lo, hi, left, right)
+        xl, xr = window or (lo, hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if _final(lo, mid, hi):
+                return [(mid, 1)], []
+            if mid <= xl:
+                lo, left = mid, (None, clo, None)
+            elif mid >= xr:
+                hi, right = mid, (None, chi, None)
+            else:
+                (at_mid,) = yield [mid]
+                if at_mid[1] == clo:
+                    lo, left = mid, at_mid
+                elif at_mid[1] == chi:
+                    hi, right = mid, at_mid
+                else:
+                    return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
+    mid = 0.5 * (lo + hi)
+    if _final(lo, mid, hi):
+        return [(mid, drop)], []
+    (at_mid,) = yield [mid]
+    w, _, rounding = at_mid
+    if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
+        return [(mid, drop)], []
+    return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
+
+
 def _isolate(eigs, segments, theta_norm):
     """Brackets (midpoint, drop) of the count drops on pole-free segments.
 
     ``eigs(lams)`` gives the (m, r) secular eigenvalues at an array of m
-    points; the count is how many are negative. Every bracket whose count
-    drops is bisected until it is as narrow as floating point allows or,
-    for a drop of several, until that many secular eigenvalues are within
-    the rounding error of forming and diagonalising V^*(theta + Gamma)V at
+    points; the count is how many are negative, and R = BRACKET_FLOOR r
+    (max|w| + theta_norm) bounds the rounding error of forming and
+    diagonalising V^*(theta + Gamma)V there. Every bracket whose count drops
+    is bisected until it is as narrow as floating point allows or, for a
+    drop of several, until that many secular eigenvalues are within R at
     its midpoint: errors of that size shift each branch's crossing, so the
-    count cannot split such a root any further. All live brackets are
-    halved together, one ``eigs`` call per round. Brackets come out in
-    increasing lambda.
+    count cannot split such a root any further.
+
+    A bracket that drops by one is not halved blindly: a certified secant
+    (:func:`_window`) finds the window where rounding could decide the
+    count, and the bisection's path is walked through it (:func:`_bracket`),
+    so the root is the midpoint of the same final bracket, to the bit. Each
+    bracket is a coroutine; every round evaluates the points all of them
+    ask for with one ``eigs`` call. Brackets come out in increasing lambda.
     """
-    ends = eigs(np.array([x for segment in segments for x in segment]))
-    counts = np.sum(ends < 0.0, axis=1).tolist()
-    live = [
-        (lo, hi, clo, chi) for (lo, hi), clo, chi in zip(segments, counts[0::2], counts[1::2])
-    ]
-    out = []
-    while live:
-        split = []
-        for lo, hi, clo, chi in live:
-            drop = clo - chi
-            if drop == 0:
-                continue
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
-                out.append((mid, drop))
-            else:
-                split.append((lo, mid, hi, clo, chi))
-        if not split:
-            break
-        w = eigs(np.array([mid for _, mid, _, _, _ in split]))
+
+    def measure(points):
+        w = eigs(np.array(points))
         rounding = BRACKET_FLOOR * w.shape[1] * (np.max(np.abs(w), axis=1) + theta_norm)
-        nearest = np.sort(np.abs(w), axis=1)
-        cmids = np.sum(w < 0.0, axis=1).tolist()
-        live = []
-        for i, (lo, mid, hi, clo, chi) in enumerate(split):
-            drop = clo - chi
-            if drop > 1 and nearest[i, drop - 1] <= rounding[i]:
-                out.append((mid, drop))
-            else:
-                live += [(lo, mid, clo, cmids[i]), (mid, hi, cmids[i], chi)]
+        return list(zip(w, np.sum(w < 0.0, axis=1).tolist(), rounding.tolist()))
+
+    out, waiting = [], []
+
+    def advance(task, reply):
+        try:
+            waiting.append((task, task.send(reply)))
+        except StopIteration as done:
+            roots, children = done.value
+            out.extend(roots)
+            for child in children:
+                advance(_bracket(*child), None)
+
+    ends = measure([x for segment in segments for x in segment])
+    for (lo, hi), left, right in zip(segments, ends[0::2], ends[1::2]):
+        advance(_bracket(lo, hi, left, right), None)
+    while waiting:
+        batch = waiting[:]
+        waiting.clear()
+        replies = iter(measure([x for _, points in batch for x in points]))
+        for task, points in batch:
+            advance(task, [next(replies) for _ in points])
     return sorted(out)
 
 
@@ -262,7 +388,8 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
     distance = float(system.excluded.distance(lam))
     if excluded:
         return EigenpairReport(np.inf, np.inf, distance, True, np.inf, np.inf)
-    m, smin, _, _ = _secular_verdict(system, params, lam)
+    gamma = system.gamma(complex(lam))
+    m, smin, _, _ = _secular_verdict(system, params, lam, gamma)
     basis = params.range_basis
     kernel_residual = float(
         np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else np.inf
@@ -270,7 +397,7 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
     pi, theta = params.pi, params.theta
     range_residual = float(np.linalg.norm(zeta - pi @ zeta))
     coupling_residual = float(
-        np.linalg.norm(pi @ (system.gamma(lam) @ zeta) + theta @ zeta)
+        np.linalg.norm(pi @ (gamma @ zeta) + theta @ zeta)
     )
     return EigenpairReport(
         sigma_min=float(smin),

@@ -118,10 +118,10 @@ def reference_subtract_gaps(lo, hi, gaps):
 def depth_first_search(system, params, window):
     """Reference eigenvalue search: depth-first count bisection, one lambda per call.
 
-    A copy of the search before it was batched: ``_isolate`` bisects one
-    bracket at a time through scalar ``secular_matrix`` calls, and each
-    root gets its own ``eigh``. The batched search must agree with it bit
-    for bit.
+    A copy of the search before it was batched: :func:`depth_first_isolate`
+    bisects one bracket at a time through scalar ``secular_matrix`` calls,
+    and each root gets its own ``eigh``. The batched search must agree with
+    it bit for bit.
     """
     from kreinext import spectral
     from kreinext.krein import secular_matrix
@@ -151,36 +151,10 @@ def depth_first_search(system, params, window):
     def eigs(lam):
         return np.linalg.eigvalsh(hermitian(lam))
 
-    def count(w):
-        return int(np.sum(w < 0.0))
-
-    def isolate(lo, hi, theta_norm):
-        floor = spectral.BRACKET_FLOOR
-        out = []
-        stack = [(lo, hi, count(eigs(lo)), count(eigs(hi)))]
-        while stack:
-            lo, hi, clo, chi = stack.pop()
-            drop = clo - chi
-            if drop == 0:
-                continue
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= floor * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
-                out.append((mid, drop))
-                continue
-            w = eigs(mid)
-            rounding = floor * w.size * (np.max(np.abs(w)) + theta_norm)
-            if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
-                out.append((mid, drop))
-                continue
-            cmid = count(w)
-            stack.append((mid, hi, cmid, chi))
-            stack.append((lo, mid, clo, cmid))
-        return out
-
     theta_norm = float(np.linalg.norm(params.theta, 2))
     results = []
     for slo, shi in segments:
-        for lam, drop in isolate(slo, shi, theta_norm):
+        for lam, drop in depth_first_isolate(eigs, slo, shi, theta_norm):
             metadata["expected_count"] += drop
             w, u = np.linalg.eigh(hermitian(lam))
             near = np.argsort(np.abs(w), kind="stable")[:drop]
@@ -196,3 +170,39 @@ def depth_first_search(system, params, window):
             )
     metadata["found_count"] = sum(r.multiplicity for r in results)
     return spectral.SpectrumResult(tuple(results), gaps, metadata)
+
+
+def depth_first_isolate(eigs, lo, hi, theta_norm):
+    """Plain count bisection of one segment, depth first, one point per ``eigs(lam)`` call.
+
+    The bisection the search had before its rounds and its secant: every
+    midpoint is evaluated, a drop of several stops once that many
+    eigenvalues are within the rounding bound, and brackets come out in
+    increasing lambda.
+    """
+    from kreinext import spectral
+
+    def count(w):
+        return int(np.sum(w < 0.0))
+
+    floor = spectral.BRACKET_FLOOR
+    out = []
+    stack = [(lo, hi, count(eigs(lo)), count(eigs(hi)))]
+    while stack:
+        lo, hi, clo, chi = stack.pop()
+        drop = clo - chi
+        if drop == 0:
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= floor * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
+            out.append((mid, drop))
+            continue
+        w = eigs(mid)
+        rounding = floor * w.size * (np.max(np.abs(w)) + theta_norm)
+        if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
+            out.append((mid, drop))
+            continue
+        cmid = count(w)
+        stack.append((mid, hi, cmid, chi))
+        stack.append((lo, mid, clo, cmid))
+    return out

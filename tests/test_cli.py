@@ -11,6 +11,8 @@ from kreinext import cli, parametrize, verify
 from kreinext import serialize as ser
 from kreinext.cli import main
 
+from helpers import random_hermitian
+
 PI = np.pi
 
 
@@ -251,6 +253,39 @@ def test_resolvent_robin_fd_residual(tmp_path):
     psi = x * (PI - x)
     residual = -(phi[:-2] - 2 * phi[1:-1] + phi[2:]) / h**2 + z * phi[1:-1] - psi[1:-1]
     assert np.max(np.abs(residual)) / np.max(np.abs(psi)) < 1e-3
+
+
+def test_resolvent_job_forms_the_secular_verdict_once(tmp_path, monkeypatch):
+    # sigma_min and the Krein correction share one Gamma(z) and one SVD
+    calls = {"gamma": 0, "svd": 0}
+    build, svd = cli._weyl_for, np.linalg.svd
+
+    def counted_system(model):
+        system = build(model)
+
+        def gamma(z):
+            calls["gamma"] += 1
+            return system.gamma(z)
+
+        return dataclasses.replace(system, gamma=gamma)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_weyl_for", counted_system)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    rng = np.random.default_rng(5)
+    ext = ser.params_to_obj(kx.ExtensionParams.full(random_hermitian(rng, 6)))
+    ext["kind"] = "params"
+    doc = {
+        "model": {"type": "graph", "lengths": [1.0, 1.3, 0.8]},
+        "extension": ext,
+        "task": {"name": "resolvent", "z": [1.5, 1.0], "grid": 600},
+    }
+    assert main([write_job(tmp_path / "job.json", doc), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"gamma": 1, "svd": 1}
+    assert json.loads((tmp_path / "out" / "resolvent.json").read_text())["sigma_min"] > 0.0
 
 
 # the kernels overflow on the 500-long edge at z = 0.5+1j

@@ -1,13 +1,18 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import ExtensionParams, FDSpec, spectral
 
 from helpers import (
+    depth_first_isolate,
     depth_first_search,
     random_hermitian,
     random_params,
@@ -17,6 +22,7 @@ from helpers import (
 
 PI = np.pi
 FOUR_PI = 4 * np.pi
+BENCH_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +295,24 @@ def test_validate_eigenpair_reports(neumann_interval):
         kx.validate_eigenpair(system, params, -0.5, np.zeros(2))
 
 
+def test_validate_eigenpair_reads_gamma_once(neumann_interval):
+    # the verdict and the coupling residual share one Gamma(lambda)
+    system, params = neumann_interval
+    calls = []
+
+    def gamma(z):
+        calls.append(z)
+        return system.gamma(z)
+
+    counted = dataclasses.replace(system, gamma=gamma)
+    zeta = np.array([1.0, 0.3 + 0.2j])
+    for lam in (0.0, 1e-3, -0.5, 2.0):
+        calls.clear()
+        report = kx.validate_eigenpair(counted, params, lam, zeta)
+        assert len(calls) == 1
+        assert report.coupling_residual > 0.0
+
+
 def test_pole_blowup_probe_interval():
     # the Krein correction norm must blow up approaching a found eigenvalue
     model = kx.IntervalModel(PI)
@@ -397,6 +421,15 @@ def _spin():
     return kx.spin_weyl(model), ExtensionParams.full(theta)
 
 
+def _stored_near_pole_graph():
+    # the benchmark's stored graph whose root -15.7892640 lies 8.8e-4 from
+    # the Dirichlet pole -(pi / 0.7906)^2 of its first edge
+    graphs = json.loads((BENCH_REFS / "graphs.json").read_text())["instances"]
+    inst = next(g for g in graphs if g["lengths"][0] == 0.7906)
+    theta = np.array(inst["theta_re"]) + 1j * np.array(inst["theta_im"])
+    return kx.graph_weyl(kx.GraphModel(tuple(inst["lengths"]))), ExtensionParams.full(theta)
+
+
 SEARCH_CASES = {
     "interval_robin": (
         lambda: (
@@ -418,16 +451,15 @@ SEARCH_CASES = {
     ),
     "points_20": (_points, (0.01, 6.0)),
     "spin": (_spin, (-1.0, 8.0)),
+    "graph_stored_near_pole": (_stored_near_pole_graph, (-30.0, 5.0)),
+    "long_interval_unreported_drops": (
+        lambda: (kx.interval_weyl(kx.IntervalModel(1000.0)), ExtensionParams.full(0.5 * np.eye(2))),
+        (-1e-4, -1e-6),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
-def test_batched_search_equals_depth_first_bisection(name):
-    build, window = SEARCH_CASES[name]
-    system, params = build()
-    got = kx.eigenvalue_search(system, params, window)
-    ref = depth_first_search(system, params, window)
-    assert got.eigenvalues, "the case must have roots"
+def _assert_same_search(got, ref):
     assert got.gaps == ref.gaps
     assert got.metadata == ref.metadata
     assert len(got.eigenvalues) == len(ref.eigenvalues)
@@ -439,19 +471,109 @@ def test_batched_search_equals_depth_first_bisection(name):
     assert got.lambdas().tolist() == sorted(got.lambdas().tolist())
 
 
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_batched_search_equals_depth_first_bisection(name):
+    build, window = SEARCH_CASES[name]
+    system, params = build()
+    got = kx.eigenvalue_search(system, params, window)
+    assert got.eigenvalues, "the case must have roots"
+    _assert_same_search(got, depth_first_search(system, params, window))
+
+
+@settings(max_examples=20)
+@given(
+    lengths=st.tuples(*[st.floats(0.3, 2.5)] * 3),
+    centre=st.floats(-4.0, 4.0),
+    tip=st.floats(-4.0, 4.0),
+)
+def test_robin_star_search_equals_depth_first_bisection(lengths, centre, tip):
+    system, params = _star(lengths, centre, [tip] * 3)
+    window = (-40.0, 3.0)
+    got = kx.eigenvalue_search(system, params, window)
+    _assert_same_search(got, depth_first_search(system, params, window))
+
+
+def test_long_interval_counts_the_drops_it_cannot_report():
+    # two of the three count drops in this window stay above KERNEL_TOL at
+    # their roots: counted in expected_count, not reported
+    build, window = SEARCH_CASES["long_interval_unreported_drops"]
+    result = kx.eigenvalue_search(*build(), window)
+    assert (result.metadata["expected_count"], result.metadata["found_count"]) == (3, 1)
+
+
 def test_search_evaluates_gamma_once_per_round():
-    # all live brackets share one Gamma call per bisection round; a search
-    # that goes back to one call per lambda makes about 400 here
-    system = kx.interval_weyl(kx.IntervalModel(PI))
+    # all live brackets share one Gamma call per round, and the secant and
+    # the walked window need about half the rounds of a bisection to the
+    # floor (55 on the interval); one call per lambda makes about 400 here
+    ceilings = {"interval_robin": 24, "graph_random_theta": 30, "points_20": 30}
+    for name, ceiling in ceilings.items():
+        build, window = SEARCH_CASES[name]
+        system, params = build()
+        calls = []
+
+        def gamma(z, gamma=system.gamma):
+            calls.append(np.shape(z))
+            return gamma(z)
+
+        result = kx.eigenvalue_search(dataclasses.replace(system, gamma=gamma), params, window)
+        assert result.metadata["expected_count"] == result.metadata["found_count"] >= 5
+        assert len(calls) <= ceiling, name
+        assert all(len(shape) == 1 for shape in calls)
+
+
+# ---------------------------------------------------------------------------
+# the secant's fallbacks, on synthetic secular eigenvalues: R is the rounding
+# bound _isolate derives from them, about 2.7e-12 with the constant branch
+
+
+BIG = 1e3
+R = spectral.BRACKET_FLOOR * 3 * BIG
+
+
+def _hashed(lams, salt):
+    """Deterministic noise in [0, 1) from the bits of each lambda."""
+    bits = np.asarray(lams, dtype=float).view(np.uint64)
+    mixed = (bits * np.uint64(0x9E3779B97F4A7C15 + salt)) >> np.uint64(40)
+    return mixed.astype(float) / 2.0**24
+
+
+def _flicker(lams):
+    # the crossing branch jitters by R/2 around lam = 1.3 and a second branch
+    # dips below zero within 4R of it: counts 1, 2, 1, 0 inside the band
+    d = np.asarray(lams, dtype=float) - 1.3
+    w = [d + R * (_hashed(lams, 1) - 0.5), np.abs(d) - 4.0 * R * _hashed(lams, 2), np.full_like(d, BIG)]
+    return np.sort(np.stack(w, axis=-1), axis=-1)
+
+
+def _kink(lams):
+    # slope 1 away from the root and 1e-2 within 1000 R of it: the secant's
+    # slope is too steep, so the first probes land inside the band
+    d = np.asarray(lams, dtype=float) - 1.2345678901234
+    c = 1e3 * R
+    f = np.where(np.abs(d) <= c, 1e-2 * d, np.sign(d) * (1e-2 * c + np.abs(d) - c))
+    return np.sort(np.stack([f, np.full_like(d, BIG), np.full_like(d, BIG)], axis=-1), axis=-1)
+
+
+def _isolate_against_plain_bisection(eigs):
     calls = []
 
-    def gamma(z):
-        calls.append(np.shape(z))
-        return system.gamma(z)
+    def batched(lams):
+        calls.append(np.asarray(lams))
+        return eigs(lams)
 
-    counted = dataclasses.replace(system, gamma=gamma)
-    params = ExtensionParams.full(-1.2 * np.eye(2, dtype=complex))
-    result = kx.eigenvalue_search(counted, params, (-50.0, 5.0))
-    assert result.metadata["expected_count"] == result.metadata["found_count"] >= 5
-    assert len(calls) <= 60
-    assert all(len(shape) == 1 for shape in calls)
+    got = spectral._isolate(batched, [(0.0, 3.0)], 0.0)
+    assert got == sorted(depth_first_isolate(lambda lam: eigs(np.array([lam]))[0], 0.0, 3.0, 0.0))
+    return calls
+
+
+def test_count_outside_the_drop_falls_back_to_plain_bisection():
+    calls = _isolate_against_plain_bisection(_flicker)
+    counts = np.sum(_flicker(np.concatenate(calls)) < 0.0, axis=1)
+    assert 2 in counts  # the walk met a count that is neither clo nor chi
+
+
+def test_failed_probes_widen_the_window():
+    calls = _isolate_against_plain_bisection(_kink)
+    spreads = [points[1] - points[0] for points in calls[1:] if len(points) == 2]
+    assert len(spreads) >= 2  # the first probes failed and were repeated
+    assert spreads[1] == pytest.approx(16.0 * spreads[0])
