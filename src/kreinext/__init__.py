@@ -21,7 +21,6 @@ from .krein import (
     HalfLineExclusions,
     ModelConsistencyError,
     PointWeylSystem,
-    SampledKernels,
     SmoothFunction,
     UnsupportedModelError,
     ValidationReport,
@@ -47,6 +46,7 @@ from .models import (
     GraphModel,
     IntervalModel,
     PointModel,
+    SampledKernels,
     SpinPointModel,
     VertexGroup,
     cosine_mode,

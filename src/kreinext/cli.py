@@ -18,7 +18,9 @@ allocate included); 2 unsearchable window or spectral-point z; 3
 boundary-pair conditions failed; 4 verification failed; 5 numerical
 failure (a non-finite Weyl matrix, a LAPACK breakdown, non-finite
 resolvent samples or a spectrum that found fewer eigenvalues than it
-counted). A handler returns its artifacts and a
+counted). :func:`main` builds the job's Weyl system and extension label
+once and hands them, with the boundary pair a pair-kind job gave, to the
+task's handler. A handler returns its artifacts and a
 :class:`JobFailure` or None; :func:`failure_of` maps every exception a job
 raises onto one. On failure stderr holds that one JSON error and nothing
 else: numpy's RuntimeWarnings are recorded, not printed, and the library's
@@ -153,7 +155,7 @@ def _load_extension(obj, n: int):
 # spectrum
 
 
-def cmd_spectrum(config):
+def cmd_spectrum(config, system, params, given):
     task = config["task"]
     window = task.get("window")
     if (
@@ -162,8 +164,6 @@ def cmd_spectrum(config):
         or not float(window[0]) < float(window[1])
     ):
         raise ConfigError(f"spectrum task needs a real window [lo, hi], got {window!r}")
-    system = _weyl_for(serialize.model_from_obj(config["model"]))
-    params, _ = _load_extension(config.get("extension"), system.n)
     result = eigenvalue_search(system, params, window)
 
     eigs = result.eigenvalues
@@ -207,15 +207,13 @@ def cmd_spectrum(config):
 # resolvent
 
 
-def cmd_resolvent(config):
+def cmd_resolvent(config, system, params, given):
     task = config["task"]
-    system = _weyl_for(serialize.model_from_obj(config["model"]))
     if not isinstance(system, EdgeWeylSystem):
         raise ConfigError(
             "resolvent task needs a quadrature model (interval or graph); "
             "point models support Green-function combinations in-process only"
         )
-    params, _ = _load_extension(config.get("extension"), system.n)
     z = serialize.complex_from_pair(task.get("z", [1.0, 1.0]))
     nodes = int(task.get("grid", 2000))
     grids = verify.edge_grids(system, nodes)
@@ -253,11 +251,9 @@ def cmd_resolvent(config):
 # convert
 
 
-def cmd_convert(config):
+def cmd_convert(config, system, params, given):
     if config.get("extension") is None:
         raise ConfigError("convert task needs an extension")
-    system = _weyl_for(serialize.model_from_obj(config["model"]))
-    params, given = _load_extension(config["extension"], system.n)
     round_pair = pair_from_params(params)
     pair = given or round_pair
 
@@ -293,16 +289,14 @@ def cmd_convert(config):
 # verify
 
 
-def cmd_verify(config):
+def cmd_verify(config, system, params, given):
     task = config["task"]
-    system = _weyl_for(serialize.model_from_obj(config["model"]))
     fault = task.get("fault")
     if fault == "negate_gamma":
         original = system.gamma
         system = dataclasses.replace(system, gamma=lambda z: -original(z))
     elif fault is not None:
         raise ConfigError(f"unknown fault flag {fault!r}")
-    params, _ = _load_extension(config.get("extension"), system.n)
 
     checks = verify.run_verify(system, params)
     passed = all(c["passed"] for c in checks.values())
@@ -362,7 +356,9 @@ def main(argv=None) -> int:
     try:
         config = _read_job(args.config, args.grid)
         with warnings.catch_warnings(record=True):
-            files, failure = _HANDLERS[config["task"]["name"]](config)
+            system = _weyl_for(serialize.model_from_obj(config["model"]))
+            params, given = _load_extension(config.get("extension"), system.n)
+            files, failure = _HANDLERS[config["task"]["name"]](config, system, params, given)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             with open(Path(args.out, name), "w", newline="\n") as handle:

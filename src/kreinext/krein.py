@@ -35,7 +35,6 @@ __all__ = [
     "GridTooCoarseError",
     "GridMismatchError",
     "SmoothFunction",
-    "SampledKernels",
     "WeylSystem",
     "EdgeWeylSystem",
     "PointWeylSystem",
@@ -258,21 +257,6 @@ def _merge_intervals(intervals):
 
 
 @dataclass(frozen=True)
-class SampledKernels:
-    """The three sampled factors of the Krein formula, bound to one z and one grid.
-
-    ``resolvent`` maps samples psi to samples of the free resolvent R_0(z) psi,
-    ``adjoint`` maps samples psi to G(conj(z))^* psi in C^n, and ``apply`` maps
-    a boundary vector zeta to samples of G(z) zeta; a zeta whose length is
-    not n raises ``ValueError``.
-    """
-
-    resolvent: Callable
-    adjoint: Callable
-    apply: Callable
-
-
-@dataclass(frozen=True)
 class WeylSystem:
     """Analytic engine of one model: what every model carries.
 
@@ -314,10 +298,12 @@ class EdgeWeylSystem(WeylSystem):
     entries but one per edge. Every map below takes edge functions, samples
     and grids in that shape and returns edge functions and samples in it.
 
-    ``sampled_kernels(z, grid)`` checks z and gives the
-    :class:`SampledKernels` of z on uniform edge grids, from sin(kx) and
-    sin(k(a - x)), k = sqrt(-z), evaluated once per edge; ``g_apply(z, zeta,
-    grid)`` is its ``apply``. Its quadrature maps raise
+    ``sampled_kernels(z, grid)`` builds the one
+    :class:`~kreinext.models.SampledKernels` of z on the edge grids: it
+    checks z, evaluates sin(kx) and sin(k(a - x)), k = sqrt(-z), once per
+    edge, and serves the free resolvent, G(conj(z))^* and G(z) as its
+    methods ``resolvent``, ``adjoint`` and ``apply``; ``g_apply(z, zeta,
+    grid)`` is its ``apply``. Its quadrature methods raise
     :class:`GridMismatchError` unless each grid runs uniformly from 0 to the
     edge length and the samples have its length; ``apply`` and ``g_apply``
     take any points. ``traces(parts, grid=None)`` is the pair (rho, tau) in

@@ -49,7 +49,6 @@ from .krein import (
     HalfLineExclusions,
     ModelConsistencyError,
     PointWeylSystem,
-    SampledKernels,
     SmoothFunction,
     check_admissible,
 )
@@ -60,6 +59,7 @@ __all__ = [
     "GraphModel",
     "PointModel",
     "SpinPointModel",
+    "SampledKernels",
     "VertexGroup",
     "interval_weyl",
     "graph_weyl",
@@ -296,61 +296,64 @@ def _sample_step(a: float, x: np.ndarray, samples, edge: int, problem) -> float:
     return x[1] - x[0]
 
 
-class _EdgeKernels:
-    """Sampled kernels of the edge (0, a) at one admissible z on the nodes x.
+class SampledKernels:
+    """The Krein formula's three sampled factors on the edges of one system,
+    bound to one z and one grid.
 
-    With k = sqrt(-z) and s = sin(ka), sin(kx) and sin(k(a - x)) are
-    evaluated once. They give the deficiency columns
-    [sin(k(a - x)) / s, sin(kx) / s] and the free resolvent kernel
-    sin(k x_<) sin(k(a - x_>)) / (k s); z = 0 has its own linear kernels.
-    ``apply`` takes arbitrary points. ``resolvent`` and ``adjoint`` integrate
-    by Simpson's rule and raise :class:`GridMismatchError`, naming ``edge``,
-    unless x runs uniformly from 0 to a and psi has its length.
+    Building one checks z and, on each edge (0, a) with k = sqrt(-z) and
+    s = sin(ka), evaluates sin(kx), sin(k(a - x)), k s and the deficiency
+    columns [sin(k(a - x)) / s, sin(kx) / s] once; z = 0 keeps its linear
+    kernels. ``resolvent(psi)`` gives R_0(z) psi, ``adjoint(psi)``
+    G(conj(z))^* psi in C^n and ``apply(zeta)`` G(z) zeta, each taking and
+    returning edge functions in the system's shape. ``apply`` takes any
+    points and raises ``ValueError`` for a zeta whose length is not n; the
+    other two integrate by Simpson's rule and raise
+    :class:`GridMismatchError`, naming the edge, unless its grid runs
+    uniformly from 0 to its length and psi has the grid's length.
     """
 
-    def __init__(self, a: float, z, x, edge: int = 0):
-        x = np.asarray(x, dtype=float)
-        self.a, self.edge, self.x = a, edge, x
-        self._problem = _grid_problem(a, x)
-        if z == 0:
-            self._sines = None
-            self.columns = np.stack([(a - x) / a, x / a], axis=1).astype(complex)
-            return
-        k = _sqrt_minus(z)
-        s = np.sin(k * a)
-        sx, sax = np.sin(k * x), np.sin(k * (a - x))
-        self._sines = (sx, sax, k * s)
-        self.columns = np.stack([sax / s, sx / s], axis=1)
+    def __init__(self, system: EdgeWeylSystem, z, grid):
+        check_admissible(system.excluded, z)
+        self._system, self._edges = system, []
+        for a, x in zip(system.lengths, system.edges(grid)):
+            x = np.asarray(x, dtype=float)
+            # the free resolvent kernel is u(x_<) v(x_>) / w, with w None at z = 0
+            if z == 0:
+                sines = (x, a - x, None)
+                columns = np.stack([(a - x) / a, x / a], axis=1).astype(complex)
+            else:
+                k = _sqrt_minus(z)
+                s = np.sin(k * a)
+                sx, sax = np.sin(k * x), np.sin(k * (a - x))
+                sines, columns = (sx, sax, k * s), np.stack([sax / s, sx / s], axis=1)
+            self._edges.append((a, x, _grid_problem(a, x), sines, columns))
 
-    def _step(self, psi) -> float:
-        return _sample_step(self.a, self.x, psi, self.edge, self._problem)
+    def _samples(self, psi):
+        """(a, sines, columns, samples, step) of each edge, or GridMismatchError."""
+        parts = self._system.edges(psi)
+        for edge, ((a, x, problem, sines, columns), part) in enumerate(zip(self._edges, parts)):
+            part = np.asarray(part)
+            yield a, sines, columns, part, _sample_step(a, x, part, edge, problem)
 
-    def apply(self, zeta) -> np.ndarray:
-        """Samples of G(z) zeta for zeta in C^2."""
-        return self.columns @ np.asarray(zeta, dtype=complex)
-
-    def resolvent(self, psi) -> np.ndarray:
+    def resolvent(self, psi):
         """Samples of the free resolvent applied to the samples psi."""
-        psi = np.asarray(psi)
-        dx = self._step(psi)
-        a, x = self.a, self.x
-        if self._sines is None:
-            left = cumulative_simpson(x * psi, dx)
-            f2 = (a - x) * psi
+        out = []
+        for a, (u, v, w), _, psi, dx in self._samples(psi):
+            left = cumulative_simpson(u * psi, dx)
+            f2 = v * psi
             right = simpson(f2, dx) - cumulative_simpson(f2, dx)
-            return (a - x) / a * left + x / a * right
-        sx, sax, wronskian = self._sines
-        left = cumulative_simpson(sx * psi, dx)
-        f2 = sax * psi
-        right = simpson(f2, dx) - cumulative_simpson(f2, dx)
-        return (sax * left + sx * right) / wronskian
+            out.append(v / a * left + u / a * right if w is None else (v * left + u * right) / w)
+        return self._system.shaped(out)
 
     def adjoint(self, psi) -> np.ndarray:
         """G(conj(z))^* psi: the integrals of the z-columns against psi."""
-        psi = np.asarray(psi)
-        dx = self._step(psi)
-        cols = self.columns
-        return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
+        edges = self._samples(psi)
+        return np.array([simpson(col * psi, dx) for _, _, cols, psi, dx in edges for col in cols.T])
+
+    def apply(self, zeta):
+        """Samples of G(z) zeta for zeta in C^n."""
+        pairs = _boundary_vector(zeta, self._system.n).reshape(len(self._edges), 2)
+        return self._system.shaped([cols @ pair for (*_, cols), pair in zip(self._edges, pairs)])
 
 
 def _inward_derivative(samples: np.ndarray, h: float, left: bool) -> complex:
@@ -521,24 +524,10 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
         return _edge_gram_blocks(lengths, z, w)
 
     def sampled_kernels(z, grid):
-        check_admissible(excluded, z)
-        grids = system.edges(grid)
-        edges = [_EdgeKernels(a, z, grids[k], k) for k, a in enumerate(lengths)]
-
-        def resolvent(psi):
-            return system.shaped([edge.resolvent(part) for edge, part in zip(edges, system.edges(psi))])
-
-        def adjoint(psi):
-            return np.concatenate([edge.adjoint(part) for edge, part in zip(edges, system.edges(psi))])
-
-        def apply(zeta):
-            pairs = _boundary_vector(zeta, 2 * K).reshape(K, 2)
-            return system.shaped([edge.apply(pair) for edge, pair in zip(edges, pairs)])
-
-        return SampledKernels(resolvent, adjoint, apply)
+        return SampledKernels(system, z, grid)
 
     def g_apply(z, zeta, grid):
-        return sampled_kernels(z, grid).apply(zeta)
+        return SampledKernels(system, z, grid).apply(zeta)
 
     def g_closed(z, zeta):
         check_admissible(excluded, z)

@@ -286,13 +286,23 @@ def von_neumann_block(system: WeylSystem, params: ExtensionParams) -> VonNeumann
     as a direct (not orthogonal) sum, and only along that splitting is the
     resulting map q-unitary.
     """
-    gi = system.gamma(1j)
-    q = (gi - gi.conj().T) / 2j
-    q = (q + q.conj().T) / 2.0
+    q = _defect_gram(system)
     if np.linalg.eigvalsh(q).min() <= 0.0:
         raise ModelConsistencyError(
             "Im Gamma(i) is not positive definite; deficiency Gram matrix degenerate"
         )
+    return _von_neumann_block(params, q)
+
+
+def _defect_gram(system: WeylSystem) -> np.ndarray:
+    """The deficiency Gram matrix q = Im Gamma(i), symmetrised, from one Gamma call."""
+    gi = system.gamma(1j)
+    q = (gi - gi.conj().T) / 2j
+    return (q + q.conj().T) / 2.0
+
+
+def _von_neumann_block(params: ExtensionParams, q: np.ndarray) -> VonNeumannBlock:
+    """:func:`von_neumann_block` from the positive definite Gram matrix q."""
     gamma_hat = 1j * q
     v, w = params.range_basis, params.kernel_basis
     n = params.n

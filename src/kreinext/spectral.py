@@ -15,15 +15,15 @@ multiplicity is the size of the drop.
 The search runs in rounds, breadth first: each round evaluates every point
 that any live bracket of any searchable segment asks for, builds all their
 secular matrices from one ``system.gamma`` call and counts with one stacked
-``eigvalsh``. A bracket whose count drops by more than one is halved. Once
-it drops by one, its crossing branch is one increasing function with one
-zero: a secant step (regula falsi) finds that zero, two probes certify a
-window around it outside which rounding cannot change the count, and the
-bisection's own dyadic path is then walked, evaluating only the midpoints
-inside the window. Every bracket is therefore split, kept or stopped
-exactly as a depth-first bisection would, so the roots are the same to the
-bit, in about half the rounds. The kernel check at the roots is one
-stacked ``eigh``.
+``eigvalsh``. Every bracket walks the bisection's own dyadic path. Once
+its count drops by one, its crossing branch is one increasing function
+with one zero: a secant step (regula falsi) finds that zero, two probes
+certify a window around it outside which rounding cannot change the
+count, and only the midpoints inside the window are evaluated; a larger
+drop evaluates every midpoint. Every bracket is therefore split, kept or
+stopped exactly as a depth-first bisection would, so the roots are the
+same to the bit, in about half the rounds. The kernel check at the roots
+is one stacked ``eigh``.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
@@ -186,46 +186,40 @@ def _bracket(lo, hi, left, right):
     coroutine yields the points it needs evaluated, is sent their
     (eigenvalues, count, rounding) and returns (roots, sub-brackets).
 
-    A drop of one walks the plain bisection's own path: a midpoint left of
-    the certified window (:func:`_window`) has count clo and one right of it
-    count clo - 1 without evaluation, and only midpoints inside the window
-    are evaluated; without a window, every midpoint is. A count that is
-    neither splits the bracket as plain bisection does. Any other drop is
-    halved once and split, or stops as a root.
+    Every drop walks the plain bisection's own path: a midpoint with count
+    clo moves lo, one with count chi moves hi, and any other count splits
+    the bracket. A drop of one evaluates only the midpoints inside its
+    certified window (:func:`_window`), the others taking their side's
+    count; a drop of several evaluates every midpoint and stops as a root
+    once that many secular eigenvalues are within rounding there.
     """
     clo, chi = left[1], right[1]
     drop = clo - chi
     if drop == 0:
         return [], []
-    if drop == 1:
-        window = None
-        if left[0] is not None and right[0] is not None:
-            window = yield from _window(lo, hi, left, right)
-        xl, xr = window or (lo, hi)
-        while True:
-            mid = 0.5 * (lo + hi)
-            if _final(lo, mid, hi):
-                return [(mid, 1)], []
-            if mid <= xl:
-                lo, left = mid, (None, clo, None)
-            elif mid >= xr:
-                hi, right = mid, (None, chi, None)
+    window = None
+    if drop == 1 and left[0] is not None and right[0] is not None:
+        window = yield from _window(lo, hi, left, right)
+    xl, xr = window or (lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if _final(lo, mid, hi):
+            return [(mid, drop)], []
+        if mid <= xl:
+            lo, left = mid, (None, clo, None)
+        elif mid >= xr:
+            hi, right = mid, (None, chi, None)
+        else:
+            (at_mid,) = yield [mid]
+            w, count, rounding = at_mid
+            if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
+                return [(mid, drop)], []
+            if count == clo:
+                lo, left = mid, at_mid
+            elif count == chi:
+                hi, right = mid, at_mid
             else:
-                (at_mid,) = yield [mid]
-                if at_mid[1] == clo:
-                    lo, left = mid, at_mid
-                elif at_mid[1] == chi:
-                    hi, right = mid, at_mid
-                else:
-                    return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
-    mid = 0.5 * (lo + hi)
-    if _final(lo, mid, hi):
-        return [(mid, drop)], []
-    (at_mid,) = yield [mid]
-    w, _, rounding = at_mid
-    if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
-        return [(mid, drop)], []
-    return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
+                return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
 
 
 def _isolate(eigs, segments, theta_norm):
@@ -240,12 +234,11 @@ def _isolate(eigs, segments, theta_norm):
     its midpoint: errors of that size shift each branch's crossing, so the
     count cannot split such a root any further.
 
-    A bracket that drops by one is not halved blindly: a certified secant
-    (:func:`_window`) finds the window where rounding could decide the
-    count, and the bisection's path is walked through it (:func:`_bracket`),
-    so the root is the midpoint of the same final bracket, to the bit. Each
-    bracket is a coroutine; every round evaluates the points all of them
-    ask for with one ``eigs`` call. Brackets come out in increasing lambda.
+    Each bracket is a coroutine (:func:`_bracket`) that walks the
+    bisection's path, through a certified window (:func:`_window`) for a
+    drop of one, so each root is the midpoint of the same final bracket, to
+    the bit. Every round evaluates the points all brackets ask for with one
+    ``eigs`` call. Brackets come out in increasing lambda.
     """
 
     def measure(points):

@@ -21,7 +21,7 @@ from .krein import (
 )
 from .models import poly_bump, sine_mode
 from .oracle import simpson_gram
-from .parametrize import von_neumann_block
+from .parametrize import _defect_gram, _von_neumann_block
 
 __all__ = ["PRESETS", "run_verify", "z_grid", "edge_grids", "preset_samples"]
 
@@ -100,9 +100,9 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
     diff = difference_identity_residual(system, complex_points[0::2], complex_points[1::2], gram)
     checks["difference_identity"] = _check(max(diff.tolist()), 1e-8 if edge else 1e-12)
 
-    at_i = system.gamma(1j)
-    qmat = (at_i - at_i.conj().T) / 2j
-    qmin = float(np.linalg.eigvalsh((qmat + qmat.conj().T) / 2).min())
+    # one Gamma(i) serves the defect Gram check and the von Neumann block
+    qmat = _defect_gram(system)
+    qmin = float(np.linalg.eigvalsh(qmat).min())
     checks["defect_gram_positive"] = {
         "residual": -min(qmin, 0.0),
         "tolerance": 0.0,
@@ -110,10 +110,7 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
         "smallest_eigenvalue": qmin,
     }
 
-    if qmin > 0.0:
-        unit = von_neumann_block(system, params).unitarity_residual()
-    else:
-        unit = float("inf")
+    unit = _von_neumann_block(params, qmat).unitarity_residual() if qmin > 0.0 else float("inf")
     checks["gram_unitarity"] = {
         "residual": unit if np.isfinite(unit) else 1.0,
         "tolerance": 1e-8,

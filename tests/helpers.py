@@ -40,7 +40,7 @@ def reference_g_columns(a, z, x):
 
     This and the two functions after it are copies of the per-field edge
     kernels that each evaluated their own sines. The shared kernels of
-    ``models._EdgeKernels`` must agree with them bit for bit.
+    ``models.SampledKernels`` must agree with them bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if z == 0:

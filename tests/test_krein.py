@@ -453,7 +453,7 @@ def test_conjugation_residual_takes_an_array(name):
 
 def _count_verify_calls(monkeypatch, system, params):
     calls = {"gamma": 0, "contains": 0, "kernels": 0}
-    gamma, contains, kernels = system.gamma, system.excluded.contains, models._EdgeKernels
+    gamma, contains, kernels = system.gamma, system.excluded.contains, models.SampledKernels
 
     def counted_gamma(z):
         calls["gamma"] += 1
@@ -468,28 +468,46 @@ def _count_verify_calls(monkeypatch, system, params):
         return kernels(*args)
 
     monkeypatch.setattr(system.excluded, "contains", counted_contains)
-    monkeypatch.setattr(models, "_EdgeKernels", counted_kernels)
+    monkeypatch.setattr(models, "SampledKernels", counted_kernels)
     checks = verify.run_verify(dataclasses.replace(system, gamma=counted_gamma), params)
     assert all(check["passed"] for check in checks.values())
     return calls
 
 
 def test_run_verify_checks_each_point_once(monkeypatch):
-    # one Gamma call per identity, and the conjugation probe's call also
-    # serves the determinant and Hermiticity checks; only gamma, the Gram
+    # one Gamma call per identity, the conjugation probe's call also serves
+    # the determinant and Hermiticity checks, and one Gamma(i) serves the
+    # defect Gram check and the von Neumann block; only gamma, the Gram
     # matrices and the sampled kernels check z (probes that check z
     # themselves and take one point per Gamma call make 61/122 and 69/130
-    # here). The edge kernels are built only for the three sampled
-    # resolvents, never for the quadrature Gram.
+    # here). One SampledKernels is built for each of the three sampled
+    # resolvents, none for the quadrature Gram.
     rng = np.random.default_rng(3)
     graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
     params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
-    want = {"gamma": 7, "contains": 14, "kernels": 24}
+    want = {"gamma": 6, "contains": 13, "kernels": 3}
     assert _count_verify_calls(monkeypatch, graph, params) == want
     points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
     params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))
-    want = {"gamma": 4, "contains": 11, "kernels": 0}
+    want = {"gamma": 3, "contains": 10, "kernels": 0}
     assert _count_verify_calls(monkeypatch, points, params) == want
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_verify_and_the_von_neumann_block_read_one_defect_gram(sign):
+    # q = Im Gamma(i), symmetrised, as the defect Gram check forms it; a
+    # negated Gamma fails that check and skips the block
+    system = kx.graph_weyl(kx.GraphModel((PI, 1.3)))
+    system = dataclasses.replace(system, gamma=lambda z, gamma=system.gamma: sign * gamma(z))
+    at_i = system.gamma(1j)
+    q = (at_i - at_i.conj().T) / 2j
+    q = (q + q.conj().T) / 2
+    params = ExtensionParams(np.diag([1.0, 0.0, 1.0, 0.0]), np.diag([0.3, 0.0, -0.2, 0.0]))
+    checks = verify.run_verify(system, params)
+    assert checks["defect_gram_positive"]["smallest_eigenvalue"] == np.linalg.eigvalsh(q).min()
+    assert checks["gram_unitarity"]["skipped_degenerate_gram"] is (sign < 0)
+    if sign > 0:
+        assert kx.von_neumann_block(system, params).q.tobytes() == q.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +572,7 @@ def test_quadrature_gram_reads_no_model_kernel():
                 yield from names(const)
 
     read = set(names(compile(source, oracle.__file__, "exec")))
-    assert not read & {"gamma", "gram", "sampled_kernels", "g_apply", "g_closed", "_EdgeKernels"}
+    assert not read & {"gamma", "gram", "sampled_kernels", "g_apply", "g_closed", "SampledKernels"}
 
 
 def test_green_identity_unsupported_for_points(point_one):

@@ -95,18 +95,18 @@ def test_graph_kernels_bit_identical(nodes, z):
 
 
 # ---------------------------------------------------------------------------
-# work count: the kernels are built once per edge per apply_resolvent
+# work count: one SampledKernels, every edge's kernels, per apply_resolvent
 
 
 def _count_builds(monkeypatch):
     built = []
 
-    class Counting(models._EdgeKernels):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
+    class Counting(models.SampledKernels):
+        def __init__(self, system, *args):
+            built.append(system.lengths)
+            super().__init__(system, *args)
 
-    monkeypatch.setattr(models, "_EdgeKernels", Counting)
+    monkeypatch.setattr(models, "SampledKernels", Counting)
     return built
 
 
@@ -116,7 +116,7 @@ def test_apply_resolvent_builds_each_edge_once(monkeypatch):
     x = np.linspace(0.0, PI, 2001)
     params = ExtensionParams.full(np.diag([0.3, 0.3]))
     kx.apply_resolvent(interval, params, 1 + 1j, kx.poly_bump(PI)(x), x)
-    assert built == [PI]
+    assert built == [(PI,)]
 
     built.clear()
     graph = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
@@ -124,7 +124,7 @@ def test_apply_resolvent_builds_each_edge_once(monkeypatch):
     psis = [kx.poly_bump(a)(g) for a, g in zip(EIGHT_EDGES, grids)]
     params = ExtensionParams.full(0.2 * np.eye(16))
     kx.apply_resolvent(graph, params, 1 + 1j, psis, grids)
-    assert built == list(EIGHT_EDGES)
+    assert built == [tuple(EIGHT_EDGES)]
 
 
 # ---------------------------------------------------------------------------
