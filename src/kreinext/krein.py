@@ -156,17 +156,18 @@ class DirichletExclusions:
     def _nearest(self, z):
         """Distances to the candidate poles nearest z, with their indices n.
 
-        Per edge the candidates are n = floor, ceil of sqrt(-Re z) a / pi
-        and 1, for all edges and points at once; the arrays have shape
-        (*z.shape, 3, edges). Squares go through ``float_power`` (C ``pow``)
-        and moduli through ``hypot``, as in Python float arithmetic, so an
-        array gets the same answers as its entries one by one.
+        Per edge the candidates are n = floor and ceil of sqrt(-Re z) a / pi,
+        raised to 1, for all edges and points at once; the arrays have shape
+        (*z.shape, 2, edges). Below n = 2 the floor is the pole n = 1, so
+        that pole needs no candidate of its own. Squares go through
+        ``float_power`` (C ``pow``) and moduli through ``hypot``, as in
+        Python float arithmetic, so an array gets the same answers as its
+        entries one by one.
         """
         z = np.asarray(z, dtype=complex)
         zr, zi = z.real[..., None, None], z.imag[..., None, None]
         base = np.sqrt(np.maximum(-zr, 0.0)) * self._a / np.pi
-        n = np.concatenate([np.floor(base), np.ceil(base), np.ones_like(base)], -2)
-        n = np.maximum(n, 1.0)
+        n = np.maximum(np.concatenate([np.floor(base), np.ceil(base)], -2), 1.0)
         pole = -np.float_power(n * np.pi / self._a, 2)
         return np.hypot(zr - pole, zi), n
 
@@ -232,8 +233,13 @@ def check_admissible(excluded, z) -> None:
     """Raise :class:`ExcludedPointError` naming the first entry of z inside ``excluded``.
 
     ``z`` is a scalar or an array; every entry is checked by one vectorised
-    ``excluded.contains`` call.
+    ``excluded.contains`` call. A NaN or infinite entry is no spectral
+    parameter: it raises ``ValueError`` naming it, before the exclusion test.
     """
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = complex(np.ravel(z)[np.argmin(np.ravel(finite))])
+        raise ValueError(f"z={bad} is not a finite spectral parameter")
     hit = np.asarray(excluded.contains(z))
     if hit.any():
         bad = complex(np.ravel(z)[np.argmax(np.ravel(hit))])
@@ -367,7 +373,10 @@ class ExtensionParams:
     ``range_basis`` and ``kernel_basis`` are orthonormal columns spanning
     the range and the kernel of ``pi``. They are read-only arrays and no
     init, repr or compare fields; every operation that compresses to the
-    range reads them instead of diagonalising ``pi`` again.
+    range reads them instead of diagonalising ``pi`` again. The private
+    attribute ``_identity_frame`` records whether ``range_basis`` is exactly
+    the identity, as for every label of :meth:`full`: such a label needs
+    no compression.
     """
 
     pi: np.ndarray
@@ -391,6 +400,8 @@ class ExtensionParams:
         for name, basis in frame:
             basis.setflags(write=False)
             object.__setattr__(self, name, basis)
+        identity = np.array_equal(self.range_basis, np.eye(pi.shape[0]))
+        object.__setattr__(self, "_identity_frame", identity)
 
     @property
     def n(self) -> int:
@@ -464,10 +475,14 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
 
 
 def _compress(params, z, gamma):
-    """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated; a
-    non-finite matrix raises :class:`ModelConsistencyError` naming its z."""
-    v = params.range_basis
-    m = v.conj().T @ (params.theta + gamma) @ v
+    """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated, which is
+    theta + gamma itself when V is the identity; a non-finite matrix raises
+    :class:`ModelConsistencyError` naming its z."""
+    if params._identity_frame:
+        m = params.theta + gamma
+    else:
+        v = params.range_basis
+        m = v.conj().T @ (params.theta + gamma) @ v
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         bad = complex(np.ravel(z)[np.argmin(np.ravel(finite))])

@@ -117,8 +117,10 @@ class GraphModel:
 class PointModel:
     """3-D Laplacian restricted off n pairwise distinct centres.
 
-    The pairwise centre distances are kept in the private attribute
-    ``_distances`` (not a field), which the kernels read.
+    The pairwise centre distances are kept in private attributes (not
+    fields), which the kernels read: ``_distances`` the (n, n) matrix d,
+    ``_off_index`` the flat indices of its off-diagonal entries,
+    ``_off_distances`` those entries and ``_off_scale`` 4 pi times them.
     """
 
     centers: np.ndarray
@@ -131,8 +133,15 @@ class PointModel:
             raise ValueError("centers must be finite")
         object.__setattr__(self, "centers", c)
         d = _pairwise_distances(c)
-        object.__setattr__(self, "_distances", d)
-        off = d[~np.eye(c.shape[0], dtype=bool)]
+        index = np.flatnonzero(~np.eye(c.shape[0], dtype=bool))
+        off = d.reshape(-1)[index]
+        for name, value in (
+            ("_distances", d),
+            ("_off_index", index),
+            ("_off_distances", off),
+            ("_off_scale", FOUR_PI * off),
+        ):
+            object.__setattr__(self, name, value)
         if off.size and off.min() <= MIN_CENTER_DISTANCE:
             raise ValueError(
                 f"centers must be pairwise separated by more than {MIN_CENTER_DISTANCE}"
@@ -207,11 +216,14 @@ def _block_diag(blocks) -> np.ndarray:
     Every boundary space here is such a direct sum (edges of C^2, spin
     channels of C^n); its vectors are split by ``reshape(K, b)``.
     """
-    *lead, K, b, _ = np.shape(blocks)
-    out = np.zeros((*lead, K * b, K * b), dtype=complex)
-    for k in range(K):
-        out[..., k * b : (k + 1) * b, k * b : (k + 1) * b] = blocks[..., k, :, :]
-    return out
+    blocks = np.asarray(blocks, dtype=complex)
+    *lead, K, b, _ = blocks.shape
+    if K == 1:
+        return blocks[..., 0, :, :]
+    out = np.zeros((*lead, K, b, K, b), dtype=complex)
+    # the repeated index k makes einsum return a writeable view of the diagonal blocks
+    np.einsum("...kikj->...kij", out)[...] = blocks
+    return out.reshape(*lead, K * b, K * b)
 
 
 def _boundary_vector(zeta, n: int) -> np.ndarray:
@@ -629,14 +641,11 @@ def _point_gamma(model: PointModel, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     sq = np.sqrt(z)[..., None]
-    d = model._distances
     n = model.n_centers
-    out = np.zeros(z.shape + (n, n), dtype=complex)
-    mask = ~np.eye(n, dtype=bool)
-    out[..., mask] = -np.exp(-sq * d[mask]) / (FOUR_PI * d[mask])
-    diagonal = np.arange(n)
-    out[..., diagonal, diagonal] = sq / FOUR_PI
-    return out
+    out = np.empty(z.shape + (n * n,), dtype=complex)
+    out[..., model._off_index] = -np.exp(-sq * model._off_distances) / model._off_scale
+    out[..., :: n + 1] = sq / FOUR_PI
+    return out.reshape(z.shape + (n, n))
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
@@ -676,11 +685,10 @@ def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -
     x -> y_k, which evaluates to part(y_k) plus the cross terms
     zeta_j / (4 pi |y_k - y_j|), j != k.
     """
-    d = model._distances
-    mask = ~np.eye(model.n_centers, dtype=bool)
-    coeff = np.zeros_like(d, dtype=complex)
-    coeff[mask] = 1.0 / (FOUR_PI * d[mask])
-    return vals + coeff @ zeta
+    n = model.n_centers
+    coeff = np.zeros(n * n, dtype=complex)
+    coeff[model._off_index] = 1.0 / model._off_scale
+    return vals + coeff.reshape(n, n) @ zeta
 
 
 def point_green_regular_part(model: PointModel, lam, coeff):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import kreinext as kx
 from kreinext import ExtensionParams
 
 
@@ -115,17 +116,143 @@ def reference_subtract_gaps(lo, hi, gaps):
     return [(a, b) for a, b in segments if b > a]
 
 
-def depth_first_search(system, params, window):
+# ---------------------------------------------------------------------------
+# frozen copies of the secular-stack formation: every label compressed, the
+# blocks copied one by one, the point mask built per call and three guard
+# candidates per edge. The library's formation must agree with them bit for bit.
+
+
+def reference_dirichlet_nearest(excluded, z):
+    """``DirichletExclusions._nearest`` with its three candidates n = floor,
+    ceil (both at least 1) and 1 per edge: shape (*z.shape, 3, edges)."""
+    a = np.array(excluded.lengths)
+    z = np.asarray(z, dtype=complex)
+    zr, zi = z.real[..., None, None], z.imag[..., None, None]
+    base = np.sqrt(np.maximum(-zr, 0.0)) * a / np.pi
+    n = np.concatenate([np.floor(base), np.ceil(base), np.ones_like(base)], -2)
+    n = np.maximum(n, 1.0)
+    pole = -np.float_power(n * np.pi / a, 2)
+    return np.hypot(zr - pole, zi), n
+
+
+def reference_dirichlet_contains(excluded, z):
+    """``DirichletExclusions.contains`` over the three candidates."""
+    dist, n = reference_dirichlet_nearest(excluded, z)
+    unit = np.float_power(np.pi / np.array(excluded.lengths), 2)
+    hit = (dist <= excluded.guard_rel * (2 * n + 1) * unit).any(axis=(-2, -1))
+    return hit if hit.ndim else bool(hit)
+
+
+def reference_dirichlet_distance(excluded, z) -> float:
+    """``DirichletExclusions.distance`` over the three candidates."""
+    return float(np.min(reference_dirichlet_nearest(excluded, complex(z))[0]))
+
+
+def reference_block_diag(blocks):
+    """``models._block_diag`` as first written: one slice copy per block."""
+    *lead, K, b, _ = np.shape(blocks)
+    out = np.zeros((*lead, K * b, K * b), dtype=complex)
+    for k in range(K):
+        out[..., k * b : (k + 1) * b, k * b : (k + 1) * b] = blocks[..., k, :, :]
+    return out
+
+
+def reference_edge_gammas(lengths, z):
+    """``models._edge_gammas``: the (*z.shape, K, 2, 2) Gamma blocks of the edges."""
+    a = np.array(lengths, dtype=float)
+    z = np.asarray(z)
+    zero = z == 0
+    k = np.sqrt(np.asarray(-np.where(zero, -1.0, z), dtype=complex))[..., None]
+    ratio = k / np.sin(k * a)
+    out = np.empty(ratio.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = ratio * np.cos(k * a)
+    out[..., 0, 1] = out[..., 1, 0] = ratio * -1.0  # times -1 + 0j; -ratio flips signed zeros
+    out[zero] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a[:, None, None]
+    return out
+
+
+def reference_point_gamma(centers, z):
+    """``models._point_gamma`` as first written: a boolean off-diagonal mask
+    and d[mask] built on every call."""
+    diff = centers[:, None, :] - centers[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    z = np.asarray(z, dtype=complex)
+    sq = np.sqrt(z)[..., None]
+    n = centers.shape[0]
+    out = np.zeros(z.shape + (n, n), dtype=complex)
+    mask = ~np.eye(n, dtype=bool)
+    out[..., mask] = -np.exp(-sq * d[mask]) / (4.0 * np.pi * d[mask])
+    diagonal = np.arange(n)
+    out[..., diagonal, diagonal] = sq / (4.0 * np.pi)
+    return out
+
+
+def reference_gamma(model, z):
+    """Gamma(z) of a model descriptor, checked against its excluded set, from
+    the frozen kernels above; a scalar z or a 1-D array of values."""
+    if isinstance(model, (kx.IntervalModel, kx.GraphModel)):
+        lengths = (float(model.a),) if isinstance(model, kx.IntervalModel) else model.lengths
+        excluded = kx.DirichletExclusions(lengths)
+        hit = np.atleast_1d(reference_dirichlet_contains(excluded, z))
+        blocks = reference_edge_gammas(lengths, z)
+    else:
+        b = model.b if isinstance(model, kx.SpinPointModel) else (0.0,)
+        zs = np.asarray(z, dtype=complex)
+        hit = np.atleast_1d((zs.imag == 0.0) & (zs.real <= max(b)))
+        blocks = reference_point_gamma(np.asarray(model.centers, dtype=float), zs[..., None] - np.array(b))
+    if hit.any():
+        raise kx.ExcludedPointError(f"z={complex(np.ravel(z)[np.argmax(hit)])} is excluded")
+    return reference_block_diag(blocks)
+
+
+def reference_secular_matrix(model, params, z):
+    """``secular_matrix`` as first written: V^*(theta + Gamma(z))V for every
+    label, the identity frame included."""
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    v = params.range_basis
+    m = v.conj().T @ (params.theta + reference_gamma(model, z)) @ v
+    if not np.isfinite(m).all():
+        raise kx.ModelConsistencyError("secular matrix is not finite")
+    return m
+
+
+def reference_hermitian_part(m):
+    """``spectral._hermitian_part`` as first written."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+
+
+def reference_secular_stack(model, params, z):
+    """The Hermitian secular matrices the search diagonalises, formed as before."""
+    return reference_hermitian_part(reference_secular_matrix(model, params, z))
+
+
+def assert_same_search(got, ref):
+    """Two ``SpectrumResult``s agree to the bit: roots, multiplicities,
+    sigma_min, null bases, gaps and metadata."""
+    assert got.gaps == ref.gaps
+    assert got.metadata == ref.metadata
+    assert len(got.eigenvalues) == len(ref.eigenvalues)
+    for hit, want in zip(got.eigenvalues, ref.eigenvalues):
+        assert np.array_equal(hit.lam, want.lam)
+        assert hit.multiplicity == want.multiplicity
+        assert np.array_equal(hit.sigma_min, want.sigma_min)
+        assert hit.null_basis.tobytes() == want.null_basis.tobytes()
+    assert got.lambdas().tolist() == sorted(got.lambdas().tolist())
+
+
+def depth_first_search(model, params, window):
     """Reference eigenvalue search: depth-first count bisection, one lambda per call.
 
     A copy of the search before it was batched: :func:`depth_first_isolate`
-    bisects one bracket at a time through scalar ``secular_matrix`` calls,
-    and each root gets its own ``eigh``. The batched search must agree with
-    it bit for bit.
+    bisects one bracket at a time through scalar secular matrices, and each
+    root gets its own ``eigh``. Every matrix comes from the frozen
+    :func:`reference_secular_stack`, not from the library's formation. The
+    batched search must agree with it bit for bit.
     """
     from kreinext import spectral
-    from kreinext.krein import secular_matrix
+    from kreinext.cli import _weyl_for
 
+    system = _weyl_for(model)
     lo, hi = float(window[0]), float(window[1])
     basis = params.range_basis
     gaps = tuple(system.excluded.gaps_in(lo, hi))
@@ -145,8 +272,7 @@ def depth_first_search(system, params, window):
         return spectral.SpectrumResult((), gaps, metadata)
 
     def hermitian(lam):
-        m = secular_matrix(system, params, lam)
-        return (m + m.conj().T) / 2.0
+        return reference_secular_stack(model, params, lam)
 
     def eigs(lam):
         return np.linalg.eigvalsh(hermitian(lam))

@@ -425,6 +425,38 @@ def test_excluded_point_rejected(interval_pi):
         kx.conjugation_residual(interval_pi, np.array([1j, -4.0]))
 
 
+NON_FINITE = [complex(np.nan, 0.0), complex(np.inf, 1.0), complex(-np.inf, 1.0), complex(1.0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf+1j", "-inf+1j", "1+nanj"])
+@pytest.mark.parametrize("name", ["edge", "points"])
+def test_non_finite_spectral_parameter_is_refused(name, bad):
+    # refused as bad input, before the exclusion test lets it through to NaN matrices
+    system = _probe_systems()[name]
+    params = ExtensionParams.full(np.eye(system.n))
+    refused = pytest.raises(ValueError, match=r"is not a finite spectral parameter")
+    for call in (
+        lambda: system.gamma(bad),
+        lambda: system.gamma(np.array([1j, bad])),
+        lambda: system.gram(bad, 1 + 1j),
+        lambda: system.gram(1 + 1j, bad),
+        lambda: kx.secular_matrix(system, params, bad),
+        lambda: kx.secular_matrix(system, params, np.array([1j, bad])),
+        lambda: kx.apply_resolvent_green(system, params, bad, GreenCombination(((1j, np.ones(system.n)),))),
+        lambda: kx.green_norm(system, GreenCombination(((1j, np.ones(system.n)), (bad, np.ones(system.n))))),
+    ):
+        with refused:
+            call()
+    if name == "edge":
+        grid = [np.linspace(0.0, a, 501) for a in system.lengths]
+        with refused:
+            kx.apply_resolvent(system, params, bad, [np.ones(501)] * 2, grid)
+        with refused:
+            oracle.simpson_gram(system.lengths, bad, 1j)
+        with refused:
+            oracle.simpson_gram(system.lengths, 1j, bad)
+
+
 def _probe_systems():
     return {
         "edge": kx.graph_weyl(kx.GraphModel((PI, 1.3))),

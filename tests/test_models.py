@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import kreinext as kx
 from kreinext import ExcludedPointError, ExtensionParams, VertexGroup
+
+from helpers import reference_block_diag, reference_dirichlet_contains, reference_dirichlet_distance
 
 PI = np.pi
 FOUR_PI = 4 * np.pi
@@ -406,6 +408,15 @@ def _same(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 2), (8, 2, 2), (5, 8, 2, 2), (3, 4, 4), (6, 3, 5, 5), (2, 1, 3, 3)])
+def test_block_diag_equals_the_slice_copies(shape):
+    rng = np.random.default_rng(3)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = kx.models._block_diag(blocks)
+    assert got.tobytes() == reference_block_diag(blocks).tobytes()
+    assert got.shape == reference_block_diag(blocks).shape
+
+
 def _block_diagonals(stacks):
     """scipy's block_diag of the i-th matrix of every stack, for each i."""
     return np.stack([block_diag(*blocks) for blocks in zip(*stacks)])
@@ -554,6 +565,55 @@ def test_vectorised_dirichlet_guard_matches_scalar():
     assert hit.any() and not hit.all()
     distances = [excluded.distance(z) for z in zs]
     assert distances == [_scalar_dirichlet_distance(excluded, z) for z in zs]
+
+
+GUARD_LENGTHS = (0.3, 1.0, PI, 7.5)
+# multiples of a guard radius: on the sphere, 1e-6 inside and outside it, and
+# 1e-8 inside and outside, about the float spacing at the pole
+GUARD_SCALES = (1.0, 1 - 1e-6, 1 + 1e-6, 1 - 1e-8, 1 + 1e-8)
+
+
+@st.composite
+def _guard_points(draw):
+    """z real or complex with |z| in [1e-8, 1e9], or on, just inside or just
+    outside the guard ball of the pole n = 1 or 2 of one edge."""
+    if draw(st.booleans()):
+        mag = 10.0 ** draw(st.floats(-8.0, 9.0))
+        turn = draw(st.sampled_from([1.0, -1.0]) | st.floats(-PI, PI).map(lambda t: np.exp(1j * t)))
+        return complex(mag * turn)
+    a = draw(st.sampled_from(GUARD_LENGTHS))
+    n = draw(st.sampled_from([1, 2]))
+    pole = -((n * np.pi / a) ** 2)
+    radius = kx.DirichletExclusions.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
+    r = radius * draw(st.sampled_from(GUARD_SCALES))
+    return pole + r * draw(st.sampled_from([1.0, -1.0, 1j, -1j, np.exp(0.7j)]))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(zs=st.lists(_guard_points(), min_size=1, max_size=8), k=st.integers(1, len(GUARD_LENGTHS)))
+def test_two_candidate_guard_equals_the_three_candidate_reference(zs, k):
+    # dropping the candidate n = 1 changes no answer of the guard, to the bit
+    excluded = kx.DirichletExclusions(GUARD_LENGTHS[:k])
+    batch = np.array(zs, dtype=complex)
+    assert np.array_equal(excluded.contains(batch), reference_dirichlet_contains(excluded, batch))
+    for z in zs:
+        assert excluded.contains(z) == reference_dirichlet_contains(excluded, z)
+        assert excluded.distance(z) == reference_dirichlet_distance(excluded, z)
+
+
+def test_guard_points_reach_both_sides_of_the_balls():
+    # the strategy above lands inside and outside every guard ball it aims at
+    excluded = kx.DirichletExclusions(GUARD_LENGTHS)
+    inside, outside = [], []
+    for a in GUARD_LENGTHS:
+        for n in (1, 2):
+            pole = -((n * np.pi / a) ** 2)
+            radius = excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
+            for turn in (1.0, -1.0, 1j, -1j, np.exp(0.7j)):
+                inside.append(pole + radius * GUARD_SCALES[1] * turn)
+                outside.append(pole + radius * GUARD_SCALES[2] * turn)
+    assert excluded.contains(np.array(inside)).all()
+    assert not excluded.contains(np.array(outside)).any()
 
 
 def test_vectorised_half_line_guard_matches_scalar():

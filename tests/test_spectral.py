@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import ExtensionParams, FDSpec, spectral
+from kreinext.cli import _weyl_for
 
 from helpers import (
+    assert_same_search,
     depth_first_isolate,
     depth_first_search,
     random_hermitian,
     random_params,
     reference_gaps_in,
+    reference_hermitian_part,
+    reference_secular_matrix,
+    reference_secular_stack,
     reference_subtract_gaps,
 )
 
@@ -383,7 +388,8 @@ def test_spin_model_shifted_bound_states():
 
 
 # ---------------------------------------------------------------------------
-# the batched search against a depth-first bisection, bit for bit
+# the batched search against a depth-first bisection, bit for bit; each case
+# builds a (model, label) pair
 
 
 def _star(lengths, centre=0.0, tips=None):
@@ -394,31 +400,31 @@ def _star(lengths, centre=0.0, tips=None):
         [kx.VertexGroup(tuple((e, "left") for e in range(len(lengths))), centre)]
         + [kx.VertexGroup(((e, "right"),), t) for e, t in enumerate(tips)],
     )
-    return kx.graph_weyl(graph), params
+    return graph, params
 
 
 def _random_graph():
     rng = np.random.default_rng(31)
     graph = kx.GraphModel((0.3, 0.6, 0.9, 1.0, 1.4, 2.0, 2.5, 3.0))
-    return kx.graph_weyl(graph), ExtensionParams.full(random_hermitian(rng, 16, 1.5))
+    return graph, ExtensionParams.full(random_hermitian(rng, 16, 1.5))
 
 
 def _partial_projector_graph():
     rng = np.random.default_rng(8)
-    return kx.graph_weyl(kx.GraphModel((1.0, 1.7, 2.2))), random_params(rng, 6, rank=3, scale=2.0)
+    return kx.GraphModel((1.0, 1.7, 2.2)), random_params(rng, 6, rank=3, scale=2.0)
 
 
 def _points():
     rng = np.random.default_rng(12)
     model = kx.PointModel(rng.uniform(-1.5, 1.5, (20, 3)))
     alpha = rng.uniform(-0.6, -0.05, 20)
-    return kx.point_weyl(model), ExtensionParams.full(np.diag(alpha).astype(complex))
+    return model, ExtensionParams.full(np.diag(alpha).astype(complex))
 
 
 def _spin():
     model = kx.SpinPointModel([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]], (0.0, 1.5))
     theta = np.diag([-0.1, -0.12, -0.1, -0.12]).astype(complex)
-    return kx.spin_weyl(model), ExtensionParams.full(theta)
+    return model, ExtensionParams.full(theta)
 
 
 def _stored_near_pole_graph():
@@ -427,15 +433,12 @@ def _stored_near_pole_graph():
     graphs = json.loads((BENCH_REFS / "graphs.json").read_text())["instances"]
     inst = next(g for g in graphs if g["lengths"][0] == 0.7906)
     theta = np.array(inst["theta_re"]) + 1j * np.array(inst["theta_im"])
-    return kx.graph_weyl(kx.GraphModel(tuple(inst["lengths"]))), ExtensionParams.full(theta)
+    return kx.GraphModel(tuple(inst["lengths"])), ExtensionParams.full(theta)
 
 
 SEARCH_CASES = {
     "interval_robin": (
-        lambda: (
-            kx.interval_weyl(kx.IntervalModel(PI)),
-            ExtensionParams.full(-1.2 * np.eye(2, dtype=complex)),
-        ),
+        lambda: (kx.IntervalModel(PI), ExtensionParams.full(-1.2 * np.eye(2, dtype=complex))),
         (-50.0, 5.0),
     ),
     "graph_random_theta": (_random_graph, (-30.0, 5.0)),
@@ -443,41 +446,84 @@ SEARCH_CASES = {
     "graph_random_partial_projector": (_partial_projector_graph, (-25.0, 4.0)),
     "star_double_root": (lambda: _star((1.0, 1.0, 1.0)), (-60.0, 2.0)),
     "near_coincident_roots": (
-        lambda: (
-            kx.graph_weyl(kx.GraphModel((PI, PI * (1 + 1e-9)))),
-            ExtensionParams.full(0.8 * np.eye(4, dtype=complex)),
-        ),
+        lambda: (kx.GraphModel((PI, PI * (1 + 1e-9))), ExtensionParams.full(0.8 * np.eye(4, dtype=complex))),
         (-0.9, 0.0),
     ),
     "points_20": (_points, (0.01, 6.0)),
     "spin": (_spin, (-1.0, 8.0)),
     "graph_stored_near_pole": (_stored_near_pole_graph, (-30.0, 5.0)),
     "long_interval_unreported_drops": (
-        lambda: (kx.interval_weyl(kx.IntervalModel(1000.0)), ExtensionParams.full(0.5 * np.eye(2))),
+        lambda: (kx.IntervalModel(1000.0), ExtensionParams.full(0.5 * np.eye(2))),
         (-1e-4, -1e-6),
     ),
 }
 
 
-def _assert_same_search(got, ref):
-    assert got.gaps == ref.gaps
-    assert got.metadata == ref.metadata
-    assert len(got.eigenvalues) == len(ref.eigenvalues)
-    for hit, want in zip(got.eigenvalues, ref.eigenvalues):
-        assert np.array_equal(hit.lam, want.lam)
-        assert hit.multiplicity == want.multiplicity
-        assert np.array_equal(hit.sigma_min, want.sigma_min)
-        assert hit.null_basis.tobytes() == want.null_basis.tobytes()
-    assert got.lambdas().tolist() == sorted(got.lambdas().tolist())
-
-
 @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
 def test_batched_search_equals_depth_first_bisection(name):
     build, window = SEARCH_CASES[name]
-    system, params = build()
-    got = kx.eigenvalue_search(system, params, window)
+    model, params = build()
+    got = kx.eigenvalue_search(_weyl_for(model), params, window)
     assert got.eigenvalues, "the case must have roots"
-    _assert_same_search(got, depth_first_search(system, params, window))
+    assert_same_search(got, depth_first_search(model, params, window))
+
+
+def _formation_points(system, window):
+    # real points across the window, off the excluded set, and the same
+    # points moved off the axis
+    lams = np.linspace(*window, 23)
+    lams = lams[~system.excluded.contains(lams)]
+    return np.concatenate([lams, lams + 0.37j * (1.0 + np.abs(lams))])
+
+
+FORMATION_CASES = dict(
+    SEARCH_CASES,
+    graph_trivial=(lambda: (kx.GraphModel((0.3, 0.6, 0.9, 1.0)), ExtensionParams.trivial(8)), (-30.0, 5.0)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATION_CASES))
+def test_secular_stack_equals_the_frozen_formation(name):
+    build, window = FORMATION_CASES[name]
+    model, params = build()
+    system = _weyl_for(model)
+    zs = _formation_points(system, window)
+    assert zs.size >= 30
+    m = kx.secular_matrix(system, params, zs)
+    assert m.tobytes() == reference_secular_matrix(model, params, zs).tobytes()
+    stack = spectral._hermitian_part(m)
+    assert stack.shape == (zs.size, params.range_basis.shape[1], params.range_basis.shape[1])
+    assert stack.tobytes() == reference_secular_stack(model, params, zs).tobytes()
+    for z in zs[:: zs.size // 4]:
+        assert kx.secular_matrix(system, params, z).tobytes() == reference_secular_matrix(model, params, z).tobytes()
+
+
+@pytest.mark.parametrize("zeros", [(0.0,), (0.0, -0.0)])
+def test_hermitian_part_keeps_the_bits_of_the_division_by_two(zeros):
+    # parts drawn from signed zeros, subnormals and ordinary values: with
+    # -0.0 among them the sums meet -0.0 and are divided, without it halved
+    values = np.array(zeros + (1.0, -1.5, 5e-324, -5e-324, 1e-310, -2.5e-308, 3.0))
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        m = np.empty((6, 3, 3), dtype=complex)
+        m.real, m.imag = rng.choice(values, m.shape), rng.choice(values, m.shape)
+        assert spectral._hermitian_part(m).tobytes() == reference_hermitian_part(m).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_full_label_secular_matrix_is_theta_plus_gamma(name):
+    build, window = SEARCH_CASES[name]
+    model, params = build()
+    system = _weyl_for(model)
+    zs = _formation_points(system, window)
+    full = ExtensionParams.full(params.theta)
+    assert full._identity_frame
+    assert ExtensionParams(np.eye(system.n), params.theta)._identity_frame
+    assert params._identity_frame == np.array_equal(params.pi, np.eye(system.n))
+    assert not ExtensionParams.trivial(system.n)._identity_frame
+    expected = params.theta + system.gamma(zs)
+    assert kx.secular_matrix(system, full, zs).tobytes() == expected.tobytes()
+    assert kx.secular_matrix(system, full, zs[0]).tobytes() == expected[0].tobytes()
 
 
 @settings(max_examples=20)
@@ -487,17 +533,18 @@ def test_batched_search_equals_depth_first_bisection(name):
     tip=st.floats(-4.0, 4.0),
 )
 def test_robin_star_search_equals_depth_first_bisection(lengths, centre, tip):
-    system, params = _star(lengths, centre, [tip] * 3)
+    graph, params = _star(lengths, centre, [tip] * 3)
     window = (-40.0, 3.0)
-    got = kx.eigenvalue_search(system, params, window)
-    _assert_same_search(got, depth_first_search(system, params, window))
+    got = kx.eigenvalue_search(kx.graph_weyl(graph), params, window)
+    assert_same_search(got, depth_first_search(graph, params, window))
 
 
 def test_long_interval_counts_the_drops_it_cannot_report():
     # two of the three count drops in this window stay above KERNEL_TOL at
     # their roots: counted in expected_count, not reported
     build, window = SEARCH_CASES["long_interval_unreported_drops"]
-    result = kx.eigenvalue_search(*build(), window)
+    model, params = build()
+    result = kx.eigenvalue_search(_weyl_for(model), params, window)
     assert (result.metadata["expected_count"], result.metadata["found_count"]) == (3, 1)
 
 
@@ -508,7 +555,8 @@ def test_search_evaluates_gamma_once_per_round():
     ceilings = {"interval_robin": 24, "graph_random_theta": 30, "points_20": 30}
     for name, ceiling in ceilings.items():
         build, window = SEARCH_CASES[name]
-        system, params = build()
+        model, params = build()
+        system = _weyl_for(model)
         calls = []
 
         def gamma(z, gamma=system.gamma):
