@@ -374,9 +374,12 @@ class ExtensionParams:
     the range and the kernel of ``pi``. They are read-only arrays and no
     init, repr or compare fields; every operation that compresses to the
     range reads them instead of diagonalising ``pi`` again. The private
-    attribute ``_identity_frame`` records whether ``range_basis`` is exactly
-    the identity, as for every label of :meth:`full`: such a label needs
-    no compression.
+    attribute ``_uncompressed`` records whether ``range_basis`` is exactly
+    the identity, as for every label of :meth:`full`, and ``theta`` has no
+    -0.0 part: for such a label V^*(theta + gamma)V is theta + gamma to
+    the bit, so it needs no compression. (With V = I the products only add
+    zeros, which keep every part but a -0.0; theta + gamma has one only
+    where theta has.)
     """
 
     pi: np.ndarray
@@ -401,7 +404,9 @@ class ExtensionParams:
             basis.setflags(write=False)
             object.__setattr__(self, name, basis)
         identity = np.array_equal(self.range_basis, np.eye(pi.shape[0]))
-        object.__setattr__(self, "_identity_frame", identity)
+        # theta + 0.0 turns exactly the -0.0 parts into +0.0
+        unsigned = (theta + 0.0).tobytes() == theta.tobytes()
+        object.__setattr__(self, "_uncompressed", identity and unsigned)
 
     @property
     def n(self) -> int:
@@ -475,10 +480,10 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
 
 
 def _compress(params, z, gamma):
-    """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated, which is
-    theta + gamma itself when V is the identity; a non-finite matrix raises
-    :class:`ModelConsistencyError` naming its z."""
-    if params._identity_frame:
+    """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated, formed as
+    theta + gamma for a label that needs no compression; a non-finite
+    matrix raises :class:`ModelConsistencyError` naming its z."""
+    if params._uncompressed:
         m = params.theta + gamma
     else:
         v = params.range_basis

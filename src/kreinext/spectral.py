@@ -80,25 +80,11 @@ class SpectrumResult:
         return np.array([r.lam for r in self.eigenvalues])
 
 
-# the bits of -0.0 as an int64
-_NEGATIVE_ZERO = np.array(-0.0).view(np.int64)
-
-
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^H) / 2 of a stack of finite matrices, formed in one new array.
-
-    Halving each real and imaginary part of the sum as a real number gives
-    the bits of the complex division by 2 except where a part is -0.0,
-    which that division may turn into +0.0; a sum with such a part is
-    divided instead.
-    """
+    """(m + m^H) / 2 of a stack of matrices, formed in one new array."""
     h = np.conjugate(np.swapaxes(m, -1, -2), order="C")
     h += m
-    if (h.view(np.int64) == _NEGATIVE_ZERO).any():
-        h /= 2.0
-    else:
-        parts = h.view(np.float64)
-        parts *= 0.5
+    h /= 2.0
     return h
 
 

@@ -476,9 +476,22 @@ def _formation_points(system, window):
     return np.concatenate([lams, lams + 0.37j * (1.0 + np.abs(lams))])
 
 
+def _signed_zeros(build):
+    # the full label of the conjugate of the real part of the case's theta:
+    # every imaginary part is -0.0, as from a JSON theta or theta.conj()
+    def signed():
+        model, params = build()
+        return model, ExtensionParams.full(np.conj(params.theta.real + 0j))
+
+    return signed
+
+
 FORMATION_CASES = dict(
     SEARCH_CASES,
     graph_trivial=(lambda: (kx.GraphModel((0.3, 0.6, 0.9, 1.0)), ExtensionParams.trivial(8)), (-30.0, 5.0)),
+    graph_signed_zero_theta=(_signed_zeros(_random_graph), (-30.0, 5.0)),
+    star_signed_zero_theta=(_signed_zeros(SEARCH_CASES["star_double_root"][0]), (-60.0, 2.0)),
+    points_signed_zero_theta=(_signed_zeros(_points), (0.01, 6.0)),
 )
 
 
@@ -500,8 +513,7 @@ def test_secular_stack_equals_the_frozen_formation(name):
 
 @pytest.mark.parametrize("zeros", [(0.0,), (0.0, -0.0)])
 def test_hermitian_part_keeps_the_bits_of_the_division_by_two(zeros):
-    # parts drawn from signed zeros, subnormals and ordinary values: with
-    # -0.0 among them the sums meet -0.0 and are divided, without it halved
+    # parts drawn from signed zeros, subnormals and ordinary values
     values = np.array(zeros + (1.0, -1.5, 5e-324, -5e-324, 1e-310, -2.5e-308, 3.0))
     rng = np.random.default_rng(2)
     for _ in range(40):
@@ -516,12 +528,16 @@ def test_full_label_secular_matrix_is_theta_plus_gamma(name):
     model, params = build()
     system = _weyl_for(model)
     zs = _formation_points(system, window)
-    full = ExtensionParams.full(params.theta)
-    assert full._identity_frame
-    assert ExtensionParams(np.eye(system.n), params.theta)._identity_frame
-    assert params._identity_frame == np.array_equal(params.pi, np.eye(system.n))
-    assert not ExtensionParams.trivial(system.n)._identity_frame
-    expected = params.theta + system.gamma(zs)
+    theta = params.theta + 0.0  # -0.0 parts made +0.0
+    full = ExtensionParams.full(theta)
+    assert full._uncompressed
+    assert ExtensionParams(np.eye(system.n), theta)._uncompressed
+    unsigned = theta.tobytes() == params.theta.tobytes()
+    assert params._uncompressed == (unsigned and np.array_equal(params.pi, np.eye(system.n)))
+    assert not ExtensionParams.trivial(system.n)._uncompressed
+    # a -0.0 part of theta can reach a part of V^*(theta + Gamma)V
+    assert not ExtensionParams.full(np.conj(params.theta.real + 0j))._uncompressed
+    expected = theta + system.gamma(zs)
     assert kx.secular_matrix(system, full, zs).tobytes() == expected.tobytes()
     assert kx.secular_matrix(system, full, zs[0]).tobytes() == expected[0].tobytes()
 
