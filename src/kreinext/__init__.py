@@ -9,7 +9,6 @@ finite-difference and closed-form oracles.
 """
 
 from .krein import (
-    BoundaryReport,
     DirichletExclusions,
     EdgeWeylSystem,
     ExcludedPointError,
@@ -21,16 +20,13 @@ from .krein import (
     HalfLineExclusions,
     ModelConsistencyError,
     PointWeylSystem,
+    Resolvent,
     SmoothFunction,
     UnsupportedModelError,
     ValidationReport,
     WeylSystem,
     apply_resolvent,
     apply_resolvent_green,
-    boundary_condition_residuals,
-    conjugation_residual,
-    difference_identity_residual,
-    green_identity_residual,
     green_norm,
     is_regular_point,
     krein_correction,
@@ -81,6 +77,7 @@ from .parametrize import (
     relation_from_pair,
     relation_from_params,
     relation_gap,
+    defect_gram,
     subspace_equal,
     von_neumann_block,
 )
@@ -91,6 +88,13 @@ from .spectral import (
     eigenfunction,
     eigenvalue_search,
     validate_eigenpair,
+)
+from .verify import (
+    BoundaryReport,
+    boundary_condition_residuals,
+    conjugation_residual,
+    difference_identity_residual,
+    green_identity_residual,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ artifacts::
     kreinext job.json --out results/
 
 Tasks: ``spectrum`` (:func:`kreinext.spectral.eigenvalue_search` over a real
-window), ``resolvent`` (:func:`kreinext.krein.apply_resolvent` on a preset
+window), ``resolvent`` (:class:`kreinext.krein.Resolvent` applied to a preset
 input of :mod:`kreinext.verify`), ``convert`` (all four extension
 parametrizations plus residuals) and ``verify``
 (:func:`kreinext.verify.run_verify`, the identity suite of the model's Weyl
@@ -45,10 +45,9 @@ from .krein import (
     ExtensionParams,
     ExtensionSingularError,
     ModelConsistencyError,
+    Resolvent,
     UnsupportedModelError,
     WeylSystem,
-    _apply_resolvent,
-    _secular_verdict,
 )
 from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
 from .parametrize import (
@@ -224,8 +223,9 @@ def cmd_resolvent(config, system, params, given):
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
     psi = verify.preset_samples(system, spec, z, grids)
 
-    verdict = _secular_verdict(system, params, z)
-    phi = _apply_resolvent(system, params, z, psi, grids, verdict)
+    resolvent = Resolvent(system, params, z)
+    sigma_min = resolvent.sigma_min if resolvent.m.size else None
+    phi = resolvent.apply(psi, grids)
 
     # the interval's samples are one bare array, a graph's one array per edge
     if system.bare:
@@ -237,7 +237,7 @@ def cmd_resolvent(config, system, params, given):
         columns = [edge, np.concatenate(grids), phi.real, phi.imag]
     doc = {
         "z": serialize.complex_to_pair(z),
-        "sigma_min": verdict[1] if verdict[0].size else None,
+        "sigma_min": sigma_min,
         "grid": nodes,
         "input": spec,
     }

@@ -1,6 +1,6 @@
-"""Model-independent self-adjoint extension machinery.
+"""Model-independent self-adjoint extension machinery: the Krein formula.
 
-Two objects carry everything: :class:`ExtensionParams`, the pair of an
+Two objects carry the data: :class:`ExtensionParams`, the pair of an
 orthogonal boundary projector and a self-adjoint operator on its range
 that labels one extension (checked when it is built, and carrying the
 range and kernel bases of the projector), and :class:`WeylSystem`, the
@@ -8,21 +8,23 @@ analytic data of a concrete model (the Weyl family z -> Gamma(z) and the
 deficiency-element map G(z)). Its two subclasses add what one model family has:
 :class:`EdgeWeylSystem` the free resolvent and the boundary traces of
 intervals and graphs, :class:`PointWeylSystem` the renormalised trace of
-point interactions. On top of those
-this module evaluates the Krein resolvent correction, decides which
-spectral parameters are regular for a given extension, and provides the
-residual probes for the identities the Weyl family must satisfy.
+point interactions. On top of those, :class:`Resolvent` is the extension's
+resolvent at one spectral parameter by the Krein formula: it judges whether
+z is regular, forms the correction and applies the resolvent. The probes of
+the identities the Weyl family must satisfy live in :mod:`kreinext.verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .quad import simpson
+# unused here: bench/tracer.py wraps it, and bench/test_bench.py reads it back
+from .quad import simpson  # noqa: F401
 
 __all__ = [
     "SINGULARITY_RTOL",
@@ -40,8 +42,8 @@ __all__ = [
     "PointWeylSystem",
     "ExtensionParams",
     "ValidationReport",
-    "BoundaryReport",
     "GreenCombination",
+    "Resolvent",
     "DirichletExclusions",
     "HalfLineExclusions",
     "check_admissible",
@@ -52,10 +54,6 @@ __all__ = [
     "apply_resolvent",
     "apply_resolvent_green",
     "green_norm",
-    "difference_identity_residual",
-    "conjugation_residual",
-    "green_identity_residual",
-    "boundary_condition_residuals",
 ]
 
 SINGULARITY_RTOL = 1e-12
@@ -460,7 +458,7 @@ def validate_params(pi, theta) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# secular matrix, regular points, Krein correction
+# secular matrix
 
 
 def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
@@ -495,113 +493,8 @@ def _compress(params, z, gamma):
     return m
 
 
-def _secular_verdict(system, params, z, gamma=None):
-    """(m, sigma_min, sigma_max, regular) at the scalar z: the secular matrix,
-    its extreme singular values and sigma_min > SINGULARITY_RTOL (1 + sigma_max).
-
-    The one place a secular matrix is judged. ``gamma`` is Gamma(z) when
-    the caller has evaluated it already. For pi = 0 the matrix is empty,
-    and the verdict is (m, inf, 0.0, True); see :func:`is_regular_point`
-    for the raise at a nonreal singular z.
-    """
-    z = complex(z)
-    m = secular_matrix(system, params, z) if gamma is None else _compress(params, z, gamma)
-    s = np.linalg.svd(m, compute_uv=False)
-    smin, smax = float(s.min(initial=np.inf)), float(s.max(initial=0.0))
-    regular = smin > SINGULARITY_RTOL * (1.0 + smax)
-    if not regular and z.imag != 0.0:
-        raise ModelConsistencyError(
-            f"secular matrix singular at nonreal z={z} (sigma_min={smin:.3e}); "
-            "the Weyl family violates its defining identities"
-        )
-    return m, smin, smax, regular
-
-
-def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
-    """True iff the Krein formula holds at z for this extension.
-
-    Nonreal z are regular for every valid parameter pair; a singular
-    secular matrix off the real axis therefore raises
-    :class:`ModelConsistencyError` instead of returning False.
-    """
-    return _secular_verdict(system, params, z)[3]
-
-
-def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
-    """The boundary-space factor pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n.
-
-    It is V m^{-1} V^* with V the label's ``range_basis`` and m the
-    :func:`secular_matrix` at z, which checks z; for pi = 0 it is zero.
-    """
-    z = complex(z)
-    return _correction(params, z, _secular_verdict(system, params, z))
-
-
-def _correction(params, z, verdict):
-    """V m^{-1} V^* from the secular verdict at z; a singular m raises
-    :class:`ExtensionSingularError`."""
-    m, smin, _, regular = verdict
-    if not regular:
-        raise ExtensionSingularError(
-            f"z={z} is in the extension's point spectrum to working precision "
-            f"(sigma_min={smin:.3e})",
-            smin,
-        )
-    v = params.range_basis
-    return v @ np.linalg.solve(m, v.conj().T)
-
-
 # ---------------------------------------------------------------------------
-# resolvent application
-
-
-def _check_grid(system: EdgeWeylSystem, grid) -> None:
-    # an entry that is not a 1-D grid is left to sampled_kernels, which names the mismatch
-    for g in system.edges(grid):
-        if np.ndim(g) == 1 and len(g) < MIN_EDGE_NODES:
-            raise GridTooCoarseError(
-                f"need at least {MIN_EDGE_NODES} nodes per edge, got {len(g)}"
-            )
-
-
-def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
-    """Samples of the extension resolvent applied to sampled input.
-
-    Computes free-resolvent samples plus the rank-<= n Krein correction
-    G(z) C(z) G(conj(z))^* psi. The three sampled factors come from one
-    ``system.sampled_kernels(z, grid)`` call, which checks z. Samples that
-    are not finite on some edge raise :class:`ModelConsistencyError`.
-    Available for edge models (:class:`EdgeWeylSystem`); point-interaction
-    models use :func:`apply_resolvent_green`.
-    """
-    return _apply_resolvent(system, params, z, psi, grid, None)
-
-
-def _apply_resolvent(system, params, z, psi, grid, verdict):
-    """:func:`apply_resolvent` for a caller that holds the secular verdict at
-    z already; None forms it here, through :func:`krein_correction`."""
-    if not isinstance(system, EdgeWeylSystem):
-        raise UnsupportedModelError(
-            f"model kind {system.kind!r} has no sampled resolvent; "
-            "use apply_resolvent_green with a Green-function combination"
-        )
-    _check_grid(system, grid)
-    z = complex(z)
-    kernels = system.sampled_kernels(z, grid)
-    parts = system.edges(kernels.resolvent(psi))
-    if params.range_basis.shape[1]:
-        if verdict is None:
-            corr = krein_correction(system, params, z)
-        else:
-            corr = _correction(params, z, verdict)
-        applied = system.edges(kernels.apply(corr @ kernels.adjoint(psi)))
-        parts = [f + g for f, g in zip(parts, applied)]
-    for e, part in enumerate(parts):
-        if not np.isfinite(part).all():
-            raise ModelConsistencyError(
-                f"resolvent samples at z = {z} are not finite on edge {e}"
-            )
-    return system.shaped(parts)
+# the extension resolvent at one z
 
 
 @dataclass(frozen=True)
@@ -617,34 +510,136 @@ class GreenCombination:
         return None
 
 
-def apply_resolvent_green(
-    system: WeylSystem, params: ExtensionParams, z, combo: GreenCombination
-) -> GreenCombination:
-    """Extension resolvent applied to a Green-function combination, in closed form.
+class Resolvent:
+    """The extension resolvent (-A_{pi,theta} + z)^{-1} at one spectral parameter z.
 
-    Uses the resolvent difference identity R(z) G(w) = (G(z) - G(w)) / (w - z)
-    and the Gram matrix for the adjoint factor, so no volume quadrature is
-    needed; this is the supported route for point-interaction models. z must
-    differ from every combination node; each node is checked by ``system.gram``.
+    By the Krein formula it is R_0(z) + G(z) C(z) G(conj(z))^*, with C(z) =
+    V m^{-1} V^* and V the label's ``range_basis``. Each attribute is formed
+    when it is first read, and once: ``gamma`` is Gamma(z), from one
+    ``system.gamma`` call, which checks z; ``m`` is the :func:`secular_matrix`
+    formed from it; ``sigma_min``, ``sigma_max`` and ``regular`` are the
+    verdict on m from one SVD, the one place a secular matrix is judged at a
+    scalar z (inf, 0.0 and True for pi = 0); ``correction`` is C(z). A
+    singular m raises :class:`ModelConsistencyError` off the real axis, where
+    every valid label is regular, and ``correction`` raises
+    :class:`ExtensionSingularError` at a singular real z.
     """
-    check_admissible(system.excluded, z)
-    z = complex(z)
-    n = system.n
-    adjoint = np.zeros(n, dtype=complex)
-    new_terms: dict = {}
-    for zj, cj in combo.terms:
-        zj = complex(zj)
-        cj = np.asarray(cj, dtype=complex)
-        if zj == z:
-            raise ValueError(
-                "the spectral parameter must differ from every node of the combination"
+
+    def __init__(self, system: WeylSystem, params: ExtensionParams, z):
+        self.system, self.params, self.z = system, params, complex(z)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return self.system.gamma(self.z)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return _compress(self.params, self.z, self.gamma)
+
+    @cached_property
+    def _verdict(self) -> tuple:
+        s = np.linalg.svd(self.m, compute_uv=False)
+        smin, smax = float(s.min(initial=np.inf)), float(s.max(initial=0.0))
+        regular = smin > SINGULARITY_RTOL * (1.0 + smax)
+        if not regular and self.z.imag != 0.0:
+            raise ModelConsistencyError(
+                f"secular matrix singular at nonreal z={self.z} (sigma_min={smin:.3e}); "
+                "the Weyl family violates its defining identities"
             )
-        adjoint += system.gram(zj, z) @ cj
-        new_terms[z] = new_terms.get(z, 0) + cj / (zj - z)
-        new_terms[zj] = new_terms.get(zj, 0) - cj / (zj - z)
-    corr = krein_correction(system, params, z)
-    new_terms[z] = new_terms.get(z, 0) + corr @ adjoint
-    return GreenCombination(tuple((zk, np.asarray(ck)) for zk, ck in new_terms.items()))
+        return smin, smax, regular
+
+    sigma_min = property(lambda self: self._verdict[0])
+    sigma_max = property(lambda self: self._verdict[1])
+    regular = property(lambda self: self._verdict[2])
+
+    @cached_property
+    def correction(self) -> np.ndarray:
+        if not self.regular:
+            raise ExtensionSingularError(
+                f"z={self.z} is in the extension's point spectrum to working precision "
+                f"(sigma_min={self.sigma_min:.3e})",
+                self.sigma_min,
+            )
+        v = self.params.range_basis
+        return v @ np.linalg.solve(self.m, v.conj().T)
+
+    def apply(self, psi, grid):
+        """Samples of the resolvent applied to the samples ``psi`` on ``grid``.
+
+        The free resolvent, G(conj(z))^* and G(z) come from one
+        ``system.sampled_kernels(z, grid)`` call, which checks z. Samples that
+        are not finite on some edge raise :class:`ModelConsistencyError`. Only
+        edge models (:class:`EdgeWeylSystem`) have samples; point models use
+        :meth:`apply_green`.
+        """
+        system = self.system
+        if not isinstance(system, EdgeWeylSystem):
+            raise UnsupportedModelError(
+                f"model kind {system.kind!r} has no sampled resolvent; "
+                "use apply_resolvent_green with a Green-function combination"
+            )
+        # an entry that is not a 1-D grid is left to sampled_kernels, which names the mismatch
+        for g in system.edges(grid):
+            if np.ndim(g) == 1 and len(g) < MIN_EDGE_NODES:
+                raise GridTooCoarseError(
+                    f"need at least {MIN_EDGE_NODES} nodes per edge, got {len(g)}"
+                )
+        kernels = system.sampled_kernels(self.z, grid)
+        parts = system.edges(kernels.resolvent(psi))
+        if self.params.range_basis.shape[1]:
+            applied = system.edges(kernels.apply(self.correction @ kernels.adjoint(psi)))
+            parts = [f + g for f, g in zip(parts, applied)]
+        for e, part in enumerate(parts):
+            if not np.isfinite(part).all():
+                raise ModelConsistencyError(
+                    f"resolvent samples at z = {self.z} are not finite on edge {e}"
+                )
+        return system.shaped(parts)
+
+    def apply_green(self, combo: GreenCombination) -> GreenCombination:
+        """The resolvent applied to a Green-function combination, in closed form.
+
+        Uses the resolvent difference identity R(z) G(w) = (G(z) - G(w)) / (w - z)
+        and the Gram matrix for the adjoint factor, so no volume quadrature is
+        needed; this is the supported route for point-interaction models. z must
+        differ from every combination node; each node is checked by ``system.gram``.
+        """
+        system, z = self.system, self.z
+        check_admissible(system.excluded, z)
+        adjoint = np.zeros(system.n, dtype=complex)
+        new_terms: dict = {}
+        for zj, cj in combo.terms:
+            zj = complex(zj)
+            cj = np.asarray(cj, dtype=complex)
+            if zj == z:
+                raise ValueError(
+                    "the spectral parameter must differ from every node of the combination"
+                )
+            adjoint += system.gram(zj, z) @ cj
+            new_terms[z] = new_terms.get(z, 0) + cj / (zj - z)
+            new_terms[zj] = new_terms.get(zj, 0) - cj / (zj - z)
+        new_terms[z] = new_terms.get(z, 0) + self.correction @ adjoint
+        return GreenCombination(tuple((zk, np.asarray(ck)) for zk, ck in new_terms.items()))
+
+
+def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
+    """True iff the Krein formula holds at z: :attr:`Resolvent.regular`."""
+    return Resolvent(system, params, z).regular
+
+
+def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
+    """pi (theta + pi Gamma(z) pi)^{-1} pi, embedded in C^n: :attr:`Resolvent.correction`."""
+    return Resolvent(system, params, z).correction
+
+
+def apply_resolvent(system: WeylSystem, params: ExtensionParams, z, psi, grid):
+    """Samples of the extension resolvent applied to samples: :meth:`Resolvent.apply`."""
+    return Resolvent(system, params, z).apply(psi, grid)
+
+
+def apply_resolvent_green(system: WeylSystem, params: ExtensionParams, z, combo: GreenCombination):
+    """The extension resolvent applied to a Green combination: :meth:`Resolvent.apply_green`."""
+    return Resolvent(system, params, z).apply_green(combo)
 
 
 def green_norm(system: WeylSystem, combo: GreenCombination) -> float:
@@ -654,131 +649,3 @@ def green_norm(system: WeylSystem, combo: GreenCombination) -> float:
         for zj, cj in combo.terms:
             total += np.vdot(ci, system.gram(zj, np.conj(zi)) @ cj)
     return float(np.sqrt(max(total.real, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# identity residual probes
-
-
-def difference_identity_residual(system: WeylSystem, z, v, gram=None):
-    """|| (Gamma(z) - Gamma(v)) - (z - v) * gram(z, v) ||_2, a correctness probe.
-
-    Scalars z, v give a float, equal-length 1-D arrays one residual per pair,
-    all from one ``system.gamma`` call, which checks every point; a pair with
-    z == v gives 0. ``gram`` replaces ``system.gram``: pass an independent
-    one (such as :func:`kreinext.oracle.simpson_gram`) so that a closed-form
-    Gram matrix is not checked against itself.
-    """
-    zs, vs = np.atleast_1d(z).astype(complex), np.atleast_1d(v).astype(complex)
-    if zs.ndim != 1 or zs.shape != vs.shape:
-        raise ValueError(f"need scalars or 1-D arrays of one length, got {zs.shape}, {vs.shape}")
-    at_z, at_v = np.split(system.gamma(np.concatenate([zs, vs])), 2)
-    gram = gram or system.gram
-    res = np.array([
-        0.0 if a == b else np.linalg.norm(ga - gb - (a - b) * gram(a, b), 2)
-        for a, b, ga, gb in zip(zs.tolist(), vs.tolist(), at_z, at_v)
-    ])
-    return float(res[0]) if np.ndim(z) == 0 else res
-
-
-def conjugation_residual(system: WeylSystem, z):
-    """|| Gamma(z)^* - Gamma(conj(z)) ||_2, the conjugation identity probe.
-
-    A scalar z gives a float, a 1-D array of m values the m residuals, all
-    from one ``system.gamma`` call on z and its conjugates, which checks
-    every point. At real z the residual measures the Hermiticity of Gamma.
-    """
-    res = _conjugation(system, np.atleast_1d(z))[0]
-    return float(res[0]) if np.ndim(z) == 0 else res
-
-
-def _conjugation(system: WeylSystem, zs):
-    """(conjugation residuals, Gamma(zs)) at the 1-D array zs."""
-    zs = np.asarray(zs, dtype=complex)
-    m = zs.shape[0]
-    g = system.gamma(np.concatenate([zs, zs.conj()]))
-    res = np.linalg.norm(np.swapaxes(g[:m], -2, -1).conj() - g[m:], 2, axis=(-2, -1))
-    return res, g[:m]
-
-
-def green_identity_residual(system: WeylSystem, phi, psi) -> float:
-    """Residual of the abstract Lagrange (Green) identity on the doubled boundary space.
-
-    ``phi`` and ``psi`` are pairs ``(regular_part, charge)``: a closed-form
-    element of the free operator domain (per edge, for graphs) and the
-    boundary vector multiplying the reference deficiency element
-    G_* = (G(i) + G(-i)) / 2. The two boundary maps of the triple are the
-    charge and the trace of the regular part; the identity pairs the trace
-    of one side with the charge of the other. The volume integrals use
-    Simpson's rule on 4001 nodes per edge.
-    """
-    if not isinstance(system, EdgeWeylSystem):
-        raise UnsupportedModelError(
-            f"model kind {system.kind!r} carries no quadrature trace maps"
-        )
-    (phi_star, zeta), (psi_star, xi) = phi, psi
-    # per side, per edge: (f_*, G(i) charge, G(-i) charge)
-    sides = [
-        zip(*(system.edges(f) for f in (star, system.g_closed(1j, c), system.g_closed(-1j, c))))
-        for star, c in ((phi_star, zeta), (psi_star, xi))
-    ]
-    lhs = 0.0 + 0.0j
-    for length, phi_e, psi_e in zip(system.lengths, *sides):
-        x = np.linspace(0.0, length, 4001)
-        dx = x[1] - x[0]
-        phi_full, phi_image = _lagrange_samples(*phi_e, x)
-        psi_full, psi_image = _lagrange_samples(*psi_e, x)
-        lhs += simpson(np.conj(phi_full) * psi_image, dx)
-        lhs -= simpson(np.conj(phi_image) * psi_full, dx)
-
-    tau_phi = np.asarray(system.traces(phi_star)[1], dtype=complex)
-    tau_psi = np.asarray(system.traces(psi_star)[1], dtype=complex)
-    rhs = np.vdot(tau_phi, xi) - np.vdot(zeta, tau_psi)
-    return float(abs(lhs - rhs))
-
-
-def _lagrange_samples(star: SmoothFunction, plus: SmoothFunction, minus: SmoothFunction, x):
-    """Samples on x of f = f_* + G_* zeta and of its image f_*'' + R(i) G(-i) zeta on
-    one edge, from f_* and ``plus`` = G(i) zeta, ``minus`` = G(-i) zeta, each sampled once."""
-    gp, gm = plus.f(x), minus.f(x)
-    return star.f(x) + 0.5 * (gp + gm), star.d2f(x) + (1.0 / 2j) * (gm - gp)
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Residuals of the two halves of an extension's boundary condition."""
-
-    range_residual: float     # component of the boundary datum outside range(pi)
-    coupling_residual: float  # || pi (derivative-type trace) - theta (value-type datum) ||
-
-
-def boundary_condition_residuals(
-    system: WeylSystem, params: ExtensionParams, part, zeta
-) -> BoundaryReport:
-    """Check the boundary condition of A_{pi,theta} on a decomposed function.
-
-    Interval/graph models: for psi = part + G_* zeta with ``part`` in the
-    free domain, reports ||(1 - pi) rho(psi)|| and ||pi tau(psi) - theta rho(psi)||.
-    Point models: ``part`` is the continuous part of psi = part + G(0) zeta;
-    reports ||(1 - pi) zeta|| and ||pi tau0(psi) - theta zeta|| with tau0 the
-    renormalised trace.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    pi, theta = params.pi, params.theta
-    if isinstance(system, EdgeWeylSystem):
-        rho, tau = system.traces(part)
-        rho = np.asarray(rho, dtype=complex) + zeta
-        at_i, at_minus_i = system.gamma(np.array([1j, -1j]))
-        reg = 0.5 * (at_i + at_minus_i)
-        tau = np.asarray(tau, dtype=complex) - reg @ zeta
-        return BoundaryReport(
-            float(np.linalg.norm(rho - pi @ rho)),
-            float(np.linalg.norm(pi @ tau - theta @ rho)),
-        )
-    if isinstance(system, PointWeylSystem):
-        tau0 = np.asarray(system.renorm_trace(part, zeta), dtype=complex)
-        return BoundaryReport(
-            float(np.linalg.norm(zeta - pi @ zeta)),
-            float(np.linalg.norm(pi @ tau0 - theta @ zeta)),
-        )
-    raise UnsupportedModelError(f"model kind {system.kind!r} carries no trace data")

@@ -119,8 +119,9 @@ class PointModel:
 
     The pairwise centre distances are kept in private attributes (not
     fields), which the kernels read: ``_distances`` the (n, n) matrix d,
-    ``_off_index`` the flat indices of its off-diagonal entries,
-    ``_off_distances`` those entries and ``_off_scale`` 4 pi times them.
+    ``_upper_index`` and ``_lower_index`` the flat indices of the entries
+    above its diagonal and of their mirrors, ``_upper_distances`` those
+    entries and ``_upper_scale`` 4 pi times them. d is symmetric to the bit.
     """
 
     centers: np.ndarray
@@ -133,13 +134,14 @@ class PointModel:
             raise ValueError("centers must be finite")
         object.__setattr__(self, "centers", c)
         d = _pairwise_distances(c)
-        index = np.flatnonzero(~np.eye(c.shape[0], dtype=bool))
-        off = d.reshape(-1)[index]
+        rows, cols = np.triu_indices(len(c), 1)
+        off = d[rows, cols]
         for name, value in (
             ("_distances", d),
-            ("_off_index", index),
-            ("_off_distances", off),
-            ("_off_scale", FOUR_PI * off),
+            ("_upper_index", rows * len(c) + cols),
+            ("_lower_index", cols * len(c) + rows),
+            ("_upper_distances", off),
+            ("_upper_scale", FOUR_PI * off),
         ):
             object.__setattr__(self, name, value)
         if off.size and off.min() <= MIN_CENTER_DISTANCE:
@@ -643,7 +645,8 @@ def _point_gamma(model: PointModel, z) -> np.ndarray:
     sq = np.sqrt(z)[..., None]
     n = model.n_centers
     out = np.empty(z.shape + (n * n,), dtype=complex)
-    out[..., model._off_index] = -np.exp(-sq * model._off_distances) / model._off_scale
+    off = -np.exp(-sq * model._upper_distances) / model._upper_scale
+    out[..., model._upper_index] = out[..., model._lower_index] = off
     out[..., :: n + 1] = sq / FOUR_PI
     return out.reshape(z.shape + (n, n))
 
@@ -687,7 +690,7 @@ def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -
     """
     n = model.n_centers
     coeff = np.zeros(n * n, dtype=complex)
-    coeff[model._off_index] = 1.0 / model._off_scale
+    coeff[model._upper_index] = coeff[model._lower_index] = 1.0 / model._upper_scale
     return vals + coeff.reshape(n, n) @ zeta
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "subspace_equal",
     "is_selfadjoint_relation",
     "von_neumann_block",
+    "defect_gram",
 ]
 
 PAIR_COMM_RTOL = 1e-12
@@ -106,6 +107,30 @@ class VonNeumannBlock:
 
     def unitarity_residual(self) -> float:
         return float(np.linalg.norm(self.m.conj().T @ self.q @ self.m - self.q, 2))
+
+    @classmethod
+    def from_gram(cls, params: ExtensionParams, q: np.ndarray) -> VonNeumannBlock:
+        """:func:`von_neumann_block` of ``params`` from a positive definite :func:`defect_gram`."""
+        gamma_hat = 1j * q
+        v, w = params.range_basis, params.kernel_basis
+        n = params.n
+        k = v.shape[1]
+        theta_c = v.conj().T @ params.theta @ v
+        hat_c = v.conj().T @ gamma_hat @ v
+        try:
+            block = np.eye(k) + 2.0 * np.linalg.solve(theta_c - hat_c, hat_c)
+        except np.linalg.LinAlgError as exc:  # impossible for q > 0
+            raise ModelConsistencyError(
+                "compressed (theta - gamma_hat) singular despite positive Gram matrix"
+            ) from exc
+        if k == n:
+            m = v @ block @ v.conj().T
+        else:
+            # coordinates of the splitting range(pi) + q^{-1} ker(pi)
+            frame = np.hstack([v, np.linalg.solve(q, w)])
+            range_coords = np.linalg.inv(frame)[:k, :]
+            m = np.eye(n, dtype=complex) + v @ (block - np.eye(k)) @ range_coords
+        return cls(m=m, q=q, gamma_hat=gamma_hat)
 
 
 class PairConditionError(ValueError):
@@ -286,40 +311,16 @@ def von_neumann_block(system: WeylSystem, params: ExtensionParams) -> VonNeumann
     as a direct (not orthogonal) sum, and only along that splitting is the
     resulting map q-unitary.
     """
-    q = _defect_gram(system)
+    q = defect_gram(system)
     if np.linalg.eigvalsh(q).min() <= 0.0:
         raise ModelConsistencyError(
             "Im Gamma(i) is not positive definite; deficiency Gram matrix degenerate"
         )
-    return _von_neumann_block(params, q)
+    return VonNeumannBlock.from_gram(params, q)
 
 
-def _defect_gram(system: WeylSystem) -> np.ndarray:
+def defect_gram(system: WeylSystem) -> np.ndarray:
     """The deficiency Gram matrix q = Im Gamma(i), symmetrised, from one Gamma call."""
     gi = system.gamma(1j)
     q = (gi - gi.conj().T) / 2j
     return (q + q.conj().T) / 2.0
-
-
-def _von_neumann_block(params: ExtensionParams, q: np.ndarray) -> VonNeumannBlock:
-    """:func:`von_neumann_block` from the positive definite Gram matrix q."""
-    gamma_hat = 1j * q
-    v, w = params.range_basis, params.kernel_basis
-    n = params.n
-    k = v.shape[1]
-    theta_c = v.conj().T @ params.theta @ v
-    hat_c = v.conj().T @ gamma_hat @ v
-    try:
-        block = np.eye(k) + 2.0 * np.linalg.solve(theta_c - hat_c, hat_c)
-    except np.linalg.LinAlgError as exc:  # impossible for q > 0
-        raise ModelConsistencyError(
-            "compressed (theta - gamma_hat) singular despite positive Gram matrix"
-        ) from exc
-    if k == n:
-        m = v @ block @ v.conj().T
-    else:
-        # coordinates of the splitting range(pi) + q^{-1} ker(pi)
-        frame = np.hstack([v, np.linalg.solve(q, w)])
-        range_coords = np.linalg.inv(frame)[:k, :]
-        m = np.eye(n, dtype=complex) + v @ (block - np.eye(k)) @ range_coords
-    return VonNeumannBlock(m=m, q=q, gamma_hat=gamma_hat)

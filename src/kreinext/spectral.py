@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import ExtensionParams, WeylSystem, _secular_verdict, secular_matrix
+from .krein import ExtensionParams, Resolvent, WeylSystem, secular_matrix
 
 __all__ = [
     "EigenResult",
@@ -343,11 +343,11 @@ def eigenfunction(system: WeylSystem, params: ExtensionParams, lam, zeta, grid):
     norm = np.linalg.norm(zeta)
     if norm == 0.0:
         raise ValueError("zero vector cannot define an eigenfunction")
-    m, _, smax, _ = _secular_verdict(system, params, lam)
+    resolvent = Resolvent(system, params, lam)
     basis = params.range_basis
     off_range = np.linalg.norm(zeta - basis @ (basis.conj().T @ zeta))
-    in_kernel = np.linalg.norm(m @ (basis.conj().T @ zeta))
-    if off_range + in_kernel > KERNEL_RTOL * (1.0 + smax) * norm:
+    in_kernel = np.linalg.norm(resolvent.m @ (basis.conj().T @ zeta))
+    if off_range + in_kernel > KERNEL_RTOL * (1.0 + resolvent.sigma_max) * norm:
         raise ValueError(
             "zeta is not in the numerical kernel of the secular matrix at lambda "
             f"(residual {(off_range + in_kernel) / norm:.3e})"
@@ -385,22 +385,13 @@ def validate_eigenpair(system: WeylSystem, params: ExtensionParams, lam, zeta) -
     distance = float(system.excluded.distance(lam))
     if excluded:
         return EigenpairReport(np.inf, np.inf, distance, True, np.inf, np.inf)
-    gamma = system.gamma(complex(lam))
-    m, smin, _, _ = _secular_verdict(system, params, lam, gamma)
-    basis = params.range_basis
-    kernel_residual = float(
-        np.linalg.norm(m @ (basis.conj().T @ zeta)) if m.size else np.inf
-    )
-    pi, theta = params.pi, params.theta
-    range_residual = float(np.linalg.norm(zeta - pi @ zeta))
-    coupling_residual = float(
-        np.linalg.norm(pi @ (gamma @ zeta) + theta @ zeta)
-    )
+    resolvent = Resolvent(system, params, lam)
+    m, gamma, v, pi = resolvent.m, resolvent.gamma, params.range_basis, params.pi
     return EigenpairReport(
-        sigma_min=float(smin),
-        kernel_residual=kernel_residual,
+        sigma_min=resolvent.sigma_min,
+        kernel_residual=float(np.linalg.norm(m @ (v.conj().T @ zeta)) if m.size else np.inf),
         excluded_distance=distance,
         excluded=False,
-        range_residual=range_residual,
-        coupling_residual=coupling_residual,
+        range_residual=float(np.linalg.norm(zeta - pi @ zeta)),
+        coupling_residual=float(np.linalg.norm(pi @ (gamma @ zeta) + params.theta @ zeta)),
     )

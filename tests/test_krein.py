@@ -365,6 +365,41 @@ def test_green_route_on_a_graph_matches_sampled_resolvent():
     assert abs(kx.green_norm(system, image) - norm) <= 1e-8 * norm
 
 
+@pytest.mark.parametrize("rank", [6, 4, 0])
+def test_one_resolvent_serves_every_use_from_one_gamma(monkeypatch, rank):
+    # nothing is formed until read; then Gamma(z), one SVD and one solve serve
+    # the verdict, the correction and both applications, and each result has
+    # the bits of its one-line wrapper
+    system = kx.graph_weyl(kx.GraphModel((1.0, 1.3, 0.8)))
+    params = random_params(np.random.default_rng(4), system.n, rank)
+    z = 1.5 + 0.7j
+    grids = verify.edge_grids(system, 701)
+    psi = verify.preset_samples(system, {"preset": "poly_bump"}, z, grids)
+    combo = GreenCombination(((2j, np.arange(1.0, 7.0)),))
+    want = (
+        kx.is_regular_point(system, params, z),
+        kx.krein_correction(system, params, z),
+        np.concatenate(kx.apply_resolvent(system, params, z, psi, grids)),
+        kx.apply_resolvent_green(system, params, z, combo).coefficient(z),
+    )
+    calls = []
+    counted = dataclasses.replace(system, gamma=lambda w: calls.append("gamma") or system.gamma(w))
+    for name in ("svd", "solve"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    resolvent = kx.Resolvent(counted, params, z)
+    assert calls == []
+    got = (
+        resolvent.regular,
+        resolvent.correction,
+        np.concatenate(resolvent.apply(psi, grids)),
+        resolvent.apply_green(combo).coefficient(z),
+    )
+    assert resolvent.m.shape == (rank, rank) and resolvent.gamma.shape == (6, 6)
+    assert calls == ["gamma", "svd", "solve"]
+    assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # Weyl family identities
 

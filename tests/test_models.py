@@ -9,7 +9,12 @@ from scipy.linalg import block_diag
 import kreinext as kx
 from kreinext import ExcludedPointError, ExtensionParams, VertexGroup
 
-from helpers import reference_block_diag, reference_dirichlet_contains, reference_dirichlet_distance
+from helpers import (
+    reference_block_diag,
+    reference_dirichlet_contains,
+    reference_dirichlet_distance,
+    reference_point_gamma,
+)
 
 PI = np.pi
 FOUR_PI = 4 * np.pi
@@ -304,6 +309,29 @@ def test_point_gamma_hermitian_on_positive_reals():
         g = system.gamma(lam)
         assert np.linalg.norm(g - g.conj().T) < 1e-14
 
+
+
+def _point_draws(count):
+    # 2-24 centres, one pair 1e-6 apart in every third model; |z| log-uniform
+    # in [1e-8, 1e9], at any angle and on the positive real axis
+    rng = np.random.default_rng(45)
+    for k in range(count):
+        centers = rng.uniform(-3.0, 3.0, (rng.integers(2, 25), 3))
+        if k % 3 == 0:
+            step = rng.normal(size=3)
+            centers[1] = centers[0] + 1e-6 * step / np.linalg.norm(step)
+        mag = 10.0 ** rng.uniform(-8.0, 9.0, 16)
+        yield centers, np.concatenate([mag[:12] * np.exp(1j * rng.uniform(-PI, PI, 12)), mag[12:] + 0j])
+
+
+def test_point_gamma_equals_the_frozen_kernel():
+    # the kernel evaluates each pair once and mirrors it; the reference
+    # evaluates every off-diagonal entry
+    for centers, zs in _point_draws(150):
+        system = kx.point_weyl(kx.PointModel(centers))
+        want = reference_point_gamma(centers, zs)
+        assert system.gamma(zs).tobytes() == want.tobytes()
+        assert system.gamma(zs[-1]).tobytes() == want[-1].tobytes()
 
 def test_point_defect_gram_positive_definite():
     system = kx.point_weyl(kx.PointModel([[0, 0, 0], [0.8, 0, 0]]))

@@ -6,11 +6,13 @@ scalar point model is the spin model with the single internal eigenvalue 0;
 their shared data must agree bit for bit.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +26,13 @@ KREINEXT = [
     "ExtensionSingularError", "FDSpec", "GraphModel", "GreenCombination",
     "GridMismatchError", "GridTooCoarseError", "HalfLineExclusions", "IntervalModel",
     "ModelConsistencyError", "PairConditionError", "PairConditions", "PointModel",
-    "PointWeylSystem", "SampledKernels", "SelfAdjointRelation", "SmoothFunction",
-    "SpectrumResult", "SpinPointModel", "UnsupportedModelError",
+    "PointWeylSystem", "Resolvent", "SampledKernels", "SelfAdjointRelation",
+    "SmoothFunction", "SpectrumResult", "SpinPointModel", "UnsupportedModelError",
     "ValidationReport", "VertexGroup", "VonNeumannBlock", "WeylSystem",
     "apply_resolvent", "apply_resolvent_green", "bisect_root",
     "boundary_condition_residuals", "check_pair_conditions", "conjugation_residual",
-    "cosine_mode", "difference_identity_residual", "eigenfunction", "eigenvalue_search",
-    "fd_graph_spectrum", "fd_interval_spectrum", "graph_weyl",
+    "cosine_mode", "defect_gram", "difference_identity_residual", "eigenfunction",
+    "eigenvalue_search", "fd_graph_spectrum", "fd_interval_spectrum", "graph_weyl",
     "green_identity_residual", "green_norm", "hermitian_eig",
     "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
     "krein_correction", "min_singular", "pair_from_params",
@@ -41,7 +43,11 @@ KREINEXT = [
     "spin_weyl", "subspace_equal", "validate_eigenpair", "validate_params",
     "vertex_params", "von_neumann_block", "zero_function",
 ]
-VERIFY = ["PRESETS", "edge_grids", "preset_samples", "run_verify", "z_grid"]
+VERIFY = [
+    "BoundaryReport", "PRESETS", "boundary_condition_residuals", "conjugation_residual",
+    "difference_identity_residual", "edge_grids", "green_identity_residual",
+    "preset_samples", "run_verify", "z_grid",
+]
 
 PI = np.pi
 CENTERS = [[0.0, 0.0, 0.0], [1.0, 0.2, 0.0], [0.3, 1.1, 0.4]]
@@ -74,6 +80,26 @@ def test_module_exports_are_honest():
         homes = [m for m in modules if name in getattr(m, "__all__", ())]
         assert len(homes) == 1, (name, [m.__name__ for m in homes])
         assert getattr(homes[0], name) is getattr(kx, name)
+
+
+def _imported_names(tree):
+    # (module, name) of every import from a kreinext module, relative or absolute
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "kreinext"):
+            yield from ((node.module or ".", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, alias.name) for alias in node.names if alias.name.startswith("kreinext."))
+
+
+def test_no_module_imports_private_names_of_another():
+    # a name that starts with "_" belongs to its module alone
+    private = [
+        f"{path.name}: {module} {name}"
+        for path in sorted(Path(kx.__file__).parent.glob("*.py"))
+        for module, name in _imported_names(ast.parse(path.read_text(), str(path)))
+        if any(part.startswith("_") for part in name.split("."))
+    ]
+    assert not private
 
 
 def test_label_signatures_and_frame():

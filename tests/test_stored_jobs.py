@@ -1,11 +1,13 @@
-"""The resolvent, convert and verify jobs stored with the benchmark still give their bytes.
+"""The 32 command-line jobs stored with the benchmark still give their bytes.
 
-``bench/refs/cli.json`` holds the sha256 of every artifact of 32 command-line
-jobs. The 24 resolvent, convert and verify jobs are rebuilt with the
-benchmark's own ``job_document`` (the benchmark is only read), run in this
-process through ``kreinext.cli.main`` and hashed. A refactor that moves one
-written digit fails here. The 8 spectrum hashes are older than the current
-search and are left to the benchmark.
+``bench/refs/cli.json`` holds 32 command-line jobs and the sha256 of every
+artifact. Each job is rebuilt with the benchmark's own ``job_document``
+(the benchmark is only read), run in this process through
+``kreinext.cli.main`` and hashed. A refactor that moves one written digit
+fails here. The 24 resolvent, convert and verify jobs are checked against
+the stored hashes. The 8 stored spectrum hashes are older than the current
+search, so ``stored_spectrum_hashes.json`` beside this file pins the
+spectrum artifacts of the current search instead.
 """
 
 import hashlib
@@ -17,7 +19,8 @@ import pytest
 
 from kreinext.cli import main
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+HERE = Path(__file__).resolve().parent
+BENCH = HERE.parent / "bench"
 
 
 def _workloads():
@@ -28,7 +31,13 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-JOBS = [job for job in WORKLOADS.load_refs("cli")["jobs"] if job["task"] != "spectrum"]
+STORED = WORKLOADS.load_refs("cli")["jobs"]
+JOBS = [job for job in STORED if job["task"] != "spectrum"]
+SPECTRUM_HASHES = json.loads((HERE / "stored_spectrum_hashes.json").read_text())
+SPECTRUM_JOBS = [
+    {**job, "sha256": SPECTRUM_HASHES[job["name"]]} for job in STORED if job["task"] == "spectrum"
+]
+CHECKED = JOBS + SPECTRUM_JOBS
 GRAPHS = WORKLOADS.load_refs("graphs")["instances"]
 
 
@@ -37,7 +46,12 @@ def test_every_stored_resolvent_convert_and_verify_job_is_checked():
     assert {job["task"] for job in JOBS} == {"resolvent", "convert", "verify"}
 
 
-@pytest.mark.parametrize("job", JOBS, ids=[job["name"] for job in JOBS])
+def test_every_stored_spectrum_job_is_pinned():
+    assert len(SPECTRUM_JOBS) == 8
+    assert sorted(SPECTRUM_HASHES) == sorted(job["name"] for job in SPECTRUM_JOBS)
+
+
+@pytest.mark.parametrize("job", CHECKED, ids=[job["name"] for job in CHECKED])
 def test_stored_job_artifacts_keep_their_bytes(tmp_path, job):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(WORKLOADS.job_document(job, GRAPHS)))
