@@ -150,6 +150,12 @@ class DirichletExclusions:
             raise ValueError("edge lengths must be positive")
         self._a = np.array(self.lengths)
         self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
+        # a candidate n of z is at most sqrt(max(-Re z, 0)) a / pi + 1, so no guard
+        # radius guard_rel (2 n + 1) (pi / a)^2 of z exceeds the bound
+        # guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2;
+        # contains rejects beyond twice the bound, which _reject carries
+        self._slope = 2.0 * self._a.max() / np.pi
+        self._reject = 2.0 * self.guard_rel * self._unit.max()
 
     def _nearest(self, z):
         """Distances to the candidate poles nearest z, with their indices n.
@@ -174,10 +180,33 @@ class DirichletExclusions:
         return float(np.min(self._nearest(complex(z))[0]))
 
     def contains(self, z):
-        """True where z (a scalar or an array) lies in a guard ball."""
-        dist, n = self._nearest(z)
-        hit = (dist <= self.guard_rel * (2 * n + 1) * self._unit).any(axis=(-2, -1))
+        """True where z (a scalar or an array) lies in a guard ball.
+
+        A z whose |Im z| exceeds twice the bound on its guard radii,
+        guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2,
+        lies in none. One vectorised test rejects those, and only the rest go
+        through the nearest-pole test; a call whose z are all real skips the
+        rejection. The answers are the nearest-pole test's, and a scalar z
+        gives a bool.
+        """
+        z = np.asarray(z, dtype=complex)
+        # count_nonzero costs a fraction of any() and all() on small arrays
+        if np.count_nonzero(z.imag):
+            odd = self._slope * np.sqrt(np.maximum(-z.real, 0.0)) + 3.0  # >= 2 n + 1
+            near = np.abs(z.imag) <= self._reject * odd
+            count = np.count_nonzero(near)
+            if count < near.size:
+                hit = np.zeros(z.shape, dtype=bool)
+                if count:
+                    hit[near] = self._in_guard(z[near])
+                return hit if hit.ndim else bool(hit)
+        hit = self._in_guard(z)
         return hit if hit.ndim else bool(hit)
+
+    def _in_guard(self, z):
+        """The nearest-pole test of :meth:`contains` at every entry of z."""
+        dist, n = self._nearest(z)
+        return (dist <= self.guard_rel * (2 * n + 1) * self._unit).any(axis=(-2, -1))
 
     def gaps_in(self, lo: float, hi: float):
         # reported gaps are twice the evaluation guard, so scanning up to a

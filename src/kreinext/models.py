@@ -488,8 +488,9 @@ def _edge_gram_entries(a: float, z: complex, w: complex) -> tuple:
 
 def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
     """Block-diagonal Gram matrix G(conj(w))^* G(z) of the edgewise model."""
-    entries = [_edge_gram(a, z, w) for a in lengths]
-    return _block_diag(np.array([((A, B), (B, A)) for A, B in entries], dtype=complex))
+    entries = np.array([_edge_gram(a, z, w) for a in lengths], dtype=complex)
+    # each edge's (A, B) gives the block [[A, B], [B, A]]
+    return _block_diag(entries[:, [[0, 1], [1, 0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +660,23 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     x = (b - a) d = (z_b - z_a) d / (a + b) and E(x) = (1 - exp(-x)) / x,
     E(0) = 1. One formula covers the diagonal and z = w, nothing cancels
     near z = w, and exp(-x) stays bounded; it does not read Gamma.
+
+    d is symmetric to the bit and 0 on the diagonal, so the formula runs on
+    the entries above the diagonal and one 0: those values are mirrored
+    through ``_upper_index`` and ``_lower_index`` and the one fills the
+    diagonal, as the full matrix would give them.
     """
     z, w = complex(z), complex(w)
     (za, a), (zb, b) = sorted([(w, np.sqrt(w)), (z, np.sqrt(z))], key=lambda root: root[1].real)
-    d = model._distances
+    d = np.concatenate(([0.0], model._upper_distances))
     x = (zb - za) / (a + b) * d
     quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
-    return np.exp(-a * d) * quotient / (FOUR_PI * (a + b))
+    values = np.exp(-a * d) * quotient / (FOUR_PI * (a + b))
+    n = model.n_centers
+    out = np.empty(n * n, dtype=complex)
+    out[model._upper_index] = out[model._lower_index] = values[1:]
+    out[:: n + 1] = values[0]
+    return out.reshape(n, n)
 
 
 def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:

@@ -18,6 +18,7 @@ from .krein import (
     EdgeWeylSystem,
     ExtensionParams,
     PointWeylSystem,
+    Resolvent,
     UnsupportedModelError,
     WeylSystem,
     apply_resolvent,
@@ -276,8 +277,9 @@ def run_verify(system: WeylSystem, params: ExtensionParams) -> dict:
     psi = preset_samples(system, {"preset": "poly_bump"}, 1 + 1j, grids)
     za, wb = 1 + 1j, 2 - 1j
     r_z = apply_resolvent(system, params, za, psi, grids)
-    r_w = apply_resolvent(system, params, wb, psi, grids)
-    r_wz = apply_resolvent(system, params, wb, r_z, grids)
+    # one resolvent at wb: one Gamma, SVD and solve serve both of its applications
+    at_wb = Resolvent(system, params, wb)
+    r_w, r_wz = at_wb.apply(psi, grids), at_wb.apply(r_z, grids)
     lhs = (za - wb) * np.concatenate(system.edges(r_wz))
     rhs = np.concatenate(system.edges(r_w)) - np.concatenate(system.edges(r_z))
     scale = np.max(np.abs(np.concatenate(system.edges(psi))))

@@ -82,6 +82,58 @@ def reference_g_adjoint(a, z, psi, x):
     return np.array([simpson(cols[:, 0] * psi, dx), simpson(cols[:, 1] * psi, dx)])
 
 
+# ---------------------------------------------------------------------------
+# frozen copies of the quadrature and the point Gram matrix before their fixed
+# costs were cut: weights built on every sum, seven temporaries per running
+# integral and all n^2 Gram entries evaluated. The library must agree with
+# them bit for bit.
+
+
+def reference_simpson_weights(n, dx):
+    """``quad.simpson_weights`` as first written."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"composite Simpson needs an odd node count >= 3, got {n}")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (dx / 3.0)
+
+
+def reference_simpson(values, dx):
+    """``quad.simpson`` with its weights rebuilt on every call."""
+    f = np.asarray(values)
+    n = f.shape[0]
+    if n < 3:
+        raise ValueError("need at least 3 samples")
+    if n % 2 == 1:
+        return np.sum(reference_simpson_weights(n, dx) * f)
+    head = np.sum(reference_simpson_weights(n - 1, dx) * f[:-1])
+    tail = dx / 24.0 * (9.0 * f[-1] + 19.0 * f[-2] - 5.0 * f[-3] + f[-4])
+    return head + tail
+
+
+def reference_cumulative_simpson(values, dx):
+    """``quad.cumulative_simpson`` with a temporary for every operation."""
+    f = np.asarray(values)
+    if f.shape[0] < 3:
+        raise ValueError("need at least 3 samples")
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, 1.0))
+    out[0] = 0.0
+    out[1] = dx / 12.0 * (5.0 * f[0] + 8.0 * f[1] - f[2])
+    out[2:] = dx / 12.0 * (-f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:])
+    return np.cumsum(out)
+
+
+def reference_point_gram(model, z, w):
+    """``models._point_gram`` with every entry of the (n, n) matrix evaluated."""
+    z, w = complex(z), complex(w)
+    (za, a), (zb, b) = sorted([(w, np.sqrt(w)), (z, np.sqrt(z))], key=lambda root: root[1].real)
+    d = model._distances
+    x = (zb - za) / (a + b) * d
+    quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+    return np.exp(-a * d) * quotient / (4.0 * np.pi * (a + b))
+
+
 def reference_gaps_in(excluded, lo, hi):
     """``DirichletExclusions.gaps_in`` as first written: one pole at a time in Python floats."""
     from kreinext.krein import _merge_intervals

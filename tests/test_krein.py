@@ -548,11 +548,12 @@ def test_run_verify_checks_each_point_once(monkeypatch):
     # matrices and the sampled kernels check z (probes that check z
     # themselves and take one point per Gamma call make 61/122 and 69/130
     # here). One SampledKernels is built for each of the three sampled
-    # resolvents, none for the quadrature Gram.
+    # resolvents, none for the quadrature Gram, and the two resolvents at
+    # 2 - i share one Gamma call.
     rng = np.random.default_rng(3)
     graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
     params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
-    want = {"gamma": 6, "contains": 13, "kernels": 3}
+    want = {"gamma": 5, "contains": 12, "kernels": 3}
     assert _count_verify_calls(monkeypatch, graph, params) == want
     points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
     params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))

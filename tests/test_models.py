@@ -14,6 +14,7 @@ from helpers import (
     reference_dirichlet_contains,
     reference_dirichlet_distance,
     reference_point_gamma,
+    reference_point_gram,
 )
 
 PI = np.pi
@@ -333,6 +334,45 @@ def test_point_gamma_equals_the_frozen_kernel():
         assert system.gamma(zs).tobytes() == want.tobytes()
         assert system.gamma(zs[-1]).tobytes() == want[-1].tobytes()
 
+@st.composite
+def _gram_draws(draw):
+    """(centres, b, z, w): 1-24 centres with one pair 1e-6 apart in every
+    third draw; b None (the point model) or 1-3 internal eigenvalues; z = w,
+    w = conj(z), real z above the excluded half line or two free points,
+    each |z - max b| log-uniform in [1e-8, 1e9]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 24)), 3))
+    if len(centers) > 1 and draw(st.integers(0, 2)) == 0:
+        step = rng.normal(size=3)
+        centers[1] = centers[0] + 1e-6 * step / np.linalg.norm(step)
+    b = draw(st.none() | st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+    base = 0.0 if b is None else max(b)
+
+    def point():
+        return 10.0 ** draw(st.floats(-8.0, 9.0)) * np.exp(1j * draw(st.floats(-PI, PI)))
+
+    kind = draw(st.sampled_from(["same", "conjugate", "real", "free"]))
+    z = base + (abs(point()) if kind == "real" else point())
+    w = {"same": z, "conjugate": np.conj(z), "real": base + abs(point())}.get(kind, base + point())
+    return centers, b, complex(z), complex(w)
+
+
+@given(_gram_draws())
+def test_point_gram_equals_the_frozen_copy(draw):
+    # the kernel evaluates the pairs above the diagonal and one diagonal entry
+    # and mirrors them; the reference evaluates all n^2 entries
+    centers, b, z, w = draw
+    if b is None:
+        model = kx.PointModel(centers)
+        want = reference_point_gram(model, z, w)
+        assert kx.models._point_gram(model, z, w).tobytes() == want.tobytes()
+        return
+    spin = kx.spin_weyl(kx.SpinPointModel(centers, tuple(b)))
+    point = kx.PointModel(centers)
+    want = reference_block_diag(np.array([reference_point_gram(point, z - s, w - s) for s in b]))
+    assert spin.gram(z, w).tobytes() == want.tobytes()
+
+
 def test_point_defect_gram_positive_definite():
     system = kx.point_weyl(kx.PointModel([[0, 0, 0], [0.8, 0, 0]]))
     gi = system.gamma(1j)
@@ -627,6 +667,64 @@ def test_two_candidate_guard_equals_the_three_candidate_reference(zs, k):
     for z in zs:
         assert excluded.contains(z) == reference_dirichlet_contains(excluded, z)
         assert excluded.distance(z) == reference_dirichlet_distance(excluded, z)
+
+
+def _rejection_bound(excluded, x):
+    """The bound on every guard radius of the points with real part x."""
+    a = np.array(excluded.lengths)
+    unit = np.max((np.pi / a) ** 2)
+    return excluded.guard_rel * (2.0 * np.sqrt(max(-x, 0.0)) * a.max() / np.pi + 3.0) * unit
+
+
+@st.composite
+def _rejection_points(draw, excluded):
+    """On, 1e-9 inside or 1e-9 outside the guard ball of any pole of any edge,
+    along or off the real axis; or at 0.5, 1 or 2 times the off-axis
+    rejection bound above or below a pole or a real point of any magnitude."""
+    a = draw(st.sampled_from(excluded.lengths))
+    n = draw(st.integers(1, 10**4))
+    pole = -((n * np.pi / a) ** 2)
+    if draw(st.booleans()):
+        radius = excluded.guard_rel * (2 * n + 1) * (np.pi / a) ** 2
+        r = radius * draw(st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-9]))
+        return complex(pole + r * draw(st.sampled_from([1.0, -1.0, 1j, -1j, np.exp(0.7j)])))
+    magnitude = st.floats(-9.0, 9.0).map(lambda e: 10.0**e)
+    x = draw(st.just(pole) | magnitude | magnitude.map(lambda m: -m))
+    scale = draw(st.sampled_from([0.5, 1.0, 2.0])) * draw(st.sampled_from([1.0, -1.0]))
+    return complex(x, scale * 2.0 * _rejection_bound(excluded, x))
+
+
+@given(data=st.data(), k=st.integers(1, len(GUARD_LENGTHS)))
+def test_off_axis_rejection_equals_the_three_candidate_reference(data, k):
+    excluded = kx.DirichletExclusions(GUARD_LENGTHS[:k])
+    zs = data.draw(st.lists(_rejection_points(excluded), min_size=1, max_size=8))
+    batch = np.array(zs, dtype=complex)
+    assert np.array_equal(excluded.contains(batch), reference_dirichlet_contains(excluded, batch))
+    for z in zs:
+        got = excluded.contains(z)
+        assert type(got) is bool and got == reference_dirichlet_contains(excluded, z)
+
+
+def test_off_axis_rejection_skips_the_nearest_pole_test(monkeypatch):
+    excluded = kx.DirichletExclusions(GUARD_LENGTHS)
+    pole = -((3 * np.pi / PI) ** 2)
+    calls = []
+    nearest = kx.DirichletExclusions._nearest
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return nearest(self, z)
+
+    monkeypatch.setattr(kx.DirichletExclusions, "_nearest", counted)
+    far = complex(pole, 4.0 * _rejection_bound(excluded, pole))
+    assert excluded.contains(far) is False and calls == []
+    assert excluded.contains(np.array([far, -far.conjugate()])).tolist() == [False, False]
+    assert calls == []
+    # the real axis and points within the bound still take the nearest-pole test
+    assert excluded.contains(pole) is True and calls == [()]
+    mixed = np.array([far, pole + 1e-12j, 2.0])
+    assert excluded.contains(mixed).tolist() == [False, True, False]
+    assert calls == [(), (2,)]
 
 
 def test_guard_points_reach_both_sides_of_the_balls():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kreinext import quad
 from kreinext.quad import cumulative_simpson, simpson, simpson_weights
+
+from helpers import reference_cumulative_simpson, reference_simpson, reference_simpson_weights
 
 
 def test_weights_reject_even_counts():
@@ -38,3 +43,49 @@ def test_cumulative_simpson_stays_complex_and_accurate():
     )
     assert np.max(np.abs(got - ref[::100])) < 1e-9
     assert abs(got[0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the cached weights and the in-place running integral keep the bits of the
+# frozen copies in helpers.py
+
+
+@given(
+    n=st.integers(3, 4001),
+    log_dx=st.floats(-6.0, 1.0),
+    complex_samples=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simpson_sums_equal_the_frozen_copies(n, log_dx, complex_samples, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_samples else 0.0)
+    for dx in (10.0**log_dx, np.float64(10.0**log_dx)):
+        want = np.asarray(reference_simpson(f, dx))
+        # the second call reads the cached weights
+        for _ in range(2):
+            got = np.asarray(simpson(f, dx))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got, want = cumulative_simpson(f, dx), reference_cumulative_simpson(f, dx)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_simpson_weights_are_a_new_writable_array():
+    first = simpson_weights(5, 0.1)
+    assert first.flags.writeable
+    assert first.tobytes() == reference_simpson_weights(5, 0.1).tobytes()
+    f = np.arange(5.0)
+    want = np.asarray(reference_simpson(f, 0.1)).tobytes()
+    simpson(f, 0.1)
+    first[:] = 7.0
+    second = simpson_weights(5, 0.1)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() == reference_simpson_weights(5, 0.1).tobytes()
+    assert np.asarray(simpson(f, 0.1)).tobytes() == want
+
+
+def test_cached_weights_keep_the_sign_and_type_of_the_step():
+    # -0.0 == 0.0 and float32(1) == 1.0, but their weights differ, so they are cached apart
+    for dx in (0.0, -0.0, 0.0, 1.0, np.float32(1.0), 1.0):
+        assert quad._weights(5, dx).tobytes() == reference_simpson_weights(5, dx).tobytes()
+        assert not quad._weights(5, dx).flags.writeable
