@@ -72,5 +72,5 @@ def cumulative_simpson(values, dx: float) -> np.ndarray:
     steps += 8.0 * f[1:-1]
     steps += 5.0 * f[2:]
     steps *= dx / 12.0
-    # without an axis cumsum runs over the flattened samples, as it always has
+    # cumsum with no axis runs over the flattened samples, so out is passed flat
     return np.cumsum(out, out=out.reshape(-1))
