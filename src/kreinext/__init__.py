@@ -10,7 +10,6 @@ finite-difference and closed-form oracles.
 
 from .krein import (
     DirichletExclusions,
-    EdgeWeylSystem,
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
@@ -19,7 +18,6 @@ from .krein import (
     GridTooCoarseError,
     HalfLineExclusions,
     ModelConsistencyError,
-    PointWeylSystem,
     Resolvent,
     SmoothFunction,
     UnsupportedModelError,
@@ -39,9 +37,11 @@ from .linalg import (
     projector_from_span,
 )
 from .models import (
+    EdgeWeylSystem,
     GraphModel,
     IntervalModel,
     PointModel,
+    PointWeylSystem,
     SampledKernels,
     SpinPointModel,
     VertexGroup,

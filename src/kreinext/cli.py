@@ -40,7 +40,6 @@ import numpy as np
 
 from . import serialize, verify
 from .krein import (
-    EdgeWeylSystem,
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
@@ -49,7 +48,9 @@ from .krein import (
     UnsupportedModelError,
     WeylSystem,
 )
-from .models import GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl
+from .models import (
+    EdgeWeylSystem, GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl,
+)
 from .parametrize import (
     PairConditionError,
     pair_from_params,

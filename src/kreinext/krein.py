@@ -4,14 +4,16 @@ Two objects carry the data: :class:`ExtensionParams`, the pair of an
 orthogonal boundary projector and a self-adjoint operator on its range
 that labels one extension (checked when it is built, and carrying the
 range and kernel bases of the projector), and :class:`WeylSystem`, the
-analytic data of a concrete model (the Weyl family z -> Gamma(z) and the
-deficiency-element map G(z)). Its two subclasses add what one model family has:
-:class:`EdgeWeylSystem` the free resolvent and the boundary traces of
-intervals and graphs, :class:`PointWeylSystem` the renormalised trace of
-point interactions. On top of those, :class:`Resolvent` is the extension's
-resolvent at one spectral parameter by the Krein formula: it judges whether
-z is regular, forms the correction and applies the resolvent. The probes of
-the identities the Weyl family must satisfy live in :mod:`kreinext.verify`.
+analytic data every model carries (the Weyl family z -> Gamma(z), the Gram
+matrix and the deficiency-element map G(z)). On top of those,
+:class:`Resolvent` is the extension's resolvent at one spectral parameter by
+the Krein formula: it judges whether z is regular, forms the correction and
+applies the resolvent. The edge and point systems, with the maps only
+their family has, are defined beside their kernels in
+:mod:`kreinext.models`, which this module does not import: the sampled
+resolvent recognises an edge system by its ``sampled_kernels``. The probes
+of the identities the Weyl family must satisfy live in
+:mod:`kreinext.verify`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "GridMismatchError",
     "SmoothFunction",
     "WeylSystem",
-    "EdgeWeylSystem",
-    "PointWeylSystem",
     "ExtensionParams",
     "ValidationReport",
     "GreenCombination",
@@ -307,9 +307,13 @@ class WeylSystem:
         a closed form in every model (it feeds the Green-combination route).
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.
 
-    :class:`EdgeWeylSystem` and :class:`PointWeylSystem` add each family's
-    data. Instances are immutable and every callable is pure, so systems may
-    be evaluated concurrently without restriction.
+    The three maps are fields, not methods, so that a copy made with
+    ``dataclasses.replace`` can swap one (a fault injection, a counter or a
+    tracer) and every operation on the copy reads the swapped map. The edge
+    and point systems of :mod:`kreinext.models` add their family's data as
+    fields and its other maps as methods. Instances are immutable and every
+    callable is pure, so systems may be evaluated concurrently without
+    restriction.
     """
 
     n: int
@@ -318,70 +322,6 @@ class WeylSystem:
     gamma: Callable[[complex], np.ndarray]
     gram: Callable[[complex, complex], np.ndarray]
     g_apply: Callable
-
-
-@dataclass(frozen=True)
-class EdgeWeylSystem(WeylSystem):
-    """Weyl system of a metric graph, or of the interval as its one edge.
-
-    Functions on the edges are lists with one entry per edge (edge k owns
-    boundary coordinates 2k and 2k + 1); with ``bare`` set, on the interval,
-    they are that one entry itself. :meth:`edges` and :meth:`shaped` convert,
-    and :meth:`edges` raises :class:`GridMismatchError` for any number of
-    entries but one per edge. Every map below takes edge functions, samples
-    and grids in that shape and returns edge functions and samples in it.
-
-    ``sampled_kernels(z, grid)`` builds the one
-    :class:`~kreinext.models.SampledKernels` of z on the edge grids: it
-    checks z, evaluates sin(kx) and sin(k(a - x)), k = sqrt(-z), once per
-    edge, and serves the free resolvent, G(conj(z))^* and G(z) as its
-    methods ``resolvent``, ``adjoint`` and ``apply``; ``g_apply(z, zeta,
-    grid)`` is its ``apply``. Its quadrature methods raise
-    :class:`GridMismatchError` unless each grid runs uniformly from 0 to the
-    edge length and the samples have its length; ``apply`` and ``g_apply``
-    take any points. ``traces(parts, grid=None)`` is the pair (rho, tau) in
-    C^n of boundary values and inward derivatives: of closed forms, or of
-    uniform samples on ``grid`` by one-sided fourth-order stencils.
-    ``g_closed(z, zeta)`` checks z and gives the closed form of G(z) zeta on
-    each edge, in the system's shape. A zeta whose length is not n raises
-    ``ValueError``.
-    """
-
-    lengths: tuple
-    sampled_kernels: Callable
-    traces: Callable
-    g_closed: Callable
-    bare: bool = False
-
-    def edges(self, obj) -> list:
-        """``obj`` (samples, grids or closed forms) as a list with one entry per edge.
-
-        Raises :class:`GridMismatchError` unless ``obj`` has one entry per edge.
-        """
-        if self.bare:
-            return [obj]
-        parts = list(obj)
-        if len(parts) != len(self.lengths):
-            raise GridMismatchError(
-                f"need one entry per edge: {len(parts)} for {len(self.lengths)} edges"
-            )
-        return parts
-
-    def shaped(self, parts):
-        """A list with one entry per edge, in the shape this system takes and returns."""
-        return parts[0] if self.bare else list(parts)
-
-
-@dataclass(frozen=True)
-class PointWeylSystem(WeylSystem):
-    """Weyl system of a point-interaction model; no volume quadrature.
-
-    ``renorm_trace(part, zeta)`` is the renormalised trace at the centres of
-    psi = part + G(0) zeta, which realises the boundary condition. It and
-    ``g_apply`` raise ``ValueError`` for a zeta whose length is not n.
-    """
-
-    renorm_trace: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +538,11 @@ class Resolvent:
         The free resolvent, G(conj(z))^* and G(z) come from one
         ``system.sampled_kernels(z, grid)`` call, which checks z. Samples that
         are not finite on some edge raise :class:`ModelConsistencyError`. Only
-        edge models (:class:`EdgeWeylSystem`) have samples; point models use
-        :meth:`apply_green`.
+        edge models (the systems with ``sampled_kernels``) have samples; point
+        models use :meth:`apply_green`.
         """
         system = self.system
-        if not isinstance(system, EdgeWeylSystem):
+        if not hasattr(system, "sampled_kernels"):
             raise UnsupportedModelError(
                 f"model kind {system.kind!r} has no sampled resolvent; "
                 "use apply_resolvent_green with a Green-function combination"

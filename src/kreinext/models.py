@@ -15,9 +15,12 @@ call it:
   model with the single internal eigenvalue 0; boundary space C^n of point
   charges, Weyl matrix with sqrt(z)/(4 pi) diagonal.
 
-The systems are the only door to a model quantity: Gamma, the Gram matrix,
-G(z) zeta (sampled, or in closed form on edges), the boundary traces and
-the renormalised trace are fields of the system a builder returns, which
+The systems are the only door to a model quantity, and their classes,
+:class:`EdgeWeylSystem` and :class:`PointWeylSystem`, live here beside
+their kernels. Gamma, the Gram matrix and sampled G(z) zeta are fields
+(closures a builder binds to the model, which a copy may swap); the
+sampled kernels, the boundary traces, G(z) zeta in closed form and the
+renormalised trace are methods that read the system's model data. Each
 checks z and shapes before the private kernels below run.
 
 Spectral-parameter conventions: the free operator is the second derivative
@@ -35,7 +38,7 @@ same arithmetic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Sequence
 
@@ -43,13 +46,12 @@ import numpy as np
 
 from .krein import (
     DirichletExclusions,
-    EdgeWeylSystem,
     ExtensionParams,
     GridMismatchError,
     HalfLineExclusions,
     ModelConsistencyError,
-    PointWeylSystem,
     SmoothFunction,
+    WeylSystem,
     check_admissible,
 )
 from .quad import cumulative_simpson, simpson
@@ -60,6 +62,8 @@ __all__ = [
     "PointModel",
     "SpinPointModel",
     "SampledKernels",
+    "EdgeWeylSystem",
+    "PointWeylSystem",
     "VertexGroup",
     "interval_weyl",
     "graph_weyl",
@@ -497,6 +501,62 @@ def _edge_gram_blocks(lengths, z, w) -> np.ndarray:
 # graph model and the interval as its one edge
 
 
+@dataclass(frozen=True)
+class EdgeWeylSystem(WeylSystem):
+    """Weyl system of a metric graph, or of the interval as its one edge.
+
+    Functions on the edges are lists with one entry per edge (edge k owns
+    boundary coordinates 2k and 2k + 1); with ``bare`` set, on the interval,
+    they are that one entry itself. :meth:`edges` and :meth:`shaped`
+    convert, and :meth:`edges` raises :class:`GridMismatchError` for any
+    number of entries but one per edge. Every map takes and returns edge
+    functions, samples and grids in that shape, and a zeta whose length is
+    not n raises ``ValueError``. ``g_apply(z, zeta, grid)`` is the ``apply``
+    of :meth:`sampled_kernels` and takes any points. The methods read only
+    the model data ``lengths`` and ``bare``.
+    """
+
+    lengths: tuple
+    bare: bool
+
+    def edges(self, obj) -> list:
+        """``obj`` (samples, grids or closed forms) as a list with one entry per edge.
+
+        Raises :class:`GridMismatchError` unless ``obj`` has one entry per edge.
+        """
+        if self.bare:
+            return [obj]
+        parts = list(obj)
+        if len(parts) != len(self.lengths):
+            raise GridMismatchError(
+                f"need one entry per edge: {len(parts)} for {len(self.lengths)} edges"
+            )
+        return parts
+
+    def shaped(self, parts):
+        """A list with one entry per edge, in the shape this system takes and returns."""
+        return parts[0] if self.bare else list(parts)
+
+    def sampled_kernels(self, z, grid) -> SampledKernels:
+        """The one :class:`SampledKernels` of z on the edge grids; it checks z."""
+        return SampledKernels(self, z, grid)
+
+    def traces(self, parts, grid=None):
+        """The pair (rho, tau) in C^n of boundary values and inward derivatives:
+        of closed forms, or of uniform samples on ``grid`` by one-sided
+        fourth-order stencils."""
+        parts = self.edges(parts)
+        grids = [None] * len(parts) if grid is None else self.edges(grid)
+        rho, tau = zip(*(_edge_traces(a, parts[k], grids[k], k) for k, a in enumerate(self.lengths)))
+        return np.concatenate(rho), np.concatenate(tau)
+
+    def g_closed(self, z, zeta):
+        """The closed form of G(z) zeta on each edge; it checks z."""
+        check_admissible(self.excluded, z)
+        pairs = _boundary_vector(zeta, self.n).reshape(len(self.lengths), 2)
+        return self.shaped([_edge_green(a, z, pair) for a, pair in zip(self.lengths, pairs)])
+
+
 def graph_weyl(model: GraphModel) -> EdgeWeylSystem:
     """Weyl system of the edgewise model: every map acts block by block.
 
@@ -522,12 +582,9 @@ def interval_weyl(model: IntervalModel) -> EdgeWeylSystem:
 def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
     """The Weyl system of the edges (0, a_k); with ``bare``, of the one edge.
 
-    The maps take and return edge functions through the ``edges`` and
-    ``shaped`` methods of the system they are bound into, which own the
-    shape rule, and every map that takes z checks it first.
+    The closures are the maps a copy may swap, and each checks z first.
     """
-    graph = GraphModel(lengths)
-    lengths, K = graph.lengths, graph.n_edges
+    lengths = GraphModel(lengths).lengths
     excluded = DirichletExclusions(lengths)
 
     def gamma(z):
@@ -538,36 +595,10 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
         check_admissible(excluded, (z, w))
         return _edge_gram_blocks(lengths, z, w)
 
-    def sampled_kernels(z, grid):
-        return SampledKernels(system, z, grid)
-
     def g_apply(z, zeta, grid):
         return SampledKernels(system, z, grid).apply(zeta)
 
-    def g_closed(z, zeta):
-        check_admissible(excluded, z)
-        pairs = _boundary_vector(zeta, 2 * K).reshape(K, 2)
-        return system.shaped([_edge_green(a, z, pair) for a, pair in zip(lengths, pairs)])
-
-    def traces(parts, grid=None):
-        parts = system.edges(parts)
-        grids = [None] * K if grid is None else system.edges(grid)
-        rho, tau = zip(*(_edge_traces(a, parts[k], grids[k], k) for k, a in enumerate(lengths)))
-        return np.concatenate(rho), np.concatenate(tau)
-
-    system = EdgeWeylSystem(
-        n=2 * K,
-        kind=kind,
-        excluded=excluded,
-        gamma=gamma,
-        gram=gram,
-        g_apply=g_apply,
-        lengths=lengths,
-        sampled_kernels=sampled_kernels,
-        traces=traces,
-        g_closed=g_closed,
-        bare=bare,
-    )
+    system = EdgeWeylSystem(2 * len(lengths), kind, excluded, gamma, gram, g_apply, lengths, bare)
     return system
 
 
@@ -635,6 +666,17 @@ def _pairwise_distances(centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
+def _symmetric(model: PointModel, upper, diagonal, shape: tuple = ()) -> np.ndarray:
+    """The (*shape, n, n) matrices over the centres with ``diagonal`` on the
+    diagonal and ``upper`` (a value per pair, in the order of ``_upper_index``,
+    along its last axis) above it and mirrored below it."""
+    n = model.n_centers
+    out = np.empty(shape + (n * n,), dtype=complex)
+    out[..., model._upper_index] = out[..., model._lower_index] = upper
+    out[..., :: n + 1] = diagonal
+    return out.reshape(shape + (n, n))
+
+
 def _point_gamma(model: PointModel, z) -> np.ndarray:
     """Weyl matrix of the point model: sqrt(z)/(4 pi) on the diagonal,
     -exp(-sqrt(z) d)/(4 pi d) off it, principal branch Re sqrt(z) > 0.
@@ -644,12 +686,8 @@ def _point_gamma(model: PointModel, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     sq = np.sqrt(z)[..., None]
-    n = model.n_centers
-    out = np.empty(z.shape + (n * n,), dtype=complex)
     off = -np.exp(-sq * model._upper_distances) / model._upper_scale
-    out[..., model._upper_index] = out[..., model._lower_index] = off
-    out[..., :: n + 1] = sq / FOUR_PI
-    return out.reshape(z.shape + (n, n))
+    return _symmetric(model, off, sq / FOUR_PI, z.shape)
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
@@ -662,9 +700,9 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     near z = w, and exp(-x) stays bounded; it does not read Gamma.
 
     d is symmetric to the bit and 0 on the diagonal, so the formula runs on
-    the entries above the diagonal and one 0: those values are mirrored
-    through ``_upper_index`` and ``_lower_index`` and the one fills the
-    diagonal, as the full matrix would give them.
+    the entries above the diagonal and one 0: :func:`_symmetric` mirrors
+    those values and fills the diagonal with the one, as the full matrix
+    would give them.
     """
     z, w = complex(z), complex(w)
     (za, a), (zb, b) = sorted([(w, np.sqrt(w)), (z, np.sqrt(z))], key=lambda root: root[1].real)
@@ -672,11 +710,7 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     x = (zb - za) / (a + b) * d
     quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
     values = np.exp(-a * d) * quotient / (FOUR_PI * (a + b))
-    n = model.n_centers
-    out = np.empty(n * n, dtype=complex)
-    out[model._upper_index] = out[model._lower_index] = values[1:]
-    out[:: n + 1] = values[0]
-    return out.reshape(n, n)
+    return _symmetric(model, values[1:], values[0])
 
 
 def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:
@@ -699,10 +733,7 @@ def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -
     x -> y_k, which evaluates to part(y_k) plus the cross terms
     zeta_j / (4 pi |y_k - y_j|), j != k.
     """
-    n = model.n_centers
-    coeff = np.zeros(n * n, dtype=complex)
-    coeff[model._upper_index] = coeff[model._lower_index] = 1.0 / model._upper_scale
-    return vals + coeff.reshape(n, n) @ zeta
+    return vals + _symmetric(model, 1.0 / model._upper_scale, 0.0) @ zeta
 
 
 def point_green_regular_part(model: PointModel, lam, coeff):
@@ -730,6 +761,36 @@ def point_green_regular_part(model: PointModel, lam, coeff):
         return term @ coeff
 
     return evaluate
+
+
+@dataclass(frozen=True)
+class PointWeylSystem(WeylSystem):
+    """Weyl system of a point-interaction model; no volume quadrature.
+
+    Its model data are ``point``, the :class:`PointModel` of the centres,
+    ``b``, the shifts of the channels, and ``bare``, set on the one-channel
+    point model. ``g_apply`` and :meth:`renorm_trace` raise ``ValueError``
+    for a zeta whose length is not n.
+    """
+
+    point: PointModel = field(compare=False)  # its arrays would make the system unhashable
+    b: tuple
+    bare: bool
+
+    def renorm_trace(self, part, zeta):
+        """The renormalised trace at the centres of psi = part + G(0) zeta,
+        which realises the boundary condition; ``part`` gives the continuous
+        part at the centres, as values or as a callable."""
+        point, d = self.point, len(self.b)
+        charges = _boundary_vector(zeta, self.n).reshape(d, point.n_centers)
+        if callable(part):
+            vals = np.asarray(part(point.centers), dtype=complex)
+        else:
+            vals = np.asarray(part, dtype=complex)
+        vals = vals[None] if self.bare else vals
+        if vals.shape != charges.shape:
+            raise ValueError("continuous part must give a (channels, centers) array")
+        return np.concatenate([_renormalized_trace(point, v, c) for v, c in zip(vals, charges)])
 
 
 def point_weyl(model: PointModel) -> PointWeylSystem:
@@ -782,23 +843,4 @@ def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> 
         out = np.array([_point_g_values(point, z - shift, c, pts) for shift, c in zip(b, charges)])
         return out[0] if bare else out
 
-    def renorm_trace(part, zeta):
-        charges = _boundary_vector(zeta, n * d).reshape(d, n)
-        if callable(part):
-            vals = np.asarray(part(point.centers), dtype=complex)
-        else:
-            vals = np.asarray(part, dtype=complex)
-        vals = vals[None] if bare else vals
-        if vals.shape != (d, n):
-            raise ValueError("continuous part must give a (channels, centers) array")
-        return np.concatenate([_renormalized_trace(point, v, c) for v, c in zip(vals, charges)])
-
-    return PointWeylSystem(
-        n=n * d,
-        kind=kind,
-        excluded=excluded,
-        gamma=gamma,
-        gram=gram,
-        g_apply=g_apply,
-        renorm_trace=renorm_trace,
-    )
+    return PointWeylSystem(n * d, kind, excluded, gamma, gram, g_apply, point, b, bare)

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import (
-    EdgeWeylSystem,
-    ExtensionParams,
-    PointWeylSystem,
-    Resolvent,
-    UnsupportedModelError,
-    WeylSystem,
-    apply_resolvent,
-)
-from .models import poly_bump, sine_mode
+from .krein import ExtensionParams, Resolvent, UnsupportedModelError, WeylSystem, apply_resolvent
+from .models import EdgeWeylSystem, PointWeylSystem, poly_bump, sine_mode
 from .oracle import simpson_gram
 from .parametrize import VonNeumannBlock, defect_gram
 from .quad import simpson

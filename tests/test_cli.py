@@ -628,6 +628,46 @@ INVALID_INPUTS = {
         [],
         "ConfigError: resolvent input must be an object with a 'preset', got 'sin_k'",
     ),
+    "extension-kind": (
+        {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": {"kind": "robin"}},
+        [],
+        "ConfigError: extension kind must be 'params' or 'pair', got 'robin'",
+    ),
+    "extension-dimension": (
+        {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": neumann_extension(1)},
+        [],
+        "ConfigError: extension dimension 1 does not match the model boundary dimension 2",
+    ),
+    "unknown-preset": (
+        interval_job({"name": "resolvent", "input": {"preset": "gauss"}}),
+        [],
+        "ConfigError: unknown input preset 'gauss'",
+    ),
+    "convert-without-extension": (
+        {"model": {"type": "interval", "a": PI}, "task": {"name": "convert"}},
+        [],
+        "ConfigError: convert task needs an extension",
+    ),
+    "unknown-fault": (
+        interval_job({"name": "verify", "fault": "drop_gram"}),
+        [],
+        "ConfigError: unknown fault flag 'drop_gram'",
+    ),
+    "job-not-object": (
+        [interval_job({"name": "verify"})],
+        [],
+        "ConfigError: job file must hold a JSON object",
+    ),
+    "task-without-name": (
+        interval_job({"window": [-0.5, 0.5]}),
+        [],
+        "ConfigError: job needs a task object with a 'name'",
+    ),
+    "no-model": (
+        {"extension": neumann_extension(), "task": {"name": "verify"}},
+        [],
+        "ConfigError: job needs a model descriptor",
+    ),
 }
 
 

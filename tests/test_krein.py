@@ -172,6 +172,19 @@ def test_nonreal_always_regular_all_models():
             assert kx.is_regular_point(system, params, z)
 
 
+def test_singular_nonreal_point_is_a_model_fault():
+    # every valid label is regular off the real axis, so a zero Weyl family,
+    # which breaks Im Gamma(z) / Im z > 0, is a faulty model, not a spectrum
+    gamma = lambda z: np.zeros((1, 1), dtype=complex)
+    zero = kx.WeylSystem(1, "custom", kx.HalfLineExclusions(0.0), gamma, None, None)
+    params = ExtensionParams.full([[0.0]])
+    message = r"^secular matrix singular at nonreal z=1j \(sigma_min=0\.000e\+00\); the Weyl family violates"
+    with pytest.raises(kx.ModelConsistencyError, match=message):
+        kx.is_regular_point(zero, params, 1j)
+    with pytest.raises(kx.ModelConsistencyError, match=message):
+        kx.krein_correction(zero, params, 1j)
+
+
 # ---------------------------------------------------------------------------
 # Krein correction
 

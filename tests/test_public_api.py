@@ -121,11 +121,9 @@ def test_label_signatures_and_frame():
 
 
 def test_edge_system_fields_and_pair_conditions():
-    fields = [f.name for f in dataclasses.fields(kx.EdgeWeylSystem)]
-    assert fields == [
-        "n", "kind", "excluded", "gamma", "gram", "g_apply",
-        "lengths", "sampled_kernels", "traces", "g_closed", "bare",
-    ]
+    protocol = ["n", "kind", "excluded", "gamma", "gram", "g_apply"]
+    assert [f.name for f in dataclasses.fields(kx.EdgeWeylSystem)] == protocol + ["lengths", "bare"]
+    assert [f.name for f in dataclasses.fields(kx.PointWeylSystem)] == protocol + ["point", "b", "bare"]
     interval = kx.interval_weyl(kx.IntervalModel(PI))
     assert not hasattr(interval, "r_apply") and not hasattr(interval, "g_adjoint_apply")
     assert not hasattr(kx.WeylSystem, "require_admissible")  # gamma checks z
@@ -134,6 +132,41 @@ def test_edge_system_fields_and_pair_conditions():
     pair = kx.BoundaryPair(np.eye(2), np.diag([0.5, 0.0]))
     assert pair.conditions == kx.check_pair_conditions(pair)
     assert "conditions" not in repr(pair)
+
+
+def test_model_systems_carry_their_maps_as_methods():
+    # the maps nothing swaps are methods that read model data, defined in models.py
+    for cls, methods in (
+        (kx.EdgeWeylSystem, ("edges", "shaped", "sampled_kernels", "traces", "g_closed")),
+        (kx.PointWeylSystem, ("renorm_trace",)),
+    ):
+        assert cls.__module__ == "kreinext.models" and issubclass(cls, kx.WeylSystem)
+        assert all(inspect.isfunction(vars(cls)[name]) for name in methods)
+    # the builders bind no closure besides the three swappable fields
+    for system in (
+        kx.interval_weyl(kx.IntervalModel(PI)),
+        kx.graph_weyl(kx.GraphModel((1.0, 2.0))),
+        kx.point_weyl(kx.PointModel(CENTERS)),
+        kx.spin_weyl(kx.SpinPointModel(CENTERS, (0.0, 1.5))),
+    ):
+        values = [getattr(system, f.name) for f in dataclasses.fields(system)]
+        assert [v.__name__ for v in values if callable(v)] == ["gamma", "gram", "g_apply"]
+        assert hash(system) == hash(dataclasses.replace(system))  # a system stays hashable
+
+
+def test_krein_knows_no_concrete_model():
+    # krein.py keeps the model-independent recipe: it imports nothing from
+    # models and defines no subclass of WeylSystem
+    tree = ast.parse(Path(kx.krein.__file__).read_text())
+    imported = [(m, name) for m, name in _imported_names(tree) if "models" in (m.split(".")[-1], name)]
+    assert not imported
+    subclasses = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).split(".")[-1] == "WeylSystem" for base in node.bases)
+    ]
+    assert not subclasses
 
 
 def test_verify_public_names():

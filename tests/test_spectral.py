@@ -641,3 +641,69 @@ def test_failed_probes_widen_the_window():
     spreads = [points[1] - points[0] for points in calls[1:] if len(points) == 2]
     assert len(spreads) >= 2  # the first probes failed and were repeated
     assert spreads[1] == pytest.approx(16.0 * spreads[0])
+
+
+# each of _window's four ways to give up, on the branch w = lam - 1.5 of
+# (0, 3), whose first secant step lands exactly on the root: the bracket
+# then evaluates every midpoint of the plain bisection, whose roots it
+# must still give to the bit
+
+
+def _line_with(bands):
+    """The branch lam - 1.5 beside two constant ones, with the secular
+    eigenvalues replaced by ``row`` within 4 R of each band's centre."""
+
+    def eigs(lams):
+        lams = np.asarray(lams, dtype=float)
+        w = np.stack([lams - 1.5, np.full_like(lams, BIG), np.full_like(lams, BIG)], axis=-1)
+        for centre, row in bands:
+            w[np.abs(lams - centre) <= 4.0 * R] = row
+        return np.sort(w, axis=-1)
+
+    return eigs
+
+
+def _abandoned_window(monkeypatch, eigs):
+    """The points of each round, once the first window came back None."""
+    windows, window = [], spectral._window
+
+    def recorded(*args):
+        windows.append((yield from window(*args)))
+        return windows[-1]
+
+    monkeypatch.setattr(spectral, "_window", recorded)
+    calls = _isolate_against_plain_bisection(eigs)
+    assert windows[0] is None
+    assert len(calls) > 50  # the midpoints the window would have skipped
+    return calls
+
+
+def _counts(eigs, points):
+    return np.sum(eigs(points) < 0.0, axis=1).tolist()
+
+
+def test_secant_point_with_a_foreign_count_abandons_the_window(monkeypatch):
+    eigs = _line_with([(1.5, [-1.0, -1.0, BIG])])
+    calls = _abandoned_window(monkeypatch, eigs)
+    assert calls[1].tolist() == [1.5] and _counts(eigs, calls[1]) == [2]
+
+
+def test_probe_with_a_foreign_count_abandons_the_window(monkeypatch):
+    eigs = _line_with([(1.5 - 16.0 * R, [-1.0, -1.0, BIG])])
+    calls = _abandoned_window(monkeypatch, eigs)
+    assert calls[1].tolist() == [1.5] and _counts(eigs, calls[2]) == [2, 0]
+
+
+def test_crossed_probes_abandon_the_window(monkeypatch):
+    # the left probe certifies a right end and the right probe a left end
+    eigs = _line_with([(1.5 - 16.0 * R, [1.0, BIG, BIG]), (1.5 + 16.0 * R, [-1.0, BIG, BIG])])
+    calls = _abandoned_window(monkeypatch, eigs)
+    assert calls[1].tolist() == [1.5] and _counts(eigs, calls[2]) == [0, 1]
+
+
+def test_zero_rounding_at_the_root_abandons_the_window(monkeypatch):
+    # one branch and theta_norm = 0: R = 0 where the secant hits w = 0, so
+    # the probe distance is 0 and no probe is made
+    eigs = lambda lams: (np.asarray(lams, dtype=float) - 1.5)[:, None]
+    calls = _abandoned_window(monkeypatch, eigs)
+    assert calls[1].tolist() == [1.5] and all(len(points) == 1 for points in calls[1:])
