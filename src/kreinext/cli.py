@@ -220,6 +220,8 @@ def cmd_resolvent(config, system, params, given):
     spec = task.get("input", {"preset": "sin_k", "k": 1})
     if not isinstance(spec, dict):
         raise ConfigError(f"resolvent input must be an object with a 'preset', got {spec!r}")
+    if not isinstance(spec.get("preset", ""), str):
+        raise ConfigError(f"resolvent input 'preset' must be a string, got {spec['preset']!r}")
     if spec.get("preset") not in verify.PRESETS:
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
     psi = verify.preset_samples(system, spec, z, grids)
@@ -332,6 +334,8 @@ def _read_job(path, grid) -> dict:
     task = config.get("task")
     if not isinstance(task, dict) or "name" not in task:
         raise ConfigError("job needs a task object with a 'name'")
+    if not isinstance(task["name"], str):
+        raise ConfigError(f"task 'name' must be a string, got {task['name']!r}")
     if task["name"] not in _HANDLERS:
         raise ConfigError(f"unknown task {task['name']!r}")
     if "model" not in config:

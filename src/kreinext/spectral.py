@@ -14,16 +14,17 @@ multiplicity is the size of the drop.
 
 The search runs in rounds, breadth first: each round evaluates every point
 that any live bracket of any searchable segment asks for, builds all their
-secular matrices from one ``system.gamma`` call and counts with one stacked
-``eigvalsh``. Every bracket walks the bisection's own dyadic path. Once
-its count drops by one, its crossing branch is one increasing function
-with one zero: a secant step (regula falsi) finds that zero, two probes
-certify a window around it outside which rounding cannot change the
-count, and only the midpoints inside the window are evaluated; a larger
-drop evaluates every midpoint. Every bracket is therefore split, kept or
-stopped exactly as a depth-first bisection would, so the roots are the
-same to the bit, in about half the rounds. The kernel check at the roots
-is one stacked ``eigh``.
+secular matrices from one ``system.gamma`` call, counts with one stacked
+``eigvalsh`` and updates every bracket, kept as flat state, in one loop.
+Every bracket walks the bisection's own dyadic path. Once its count drops
+by one, its crossing branch is one increasing function with one zero: a
+secant step (regula falsi) finds that zero, two probes certify a window
+around it outside which rounding cannot change the count, and only the
+midpoints inside the window are evaluated, the walk passing the others in
+the same update; a larger drop evaluates every midpoint. Every bracket is
+therefore split, kept or stopped exactly as a depth-first bisection would,
+so the roots are the same to the bit, in about half the rounds. The kernel
+check at the roots is one stacked ``eigh``.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
@@ -32,6 +33,7 @@ the results as unsearchable gaps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,175 +104,181 @@ def _complement(lo, hi, gaps):
     return segments
 
 
-def _admissible_start(excluded, lo: float) -> float:
-    """The first float at or above ``lo`` outside the excluded set.
-
-    A half line (-inf, upper] is closed, so a segment cut at its gap starts
-    on ``upper`` itself and must begin one float higher.
-    """
-    while excluded.contains(lo):
-        lo = float(np.nextafter(lo, np.inf))
-    return lo
-
-
-def _final(lo, mid, hi) -> bool:
-    """True when the bracket (lo, hi) with midpoint ``mid`` is as narrow as
-    floating point allows: its midpoint is the root."""
-    return hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi
+def _segments(excluded, lo, hi, gaps):
+    """The pieces of [lo, hi] between the ``gaps``, each from its first float
+    outside the excluded set, with one ``contains`` call for all the starts:
+    the closed half line (-inf, upper] leaves a start on ``upper`` itself."""
+    pieces = _complement(lo, hi, gaps)
+    inside = excluded.contains(np.array([start for start, _ in pieces])).tolist()
+    segments = []
+    for (a, b), hit in zip(pieces, inside):
+        while hit:
+            a = float(np.nextafter(a, np.inf))
+            hit = excluded.contains(a)
+        segments.append((a, b))
+    return segments
 
 
-def _window(lo, hi, left, right):
-    """The certified window of a bracket whose count drops by one, or None;
-    a coroutine like :func:`_bracket`.
-
-    ``left`` and ``right`` are the (eigenvalues, count, rounding) at lo and
-    hi; on (lo, hi) the crossing branch f = w[clo - 1] increases through its
-    one zero. A point with count clo and f < -8 R (R its rounding bound)
-    certifies a window's left end, one with count clo - 1 and f > 8 R its
-    right end: every point beyond such an end has that end's count, so only
-    inside the window can rounding decide the count. Regula falsi narrows
-    the window (a, b) until it lands on an x with |f| <= 8 R; the end it
-    keeps twice in a row has its value rescaled (Anderson-Bjorck, or the
-    Illinois halving when that factor is not positive), and a step that
-    rounds onto an end is a bisection. Probes at x -+ delta, with delta =
-    16 R / slope over the last two steps, then narrow the window from both
-    sides, and delta grows 16 times until no probe falls inside it. None is
-    returned when a count is neither clo nor clo - 1 or the probes disagree.
-    """
-    clo, k = left[1], left[1] - 1
-    a, fa, b, fb = lo, left[0][k], hi, right[0][k]
-    px, pf, side = a, fa, 0
-    while True:
-        x = b - fb * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-            if not a < x < b:
-                return a, b
-        ((w, count, rounding),) = yield [x]
-        if count not in (clo, k):
-            return None
-        fx = w[k]
-        if abs(fx) <= 8.0 * rounding:
-            break
-        if fx < 0.0:
-            if side < 0:
-                m = 1.0 - fx / fa
-                fb *= m if m > 0.0 else 0.5
-            a, fa, side = x, fx, -1
-        else:
-            if side > 0:
-                m = 1.0 - fx / fb
-                fa *= m if m > 0.0 else 0.5
-            b, fb, side = x, fx, 1
-        px, pf = x, fx
-    delta = 16.0 * rounding * (x - px) / (fx - pf)
-    while delta > 0.0:
-        probes = [p for p in (x - delta, x + delta) if a < p < b]
-        if not probes:
-            return a, b
-        replies = yield probes
-        for p, (w, count, r) in zip(probes, replies):
-            if count == clo and w[k] < -8.0 * r:
-                a = max(a, p)
-            elif count == k and w[k] > 8.0 * r:
-                b = min(b, p)
-            elif count not in (clo, k):
-                return None
-        if not a < b:
-            return None
-        delta *= 16.0
-    return None
+SECANT, PROBE, WALK = range(3)
 
 
-def _bracket(lo, hi, left, right):
-    """The bisection of one bracket, as a coroutine.
+class _Bracket:
+    """The flat state of one live bracket (lo, hi) of :func:`_isolate`: the
+    counts ``clo``, ``chi`` and rows ``left``, ``right`` at its ends (None
+    where a walk inferred the count), the points it ``asks`` for in its
+    ``phase``, the window search's ends (a, fa), (b, fb), previous step
+    (px, pf), last moved ``side``, secant point ``x`` and probe ``delta``,
+    and the walk's window (xl, xr), (-inf, inf) if there is none, and width
+    ``floor``, above which no walked bracket is final."""
 
-    ``left`` and ``right`` are the (eigenvalues, count, rounding) at lo and
-    hi, with eigenvalues None at a point whose count was inferred. The
-    coroutine yields the points it needs evaluated, is sent their
-    (eigenvalues, count, rounding) and returns (roots, sub-brackets).
+    __slots__ = ("lo", "hi", "clo", "chi", "left", "right", "phase", "asks", "a", "fa",
+                 "b", "fb", "px", "pf", "side", "x", "delta", "xl", "xr", "floor")
 
-    Every drop walks the plain bisection's own path: a midpoint with count
-    clo moves lo, one with count chi moves hi, and any other count splits
-    the bracket. A drop of one evaluates only the midpoints inside its
-    certified window (:func:`_window`), the others taking their side's
-    count; a drop of several evaluates every midpoint and stops as a root
-    once that many secular eigenvalues are within rounding there.
-    """
-    clo, chi = left[1], right[1]
-    drop = clo - chi
-    if drop == 0:
-        return [], []
-    window = None
-    if drop == 1 and left[0] is not None and right[0] is not None:
-        window = yield from _window(lo, hi, left, right)
-    xl, xr = window or (lo, hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if _final(lo, mid, hi):
-            return [(mid, drop)], []
-        if mid <= xl:
-            lo, left = mid, (None, clo, None)
-        elif mid >= xr:
-            hi, right = mid, (None, chi, None)
-        else:
-            (at_mid,) = yield [mid]
-            w, count, rounding = at_mid
-            if drop > 1 and np.sort(np.abs(w))[drop - 1] <= rounding:
-                return [(mid, drop)], []
-            if count == clo:
-                lo, left = mid, at_mid
-            elif count == chi:
-                hi, right = mid, at_mid
-            else:
-                return [], [(lo, mid, left, at_mid), (mid, hi, at_mid, right)]
+    def __init__(self, lo, hi, clo, chi, left, right):
+        self.lo, self.hi, self.clo, self.chi, self.left, self.right = lo, hi, clo, chi, left, right
 
 
 def _isolate(eigs, segments, theta_norm):
     """Brackets (midpoint, drop) of the count drops on pole-free segments.
 
     ``eigs(lams)`` gives the (m, r) secular eigenvalues at an array of m
-    points; the count is how many are negative, and R = BRACKET_FLOOR r
-    (max|w| + theta_norm) bounds the rounding error of forming and
-    diagonalising V^*(theta + Gamma)V there. Every bracket whose count drops
-    is bisected until it is as narrow as floating point allows or, for a
-    drop of several, until that many secular eigenvalues are within R at
-    its midpoint: errors of that size shift each branch's crossing, so the
-    count cannot split such a root any further.
+    points, each row ascending; the count is how many are negative, and
+    R = BRACKET_FLOOR r (max|w| + theta_norm) bounds the rounding error of
+    forming and diagonalising V^*(theta + Gamma)V there. Every bracket whose
+    count drops is bisected until it is as narrow as floating point allows
+    or, for a drop of several, until that many secular eigenvalues are
+    within R at its midpoint, where the count cannot split it any further.
 
-    Each bracket is a coroutine (:func:`_bracket`) that walks the
-    bisection's path, through a certified window (:func:`_window`) for a
-    drop of one, so each root is the midpoint of the same final bracket, to
-    the bit. Every round evaluates the points all brackets ask for with one
-    ``eigs`` call. Brackets come out in increasing lambda.
+    A midpoint with count clo moves lo, one with count chi moves hi, and any
+    other count splits the bracket. A drop of one with both rows known first
+    finds a window: its branch f = row[chi] increases through one zero, a
+    point with count clo and f < -8 R certifies a left end, one with count
+    chi and f > 8 R a right end, and every point beyond such an end has its
+    count. Regula falsi narrows the window (a, b) until |f(x)| <= 8 R,
+    rescaling the value of an end kept twice (Anderson-Bjorck, or Illinois
+    halving when that factor is not positive); a step rounding onto an end
+    bisects. Probes at x -+ delta, delta = 16 R / slope of the last two
+    steps, narrow it from both sides, delta growing 16 times until no probe
+    falls inside. A foreign count, crossed probes or a delta that is not
+    positive give the window up. So each root, in increasing lambda, is the
+    midpoint of the same final bracket as in a plain bisection, to the bit.
     """
+    roots, live = [], []
 
-    def measure(points):
-        w = eigs(np.array(points))
-        rounding = BRACKET_FLOOR * w.shape[1] * (np.max(np.abs(w), axis=1) + theta_norm)
-        return list(zip(w, np.sum(w < 0.0, axis=1).tolist(), rounding.tolist()))
+    def bound(row):  # R of an ascending row: max|w| is -row[0] or row[-1]
+        return BRACKET_FLOOR * len(row) * (max(-row[0], row[-1]) + theta_norm)
 
-    out, waiting = [], []
+    def start(lo, hi, clo, chi, left, right):
+        s = _Bracket(lo, hi, clo, chi, left, right)
+        if clo - chi == 1 and left is not None and right is not None:
+            s.a, s.fa = s.px, s.pf = lo, left[chi]
+            s.b, s.fb, s.side = hi, right[chi], 0
+            secant(s)
+        elif clo != chi:
+            walk(s, -np.inf, np.inf)
 
-    def advance(task, reply):
-        try:
-            waiting.append((task, task.send(reply)))
-        except StopIteration as done:
-            roots, children = done.value
-            out.extend(roots)
-            for child in children:
-                advance(_bracket(*child), None)
+    def secant(s):
+        a, b = s.a, s.b
+        x = b - s.fb * (b - a) / (s.fb - s.fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                return walk(s, a, b)
+        s.phase, s.x, s.asks = SECANT, x, [x]
+        live.append(s)
 
-    ends = measure([x for segment in segments for x in segment])
-    for (lo, hi), left, right in zip(segments, ends[0::2], ends[1::2]):
-        advance(_bracket(lo, hi, left, right), None)
-    while waiting:
-        batch = waiting[:]
-        waiting.clear()
-        replies = iter(measure([x for _, points in batch for x in points]))
-        for task, points in batch:
-            advance(task, [next(replies) for _ in points])
-    return sorted(out)
+    def probe(s, delta):
+        if not delta > 0.0:
+            return walk(s, -np.inf, np.inf)
+        x, a, b = s.x, s.a, s.b
+        s.asks = [p for p in (x - delta, x + delta) if a < p < b]
+        if not s.asks:
+            return walk(s, a, b)
+        s.phase, s.delta = PROBE, delta
+        live.append(s)
+
+    def walk(s, xl, xr):
+        s.phase, s.xl, s.xr, s.floor = WALK, xl, xr, BRACKET_FLOOR * max(1.0, abs(s.lo), abs(s.hi))
+        step(s, s.lo, s.hi)
+
+    def step(s, lo, hi):
+        # every walked bracket lies in the one the walk started from, so
+        # one wider than that one's floor is not final
+        xl, xr, floor = s.xl, s.xr, s.floor
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= floor:
+                if hi - lo <= BRACKET_FLOOR * max(1.0, abs(lo), abs(hi)) or not lo < mid < hi:
+                    return roots.append((mid, s.clo - s.chi))
+            if mid <= xl:
+                lo, s.left = mid, None
+            elif mid >= xr:
+                hi, s.right = mid, None
+            else:
+                break
+        s.lo, s.hi, s.asks = lo, hi, [mid]
+        live.append(s)
+
+    rows = eigs(np.array([x for segment in segments for x in segment])).tolist()
+    for (lo, hi), left, right in zip(segments, rows[0::2], rows[1::2]):
+        start(lo, hi, bisect_left(left, 0.0), bisect_left(right, 0.0), left, right)
+    while live:
+        batch, live = live, []
+        rows = iter(eigs(np.array([x for s in batch for x in s.asks])).tolist())
+        for s in batch:
+            clo, chi = s.clo, s.chi
+            if s.phase == WALK:
+                row = next(rows)
+                count, mid = bisect_left(row, 0.0), s.asks[0]
+                if clo - chi > 1 and sorted(map(abs, row))[clo - chi - 1] <= bound(row):
+                    roots.append((mid, clo - chi))
+                elif count == clo:
+                    s.left = row
+                    step(s, mid, s.hi)
+                elif count == chi:
+                    s.right = row
+                    step(s, s.lo, mid)
+                else:
+                    start(s.lo, mid, clo, count, s.left, row)
+                    start(mid, s.hi, count, chi, row, s.right)
+            elif s.phase == SECANT:
+                row = next(rows)
+                count, rounding, x, fx = bisect_left(row, 0.0), bound(row), s.x, row[chi]
+                if count != clo and count != chi:
+                    walk(s, -np.inf, np.inf)
+                elif abs(fx) <= 8.0 * rounding:
+                    # numpy's division: an unchanged f gives an infinite or NaN delta
+                    probe(s, float(16.0 * rounding * (x - s.px) / np.float64(fx - s.pf)))
+                else:
+                    if fx < 0.0:
+                        if s.side < 0:
+                            m = 1.0 - fx / s.fa
+                            s.fb *= m if m > 0.0 else 0.5
+                        s.a, s.fa, s.side = x, fx, -1
+                    else:
+                        if s.side > 0:
+                            m = 1.0 - fx / s.fb
+                            s.fa *= m if m > 0.0 else 0.5
+                        s.b, s.fb, s.side = x, fx, 1
+                    s.px, s.pf = x, fx
+                    secant(s)
+            else:
+                a, b = s.a, s.b
+                for p, row in zip(s.asks, [next(rows) for _ in s.asks]):
+                    count, rounding = bisect_left(row, 0.0), bound(row)
+                    if count == clo and row[chi] < -8.0 * rounding:
+                        a = max(a, p)
+                    elif count == chi and row[chi] > 8.0 * rounding:
+                        b = min(b, p)
+                    elif count != clo and count != chi:
+                        a = b  # the window is given up
+                        break
+                if a < b:
+                    s.a, s.b = a, b
+                    probe(s, 16.0 * s.delta)
+                else:
+                    walk(s, -np.inf, np.inf)
+    return sorted(roots)
 
 
 def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> SpectrumResult:
@@ -291,9 +299,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     basis = params.range_basis
 
     gaps = tuple(system.excluded.gaps_in(lo, hi))
-    segments = [
-        (_admissible_start(system.excluded, a), b) for a, b in _complement(lo, hi, gaps)
-    ]
+    segments = _segments(system.excluded, lo, hi, gaps)
     metadata = {
         "scope": SCOPE_NOTE,
         "window": [lo, hi],
@@ -306,9 +312,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
         return SpectrumResult((), gaps, metadata)
 
     def eigs(lams):
-        return np.linalg.eigvalsh(
-            _hermitian_part(secular_matrix(system, params, lams))
-        )
+        return np.linalg.eigvalsh(_hermitian_part(secular_matrix(system, params, lams)))
 
     theta_norm = float(np.linalg.norm(params.theta, 2))
     roots = _isolate(eigs, segments, theta_norm)
@@ -317,18 +321,13 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     if roots:
         lams = np.array([lam for lam, _ in roots])
         ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams)))
-        for (lam, drop), w, u in zip(roots, ws, us):
-            near = np.argsort(np.abs(w), kind="stable")[:drop]
-            if np.max(np.abs(w[near])) > KERNEL_TOL:
+        size = np.abs(ws)
+        order = np.argsort(size, axis=1, kind="stable")
+        least = np.take_along_axis(size, order, axis=1).tolist()
+        for (lam, drop), near, small, u in zip(roots, order.tolist(), least, us):
+            if small[drop - 1] > KERNEL_TOL:
                 continue  # the drop did not close onto a kernel
-            results.append(
-                EigenResult(
-                    lam=lam,
-                    sigma_min=float(np.min(np.abs(w))),
-                    multiplicity=drop,
-                    null_basis=basis @ u[:, np.sort(near)],
-                )
-            )
+            results.append(EigenResult(lam, small[0], drop, basis @ u[:, sorted(near[:drop])]))
     metadata["found_count"] = sum(r.multiplicity for r in results)
     return SpectrumResult(tuple(results), gaps, metadata)
 

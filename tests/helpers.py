@@ -168,6 +168,14 @@ def reference_subtract_gaps(lo, hi, gaps):
     return [(a, b) for a, b in segments if b > a]
 
 
+def reference_admissible_start(excluded, lo):
+    """The first float at or above ``lo`` outside the excluded set, one
+    ``contains`` call per float, as the search first found its segment starts."""
+    while excluded.contains(lo):
+        lo = float(np.nextafter(lo, np.inf))
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # frozen copies of the secular-stack formation: every label compressed, the
 # blocks copied one by one, the point mask built per call and three guard
@@ -309,8 +317,8 @@ def depth_first_search(model, params, window):
     basis = params.range_basis
     gaps = tuple(system.excluded.gaps_in(lo, hi))
     segments = [
-        (spectral._admissible_start(system.excluded, a), b)
-        for a, b in spectral._complement(lo, hi, gaps)
+        (reference_admissible_start(system.excluded, a), b)
+        for a, b in reference_subtract_gaps(lo, hi, gaps)
     ]
     metadata = {
         "scope": spectral.SCOPE_NOTE,

@@ -638,6 +638,11 @@ INVALID_INPUTS = {
         [],
         "ConfigError: extension dimension 1 does not match the model boundary dimension 2",
     ),
+    "preset-not-string": (
+        interval_job({"name": "resolvent", "input": {"preset": ["sin_k"]}}),
+        [],
+        "ConfigError: resolvent input 'preset' must be a string, got ['sin_k']",
+    ),
     "unknown-preset": (
         interval_job({"name": "resolvent", "input": {"preset": "gauss"}}),
         [],
@@ -662,6 +667,11 @@ INVALID_INPUTS = {
         interval_job({"window": [-0.5, 0.5]}),
         [],
         "ConfigError: job needs a task object with a 'name'",
+    ),
+    "task-name-not-string": (
+        interval_job({"name": ["spectrum"], "window": [-0.5, 0.5]}),
+        [],
+        "ConfigError: task 'name' must be a string, got ['spectrum']",
     ),
     "no-model": (
         {"extension": neumann_extension(), "task": {"name": "verify"}},

@@ -555,6 +555,49 @@ def test_robin_star_search_equals_depth_first_bisection(lengths, centre, tip):
     assert_same_search(got, depth_first_search(graph, params, window))
 
 
+def _same_search(model, params, window):
+    got = kx.eigenvalue_search(_weyl_for(model), params, window)
+    assert_same_search(got, depth_first_search(model, params, window))
+
+
+@settings(max_examples=60)
+@given(
+    a=st.floats(0.5, 4.0),
+    theta=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    lo=st.floats(-80.0, -2.0),
+    width=st.floats(4.0, 80.0),
+)
+def test_random_robin_interval_search_equals_depth_first_bisection(a, theta, lo, width):
+    params = ExtensionParams.full(np.diag(theta).astype(complex))
+    _same_search(kx.IntervalModel(a), params, (lo, lo + width))
+
+
+@settings(max_examples=60)
+@given(
+    lengths=st.lists(st.floats(0.3, 2.5), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.floats(-40.0, 0.0),
+    width=st.floats(1.0, 45.0),
+)
+def test_random_graph_search_equals_depth_first_bisection(lengths, seed, lo, width):
+    theta = random_hermitian(np.random.default_rng(seed), 2 * len(lengths), 2.0)
+    _same_search(kx.GraphModel(tuple(lengths)), ExtensionParams.full(theta), (lo, lo + width))
+
+
+@settings(max_examples=60)
+@given(
+    centres=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.floats(-1.0, 2.0),
+    width=st.floats(1.0, 10.0),
+)
+def test_random_point_model_search_equals_depth_first_bisection(centres, seed, lo, width):
+    rng = np.random.default_rng(seed)
+    model = kx.PointModel(rng.uniform(-1.5, 1.5, (centres, 3)))
+    params = ExtensionParams.full(np.diag(rng.uniform(-0.25, 0.1, centres)).astype(complex))
+    _same_search(model, params, (lo, lo + width))
+
+
 def test_long_interval_counts_the_drops_it_cannot_report():
     # two of the three count drops in this window stay above KERNEL_TOL at
     # their roots: counted in expected_count, not reported
@@ -643,7 +686,7 @@ def test_failed_probes_widen_the_window():
     assert spreads[1] == pytest.approx(16.0 * spreads[0])
 
 
-# each of _window's four ways to give up, on the branch w = lam - 1.5 of
+# each of the four ways to give a window up, on the branch w = lam - 1.5 of
 # (0, 3), whose first secant step lands exactly on the root: the bracket
 # then evaluates every midpoint of the plain bisection, whose roots it
 # must still give to the bit
@@ -664,16 +707,18 @@ def _line_with(bands):
 
 
 def _abandoned_window(monkeypatch, eigs):
-    """The points of each round, once the first window came back None."""
-    windows, window = [], spectral._window
+    """The points of each round, once the first window was given up: the
+    first bracket, (0, 3), then walks with no window."""
+    brackets = []
 
-    def recorded(*args):
-        windows.append((yield from window(*args)))
-        return windows[-1]
+    class Recorded(spectral._Bracket):
+        def __init__(self, *args):
+            super().__init__(*args)
+            brackets.append(self)
 
-    monkeypatch.setattr(spectral, "_window", recorded)
+    monkeypatch.setattr(spectral, "_Bracket", Recorded)
     calls = _isolate_against_plain_bisection(eigs)
-    assert windows[0] is None
+    assert (brackets[0].xl, brackets[0].xr) == (-np.inf, np.inf)
     assert len(calls) > 50  # the midpoints the window would have skipped
     return calls
 
