@@ -8,6 +8,10 @@ lambda array must equal the one stored in ``stored_search_rounds.json``
 beside this file. Equal rounds mean equal Gamma, LAPACK and guard counts,
 and the points of a round may be gathered in any order.
 
+The interval searches of the spectrum plans of seeds 1-10 whose theta has
+a -0.0 part (a negative Robin constant times a complex identity) are pinned
+too, by one sha256 per search over the hashes of its rounds.
+
 Run this file as a script to print the hashes of the current code.
 """
 
@@ -30,6 +34,7 @@ HERE = Path(__file__).resolve().parent
 BENCH = HERE.parent / "bench"
 SEED = 3
 N_SEARCHES = 72
+SIGNED_ZERO_SEEDS = range(1, 11)
 
 
 def _workloads():
@@ -63,6 +68,29 @@ def plan_searches(tmp):
     ]
 
 
+def _has_signed_zero(theta) -> bool:
+    parts = np.asarray(theta, dtype=complex).view(float)
+    return bool(np.any((parts == 0.0) & np.signbit(parts)))
+
+
+def signed_zero_searches(tmp) -> dict:
+    """The plans' interval searches whose theta has a -0.0 part, by "seed:index"."""
+    searches = {}
+    for seed in SIGNED_ZERO_SEEDS:
+        workload = WORKLOADS.make_workload("spectrum", seed, HERE.parent, tmp)
+        for i, (family, inst) in enumerate(workload.plan):
+            if family == "interval":
+                system, params = WORKLOADS.interval_system(kx, inst["theta"])
+                if _has_signed_zero(params.theta):
+                    searches[f"{seed}:{i}"] = (system, params, WORKLOADS.WINDOWS[family])
+    return searches
+
+
+def search_digest(system, params, window) -> str:
+    """One sha256 over the round hashes of one search."""
+    return hashlib.sha256("".join(search_rounds(system, params, window)).encode()).hexdigest()
+
+
 def case_search(name):
     build, window = SEARCH_CASES[name]
     model, params = build()
@@ -73,6 +101,7 @@ def current_rounds(tmp) -> dict:
     return {
         "plan": [search_rounds(*search) for search in plan_searches(tmp)],
         "cases": {name: search_rounds(*case_search(name)) for name in sorted(SEARCH_CASES)},
+        "signed_zero": {key: search_digest(*search) for key, search in signed_zero_searches(tmp).items()},
     }
 
 
@@ -91,6 +120,14 @@ def test_seed_3_plan_searches_keep_their_rounds(stored, tmp_path):
     assert len(searches) == N_SEARCHES
     for i, search in enumerate(searches):
         assert search_rounds(*search) == stored["plan"][i], i
+
+
+def test_signed_zero_interval_searches_keep_their_rounds(stored, tmp_path):
+    searches = signed_zero_searches(tmp_path)
+    assert len(searches) >= 100
+    assert sorted(searches) == sorted(stored["signed_zero"])
+    for key, search in searches.items():
+        assert search_digest(*search) == stored["signed_zero"][key], key
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
