@@ -9,17 +9,12 @@ finite-difference and closed-form oracles.
 """
 
 from .krein import (
-    DirichletExclusions,
     ExcludedPointError,
     ExtensionParams,
     ExtensionSingularError,
     GreenCombination,
-    GridMismatchError,
-    GridTooCoarseError,
-    HalfLineExclusions,
     ModelConsistencyError,
     Resolvent,
-    SmoothFunction,
     UnsupportedModelError,
     ValidationReport,
     WeylSystem,
@@ -37,12 +32,17 @@ from .linalg import (
     projector_from_span,
 )
 from .models import (
+    DirichletExclusions,
     EdgeWeylSystem,
     GraphModel,
+    GridMismatchError,
+    GridTooCoarseError,
+    HalfLineExclusions,
     IntervalModel,
     PointModel,
     PointWeylSystem,
     SampledKernels,
+    SmoothFunction,
     SpinPointModel,
     VertexGroup,
     cosine_mode,

@@ -112,6 +112,11 @@ def failure_of(exc: Exception) -> JobFailure | None:
     return None
 
 
+def _number(value, integer: bool = False) -> bool:
+    """True for a JSON number, or with ``integer`` for a JSON integer; a bool is neither."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 def _conditions_obj(cond) -> dict:
     return {**dataclasses.asdict(cond), "consistent": cond.consistent}
 
@@ -161,7 +166,8 @@ def cmd_spectrum(config, system, params, given):
     if (
         not isinstance(window, (list, tuple))
         or len(window) != 2
-        or not float(window[0]) < float(window[1])
+        or not all(_number(x) for x in window)
+        or not window[0] < window[1]
     ):
         raise ConfigError(f"spectrum task needs a real window [lo, hi], got {window!r}")
     result = eigenvalue_search(system, params, window)
@@ -214,8 +220,13 @@ def cmd_resolvent(config, system, params, given):
             "resolvent task needs a quadrature model (interval or graph); "
             "point models support Green-function combinations in-process only"
         )
-    z = serialize.complex_from_pair(task.get("z", [1.0, 1.0]))
-    nodes = int(task.get("grid", 2000))
+    z = task.get("z", [1.0, 1.0])
+    if not (isinstance(z, list) and len(z) == 2 and all(_number(x) for x in z)):
+        raise ConfigError(f"resolvent task 'z' must be [re, im] with real re and im, got {z!r}")
+    z = serialize.complex_from_pair(z)
+    nodes = task.get("grid", 2000)
+    if not _number(nodes, integer=True):
+        raise ConfigError(f"resolvent task 'grid' must be an integer, got {nodes!r}")
     grids = verify.edge_grids(system, nodes)
     spec = task.get("input", {"preset": "sin_k", "k": 1})
     if not isinstance(spec, dict):
@@ -224,6 +235,8 @@ def cmd_resolvent(config, system, params, given):
         raise ConfigError(f"resolvent input 'preset' must be a string, got {spec['preset']!r}")
     if spec.get("preset") not in verify.PRESETS:
         raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
+    if spec["preset"] == "sin_k" and not _number(spec.get("k", 1), integer=True):
+        raise ConfigError(f"resolvent input 'k' must be an integer, got {spec['k']!r}")
     psi = verify.preset_samples(system, spec, z, grids)
 
     resolvent = Resolvent(system, params, z)

@@ -1,18 +1,16 @@
-"""Model-independent self-adjoint extension machinery: the Krein formula.
+"""Model-independent self-adjoint extension machinery: the Krein recipe.
 
 Two objects carry the data: :class:`ExtensionParams`, the pair of an
 orthogonal boundary projector and a self-adjoint operator on its range
 that labels one extension (checked when it is built, and carrying the
 range and kernel bases of the projector), and :class:`WeylSystem`, the
-analytic data every model carries (the Weyl family z -> Gamma(z), the Gram
-matrix and the deficiency-element map G(z)). On top of those,
-:class:`Resolvent` is the extension's resolvent at one spectral parameter by
-the Krein formula: it judges whether z is regular, forms the correction and
-applies the resolvent. The edge and point systems, with the maps only
-their family has, are defined beside their kernels in
-:mod:`kreinext.models`, which this module does not import: the sampled
-resolvent recognises an edge system by its ``sampled_kernels``. The probes
-of the identities the Weyl family must satisfy live in
+analytic data every model carries (its excluded spectrum, the Weyl family
+z -> Gamma(z), the Gram matrix and the deficiency-element map G(z)). From
+those alone the secular matrix gives every extension's point spectrum, and
+:class:`Resolvent` its resolvent at one z by the Krein formula. All model
+data (each family's systems, excluded spectra, closed-form edge functions
+and grid rules) live in :mod:`kreinext.models`, which this module does not
+import. The probes of the identities the Weyl family must satisfy live in
 :mod:`kreinext.verify`.
 """
 
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,21 +29,15 @@ from .quad import simpson  # noqa: F401
 __all__ = [
     "SINGULARITY_RTOL",
     "PARAMS_RTOL",
-    "MIN_EDGE_NODES",
     "ExcludedPointError",
     "ExtensionSingularError",
     "ModelConsistencyError",
     "UnsupportedModelError",
-    "GridTooCoarseError",
-    "GridMismatchError",
-    "SmoothFunction",
     "WeylSystem",
     "ExtensionParams",
     "ValidationReport",
     "GreenCombination",
     "Resolvent",
-    "DirichletExclusions",
-    "HalfLineExclusions",
     "check_admissible",
     "validate_params",
     "secular_matrix",
@@ -58,7 +50,6 @@ __all__ = [
 
 SINGULARITY_RTOL = 1e-12
 PARAMS_RTOL = 1e-12
-MIN_EDGE_NODES = 501
 
 
 class ExcludedPointError(ValueError):
@@ -81,186 +72,12 @@ class UnsupportedModelError(ValueError):
     """The requested operation needs analytic data this model does not carry."""
 
 
-class GridTooCoarseError(ValueError):
-    """Sample grid below the documented quadrature floor."""
-
-
-class GridMismatchError(ValueError):
-    """Sample grid that does not span its edge uniformly, or samples of another length."""
-
-
-# ---------------------------------------------------------------------------
-# closed-form scalar functions
-
-
-@dataclass(frozen=True)
-class SmoothFunction:
-    """A function given by value, derivative and second-derivative callables.
-
-    Used wherever an operation needs exact traces or exact images under the
-    differential operator (Green identity probes, boundary residuals);
-    supports the linear arithmetic needed to assemble such inputs.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        return self.f(x)
-
-    def __add__(self, other: "SmoothFunction") -> "SmoothFunction":
-        return SmoothFunction(
-            lambda x, a=self, b=other: a.f(x) + b.f(x),
-            lambda x, a=self, b=other: a.df(x) + b.df(x),
-            lambda x, a=self, b=other: a.d2f(x) + b.d2f(x),
-        )
-
-    def __sub__(self, other: "SmoothFunction") -> "SmoothFunction":
-        return self + (-1.0) * other
-
-    def __mul__(self, c) -> "SmoothFunction":
-        c = complex(c)
-        return SmoothFunction(
-            lambda x, a=self: c * a.f(x),
-            lambda x, a=self: c * a.df(x),
-            lambda x, a=self: c * a.d2f(x),
-        )
-
-    __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
-# excluded spectral sets
-
-
-class DirichletExclusions:
-    """Union of edge Dirichlet spectra {-(n pi / a_e)^2 : n >= 1}.
-
-    Each pole carries a guard radius of ``guard_rel`` times the local pole
-    spacing; evaluation inside a guard ball is refused to avoid the
-    catastrophic cancellation of sin(sqrt(-z) a) near its zeros.
-    """
-
-    guard_rel = 1e-8
-
-    def __init__(self, lengths: Sequence[float]):
-        self.lengths = tuple(float(a) for a in lengths)
-        if not self.lengths or any(a <= 0 for a in self.lengths):
-            raise ValueError("edge lengths must be positive")
-        self._a = np.array(self.lengths)
-        self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
-        # a candidate n of z is at most sqrt(max(-Re z, 0)) a / pi + 1, so no guard
-        # radius guard_rel (2 n + 1) (pi / a)^2 of z exceeds the bound
-        # guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2;
-        # contains rejects beyond twice the bound, which _reject carries
-        self._slope = 2.0 * self._a.max() / np.pi
-        self._reject = 2.0 * self.guard_rel * self._unit.max()
-
-    def _nearest(self, z):
-        """Distances to the candidate poles nearest z, with their indices n.
-
-        Per edge the candidates are n = floor and ceil of sqrt(-Re z) a / pi,
-        raised to 1, for all edges and points at once; the arrays have shape
-        (*z.shape, 2, edges). Below n = 2 the floor is the pole n = 1, so
-        that pole needs no candidate of its own. Squares go through
-        ``float_power`` (C ``pow``) and moduli through ``hypot``, as in
-        Python float arithmetic, so an array gets the same answers as its
-        entries one by one.
-        """
-        z = np.asarray(z, dtype=complex)
-        zr, zi = z.real[..., None, None], z.imag[..., None, None]
-        base = np.sqrt(np.maximum(-zr, 0.0)) * self._a / np.pi
-        n = np.maximum(np.concatenate([np.floor(base), np.ceil(base)], -2), 1.0)
-        pole = -np.float_power(n * np.pi / self._a, 2)
-        return np.hypot(zr - pole, zi), n
-
-    def distance(self, z) -> float:
-        """Distance from the scalar z to the nearest edge Dirichlet eigenvalue."""
-        return float(np.min(self._nearest(complex(z))[0]))
-
-    def contains(self, z):
-        """True where z (a scalar or an array) lies in a guard ball.
-
-        A z whose |Im z| exceeds twice the bound on its guard radii,
-        guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2,
-        lies in none. One vectorised test rejects those, and only the rest go
-        through the nearest-pole test; a call whose z are all real skips the
-        rejection. The answers are the nearest-pole test's, and a scalar z
-        gives a bool.
-        """
-        z = np.asarray(z, dtype=complex)
-        # count_nonzero costs a fraction of any() and all() on small arrays
-        if np.count_nonzero(z.imag):
-            odd = self._slope * np.sqrt(np.maximum(-z.real, 0.0)) + 3.0  # >= 2 n + 1
-            near = np.abs(z.imag) <= self._reject * odd
-            count = np.count_nonzero(near)
-            if count < near.size:
-                hit = np.zeros(z.shape, dtype=bool)
-                if count:
-                    hit[near] = self._in_guard(z[near])
-                return hit if hit.ndim else bool(hit)
-        hit = self._in_guard(z)
-        return hit if hit.ndim else bool(hit)
-
-    def _in_guard(self, z):
-        """The nearest-pole test of :meth:`contains` at every entry of z."""
-        dist, n = self._nearest(z)
-        return (dist <= self.guard_rel * (2 * n + 1) * self._unit).any(axis=(-2, -1))
-
-    def gaps_in(self, lo: float, hi: float):
-        # reported gaps are twice the evaluation guard, so scanning up to a
-        # gap edge can never land inside a guard ball; each edge's candidate
-        # poles are one array, squared by float_power (C pow, as Python's **)
-        gaps = []
-        for a, unit in zip(self.lengths, self._unit.tolist()):
-            n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
-            n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
-            n = np.arange(max(1, n_lo - 1), n_hi + 2, dtype=float)
-            pole = -np.float_power(n * np.pi / a, 2)
-            g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)
-            meets = (pole + g >= lo) & (pole - g <= hi)
-            gaps += zip(np.maximum(lo, pole - g)[meets].tolist(), np.minimum(hi, pole + g)[meets].tolist())
-        return _merge_intervals(gaps)
-
-    def describe(self) -> str:
-        return "union of edge Dirichlet spectra {-(n*pi/a)^2, n>=1} for a in " + str(
-            self.lengths
-        )
-
-
-class HalfLineExclusions:
-    """The half line (-inf, upper] on the real axis."""
-
-    def __init__(self, upper: float):
-        self.upper = float(upper)
-
-    def distance(self, z) -> float:
-        z = complex(z)
-        if z.real <= self.upper:
-            return abs(z.imag)
-        return abs(z - self.upper)
-
-    def contains(self, z):
-        """True where z (a scalar or an array) lies on the half line."""
-        z = np.asarray(z, dtype=complex)
-        hit = (z.imag == 0.0) & (z.real <= self.upper)
-        return hit if hit.ndim else bool(hit)
-
-    def gaps_in(self, lo: float, hi: float):
-        if lo <= self.upper:
-            return [(lo, min(hi, self.upper))]
-        return []
-
-    def describe(self) -> str:
-        return f"the half line (-inf, {self.upper!r}]"
-
-
 def check_admissible(excluded, z) -> None:
     """Raise :class:`ExcludedPointError` naming the first entry of z inside ``excluded``.
 
-    ``z`` is a scalar or an array; every entry is checked by one vectorised
-    ``excluded.contains`` call. A NaN or infinite entry is no spectral
+    ``excluded`` is an exclusion set of :mod:`kreinext.models`, or any object
+    with a vectorised ``contains`` and a ``describe``. ``z`` is a scalar or an
+    array; every entry is checked by one ``excluded.contains`` call. A NaN or infinite entry is no spectral
     parameter: it raises ``ValueError`` naming it, before the exclusion test.
     """
     finite = np.isfinite(z)
@@ -275,16 +92,6 @@ def check_admissible(excluded, z) -> None:
         )
 
 
-def _merge_intervals(intervals):
-    out = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # model data
 
@@ -297,7 +104,9 @@ class WeylSystem:
     ------
     n : boundary-space dimension.
     kind : "interval", "graph", "points" or "spin_points"; a label only.
-    excluded : the spectrum of the free operator, as an exclusion set object.
+    excluded : the spectrum of the free operator, as an exclusion set: an
+        object with ``contains``, ``distance``, ``gaps_in`` and ``describe``,
+        such as those of :mod:`kreinext.models`.
     gamma : the Weyl family. A scalar z gives the n x n matrix Gamma(z); a 1-D
         array of m values gives the (m, n, n) stack Gamma(z_0), ..., Gamma(z_m-1),
         bit-for-bit equal to m scalar calls. Every z is checked against
@@ -342,11 +151,8 @@ class ExtensionParams:
     init, repr or compare fields; every operation that compresses to the
     range reads them instead of diagonalising ``pi`` again. The private
     attribute ``_uncompressed`` records whether ``range_basis`` is exactly
-    the identity, as for every label of :meth:`full`, and ``theta`` has no
-    -0.0 part: for such a label V^*(theta + gamma)V is theta + gamma to
-    the bit, so it needs no compression. (With V = I the products only add
-    zeros, which keep every part but a -0.0; theta + gamma has one only
-    where theta has.)
+    the identity, as for every label of :meth:`full`: such a label's
+    secular matrix is theta + Gamma(z), with no products by V.
     """
 
     pi: np.ndarray
@@ -371,9 +177,7 @@ class ExtensionParams:
             basis.setflags(write=False)
             object.__setattr__(self, name, basis)
         identity = np.array_equal(self.range_basis, np.eye(pi.shape[0]))
-        # theta + 0.0 turns exactly the -0.0 parts into +0.0
-        unsigned = (theta + 0.0).tobytes() == theta.tobytes()
-        object.__setattr__(self, "_uncompressed", identity and unsigned)
+        object.__setattr__(self, "_uncompressed", identity)
 
     @property
     def n(self) -> int:
@@ -433,7 +237,8 @@ def validate_params(pi, theta) -> ValidationReport:
 def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:
     """Compression V^*(theta + Gamma(z))V of theta + pi Gamma(z) pi to range(pi).
 
-    V is the label's ``range_basis``. The vanishing of the determinant at
+    V is the label's ``range_basis``; for the identity frame (pi = 1) the
+    matrix is theta + Gamma(z). The vanishing of the determinant at
     real admissible lambda is the secular equation for the point spectrum;
     the inverse drives the Krein correction. A scalar z gives one r x r
     matrix, a 1-D array of m values the (m, r, r) stack from one
@@ -448,8 +253,8 @@ def secular_matrix(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray
 
 def _compress(params, z, gamma):
     """V^*(theta + gamma)V for gamma = Gamma(z) already evaluated, formed as
-    theta + gamma for a label that needs no compression; a non-finite
-    matrix raises :class:`ModelConsistencyError` naming its z."""
+    theta + gamma for the identity frame; a non-finite matrix raises
+    :class:`ModelConsistencyError` naming its z."""
     if params._uncompressed:
         m = params.theta + gamma
     else:
@@ -537,8 +342,9 @@ class Resolvent:
         """Samples of the resolvent applied to the samples ``psi`` on ``grid``.
 
         The free resolvent, G(conj(z))^* and G(z) come from one
-        ``system.sampled_kernels(z, grid)`` call, which checks z; a later call
-        on a grid with the same bytes on every edge reuses those kernels.
+        ``system.sampled_kernels(z, grid)`` call, which checks z, and whose
+        kernels check the grid and the samples as they integrate; a later
+        call on a grid with the same bytes on every edge reuses those kernels.
         Samples that are not finite on some edge raise
         :class:`ModelConsistencyError`. Only edge models (the systems with
         ``sampled_kernels``) have samples; point models use :meth:`apply_green`.
@@ -549,13 +355,7 @@ class Resolvent:
                 f"model kind {system.kind!r} has no sampled resolvent; "
                 "use apply_resolvent_green with a Green-function combination"
             )
-        # an entry that is not a 1-D grid is left to sampled_kernels, which names the mismatch
         edges = [np.asarray(g) for g in system.edges(grid)]
-        for g in edges:
-            if g.ndim == 1 and len(g) < MIN_EDGE_NODES:
-                raise GridTooCoarseError(
-                    f"need at least {MIN_EDGE_NODES} nodes per edge, got {len(g)}"
-                )
         # the kernels depend only on the grid's bytes; the copy that keeps them
         # is taken after the samples are formed, because a copy held during
         # that work made an 8-edge apply about 7 % slower in timings

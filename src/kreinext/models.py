@@ -23,6 +23,15 @@ sampled kernels, the boundary traces, G(z) zeta in closed form and the
 renormalised trace are methods that read the system's model data. Each
 checks z and shapes before the private kernels below run.
 
+The rest of the model data lives here too, so that a new family needs no
+change to :mod:`kreinext.krein`: the excluded spectra a system carries
+(:class:`DirichletExclusions` on edges, :class:`HalfLineExclusions` for
+points), the closed-form edge functions (:class:`SmoothFunction`) and the
+edge grid rules. :class:`SampledKernels` integrates only on grids of at
+least ``MIN_EDGE_NODES`` nodes per edge (else :class:`GridTooCoarseError`)
+that run uniformly from 0 to the edge length (else
+:class:`GridMismatchError`).
+
 Spectral-parameter conventions: the free operator is the second derivative
 (respectively the 3-D Laplacian), not its negative, so interval Dirichlet
 spectra sit at -(n pi / a)^2 and point models exclude the half line
@@ -40,23 +49,20 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .krein import (
-    DirichletExclusions,
-    ExtensionParams,
-    GridMismatchError,
-    HalfLineExclusions,
-    ModelConsistencyError,
-    SmoothFunction,
-    WeylSystem,
-    check_admissible,
-)
+from .krein import ExtensionParams, ModelConsistencyError, WeylSystem, check_admissible
 from .quad import cumulative_simpson, simpson
 
 __all__ = [
+    "MIN_EDGE_NODES",
+    "GridTooCoarseError",
+    "GridMismatchError",
+    "SmoothFunction",
+    "DirichletExclusions",
+    "HalfLineExclusions",
     "IntervalModel",
     "GraphModel",
     "PointModel",
@@ -83,6 +89,16 @@ MIN_CENTER_DISTANCE = 1e-9
 # fraction of the length, with every step equal to the first to this fraction.
 GRID_END_RTOL = 1e-12
 GRID_STEP_RTOL = 1e-9
+# The sampled kernels integrate only on grids of at least this many nodes per edge.
+MIN_EDGE_NODES = 501
+
+
+class GridTooCoarseError(ValueError):
+    """Sample grid below the documented quadrature floor."""
+
+
+class GridMismatchError(ValueError):
+    """Sample grid that does not span its edge uniformly, or samples of another length."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +199,43 @@ class SpinPointModel:
 # closed-form building blocks (shared by tests and presets)
 
 
+@dataclass(frozen=True)
+class SmoothFunction:
+    """A function given by value, derivative and second-derivative callables.
+
+    Used wherever an operation needs exact traces or exact images under the
+    differential operator (Green identity probes, boundary residuals);
+    supports the linear arithmetic needed to assemble such inputs.
+    """
+
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
+    d2f: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def __add__(self, other: "SmoothFunction") -> "SmoothFunction":
+        return SmoothFunction(
+            lambda x, a=self, b=other: a.f(x) + b.f(x),
+            lambda x, a=self, b=other: a.df(x) + b.df(x),
+            lambda x, a=self, b=other: a.d2f(x) + b.d2f(x),
+        )
+
+    def __sub__(self, other: "SmoothFunction") -> "SmoothFunction":
+        return self + (-1.0) * other
+
+    def __mul__(self, c) -> "SmoothFunction":
+        c = complex(c)
+        return SmoothFunction(
+            lambda x, a=self: c * a.f(x),
+            lambda x, a=self: c * a.df(x),
+            lambda x, a=self: c * a.d2f(x),
+        )
+
+    __rmul__ = __mul__
+
+
 def sine_mode(freq: float) -> SmoothFunction:
     freq = float(freq)
     return SmoothFunction(
@@ -239,6 +292,136 @@ def _boundary_vector(zeta, n: int) -> np.ndarray:
     if zeta.shape != (n,):
         raise ValueError(f"need a boundary vector of length {n}, got shape {zeta.shape}")
     return zeta
+
+
+# ---------------------------------------------------------------------------
+# excluded spectral sets
+
+
+class DirichletExclusions:
+    """Union of edge Dirichlet spectra {-(n pi / a_e)^2 : n >= 1}.
+
+    Each pole carries a guard radius of ``guard_rel`` times the local pole
+    spacing; evaluation inside a guard ball is refused to avoid the
+    catastrophic cancellation of sin(sqrt(-z) a) near its zeros.
+    """
+
+    guard_rel = 1e-8
+
+    def __init__(self, lengths: Sequence[float]):
+        self.lengths = tuple(float(a) for a in lengths)
+        if not self.lengths or any(a <= 0 for a in self.lengths):
+            raise ValueError("edge lengths must be positive")
+        self._a = np.array(self.lengths)
+        self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
+        # a candidate n of z is at most sqrt(max(-Re z, 0)) a / pi + 1, so no guard
+        # radius guard_rel (2 n + 1) (pi / a)^2 of z exceeds the bound
+        # guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2;
+        # contains rejects beyond twice the bound, which _reject carries
+        self._slope = 2.0 * self._a.max() / np.pi
+        self._reject = 2.0 * self.guard_rel * self._unit.max()
+
+    def _nearest(self, z):
+        """Distances to the candidate poles nearest z, with their indices n.
+
+        Per edge the candidates are n = floor and ceil of sqrt(-Re z) a / pi,
+        raised to 1, for all edges and points at once; the arrays have shape
+        (*z.shape, 2, edges). Below n = 2 the floor is the pole n = 1, so
+        that pole needs no candidate of its own. Squares go through
+        ``float_power`` (C ``pow``) and moduli through ``hypot``, as in
+        Python float arithmetic, so an array gets the same answers as its
+        entries one by one.
+        """
+        z = np.asarray(z, dtype=complex)
+        zr, zi = z.real[..., None, None], z.imag[..., None, None]
+        base = np.sqrt(np.maximum(-zr, 0.0)) * self._a / np.pi
+        n = np.maximum(np.concatenate([np.floor(base), np.ceil(base)], -2), 1.0)
+        pole = -np.float_power(n * np.pi / self._a, 2)
+        return np.hypot(zr - pole, zi), n
+
+    def distance(self, z) -> float:
+        """Distance from the scalar z to the nearest edge Dirichlet eigenvalue."""
+        return float(np.min(self._nearest(complex(z))[0]))
+
+    def contains(self, z):
+        """True where z (a scalar or an array) lies in a guard ball.
+
+        A z whose |Im z| exceeds twice the bound on its guard radii,
+        guard_rel (2 sqrt(max(-Re z, 0)) max a / pi + 3) max (pi / a)^2,
+        lies in none. One vectorised test rejects those, and only the rest go
+        through the nearest-pole test; a call whose z are all real skips the
+        rejection. The answers are the nearest-pole test's, and a scalar z
+        gives a bool.
+        """
+        z = np.asarray(z, dtype=complex)
+        # count_nonzero costs a fraction of any() and all() on small arrays
+        if np.count_nonzero(z.imag):
+            odd = self._slope * np.sqrt(np.maximum(-z.real, 0.0)) + 3.0  # >= 2 n + 1
+            near = np.abs(z.imag) <= self._reject * odd
+            count = np.count_nonzero(near)
+            if count < near.size:
+                hit = np.zeros(z.shape, dtype=bool)
+                if count:
+                    hit[near] = self._in_guard(z[near])
+                return hit if hit.ndim else bool(hit)
+        hit = self._in_guard(z)
+        return hit if hit.ndim else bool(hit)
+
+    def _in_guard(self, z):
+        """The nearest-pole test of :meth:`contains` at every entry of z."""
+        dist, n = self._nearest(z)
+        return (dist <= self.guard_rel * (2 * n + 1) * self._unit).any(axis=(-2, -1))
+
+    def gaps_in(self, lo: float, hi: float):
+        # reported gaps are twice the evaluation guard, so scanning up to a
+        # gap edge can never land inside a guard ball; each edge's candidate
+        # poles are one array, squared by float_power (C pow, as Python's **)
+        gaps = []
+        for a, unit in zip(self.lengths, self._unit.tolist()):
+            n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
+            n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
+            n = np.arange(max(1, n_lo - 1), n_hi + 2, dtype=float)
+            pole = -np.float_power(n * np.pi / a, 2)
+            g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)
+            meets = (pole + g >= lo) & (pole - g <= hi)
+            gaps += zip(np.maximum(lo, pole - g)[meets].tolist(), np.minimum(hi, pole + g)[meets].tolist())
+        return _merge_intervals(gaps)
+
+    def describe(self) -> str:
+        return f"union of edge Dirichlet spectra {{-(n*pi/a)^2, n>=1}} for a in {self.lengths}"
+
+
+class HalfLineExclusions:
+    """The half line (-inf, upper] on the real axis."""
+
+    def __init__(self, upper: float):
+        self.upper = float(upper)
+
+    def distance(self, z) -> float:
+        z = complex(z)
+        return abs(z.imag) if z.real <= self.upper else abs(z - self.upper)
+
+    def contains(self, z):
+        """True where z (a scalar or an array) lies on the half line."""
+        z = np.asarray(z, dtype=complex)
+        hit = (z.imag == 0.0) & (z.real <= self.upper)
+        return hit if hit.ndim else bool(hit)
+
+    def gaps_in(self, lo: float, hi: float):
+        return [(lo, min(hi, self.upper))] if lo <= self.upper else []
+
+    def describe(self) -> str:
+        return f"the half line (-inf, {self.upper!r}]"
+
+
+def _merge_intervals(intervals):
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +508,20 @@ class SampledKernels:
     G(conj(z))^* psi in C^n and ``apply(zeta)`` G(z) zeta, each taking and
     returning edge functions in the system's shape. ``apply`` takes any
     points and raises ``ValueError`` for a zeta whose length is not n; the
-    other two integrate by Simpson's rule and raise
-    :class:`GridMismatchError`, naming the edge, unless its grid runs
-    uniformly from 0 to its length and psi has the grid's length.
+    other two integrate by Simpson's rule. They raise
+    :class:`GridTooCoarseError` if some edge's grid has fewer than
+    ``MIN_EDGE_NODES`` nodes, and then :class:`GridMismatchError`, naming
+    the edge, unless its grid runs uniformly from 0 to its length and psi
+    has the grid's length.
     """
 
     def __init__(self, system: EdgeWeylSystem, z, grid):
         check_admissible(system.excluded, z)
-        self._system, self._edges = system, []
+        self._system, self._edges, self._coarse = system, [], []
         for a, x in zip(system.lengths, system.edges(grid)):
             x = np.asarray(x, dtype=float)
+            if x.ndim == 1 and len(x) < MIN_EDGE_NODES:  # other shapes are _grid_problem's
+                self._coarse.append(len(x))
             # the free resolvent kernel is u(x_<) v(x_>) / w, with w None at z = 0
             if z == 0:
                 sines = (x, a - x, None)
@@ -347,7 +534,12 @@ class SampledKernels:
             self._edges.append((a, x, _grid_problem(a, x), sines, columns))
 
     def _samples(self, psi):
-        """(a, sines, columns, samples, step) of each edge, or GridMismatchError."""
+        """(a, sines, columns, samples, step) of each edge, or GridTooCoarseError
+        or GridMismatchError."""
+        if self._coarse:
+            raise GridTooCoarseError(
+                f"need at least {MIN_EDGE_NODES} nodes per edge, got {self._coarse[0]}"
+            )
         parts = self._system.edges(psi)
         for edge, ((a, x, problem, sines, columns), part) in enumerate(zip(self._edges, parts)):
             part = np.asarray(part)
@@ -398,24 +590,15 @@ def _edge_traces(a: float, psi, grid, edge: int):
     """
     if isinstance(psi, SmoothFunction):
         ends = np.array([0.0, a])
-        vals = psi.f(ends)
-        ders = psi.df(ends)
-        rho = np.array([vals[0], vals[1]], dtype=complex)
-        tau = np.array([ders[0], -ders[1]], dtype=complex)
-        return rho, tau
+        vals, ders = psi.f(ends), psi.df(ends)
+        return np.array([vals[0], vals[1]], dtype=complex), np.array([ders[0], -ders[1]], dtype=complex)
     samples = np.asarray(psi)
     if grid is None:
         raise ValueError("sampled traces need the sample grid")
     x = np.asarray(grid, dtype=float)
     h = _sample_step(a, x, samples, edge, _grid_problem(a, x))
     rho = np.array([samples[0], samples[-1]], dtype=complex)
-    tau = np.array(
-        [
-            _inward_derivative(samples, h, left=True),
-            _inward_derivative(samples, h, left=False),
-        ],
-        dtype=complex,
-    )
+    tau = np.array([_inward_derivative(samples, h, left) for left in (True, False)], dtype=complex)
     return rho, tau
 
 
@@ -783,10 +966,7 @@ class PointWeylSystem(WeylSystem):
         part at the centres, as values or as a callable."""
         point, d = self.point, len(self.b)
         charges = _boundary_vector(zeta, self.n).reshape(d, point.n_centers)
-        if callable(part):
-            vals = np.asarray(part(point.centers), dtype=complex)
-        else:
-            vals = np.asarray(part, dtype=complex)
+        vals = np.asarray(part(point.centers) if callable(part) else part, dtype=complex)
         vals = vals[None] if self.bare else vals
         if vals.shape != charges.shape:
             raise ValueError("continuous part must give a (channels, centers) array")

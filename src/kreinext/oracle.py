@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krein import DirichletExclusions, ExtensionParams, check_admissible
-from .models import GraphModel, IntervalModel
+from .krein import ExtensionParams, check_admissible
+from .models import DirichletExclusions, GraphModel, IntervalModel
 from .quad import simpson
 
 __all__ = [

@@ -134,10 +134,19 @@ def reference_point_gram(model, z, w):
     return np.exp(-a * d) * quotient / (4.0 * np.pi * (a + b))
 
 
+def reference_merge_intervals(intervals):
+    """``models._merge_intervals`` as first written: sorted intervals, overlaps joined."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
 def reference_gaps_in(excluded, lo, hi):
     """``DirichletExclusions.gaps_in`` as first written: one pole at a time in Python floats."""
-    from kreinext.krein import _merge_intervals
-
     gaps = []
     for a in excluded.lengths:
         unit = float(np.float_power(np.pi / a, 2))
@@ -148,7 +157,7 @@ def reference_gaps_in(excluded, lo, hi):
             g = 2.0 * (excluded.guard_rel * (2 * n + 1) * unit)
             if pole + g >= lo and pole - g <= hi:
                 gaps.append((max(lo, pole - g), min(hi, pole + g)))
-    return _merge_intervals(gaps)
+    return reference_merge_intervals(gaps)
 
 
 def reference_subtract_gaps(lo, hi, gaps):

@@ -618,6 +618,51 @@ INVALID_INPUTS = {
         ["--grid", "0"],
         "GridTooCoarseError: need at least 501 nodes per edge, got 0",
     ),
+    "grid-float": (
+        interval_job({"name": "resolvent", "grid": 2001.7}),
+        [],
+        "ConfigError: resolvent task 'grid' must be an integer, got 2001.7",
+    ),
+    "grid-bool": (
+        interval_job({"name": "resolvent", "grid": True}),
+        [],
+        "ConfigError: resolvent task 'grid' must be an integer, got True",
+    ),
+    "grid-string": (
+        interval_job({"name": "resolvent", "grid": "2001"}),
+        [],
+        "ConfigError: resolvent task 'grid' must be an integer, got '2001'",
+    ),
+    "k-float": (
+        interval_job({"name": "resolvent", "input": {"preset": "sin_k", "k": 1.5}}),
+        [],
+        "ConfigError: resolvent input 'k' must be an integer, got 1.5",
+    ),
+    "window-string": (
+        interval_job({"name": "spectrum", "window": ["a", 1.0]}),
+        [],
+        "ConfigError: spectrum task needs a real window [lo, hi], got ['a', 1.0]",
+    ),
+    "window-null": (
+        interval_job({"name": "spectrum", "window": [None, 1.0]}),
+        [],
+        "ConfigError: spectrum task needs a real window [lo, hi], got [None, 1.0]",
+    ),
+    "window-bool": (
+        interval_job({"name": "spectrum", "window": [False, True]}),
+        [],
+        "ConfigError: spectrum task needs a real window [lo, hi], got [False, True]",
+    ),
+    "z-string": (
+        interval_job({"name": "resolvent", "z": "x"}),
+        [],
+        "ConfigError: resolvent task 'z' must be [re, im] with real re and im, got 'x'",
+    ),
+    "z-null-part": (
+        interval_job({"name": "resolvent", "z": [1.0, None]}),
+        [],
+        "ConfigError: resolvent task 'z' must be [re, im] with real re and im, got [1.0, None]",
+    ),
     "extension-not-object": (
         {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": [1, 2]},
         [],

@@ -649,7 +649,7 @@ def test_green_identity_samples_each_charge_once_per_edge(monkeypatch):
             samples.append((a, z))
             return closed.f(x)
 
-        return krein.SmoothFunction(f, closed.df, closed.d2f)
+        return kx.SmoothFunction(f, closed.df, closed.d2f)
 
     monkeypatch.setattr(models, "_edge_green", counted_green)
     assert kx.green_identity_residual(system, phi, psi) < 1e-4

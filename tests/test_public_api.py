@@ -154,19 +154,29 @@ def test_model_systems_carry_their_maps_as_methods():
         assert hash(system) == hash(dataclasses.replace(system))  # a system stays hashable
 
 
+KREIN_CLASSES = [
+    "ExcludedPointError", "ExtensionSingularError", "ModelConsistencyError",
+    "UnsupportedModelError", "WeylSystem", "ExtensionParams", "ValidationReport",
+    "GreenCombination", "Resolvent",
+]
+
+
 def test_krein_knows_no_concrete_model():
     # krein.py keeps the model-independent recipe: it imports nothing from
-    # models and defines no subclass of WeylSystem
+    # models, defines no subclass of WeylSystem, and defines exactly the
+    # recipe's classes (no exclusion set, closed form or grid error)
     tree = ast.parse(Path(kx.krein.__file__).read_text())
     imported = [(m, name) for m, name in _imported_names(tree) if "models" in (m.split(".")[-1], name)]
     assert not imported
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     subclasses = [
         node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(ast.unparse(base).split(".")[-1] == "WeylSystem" for base in node.bases)
+        for node in classes
+        if any(ast.unparse(base).split(".")[-1] == "WeylSystem" for base in node.bases)
     ]
     assert not subclasses
+    assert [node.name for node in classes] == KREIN_CLASSES
+    assert "MIN_EDGE_NODES" not in vars(kx.krein)
 
 
 def test_verify_public_names():

@@ -206,6 +206,27 @@ def test_edge_maps_take_one_entry_per_edge_and_n_boundary_values():
             system.sampled_kernels(1j, grids).apply(np.ones(m))
 
 
+def test_the_kernels_integrate_only_on_grids_of_min_edge_nodes():
+    # the node floor is the kernels' rule: resolvent and adjoint check it
+    # before the grid's other rules, apply takes any points, and z is
+    # checked first, when the kernels are built
+    system = kx.graph_weyl(kx.GraphModel((1.0, 2.0)))
+    grids = [np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 3.0, kx.models.MIN_EDGE_NODES - 1)]
+    psi = [np.ones_like(x) + 0j for x in grids]
+    message = f"^need at least 501 nodes per edge, got {kx.models.MIN_EDGE_NODES - 1}$"
+    kernels = system.sampled_kernels(1j, grids)
+    with pytest.raises(kx.GridTooCoarseError, match=message):
+        kernels.resolvent(psi)
+    with pytest.raises(kx.GridTooCoarseError, match=message):
+        kernels.adjoint(psi[:1])
+    with pytest.raises(kx.GridTooCoarseError, match=message):
+        kx.apply_resolvent(system, ExtensionParams.trivial(4), 1j, psi, grids)
+    assert [part.shape for part in kernels.apply(np.ones(4))] == [(1001,), (500,)]
+    pole = -((PI / 2.0) ** 2)
+    with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(pole)}")):
+        kx.apply_resolvent(system, ExtensionParams.trivial(4), pole, psi, grids)
+
+
 @pytest.mark.parametrize("name", sorted(_bad_grids()))
 def test_sampled_traces_reject_a_grid_that_does_not_fit(name):
     # the boundary values are the end samples only on a grid from 0 to a

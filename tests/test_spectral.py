@@ -18,10 +18,10 @@ from helpers import (
     depth_first_search,
     random_hermitian,
     random_params,
+    reference_gamma,
     reference_gaps_in,
     reference_hermitian_part,
     reference_secular_matrix,
-    reference_secular_stack,
     reference_subtract_gaps,
 )
 
@@ -495,6 +495,15 @@ FORMATION_CASES = dict(
 )
 
 
+def _frozen_formation(model, params, z):
+    # the frozen formation, but theta + Gamma for the identity frame: there
+    # V^*(theta + Gamma)V only adds products by zeros, which can turn a -0.0
+    # part into +0.0 and move no eigenvalue
+    if np.array_equal(params.range_basis, np.eye(params.n)):
+        return params.theta + reference_gamma(model, z)
+    return reference_secular_matrix(model, params, z)
+
+
 @pytest.mark.parametrize("name", sorted(FORMATION_CASES))
 def test_secular_stack_equals_the_frozen_formation(name):
     build, window = FORMATION_CASES[name]
@@ -503,12 +512,13 @@ def test_secular_stack_equals_the_frozen_formation(name):
     zs = _formation_points(system, window)
     assert zs.size >= 30
     m = kx.secular_matrix(system, params, zs)
-    assert m.tobytes() == reference_secular_matrix(model, params, zs).tobytes()
+    want = _frozen_formation(model, params, zs)
+    assert m.tobytes() == want.tobytes()
     stack = spectral._hermitian_part(m)
     assert stack.shape == (zs.size, params.range_basis.shape[1], params.range_basis.shape[1])
-    assert stack.tobytes() == reference_secular_stack(model, params, zs).tobytes()
+    assert stack.tobytes() == reference_hermitian_part(want).tobytes()
     for z in zs[:: zs.size // 4]:
-        assert kx.secular_matrix(system, params, z).tobytes() == reference_secular_matrix(model, params, z).tobytes()
+        assert kx.secular_matrix(system, params, z).tobytes() == _frozen_formation(model, params, z).tobytes()
 
 
 @pytest.mark.parametrize("zeros", [(0.0,), (0.0, -0.0)])
@@ -528,18 +538,18 @@ def test_full_label_secular_matrix_is_theta_plus_gamma(name):
     model, params = build()
     system = _weyl_for(model)
     zs = _formation_points(system, window)
-    theta = params.theta + 0.0  # -0.0 parts made +0.0
-    full = ExtensionParams.full(theta)
-    assert full._uncompressed
-    assert ExtensionParams(np.eye(system.n), theta)._uncompressed
-    unsigned = theta.tobytes() == params.theta.tobytes()
-    assert params._uncompressed == (unsigned and np.array_equal(params.pi, np.eye(system.n)))
+    identity = np.eye(system.n)
+    assert params._uncompressed == np.array_equal(params.range_basis, identity)
     assert not ExtensionParams.trivial(system.n)._uncompressed
-    # a -0.0 part of theta can reach a part of V^*(theta + Gamma)V
-    assert not ExtensionParams.full(np.conj(params.theta.real + 0j))._uncompressed
-    expected = theta + system.gamma(zs)
-    assert kx.secular_matrix(system, full, zs).tobytes() == expected.tobytes()
-    assert kx.secular_matrix(system, full, zs[0]).tobytes() == expected[0].tobytes()
+    # theta as built (interval_robin's -1.2 * np.eye(2, dtype=complex) has
+    # -0.0 parts), with -0.0 parts made +0.0, and with every imaginary part
+    # -0.0, as from a JSON theta or theta.conj()
+    for theta in (params.theta, params.theta + 0.0, np.conj(params.theta.real + 0j)):
+        expected = theta + system.gamma(zs)
+        for label in (ExtensionParams.full(theta), ExtensionParams(identity, theta)):
+            assert label._uncompressed
+            assert kx.secular_matrix(system, label, zs).tobytes() == expected.tobytes()
+            assert kx.secular_matrix(system, label, zs[0]).tobytes() == expected[0].tobytes()
 
 
 @settings(max_examples=20)
@@ -596,6 +606,22 @@ def test_random_point_model_search_equals_depth_first_bisection(centres, seed, l
     model = kx.PointModel(rng.uniform(-1.5, 1.5, (centres, 3)))
     params = ExtensionParams.full(np.diag(rng.uniform(-0.25, 0.1, centres)).astype(complex))
     _same_search(model, params, (lo, lo + width))
+
+
+@settings(max_examples=40)
+@given(
+    edges=st.integers(2, 6),
+    a=st.floats(0.3, 2.5),
+    centre=st.floats(-4.0, 4.0),
+    tip=st.floats(-4.0, 4.0),
+    lo=st.floats(-40.0, 0.0),
+    width=st.floats(1.0, 45.0),
+)
+def test_random_equal_length_star_search_equals_depth_first_bisection(edges, a, centre, tip, lo, width):
+    # equal edges with equal Robin tips: the modes that vanish at the centre
+    # are (edges - 1)-fold, so count drops larger than one are drawn
+    graph, params = _star((a,) * edges, centre, [tip] * edges)
+    _same_search(graph, params, (lo, lo + width))
 
 
 def test_long_interval_counts_the_drops_it_cannot_report():
