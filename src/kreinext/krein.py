@@ -77,8 +77,9 @@ def check_admissible(excluded, z) -> None:
 
     ``excluded`` is an exclusion set of :mod:`kreinext.models`, or any object
     with a vectorised ``contains`` and a ``describe``. ``z`` is a scalar or an
-    array; every entry is checked by one ``excluded.contains`` call. A NaN or infinite entry is no spectral
-    parameter: it raises ``ValueError`` naming it, before the exclusion test.
+    array; every entry is checked by one ``excluded.contains`` call. A NaN or
+    infinite entry is no spectral parameter: it raises ``ValueError`` naming
+    it, before the exclusion test.
     """
     finite = np.isfinite(z)
     if not finite.all():
@@ -93,7 +94,7 @@ def check_admissible(excluded, z) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model data
+# the Weyl system every model carries
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,10 @@ sampled kernels, the boundary traces, G(z) zeta in closed form and the
 renormalised trace are methods that read the system's model data. Each
 checks z and shapes before the private kernels below run.
 
-The rest of the model data lives here too, so that a new family needs no
-change to :mod:`kreinext.krein`: the excluded spectra a system carries
-(:class:`DirichletExclusions` on edges, :class:`HalfLineExclusions` for
-points), the closed-form edge functions (:class:`SmoothFunction`) and the
-edge grid rules. :class:`SampledKernels` integrates only on grids of at
-least ``MIN_EDGE_NODES`` nodes per edge (else :class:`GridTooCoarseError`)
-that run uniformly from 0 to the edge length (else
-:class:`GridMismatchError`).
+The rest of a family's data lives here too, so that a new family needs no
+change to :mod:`kreinext.krein`: the excluded spectra (the ``excluded``
+of a system), the closed-form edge functions (:class:`SmoothFunction`) and
+the edge grid rules (``MIN_EDGE_NODES`` and the two grid errors).
 
 Spectral-parameter conventions: the free operator is the second derivative
 (respectively the 3-D Laplacian), not its negative, so interval Dirichlet

@@ -498,7 +498,7 @@ FORMATION_CASES = dict(
 def _frozen_formation(model, params, z):
     # the frozen formation, but theta + Gamma for the identity frame: there
     # V^*(theta + Gamma)V only adds products by zeros, which can turn a -0.0
-    # part into +0.0 and move no eigenvalue
+    # part into +0.0 (the two compare equal)
     if np.array_equal(params.range_basis, np.eye(params.n)):
         return params.theta + reference_gamma(model, z)
     return reference_secular_matrix(model, params, z)
