@@ -154,6 +154,8 @@ class ExtensionParams:
     attribute ``_uncompressed`` records whether ``range_basis`` is exactly
     the identity, as for every label of :meth:`full`: such a label's
     secular matrix is theta + Gamma(z), with no products by V.
+    ``theta_norm``, the spectral norm of ``theta``, is computed once, on
+    first use.
     """
 
     pi: np.ndarray
@@ -183,6 +185,10 @@ class ExtensionParams:
     @property
     def n(self) -> int:
         return self.pi.shape[0]
+
+    @cached_property
+    def theta_norm(self) -> float:
+        return float(np.linalg.norm(self.theta, 2))
 
     @classmethod
     def full(cls, theta) -> "ExtensionParams":

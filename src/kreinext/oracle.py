@@ -91,7 +91,7 @@ def _top_eigenvalues(lengths, n_nodes, params, count):
     form, mass = _assemble_constrained(lengths, n_nodes, params)
     if count >= form.shape[0] - 1:
         raise ValueError("requested more eigenvalues than the discretization carries")
-    theta_norm = np.linalg.norm(params.theta, 2)
+    theta_norm = params.theta_norm
     sigma = -(8.0 * theta_norm**2 + 8.0 * theta_norm / min(lengths) + 10.0)
     vals = spla.eigsh(
         form, k=count, M=mass, sigma=sigma, which="LM", return_eigenvectors=False

@@ -314,8 +314,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     def eigs(lams):
         return np.linalg.eigvalsh(_hermitian_part(secular_matrix(system, params, lams)))
 
-    theta_norm = float(np.linalg.norm(params.theta, 2))
-    roots = _isolate(eigs, segments, theta_norm)
+    roots = _isolate(eigs, segments, params.theta_norm)
     metadata["expected_count"] = sum(drop for _, drop in roots)
     results = []
     if roots:
