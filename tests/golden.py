@@ -104,7 +104,8 @@ def resolvent_arrays(i: int) -> dict:
         ("points_green", psys, pparams, points_combo),
     ):
         image = kx.apply_resolvent_green(system, params, z, combo)
-        got.update({f"{key}/{k}": np.array([zk, *ck], dtype=complex) for k, (zk, ck) in enumerate(image.terms)})
+        terms = enumerate(image.terms)
+        got.update({f"{key}/{k}": np.array([zk, *ck], dtype=complex) for k, (zk, ck) in terms})
         got[f"{key}/norm"] = np.float64(kx.green_norm(system, image))
     return got
 
@@ -199,7 +200,8 @@ def report(name: str, old, new):
     if old is None or new is None:
         return f"{name}: {'new output' if old is None else 'no longer produced'}"
     parts = ["bytes changed" if old["sha256"] != new["sha256"] else "summary changed"]
-    parts += [f"{k} {old.get(k)} -> {new.get(k)}" for k in ("shape", "dtype", "size") if old.get(k) != new.get(k)]
+    changed = [k for k in ("shape", "dtype", "size") if old.get(k) != new.get(k)]
+    parts += [f"{k} {old.get(k)} -> {new.get(k)}" for k in changed]
     for key in ("max", "lambda", "sigma_min"):
         a, b = old.get(key), new.get(key)
         if isinstance(a, list) and len(a) != len(b):
@@ -223,7 +225,8 @@ def check(*prefixes: str, got=None) -> None:
     """
     want = stored()
     got = {n: r for p in prefixes for n, r in outputs(p.split("/")[0]).items()} if got is None else got
-    lines = moves(want, got, {n for n in {*got, *want} if any(n == p or n.startswith(p + "/") for p in prefixes)})
+    named = {n for n in {*got, *want} if any(n == p or n.startswith(p + "/") for p in prefixes)}
+    lines = moves(want, got, named)
     assert not lines, "\n".join(lines)
 
 
