@@ -178,6 +178,11 @@ def stored() -> dict:
     return json.loads(CORPUS.read_text())
 
 
+def stored_keys(group: str) -> set:
+    """The second name parts of the outputs of ``group`` in golden.json (op, search, case or job)."""
+    return {n.split("/")[1] for n in stored() if n.startswith(group + "/")}
+
+
 def canonical(corpus: dict) -> str:
     """The layout of golden.json: sorted names, one output's compact record per line."""
     lines = (
