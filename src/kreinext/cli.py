@@ -1,30 +1,28 @@
-"""Batch front door.
+"""Batch front door: ``kreinext job.json --out results/``.
 
-One JSON job file describes a model, an extension and a task; the command
-parses it, hands the task to the library and writes deterministic CSV/JSON
-artifacts::
+One JSON job file describes a model, an extension and a task. The command
+reads it, hands the task to the library and writes deterministic CSV/JSON
+artifacts. The tasks are ``spectrum`` (a search over a real window),
+``resolvent`` (its resolvent on a preset input of :mod:`kreinext.verify`),
+``convert`` (all four extension parametrizations plus residuals) and
+``verify`` (the identity suite of the model's Weyl family).
 
-    kreinext job.json --out results/
-
-Tasks: ``spectrum`` (:func:`kreinext.spectral.eigenvalue_search` over a real
-window), ``resolvent`` (:class:`kreinext.krein.Resolvent` applied to a preset
-input of :mod:`kreinext.verify`), ``convert`` (all four extension
-parametrizations plus residuals) and ``verify``
-(:func:`kreinext.verify.run_verify`, the identity suite of the model's Weyl
-family).
+:data:`FIELDS` declares each job field once, with its JSON path, type,
+range and default, and :func:`read_job`, the one reader of a job, walks it.
+A field it rejects raises :class:`ConfigError` with a message that starts
+with the field's path, as does a ``ValueError`` of the model or label built
+from the fields. Keys the table does not name are ignored.
 
 Exit codes: 0 success; 1 invalid configuration (a job too large to
 allocate included); 2 unsearchable window or spectral-point z; 3
 boundary-pair conditions failed; 4 verification failed; 5 numerical
 failure (a non-finite Weyl matrix, a LAPACK breakdown, non-finite
 resolvent samples or a spectrum that found fewer eigenvalues than it
-counted). :func:`main` builds the job's Weyl system and extension label
-once and hands them, with the boundary pair a pair-kind job gave, to the
-task's handler. A handler returns its artifacts and a
-:class:`JobFailure` or None; :func:`failure_of` maps every exception a job
-raises onto one. On failure stderr holds that one JSON error and nothing
-else: numpy's RuntimeWarnings are recorded, not printed, and the library's
-own finiteness checks refuse the values they announce.
+counted). A task's handler returns its artifacts and a :class:`JobFailure`
+or None; :func:`failure_of` maps each typed exception of a job onto one,
+and any other exception propagates. On failure stderr holds that one JSON
+error and nothing else: numpy's RuntimeWarnings are recorded, not printed,
+and the library's own finiteness checks refuse the values they announce.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 import warnings
 from pathlib import Path
@@ -49,9 +48,11 @@ from .krein import (
     WeylSystem,
 )
 from .models import (
-    EdgeWeylSystem, GraphModel, IntervalModel, PointModel, graph_weyl, interval_weyl, point_weyl, spin_weyl,
+    GraphModel, GridMismatchError, GridTooCoarseError, IntervalModel, PointModel, SpinPointModel,
+    graph_weyl, interval_weyl, point_weyl, spin_weyl,
 )
 from .parametrize import (
+    BoundaryPair,
     PairConditionError,
     pair_from_params,
     params_from_pair,
@@ -71,7 +72,7 @@ EXIT_NUMERICAL = 5
 
 
 class ConfigError(ValueError):
-    """Job file rejected before any computation."""
+    """Job file rejected before any computation; the message starts with the field's JSON path."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +92,7 @@ class JobFailure:
 
 
 def failure_of(exc: Exception) -> JobFailure | None:
-    """The failure a job's exception stands for, or None for an unexpected one."""
+    """The failure a job's exception stands for, or None for one that is not typed."""
     if isinstance(exc, PairConditionError):
         detail = {"failed": list(exc.failed), "conditions": _conditions_obj(exc.conditions)}
         return JobFailure(EXIT_PAIR, "pair-conditions-failed", str(exc), detail)
@@ -102,75 +103,26 @@ def failure_of(exc: Exception) -> JobFailure | None:
             "z lies in the extension's spectrum to working precision",
             {"sigma_min": exc.sigma_min},
         )
-    # before the config rule: LinAlgError subclasses ValueError
     if isinstance(exc, (ModelConsistencyError, np.linalg.LinAlgError)):
         return JobFailure(EXIT_NUMERICAL, "numerical-failure", f"{type(exc).__name__}: {exc}")
     if isinstance(exc, MemoryError):  # numpy raises a private subclass; name the builtin
         return JobFailure(EXIT_CONFIG, "invalid-config", f"MemoryError: {exc}")
-    if isinstance(exc, (ExcludedPointError, UnsupportedModelError, KeyError, TypeError, ValueError, OSError)):
+    if isinstance(exc, (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError, ExcludedPointError,
+                        UnsupportedModelError, GridTooCoarseError, GridMismatchError)):
         return JobFailure(EXIT_CONFIG, "invalid-config", f"{type(exc).__name__}: {exc}")
     return None
-
-
-def _number(value, integer: bool = False) -> bool:
-    """True for a JSON number, or with ``integer`` for a JSON integer; a bool is neither."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
 
 
 def _conditions_obj(cond) -> dict:
     return {**dataclasses.asdict(cond), "consistent": cond.consistent}
 
 
-def _weyl_for(model) -> WeylSystem:
-    if isinstance(model, IntervalModel):
-        return interval_weyl(model)
-    if isinstance(model, GraphModel):
-        return graph_weyl(model)
-    if isinstance(model, PointModel):
-        return point_weyl(model)
-    return spin_weyl(model)
-
-
-def _load_extension(obj, n: int):
-    """The job's extension label, and the boundary pair a pair-kind job gave (else None).
-
-    No extension is the Neumann-type label (pi = 1, theta = 0).
-    """
-    if obj is None:
-        return ExtensionParams.full(np.zeros((n, n), dtype=complex)), None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"extension must be an object with a 'kind', got {obj!r}")
-    kind = obj.get("kind")
-    pair = None
-    if kind == "params":
-        params = serialize.params_from_obj(obj)
-    elif kind == "pair":
-        pair = serialize.pair_from_obj(obj)
-        params = params_from_pair(pair)
-    else:
-        raise ConfigError(f"extension kind must be 'params' or 'pair', got {kind!r}")
-    if params.n != n:
-        raise ConfigError(
-            f"extension dimension {params.n} does not match the model boundary dimension {n}"
-        )
-    return params, pair
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def cmd_spectrum(config, system, params, given):
-    task = config["task"]
-    window = task.get("window")
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or not all(_number(x) for x in window)
-        or not window[0] < window[1]
-    ):
-        raise ConfigError(f"spectrum task needs a real window [lo, hi], got {window!r}")
-    result = eigenvalue_search(system, params, window)
+def cmd_spectrum(fields, system, params, given):
+    result = eigenvalue_search(system, params, fields["task.window"])
 
     eigs = result.eigenvalues
     columns = [
@@ -213,30 +165,9 @@ def cmd_spectrum(config, system, params, given):
 # resolvent
 
 
-def cmd_resolvent(config, system, params, given):
-    task = config["task"]
-    if not isinstance(system, EdgeWeylSystem):
-        raise ConfigError(
-            "resolvent task needs a quadrature model (interval or graph); "
-            "point models support Green-function combinations in-process only"
-        )
-    z = task.get("z", [1.0, 1.0])
-    if not (isinstance(z, list) and len(z) == 2 and all(_number(x) for x in z)):
-        raise ConfigError(f"resolvent task 'z' must be [re, im] with real re and im, got {z!r}")
-    z = serialize.complex_from_pair(z)
-    nodes = task.get("grid", 2000)
-    if not _number(nodes, integer=True):
-        raise ConfigError(f"resolvent task 'grid' must be an integer, got {nodes!r}")
+def cmd_resolvent(fields, system, params, given):
+    z, nodes, spec = fields["task.z"], fields["task.grid"], fields["task.input"]
     grids = verify.edge_grids(system, nodes)
-    spec = task.get("input", {"preset": "sin_k", "k": 1})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"resolvent input must be an object with a 'preset', got {spec!r}")
-    if not isinstance(spec.get("preset", ""), str):
-        raise ConfigError(f"resolvent input 'preset' must be a string, got {spec['preset']!r}")
-    if spec.get("preset") not in verify.PRESETS:
-        raise ConfigError(f"unknown input preset {spec.get('preset')!r}")
-    if spec["preset"] == "sin_k" and not _number(spec.get("k", 1), integer=True):
-        raise ConfigError(f"resolvent input 'k' must be an integer, got {spec['k']!r}")
     psi = verify.preset_samples(system, spec, z, grids)
 
     resolvent = Resolvent(system, params, z)
@@ -267,9 +198,7 @@ def cmd_resolvent(config, system, params, given):
 # convert
 
 
-def cmd_convert(config, system, params, given):
-    if config.get("extension") is None:
-        raise ConfigError("convert task needs an extension")
+def cmd_convert(fields, system, params, given):
     round_pair = pair_from_params(params)
     pair = given or round_pair
 
@@ -305,14 +234,11 @@ def cmd_convert(config, system, params, given):
 # verify
 
 
-def cmd_verify(config, system, params, given):
-    task = config["task"]
-    fault = task.get("fault")
+def cmd_verify(fields, system, params, given):
+    fault = fields["task.fault"]
     if fault == "negate_gamma":
         original = system.gamma
         system = dataclasses.replace(system, gamma=lambda z: -original(z))
-    elif fault is not None:
-        raise ConfigError(f"unknown fault flag {fault!r}")
 
     checks = verify.run_verify(system, params)
     passed = all(c["passed"] for c in checks.values())
@@ -338,24 +264,164 @@ _HANDLERS = {
 }
 
 
-def _read_job(path, grid) -> dict:
-    """The job file's object, with a known task and a model; ``--grid`` goes into the task."""
-    with open(path) as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ConfigError("job file must hold a JSON object")
-    task = config.get("task")
-    if not isinstance(task, dict) or "name" not in task:
-        raise ConfigError("job needs a task object with a 'name'")
-    if not isinstance(task["name"], str):
-        raise ConfigError(f"task 'name' must be a string, got {task['name']!r}")
-    if task["name"] not in _HANDLERS:
-        raise ConfigError(f"unknown task {task['name']!r}")
-    if "model" not in config:
-        raise ConfigError("job needs a model descriptor")
-    if grid is not None:
-        task["grid"] = grid
-    return config
+REQUIRED = object()  # the default of a field that a job must give
+MODELS = {"interval": IntervalModel, "graph": GraphModel, "points": PointModel, "spin_points": SpinPointModel}
+LABELS = {"params": ExtensionParams, "pair": BoundaryPair}
+# closed ranges of the job's numbers; a complex range holds each part
+LENGTHS = (1e-6, 1e6)  # interval and edge lengths
+COORDINATES = (-1e6, 1e6)  # point-model centre coordinates
+LARGE = (-1e12, 1e12)  # window ends, spin shifts b, the sin_k preset's k, complex parts
+NODES = (0, 2**31 - 1)  # resolvent grid nodes per edge; below 501 the sampled kernels refuse it
+
+# Every job field, as (JSON path, the choice it belongs to as (path, values)
+# or None, type, range, default); :func:`read_job` says how they are read.
+FIELDS = (
+    ("task", None, "object", None, REQUIRED),
+    ("task.name", None, "choice", tuple(_HANDLERS), REQUIRED),
+    ("task.window", ("task.name", ("spectrum",)), "window", LARGE, REQUIRED),
+    ("task.z", ("task.name", ("resolvent",)), "complex", LARGE, [1.0, 1.0]),
+    ("task.grid", ("task.name", ("resolvent",)), "integer", NODES, 2000),
+    ("task.input", ("task.name", ("resolvent",)), "object", None, {"preset": "sin_k", "k": 1}),
+    ("task.input.preset", None, "choice", tuple(verify.PRESETS), REQUIRED),
+    ("task.input.k", ("task.input.preset", ("sin_k",)), "integer", LARGE, 1),
+    ("task.fault", ("task.name", ("verify",)), "choice", ("negate_gamma",), None),
+    ("model", None, "object", None, REQUIRED),
+    ("model.type", ("task.name", ("resolvent",)), "choice", ("interval", "graph"), REQUIRED),
+    ("model.type", ("task.name", ("spectrum", "convert", "verify")), "choice", tuple(MODELS), REQUIRED),
+    ("model.a", ("model.type", ("interval",)), "real", LENGTHS, REQUIRED),
+    ("model.lengths", ("model.type", ("graph",)), "reals", LENGTHS, REQUIRED),
+    ("model.centers", ("model.type", ("points", "spin_points")), "points", COORDINATES, REQUIRED),
+    ("model.b", ("model.type", ("spin_points",)), "reals", LARGE, REQUIRED),
+    ("extension", ("task.name", ("spectrum", "resolvent", "verify")), "object", None, None),
+    ("extension", ("task.name", ("convert",)), "object", None, REQUIRED),
+    ("extension.kind", None, "choice", tuple(LABELS), REQUIRED),
+    ("extension.pi", ("extension.kind", ("params",)), "matrix", LARGE, REQUIRED),
+    ("extension.theta", ("extension.kind", ("params",)), "matrix", LARGE, REQUIRED),
+    ("extension.b1", ("extension.kind", ("pair",)), "matrix", LARGE, REQUIRED),
+    ("extension.b2", ("extension.kind", ("pair",)), "matrix", LARGE, REQUIRED),
+)
+
+
+def _in(value, limits) -> bool:
+    """True for a JSON number in the closed range ``limits``; a bool is no number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and limits[0] <= value <= limits[1]
+
+
+def _checked(ok: bool, value, path: str, expected: str):
+    """``value`` if ``ok``, else the ConfigError that names ``path``."""
+    if not ok:
+        got = "nothing" if value is REQUIRED else reprlib.repr(value)
+        raise ConfigError(f"{path}: expected {expected}, got {got}")
+    return value
+
+
+def _span(limits) -> str:
+    return "[{:.10g}, {:.10g}]".format(*limits)
+
+
+def _object(value, path, _):
+    return _checked(isinstance(value, dict), value, path, "an object")
+
+
+def _choice(value, path, choices):
+    expected = "one of " + ", ".join(map(repr, choices))
+    return _checked(isinstance(value, str) and value in choices, value, path, expected)
+
+
+def _integer(value, path, limits):
+    ok = isinstance(value, int) and _in(value, limits)
+    return _checked(ok, value, path, f"an integer in {_span(limits)}")
+
+
+def _real(value, path, limits):
+    return float(_checked(_in(value, limits), value, path, f"a real in {_span(limits)}"))
+
+
+def _reals(value, path, limits, count=None):
+    ok = isinstance(value, list) and (len(value) == count if count else len(value) > 0)
+    _checked(ok, value, path, f"a list of {count or 'one or more'} reals")
+    return [_real(x, f"{path}[{i}]", limits) for i, x in enumerate(value)]
+
+
+def _points(value, path, limits):
+    _checked(isinstance(value, list) and len(value) > 0, value, path, "a list of one or more points")
+    return [_reals(point, f"{path}[{i}]", limits, 3) for i, point in enumerate(value)]
+
+
+def _window(value, path, limits):
+    lo, hi = _reals(value, path, limits, 2)
+    return _checked(lo < hi, value, path, "[lo, hi] with lo < hi")
+
+
+def complex_from_pair(obj, path: str, limits) -> complex:
+    """The complex number of an [re, im] pair of JSON numbers in ``limits``."""
+    ok = isinstance(obj, list) and len(obj) == 2 and all(_in(x, limits) for x in obj)
+    _checked(ok, obj, path, f"[re, im] with reals in {_span(limits)}")
+    return complex(float(obj[0]), float(obj[1]))
+
+
+def matrix_from_lists(obj, path: str, limits) -> np.ndarray:
+    """The complex square matrix of a list of n rows of n [re, im] entries."""
+    rows = obj if isinstance(obj, list) and all(isinstance(row, list) for row in obj) else []
+    square = rows and all(len(row) == len(rows) for row in rows)
+    _checked(square, obj, path, "a square matrix of [re, im] entries")
+    entries = [
+        [complex_from_pair(v, f"{path}[{i}][{j}]", limits) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return np.array(entries, dtype=complex)
+
+
+_READERS = {
+    "object": _object, "choice": _choice, "integer": _integer, "real": _real, "reals": _reals,
+    "window": _window, "points": _points, "complex": complex_from_pair, "matrix": matrix_from_lists,
+}
+
+
+def _built(values: dict, path: str, choice: str, classes: dict):
+    """The object of the class that field ``path.choice`` names, from the other fields under ``path``."""
+    prefix = path + "."
+    fields = {p[len(prefix):]: v for p, v in values.items() if p.startswith(prefix) and p != prefix + choice}
+    try:
+        return classes[values[prefix + choice]](**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _weyl_for(model) -> WeylSystem:
+    """The model's Weyl system, by the builder its class names (looked up when a job runs)."""
+    builders = {IntervalModel: interval_weyl, GraphModel: graph_weyl, PointModel: point_weyl,
+                SpinPointModel: spin_weyl}
+    return builders[type(model)](model)
+
+
+def read_job(doc, grid: int | None = None):
+    """The job document ``doc`` read by :data:`FIELDS`: (fields, system, params, given).
+
+    Each row is read in order when its parent object is not null and its
+    choice holds, and a field whose default is None may be null. ``fields``
+    maps each path read to its value; ``grid`` (``--grid``) replaces
+    ``task.grid`` and is read like it. No extension is the Neumann-type
+    label; ``given`` is a pair-kind extension's boundary pair, else None.
+    """
+    values = {"": _object(doc, "job", None)}
+    for path, when, kind, limits, default in FIELDS:
+        parent, _, key = path.rpartition(".")
+        if values.get(parent) is None or (when and values.get(when[0]) not in when[1]):
+            continue
+        value = grid if path == "task.grid" and grid is not None else values[parent].get(key, default)
+        values[path] = None if value is None and default is None else _READERS[kind](value, path, limits)
+    system = _weyl_for(_built(values, "model", "type", MODELS))
+    n = system.n
+    label = None if values["extension"] is None else _built(values, "extension", "kind", LABELS)
+    given = label if isinstance(label, BoundaryPair) else None
+    if label is None:
+        params = ExtensionParams.full(np.zeros((n, n), dtype=complex))
+    else:
+        params = label if given is None else params_from_pair(given)
+    if params.n != n:
+        raise ConfigError(f"extension: dimension {params.n} does not match the model boundary dimension {n}")
+    return values, system, params, given
 
 
 def main(argv=None) -> int:
@@ -372,11 +438,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = _read_job(args.config, args.grid)
+        doc = json.loads(Path(args.config).read_text())
         with warnings.catch_warnings(record=True):
-            system = _weyl_for(serialize.model_from_obj(config["model"]))
-            params, given = _load_extension(config.get("extension"), system.n)
-            files, failure = _HANDLERS[config["task"]["name"]](config, system, params, given)
+            fields, system, params, given = read_job(doc, args.grid)
+            files, failure = _HANDLERS[fields["task.name"]](fields, system, params, given)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             with open(Path(args.out, name), "w", newline="\n") as handle:

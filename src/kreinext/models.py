@@ -49,11 +49,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .krein import ExtensionParams, ModelConsistencyError, WeylSystem, check_admissible
+from .krein import ExcludedPointError, ExtensionParams, ModelConsistencyError, WeylSystem, check_admissible
 from .quad import cumulative_simpson, simpson
 
 __all__ = [
     "MIN_EDGE_NODES",
+    "MAX_WINDOW_POLES",
     "GridTooCoarseError",
     "GridMismatchError",
     "SmoothFunction",
@@ -87,6 +88,8 @@ GRID_END_RTOL = 1e-12
 GRID_STEP_RTOL = 1e-9
 # The sampled kernels integrate only on grids of at least this many nodes per edge.
 MIN_EDGE_NODES = 501
+# A search window may hold at most this many Dirichlet poles of one edge.
+MAX_WINDOW_POLES = 10**6
 
 
 class GridTooCoarseError(ValueError):
@@ -108,8 +111,7 @@ class IntervalModel:
     a: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"interval length must be positive, got {self.a}")
+        GraphModel((self.a,))  # the one-edge graph's rule on its length
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,10 @@ class GraphModel:
 
     def __post_init__(self):
         lengths = tuple(float(a) for a in self.lengths)
-        if not lengths or any(not np.isfinite(a) or a <= 0 for a in lengths):
-            raise ValueError("all edge lengths must be positive")
+        with np.errstate(all="ignore"):  # (pi / a)^2, the Dirichlet pole unit DirichletExclusions forms
+            units = np.float_power(np.pi / np.array(lengths), 2)
+        if not lengths or any(not np.isfinite(a) or a <= 0 for a in lengths) or not np.isfinite(units).all():
+            raise ValueError(f"edge lengths must be positive with a finite (pi / a)^2, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -305,9 +309,7 @@ class DirichletExclusions:
     guard_rel = 1e-8
 
     def __init__(self, lengths: Sequence[float]):
-        self.lengths = tuple(float(a) for a in lengths)
-        if not self.lengths or any(a <= 0 for a in self.lengths):
-            raise ValueError("edge lengths must be positive")
+        self.lengths = GraphModel(lengths).lengths
         self._a = np.array(self.lengths)
         self._unit = np.float_power(np.pi / self._a, 2)  # (pi / a)^2 as Python computes it
         # a candidate n of z is at most sqrt(max(-Re z, 0)) a / pi + 1, so no guard
@@ -376,6 +378,11 @@ class DirichletExclusions:
         for a, unit in zip(self.lengths, self._unit.tolist()):
             n_lo = max(1, int(np.ceil(np.sqrt(max(-hi, 0.0)) * a / np.pi - 1e-12)))
             n_hi = int(np.floor(np.sqrt(max(-lo, 0.0)) * a / np.pi + 1e-12))
+            if n_hi - n_lo >= MAX_WINDOW_POLES:
+                raise ExcludedPointError(
+                    f"the window [{lo!r}, {hi!r}] holds {n_hi - n_lo + 1} Dirichlet poles of the edge of "
+                    f"length {a!r}, more than the {MAX_WINDOW_POLES} a search lists"
+                )
             n = np.arange(max(1, n_lo - 1), n_hi + 2, dtype=float)
             pole = -np.float_power(n * np.pi / a, 2)
             g = 2.0 * (self.guard_rel * (2 * n + 1) * unit)

@@ -93,8 +93,9 @@ def _top_eigenvalues(lengths, n_nodes, params, count):
         raise ValueError("requested more eigenvalues than the discretization carries")
     theta_norm = params.theta_norm
     sigma = -(8.0 * theta_norm**2 + 8.0 * theta_norm / min(lengths) + 10.0)
+    start = np.ones(form.shape[0])  # a fixed ARPACK start vector, so equal inputs give equal bits
     vals = spla.eigsh(
-        form, k=count, M=mass, sigma=sigma, which="LM", return_eigenvectors=False
+        form, k=count, M=mass, sigma=sigma, which="LM", v0=start, return_eigenvectors=False
     )
     return np.sort(-vals.real)  # form eigenvalues mu; operator eigenvalues are -mu
 

@@ -1,4 +1,4 @@
-"""File formats: complex entries as [re, im] pairs, canonical JSON and CSV.
+"""Artifact formats: complex entries as [re, im] pairs, canonical JSON and CSV.
 
 Artifacts must be byte-reproducible, so JSON is emitted by a small local
 writer (sorted keys, fixed 17-significant-digit floats, LF endings) instead
@@ -16,21 +16,14 @@ import math
 import numpy as np
 
 from .krein import ExtensionParams
-from .models import GraphModel, IntervalModel, PointModel, SpinPointModel
 from .parametrize import BoundaryPair
 
 __all__ = [
     "format_float",
     "complex_to_pair",
-    "complex_from_pair",
     "matrix_to_lists",
-    "matrix_from_lists",
     "params_to_obj",
-    "params_from_obj",
     "pair_to_obj",
-    "pair_from_obj",
-    "model_to_obj",
-    "model_from_obj",
     "canonical_json",
     "csv_text",
 ]
@@ -48,81 +41,17 @@ def complex_to_pair(z) -> list:
     return [z.real, z.imag]
 
 
-def complex_from_pair(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise ValueError(f"complex scalars serialize as [re, im], got {obj!r}")
-    z = complex(float(obj[0]), float(obj[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError("non-finite complex entry")
-    return z
-
-
 def matrix_to_lists(mat) -> list:
     m = np.asarray(mat, dtype=complex)
     return [[complex_to_pair(v) for v in row] for row in m]
-
-
-def matrix_from_lists(obj, square: bool = True) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("matrix must be a non-empty list of rows")
-    rows = [[complex_from_pair(v) for v in row] for row in obj]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("matrix rows have inconsistent lengths")
-    m = np.array(rows, dtype=complex)
-    if square and m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
-    return m
 
 
 def params_to_obj(params: ExtensionParams) -> dict:
     return {"pi": matrix_to_lists(params.pi), "theta": matrix_to_lists(params.theta)}
 
 
-def params_from_obj(obj) -> ExtensionParams:
-    return ExtensionParams(matrix_from_lists(obj["pi"]), matrix_from_lists(obj["theta"]))
-
-
 def pair_to_obj(pair: BoundaryPair) -> dict:
     return {"b1": matrix_to_lists(pair.b1), "b2": matrix_to_lists(pair.b2)}
-
-
-def pair_from_obj(obj) -> BoundaryPair:
-    return BoundaryPair(matrix_from_lists(obj["b1"]), matrix_from_lists(obj["b2"]))
-
-
-def model_to_obj(model) -> dict:
-    if isinstance(model, IntervalModel):
-        return {"type": "interval", "a": model.a}
-    if isinstance(model, GraphModel):
-        return {"type": "graph", "lengths": list(model.lengths)}
-    if isinstance(model, PointModel):
-        return {"type": "points", "centers": [list(c) for c in model.centers]}
-    if isinstance(model, SpinPointModel):
-        return {
-            "type": "spin_points",
-            "centers": [list(c) for c in model.centers],
-            "b": list(model.b),
-        }
-    raise ValueError(f"unknown model object {model!r}")
-
-
-def model_from_obj(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("model descriptor must be an object with a 'type' field")
-    kind = obj["type"]
-    if kind == "interval":
-        return IntervalModel(float(obj["a"]))
-    if kind == "graph":
-        return GraphModel(tuple(float(a) for a in obj["lengths"]))
-    if kind == "points":
-        return PointModel(np.asarray(obj["centers"], dtype=float))
-    if kind == "spin_points":
-        return SpinPointModel(
-            np.asarray(obj["centers"], dtype=float),
-            tuple(float(b) for b in obj["b"]),
-        )
-    raise ValueError(f"unknown model type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@ def neumann_extension(n=2):
     return obj
 
 
+def complex_array(lists):
+    """An artifact's nested [re, im] pairs as a complex array."""
+    pairs = np.array(lists, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
 def interval_job(task):
     return {"model": {"type": "interval", "a": PI}, "extension": neumann_extension(), "task": task}
 
@@ -423,11 +429,11 @@ def test_convert_trivial_projector(tmp_path):
     )
     assert main([job, "--out", str(tmp_path / "out")]) == 0
     doc = json.loads((tmp_path / "out" / "convert.json").read_text())
-    b1 = ser.matrix_from_lists(doc["pair"]["b1"])
-    b2 = ser.matrix_from_lists(doc["pair"]["b2"])
+    b1 = complex_array(doc["pair"]["b1"])
+    b2 = complex_array(doc["pair"]["b2"])
     assert np.allclose(b1, np.eye(2))
     assert np.allclose(b2, 0.0)
-    rel = ser.matrix_from_lists(doc["relation_from_params"]["basis"], square=False)
+    rel = complex_array(doc["relation_from_params"]["basis"])
     assert np.allclose(rel[:2], 0.0)
     assert doc["relation_gap"] < 1e-10
     assert doc["von_neumann"]["unitarity_residual"] < 1e-10
@@ -447,8 +453,8 @@ def test_convert_scalar_pair_kind(tmp_path):
     )
     assert main([job, "--out", str(tmp_path / "out")]) == 0
     doc = json.loads((tmp_path / "out" / "convert.json").read_text())
-    assert np.allclose(ser.matrix_from_lists(doc["params"]["pi"]), [[1.0]])
-    b2 = ser.matrix_from_lists(doc["pair"]["b2"])
+    assert np.allclose(complex_array(doc["params"]["pi"]), [[1.0]])
+    b2 = complex_array(doc["pair"]["b2"])
     assert np.allclose(b2, [[-1j]])
 
 
@@ -603,7 +609,7 @@ INVALID_INPUTS = {
     "nan-centre": (
         {"model": {"type": "points", "centers": [[0, 0, 0], [1, 0, float("nan")]]}, "task": {"name": "verify"}},
         [],
-        "ValueError: centers must be finite",
+        "ConfigError: model.centers[1][2]: expected a real in [-1000000, 1000000], got nan",
     ),
     "infinite-b": (
         {
@@ -611,7 +617,7 @@ INVALID_INPUTS = {
             "task": {"name": "spectrum", "window": [0.1, 3.0]},
         },
         [],
-        "ValueError: internal eigenvalues must be finite, got (0.0, inf)",
+        "ConfigError: model.b[1]: expected a real in [-1e+12, 1e+12], got inf",
     ),
     "grid-0": (
         interval_job({"name": "resolvent", "z": [1.0, 1.0]}),
@@ -621,107 +627,109 @@ INVALID_INPUTS = {
     "grid-float": (
         interval_job({"name": "resolvent", "grid": 2001.7}),
         [],
-        "ConfigError: resolvent task 'grid' must be an integer, got 2001.7",
+        "ConfigError: task.grid: expected an integer in [0, 2147483647], got 2001.7",
     ),
     "grid-bool": (
         interval_job({"name": "resolvent", "grid": True}),
         [],
-        "ConfigError: resolvent task 'grid' must be an integer, got True",
+        "ConfigError: task.grid: expected an integer in [0, 2147483647], got True",
     ),
     "grid-string": (
         interval_job({"name": "resolvent", "grid": "2001"}),
         [],
-        "ConfigError: resolvent task 'grid' must be an integer, got '2001'",
+        "ConfigError: task.grid: expected an integer in [0, 2147483647], got '2001'",
     ),
     "k-float": (
         interval_job({"name": "resolvent", "input": {"preset": "sin_k", "k": 1.5}}),
         [],
-        "ConfigError: resolvent input 'k' must be an integer, got 1.5",
+        "ConfigError: task.input.k: expected an integer in [-1e+12, 1e+12], got 1.5",
     ),
     "window-string": (
         interval_job({"name": "spectrum", "window": ["a", 1.0]}),
         [],
-        "ConfigError: spectrum task needs a real window [lo, hi], got ['a', 1.0]",
+        "ConfigError: task.window[0]: expected a real in [-1e+12, 1e+12], got 'a'",
     ),
     "window-null": (
         interval_job({"name": "spectrum", "window": [None, 1.0]}),
         [],
-        "ConfigError: spectrum task needs a real window [lo, hi], got [None, 1.0]",
+        "ConfigError: task.window[0]: expected a real in [-1e+12, 1e+12], got None",
     ),
     "window-bool": (
         interval_job({"name": "spectrum", "window": [False, True]}),
         [],
-        "ConfigError: spectrum task needs a real window [lo, hi], got [False, True]",
+        "ConfigError: task.window[0]: expected a real in [-1e+12, 1e+12], got False",
     ),
     "z-string": (
         interval_job({"name": "resolvent", "z": "x"}),
         [],
-        "ConfigError: resolvent task 'z' must be [re, im] with real re and im, got 'x'",
+        "ConfigError: task.z: expected [re, im] with reals in [-1e+12, 1e+12], got 'x'",
     ),
     "z-null-part": (
         interval_job({"name": "resolvent", "z": [1.0, None]}),
         [],
-        "ConfigError: resolvent task 'z' must be [re, im] with real re and im, got [1.0, None]",
+        "ConfigError: task.z: expected [re, im] with reals in [-1e+12, 1e+12], got [1.0, None]",
     ),
     "extension-not-object": (
         {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": [1, 2]},
         [],
-        "ConfigError: extension must be an object with a 'kind', got [1, 2]",
+        "ConfigError: extension: expected an object, got [1, 2]",
     ),
     "input-not-object": (
         interval_job({"name": "resolvent", "input": "sin_k"}),
         [],
-        "ConfigError: resolvent input must be an object with a 'preset', got 'sin_k'",
+        "ConfigError: task.input: expected an object, got 'sin_k'",
     ),
     "extension-kind": (
         {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": {"kind": "robin"}},
         [],
-        "ConfigError: extension kind must be 'params' or 'pair', got 'robin'",
+        "ConfigError: extension.kind: expected one of 'params', 'pair', got 'robin'",
     ),
     "extension-dimension": (
         {**interval_job({"name": "spectrum", "window": [-0.5, 0.5]}), "extension": neumann_extension(1)},
         [],
-        "ConfigError: extension dimension 1 does not match the model boundary dimension 2",
+        "ConfigError: extension: dimension 1 does not match the model boundary dimension 2",
     ),
     "preset-not-string": (
         interval_job({"name": "resolvent", "input": {"preset": ["sin_k"]}}),
         [],
-        "ConfigError: resolvent input 'preset' must be a string, got ['sin_k']",
+        "ConfigError: task.input.preset: expected one of 'sin_k', 'poly_bump', 'green_at_center', got ['sin_k']",
     ),
     "unknown-preset": (
         interval_job({"name": "resolvent", "input": {"preset": "gauss"}}),
         [],
-        "ConfigError: unknown input preset 'gauss'",
+        "ConfigError: task.input.preset: expected one of 'sin_k', 'poly_bump', 'green_at_center', got 'gauss'",
     ),
     "convert-without-extension": (
         {"model": {"type": "interval", "a": PI}, "task": {"name": "convert"}},
         [],
-        "ConfigError: convert task needs an extension",
+        "ConfigError: extension: expected an object, got nothing",
     ),
     "unknown-fault": (
         interval_job({"name": "verify", "fault": "drop_gram"}),
         [],
-        "ConfigError: unknown fault flag 'drop_gram'",
+        "ConfigError: task.fault: expected one of 'negate_gamma', got 'drop_gram'",
     ),
     "job-not-object": (
         [interval_job({"name": "verify"})],
         [],
-        "ConfigError: job file must hold a JSON object",
+        "ConfigError: job: expected an object, got [{'extension': {'kind': 'params', 'pi': [[[1.0, 0.0], "
+        "[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 'theta': [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, "
+        "'model': {'a': 3.141592653589793, 'type': 'interval'}, 'task': {'name': 'verify'}}]",
     ),
     "task-without-name": (
         interval_job({"window": [-0.5, 0.5]}),
         [],
-        "ConfigError: job needs a task object with a 'name'",
+        "ConfigError: task.name: expected one of 'spectrum', 'resolvent', 'convert', 'verify', got nothing",
     ),
     "task-name-not-string": (
         interval_job({"name": ["spectrum"], "window": [-0.5, 0.5]}),
         [],
-        "ConfigError: task 'name' must be a string, got ['spectrum']",
+        "ConfigError: task.name: expected one of 'spectrum', 'resolvent', 'convert', 'verify', got ['spectrum']",
     ),
     "no-model": (
         {"extension": neumann_extension(), "task": {"name": "verify"}},
         [],
-        "ConfigError: job needs a model descriptor",
+        "ConfigError: model: expected an object, got nothing",
     ),
 }
 

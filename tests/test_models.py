@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import kreinext as kx
-from kreinext import ExcludedPointError, ExtensionParams, VertexGroup
+from kreinext import ExcludedPointError, ExtensionParams, VertexGroup, models
 
 from helpers import (
     reference_block_diag,
@@ -35,6 +35,31 @@ def test_interval_rejects_bad_length():
         kx.IntervalModel(0.0)
     with pytest.raises(ValueError):
         kx.IntervalModel(-1.0)
+
+
+def test_a_length_whose_pole_spacing_overflows_is_refused():
+    # (pi / a)^2 is inf for a = 1e-320; built, such a model once sent the
+    # spectral search stepping by nextafter through an endless excluded set
+    for build in (
+        lambda: kx.IntervalModel(1e-320),
+        lambda: kx.GraphModel((1.0, 1e-200)),
+        lambda: kx.DirichletExclusions((1e-320,)),
+    ):
+        with pytest.raises(ValueError, match=r"finite \(pi / a\)\^2"):
+            build()
+    assert kx.IntervalModel(1e-150).a == 1e-150  # (pi / a)^2 is still finite here
+
+
+def test_a_window_holding_too_many_poles_is_refused(monkeypatch):
+    # counted before any array is built: 1e16 poles of a = pi, 3e11 of a = 1e12
+    for length, lo, hi in ((PI, -1e308, 1.0), (1e12, -1.0, 1.0)):
+        with pytest.raises(ExcludedPointError, match=r"^the window \[.+\] holds \d+ Dirichlet poles"):
+            kx.DirichletExclusions((1.0, length)).gaps_in(lo, hi)
+    monkeypatch.setattr(models, "MAX_WINDOW_POLES", 10)
+    edge = kx.DirichletExclusions((PI,))
+    assert len(edge.gaps_in(-(10.5**2), 0.0)) == 10  # poles -1, -4, ..., -100
+    with pytest.raises(ExcludedPointError, match=r"holds 11 Dirichlet poles of the edge of length 3.14"):
+        edge.gaps_in(-(11.5**2), 0.0)
 
 
 def test_interval_g_apply_zero_energy():

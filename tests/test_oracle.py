@@ -48,6 +48,14 @@ def test_neumann_spectrum():
     assert np.allclose(got, [-4.0, -1.0, 0.0], atol=2e-4)
 
 
+def test_fd_spectrum_is_bit_reproducible():
+    # ARPACK starts from a fixed vector, so one label gives the same bits twice
+    model = kx.IntervalModel(PI)
+    params = ExtensionParams.full(np.diag([0.7, -0.3]).astype(complex))
+    first, again = (kx.fd_interval_spectrum(model, params, FDSpec(400)) for _ in range(2))
+    assert first.tobytes() == again.tobytes()
+
+
 @pytest.mark.parametrize("theta", [1.0, -0.3, 2.7])
 def test_robin_matches_transcendental(theta):
     model = kx.IntervalModel(PI)

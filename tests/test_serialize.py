@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import kreinext as kx
 from kreinext import serialize as ser
+from kreinext import cli
+from kreinext.cli import ConfigError, complex_from_pair, matrix_from_lists, read_job
 
 
 def test_float_formatting():
@@ -17,46 +19,55 @@ def test_float_formatting():
 
 
 def test_complex_pair_round_trip():
+    # the job reader's complex type reads what the writer writes, and names its path
     z = 1.5 - 2.25j
-    assert ser.complex_from_pair(ser.complex_to_pair(z)) == z
-    with pytest.raises(ValueError):
-        ser.complex_from_pair([1.0])
-    with pytest.raises(ValueError):
-        ser.complex_from_pair([1.0, float("nan")])
+    assert complex_from_pair(ser.complex_to_pair(z), "task.z", cli.LARGE) == z
+    for bad in ([1.0], [1.0, float("nan")], [True, 0.0], ["1", 0.0], [1e13, 0.0]):
+        with pytest.raises(ConfigError, match=r"^task\.z: expected \[re, im\]"):
+            complex_from_pair(bad, "task.z", cli.LARGE)
 
 
 def test_matrix_round_trip():
     m = np.array([[1.0, 2.0 - 1j], [0.5j, -3.0]])
-    again = ser.matrix_from_lists(ser.matrix_to_lists(m))
+    again = matrix_from_lists(ser.matrix_to_lists(m), "extension.pi", cli.LARGE)
     assert np.array_equal(m, again)
-    with pytest.raises(ValueError):
-        ser.matrix_from_lists([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
+    with pytest.raises(ConfigError, match=r"^extension\.pi: expected a square matrix"):
+        matrix_from_lists([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]], "extension.pi", cli.LARGE)
+    with pytest.raises(ConfigError, match=r"^extension\.pi\[1\]\[0\]: expected \[re, im\]"):
+        matrix_from_lists([[[1.0, 0.0], [0, 0]], [[False, 0.0], [2.0, 0.0]]], "extension.pi", cli.LARGE)
+
+
+def _job(model, extension=None):
+    return {"model": model, "extension": extension, "task": {"name": "verify"}}
 
 
 def test_params_round_trip_validates():
     params = kx.ExtensionParams.full(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    again = ser.params_from_obj(ser.params_to_obj(params))
+    obj = {"kind": "params", **ser.params_to_obj(params)}
+    _, _, again, given = read_job(_job({"type": "interval", "a": 2.5}, obj))
     assert np.array_equal(again.pi, params.pi)
     assert np.array_equal(again.theta, params.theta)
-    broken = ser.params_to_obj(params)
-    broken["pi"][0][1] = [1.0, 0.0]  # not a projector any more
-    with pytest.raises(ValueError):
-        ser.params_from_obj(broken)
+    assert given is None
+    obj["pi"][0][1] = [1.0, 0.0]  # not a projector any more
+    with pytest.raises(ConfigError, match="^extension: invalid extension parameters"):
+        read_job(_job({"type": "interval", "a": 2.5}, obj))
 
 
 def test_model_round_trips():
-    for model in (
-        kx.IntervalModel(2.5),
-        kx.GraphModel((1.0, 2.0)),
-        kx.PointModel([[0, 0, 0], [1, 0, 0]]),
-        kx.SpinPointModel([[0, 0, 0]], (0.0, 2.0)),
+    # each model type reads into its own system, with the model's data
+    for model, kind in (
+        ({"type": "interval", "a": 2.5}, "interval"),
+        ({"type": "graph", "lengths": [1.0, 2.0]}, "graph"),
+        ({"type": "points", "centers": [[0, 0, 0], [1, 0, 0]]}, "points"),
+        ({"type": "spin_points", "centers": [[0, 0, 0]], "b": [0.0, 2.0]}, "spin_points"),
     ):
-        again = ser.model_from_obj(ser.model_to_obj(model))
-        assert type(again) is type(model)
-    with pytest.raises(ValueError):
-        ser.model_from_obj({"type": "torus"})
-    with pytest.raises(ValueError):
-        ser.model_from_obj([1, 2])
+        _, system, params, _ = read_job(_job(model))
+        assert system.kind == kind and params.n == system.n
+    assert read_job(_job({"type": "graph", "lengths": [1, 2]}))[1].lengths == (1.0, 2.0)
+    with pytest.raises(ConfigError, match="^model.type: expected one of 'interval', "):
+        read_job(_job({"type": "torus"}))
+    with pytest.raises(ConfigError, match=r"^model: expected an object, got \[1, 2\]"):
+        read_job(_job([1, 2]))
 
 
 def test_canonical_json_sorted_and_stable():
