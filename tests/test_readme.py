@@ -49,7 +49,7 @@ def _field_rows():
         elif isinstance(limits[0], str):
             shown_range = ", ".join(f"`{choice}`" for choice in limits)
         else:
-            shown_range = "[{:.10g}, {:.10g}]".format(*limits)
+            shown_range = cli._span(limits)
         shown_default = "required" if default is cli.REQUIRED else f"`{json.dumps(default)}`"
         yield f"| `{path}` | {cond} | {kind} | {shown_range} | {shown_default} |"
 
