@@ -395,13 +395,12 @@ def _weyl_for(model) -> WeylSystem:
     return builders[type(model)](model)
 
 
-def read_job(doc, grid: int | None = None):
+def read_job(doc):
     """The job document ``doc`` read by :data:`FIELDS`: (fields, system, params, given).
 
     Each row is read in order when its parent object is not null and its
     choice holds, and a field whose default is None may be null. ``fields``
-    maps each path read to its value; ``grid`` (``--grid``) replaces
-    ``task.grid`` and is read like it. No extension is the Neumann-type
+    maps each path read to its value. No extension is the Neumann-type
     label; ``given`` is a pair-kind extension's boundary pair, else None.
     """
     values = {"": _object(doc, "job", None)}
@@ -409,7 +408,7 @@ def read_job(doc, grid: int | None = None):
         parent, _, key = path.rpartition(".")
         if values.get(parent) is None or (when and values.get(when[0]) not in when[1]):
             continue
-        value = grid if path == "task.grid" and grid is not None else values[parent].get(key, default)
+        value = values[parent].get(key, default)
         values[path] = None if value is None and default is None else _READERS[kind](value, path, limits)
     system = _weyl_for(_built(values, "model", "type", MODELS))
     n = system.n
@@ -431,16 +430,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="JSON job description")
     parser.add_argument("--out", default=".", help="artifact directory (default: .)")
-    parser.add_argument(
-        "--grid", type=int, default=None,
-        help="override the resolvent sample density (nodes per edge)",
-    )
     args = parser.parse_args(argv)
 
     try:
         doc = json.loads(Path(args.config).read_text())
         with warnings.catch_warnings(record=True):
-            fields, system, params, given = read_job(doc, args.grid)
+            fields, system, params, given = read_job(doc)
             files, failure = _HANDLERS[fields["task.name"]](fields, system, params, given)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for name, text in files.items():

@@ -308,7 +308,6 @@ class Resolvent:
 
     def __init__(self, system: WeylSystem, params: ExtensionParams, z):
         self.system, self.params, self.z = system, params, complex(z)
-        self._grids = self._kernels = None  # a copy of the last grid and its kernels
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -349,10 +348,9 @@ class Resolvent:
         """Samples of the resolvent applied to the samples ``psi`` on ``grid``.
 
         The free resolvent, G(conj(z))^* and G(z) come from one
-        ``system.sampled_kernels(z, grid)`` call, which checks z, and whose
-        kernels check the grid and the samples as they integrate; a later
-        call on a grid with the same bytes on every edge reuses those kernels.
-        Samples that are not finite on some edge raise
+        ``system.sampled_kernels(z, grid)`` call, which checks z and the grid;
+        its kernels check the samples as they integrate. Each call builds its
+        own kernels. Samples that are not finite on some edge raise
         :class:`ModelConsistencyError`. Only edge models (the systems with
         ``sampled_kernels``) have samples; point models use :meth:`apply_green`.
         """
@@ -362,15 +360,7 @@ class Resolvent:
                 f"model kind {system.kind!r} has no sampled resolvent; "
                 "use apply_resolvent_green with a Green-function combination"
             )
-        edges = [np.asarray(g) for g in system.edges(grid)]
-        # the kernels depend only on the grid's bytes; the copy that keeps them
-        # is taken after the samples are formed, because a copy held during
-        # that work made an 8-edge apply about 7 % slower in timings
-        reuse = self._grids is not None and all(
-            g.dtype == h.dtype and g.shape == h.shape and g.tobytes() == h.tobytes()
-            for g, h in zip(edges, self._grids)
-        )
-        kernels = self._kernels if reuse else system.sampled_kernels(self.z, grid)
+        kernels = system.sampled_kernels(self.z, grid)
         parts = system.edges(kernels.resolvent(psi))
         if self.params.range_basis.shape[1]:
             applied = system.edges(kernels.apply(self.correction @ kernels.adjoint(psi)))
@@ -380,8 +370,6 @@ class Resolvent:
                 raise ModelConsistencyError(
                     f"resolvent samples at z = {self.z} are not finite on edge {e}"
                 )
-        if not reuse:
-            self._grids, self._kernels = [g.copy() for g in edges], kernels
         return system.shaped(parts)
 
     def apply_green(self, combo: GreenCombination) -> GreenCombination:

@@ -153,7 +153,7 @@ class PointModel:
         if not np.isfinite(c).all():
             raise ValueError("centers must be finite")
         object.__setattr__(self, "centers", c)
-        d = _pairwise_distances(c)
+        d = _pairwise_distances(c, c)
         rows, cols = np.triu_indices(len(c), 1)
         off = d[rows, cols]
         for name, value in (
@@ -182,7 +182,9 @@ class SpinPointModel:
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", PointModel(self.centers).centers)
+        point = PointModel(self.centers)
+        object.__setattr__(self, "centers", point.centers)
+        object.__setattr__(self, "_point", point)  # not a field; spin_weyl reads it
         b = tuple(float(x) for x in self.b)
         if not b:
             raise ValueError("need at least one internal eigenvalue")
@@ -473,80 +475,85 @@ def _edge_green(a: float, z: complex, zeta) -> SmoothFunction:
     )
 
 
-def _grid_problem(a: float, x: np.ndarray):
-    """Why x is not a uniform grid from 0 to a, or None when it is one."""
+def _edge_columns(a: float, z, x: np.ndarray):
+    """((u, v, w), columns) of the edge (0, a) at the points x; z is not checked.
+
+    With k = sqrt(-z) and s = sin(ka), u = sin(kx), v = sin(k(a - x)) and
+    w = k s give the free resolvent kernel u(x_<) v(x_>) / w, and the
+    deficiency columns [v / s, u / s] are one (*x.shape, 2) array. z = 0
+    keeps its linear kernels u = x, v = a - x and s = a, with w None.
+    """
+    if z == 0:
+        u, v, s, w = x, a - x, a, None
+    else:
+        k = _sqrt_minus(z)
+        s = np.sin(k * a)
+        u, v, w = np.sin(k * x), np.sin(k * (a - x)), k * s
+    columns = np.empty(x.shape + (2,), dtype=complex)
+    np.divide(v, s, out=columns[..., 0])
+    np.divide(u, s, out=columns[..., 1])
+    return (u, v, w), columns
+
+
+def _grid_step(a: float, x: np.ndarray, edge: int) -> float:
+    """The step of x, unless x is not a uniform grid from 0 to a; then
+    :class:`GridMismatchError` naming the edge ``edge`` (length a)."""
     if x.ndim != 1 or x.shape[0] < 2:
-        return f"need a 1-D grid of at least 2 nodes, got shape {x.shape}"
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        return f"grid node {bad[0]} is {float(x[bad[0]])!r}, not finite"
-    if abs(x[0]) > GRID_END_RTOL * a or abs(x[-1] - a) > GRID_END_RTOL * a:
-        return f"grid runs from {float(x[0])} to {float(x[-1])}, not from 0 to the edge length {a!r}"
-    dx = x[1] - x[0]
-    deviation = np.max(np.abs(np.diff(x) - dx))
-    if deviation > GRID_STEP_RTOL * dx:
-        return f"grid spacing is not uniform (steps deviate by {deviation / dx:.1e} of the first)"
-    return None
+        problem = f"need a 1-D grid of at least 2 nodes, got shape {x.shape}"
+    elif (bad := np.flatnonzero(~np.isfinite(x))).size:
+        problem = f"grid node {bad[0]} is {float(x[bad[0]])!r}, not finite"
+    elif abs(x[0]) > GRID_END_RTOL * a or abs(x[-1] - a) > GRID_END_RTOL * a:
+        problem = f"grid runs from {float(x[0])} to {float(x[-1])}, not from 0 to the edge length {a!r}"
+    else:
+        dx = x[1] - x[0]
+        deviation = np.max(np.abs(np.diff(x) - dx))
+        if deviation <= GRID_STEP_RTOL * dx:
+            return dx
+        problem = f"grid spacing is not uniform (steps deviate by {deviation / dx:.1e} of the first)"
+    raise GridMismatchError(f"edge {edge} (length {a!r}): {problem}")
 
 
-def _sample_step(a: float, x: np.ndarray, samples, edge: int, problem) -> float:
-    """The step of the grid x of edge ``edge`` (length a), unless ``problem``
-    (from :func:`_grid_problem`) is set or the samples do not have its
-    length; then :class:`GridMismatchError` naming the edge."""
-    if problem is None and np.shape(samples)[:1] != x.shape:
-        problem = f"{np.shape(samples)[0]} samples on a grid of {x.shape[0]} nodes"
-    if problem is not None:
+def _fitted(a: float, nodes: int, samples, edge: int) -> np.ndarray:
+    """The samples as an array; :class:`GridMismatchError` naming the edge unless they are ``nodes`` long."""
+    samples = np.asarray(samples)
+    if samples.shape[:1] != (nodes,):
+        problem = f"{samples.shape[0]} samples on a grid of {nodes} nodes"
         raise GridMismatchError(f"edge {edge} (length {a!r}): {problem}")
-    return x[1] - x[0]
+    return samples
 
 
 class SampledKernels:
     """The Krein formula's three sampled factors on the edges of one system,
     bound to one z and one grid.
 
-    Building one checks z and, on each edge (0, a) with k = sqrt(-z) and
-    s = sin(ka), evaluates sin(kx), sin(k(a - x)), k s and the deficiency
-    columns [sin(k(a - x)) / s, sin(kx) / s] once; z = 0 keeps its linear
-    kernels. ``resolvent(psi)`` gives R_0(z) psi, ``adjoint(psi)``
-    G(conj(z))^* psi in C^n and ``apply(zeta)`` G(z) zeta, each taking and
-    returning edge functions in the system's shape. ``apply`` takes any
-    points and raises ``ValueError`` for a zeta whose length is not n; the
-    other two integrate by Simpson's rule. They raise
-    :class:`GridTooCoarseError` if some edge's grid has fewer than
-    ``MIN_EDGE_NODES`` nodes, and then :class:`GridMismatchError`, naming
-    the edge, unless its grid runs uniformly from 0 to its length and psi
-    has the grid's length.
+    Building one checks z, then the grid: :class:`GridTooCoarseError` if
+    some edge's grid has fewer than ``MIN_EDGE_NODES`` nodes, then
+    :class:`GridMismatchError`, naming the edge, unless each edge's grid
+    runs uniformly from 0 to its length. It keeps each edge's step and
+    evaluates its kernel and deficiency columns once (:func:`_edge_columns`).
+    ``resolvent(psi)`` gives R_0(z) psi, ``adjoint(psi)`` G(conj(z))^* psi
+    in C^n and ``apply(zeta)`` G(z) zeta, each taking and returning edge
+    functions in the system's shape. The first two integrate by Simpson's
+    rule and raise :class:`GridMismatchError` for samples that do not have
+    the grid's length; ``apply`` raises ``ValueError`` for a zeta whose
+    length is not n.
     """
 
     def __init__(self, system: EdgeWeylSystem, z, grid):
         check_admissible(system.excluded, z)
-        self._system, self._edges, self._coarse = system, [], []
-        for a, x in zip(system.lengths, system.edges(grid)):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1 and len(x) < MIN_EDGE_NODES:  # other shapes are _grid_problem's
-                self._coarse.append(len(x))
-            # the free resolvent kernel is u(x_<) v(x_>) / w, with w None at z = 0
-            if z == 0:
-                sines = (x, a - x, None)
-                columns = np.stack([(a - x) / a, x / a], axis=1).astype(complex)
-            else:
-                k = _sqrt_minus(z)
-                s = np.sin(k * a)
-                sx, sax = np.sin(k * x), np.sin(k * (a - x))
-                sines, columns = (sx, sax, k * s), np.stack([sax / s, sx / s], axis=1)
-            self._edges.append((a, x, _grid_problem(a, x), sines, columns))
+        grids = [np.asarray(x, dtype=float) for x in system.edges(grid)]
+        coarse = [len(x) for x in grids if x.ndim == 1 and len(x) < MIN_EDGE_NODES]
+        if coarse:
+            raise GridTooCoarseError(f"need at least {MIN_EDGE_NODES} nodes per edge, got {coarse[0]}")
+        self._system, self._edges = system, []  # each edge's (a, step, kernel, columns)
+        for edge, (a, x) in enumerate(zip(system.lengths, grids)):
+            self._edges.append((a, _grid_step(a, x, edge), *_edge_columns(a, z, x)))
 
     def _samples(self, psi):
-        """(a, sines, columns, samples, step) of each edge, or GridTooCoarseError
-        or GridMismatchError."""
-        if self._coarse:
-            raise GridTooCoarseError(
-                f"need at least {MIN_EDGE_NODES} nodes per edge, got {self._coarse[0]}"
-            )
-        parts = self._system.edges(psi)
-        for edge, ((a, x, problem, sines, columns), part) in enumerate(zip(self._edges, parts)):
-            part = np.asarray(part)
-            yield a, sines, columns, part, _sample_step(a, x, part, edge, problem)
+        """(a, kernel, columns, samples, step) of each edge; samples of another
+        length than the grid's raise GridMismatchError naming the edge."""
+        for edge, ((a, dx, kernel, columns), part) in enumerate(zip(self._edges, self._system.edges(psi))):
+            yield a, kernel, columns, _fitted(a, len(columns), part, edge), dx
 
     def resolvent(self, psi):
         """Samples of the free resolvent applied to the samples psi."""
@@ -599,7 +606,8 @@ def _edge_traces(a: float, psi, grid, edge: int):
     if grid is None:
         raise ValueError("sampled traces need the sample grid")
     x = np.asarray(grid, dtype=float)
-    h = _sample_step(a, x, samples, edge, _grid_problem(a, x))
+    h = _grid_step(a, x, edge)
+    samples = _fitted(a, len(x), samples, edge)
     rho = np.array([samples[0], samples[-1]], dtype=complex)
     tau = np.array([_inward_derivative(samples, h, left) for left in (True, False)], dtype=complex)
     return rho, tau
@@ -697,9 +705,9 @@ class EdgeWeylSystem(WeylSystem):
     convert, and :meth:`edges` raises :class:`GridMismatchError` for any
     number of entries but one per edge. Every map takes and returns edge
     functions, samples and grids in that shape, and a zeta whose length is
-    not n raises ``ValueError``. ``g_apply(z, zeta, grid)`` is the ``apply``
-    of :meth:`sampled_kernels` and takes any points. The methods read only
-    the model data ``lengths`` and ``bare``.
+    not n raises ``ValueError``. ``g_apply(z, zeta, grid)`` evaluates the
+    deficiency columns of :class:`SampledKernels` at any points and builds no
+    kernels. The methods read only the model data ``lengths`` and ``bare``.
     """
 
     lengths: tuple
@@ -724,7 +732,7 @@ class EdgeWeylSystem(WeylSystem):
         return parts[0] if self.bare else list(parts)
 
     def sampled_kernels(self, z, grid) -> SampledKernels:
-        """The one :class:`SampledKernels` of z on the edge grids; it checks z."""
+        """The one :class:`SampledKernels` of z on the edge grids; it checks z and the grids."""
         return SampledKernels(self, z, grid)
 
     def traces(self, parts, grid=None):
@@ -782,7 +790,10 @@ def _edge_system(lengths: tuple, kind: str, bare: bool) -> EdgeWeylSystem:
         return _edge_gram_blocks(lengths, z, w)
 
     def g_apply(z, zeta, grid):
-        return SampledKernels(system, z, grid).apply(zeta)
+        check_admissible(excluded, z)
+        pairs = _boundary_vector(zeta, system.n).reshape(len(lengths), 2)
+        points = [np.asarray(x, dtype=float) for x in system.edges(grid)]
+        return system.shaped([_edge_columns(a, z, x)[1] @ pair for a, x, pair in zip(lengths, points, pairs)])
 
     system = EdgeWeylSystem(2 * len(lengths), kind, excluded, gamma, gram, g_apply, lengths, bare)
     return system
@@ -847,8 +858,9 @@ def vertex_params(model: GraphModel, groups: Sequence[VertexGroup]) -> Extension
 # point-interaction model
 
 
-def _pairwise_distances(centers: np.ndarray) -> np.ndarray:
-    diff = centers[:, None, :] - centers[None, :, :]
+def _pairwise_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (m, n) distances |x_i - y_j| of m points x_i from n centres y_j."""
+    diff = points[:, None, :] - centers[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
@@ -903,9 +915,7 @@ def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     zeta = np.asarray(zeta, dtype=complex)
     sq = np.sqrt(complex(z))
-    r = np.sqrt(
-        np.sum((pts[:, None, :] - model.centers[None, :, :]) ** 2, axis=-1)
-    )
+    r = _pairwise_distances(pts, model.centers)
     if np.any(r <= MIN_CENTER_DISTANCE):
         raise ValueError("evaluation points must stay away from the centers")
     return (np.exp(-sq * r) / (FOUR_PI * r)) @ zeta
@@ -936,10 +946,7 @@ def point_green_regular_part(model: PointModel, lam, coeff):
     sq = np.sqrt(lam)
 
     def evaluate(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.sqrt(
-            np.sum((pts[:, None, :] - model.centers[None, :, :]) ** 2, axis=-1)
-        )
+        r = _pairwise_distances(np.atleast_2d(np.asarray(points, dtype=float)), model.centers)
         near = r <= MIN_CENTER_DISTANCE
         smooth = np.where(near, 1.0, r)
         term = np.expm1(-sq * smooth) / (FOUR_PI * smooth)
@@ -1000,7 +1007,7 @@ def spin_weyl(model: SpinPointModel) -> PointWeylSystem:
     at the shifted parameter z - b_i, and z is admissible only when every
     shift avoids (-inf, 0].
     """
-    return _spin_system(PointModel(model.centers), model.b, "spin_points")
+    return _spin_system(model._point, model.b, "spin_points")
 
 
 def _spin_system(point: PointModel, b: tuple, kind: str, bare: bool = False) -> PointWeylSystem:

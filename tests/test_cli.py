@@ -620,8 +620,8 @@ INVALID_INPUTS = {
         "ConfigError: model.b[1]: expected a real in [-1e+12, 1e+12], got inf",
     ),
     "grid-0": (
-        interval_job({"name": "resolvent", "z": [1.0, 1.0]}),
-        ["--grid", "0"],
+        interval_job({"name": "resolvent", "z": [1.0, 1.0], "grid": 0}),
+        [],
         "GridTooCoarseError: need at least 501 nodes per edge, got 0",
     ),
     "grid-float": (
@@ -790,15 +790,15 @@ def test_console_entry_point_smoke(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
-def test_cli_grid_and_tol_overrides(tmp_path):
-    # --grid sets the resolvent sample density; spectrum jobs ignore their
+def test_cli_task_grid_sets_the_density_and_spectrum_ignores_grid_and_tol(tmp_path):
+    # task.grid sets the resolvent sample density; spectrum jobs ignore their
     # grid and tol keys and report the search's completeness counts
     job = write_job(
         tmp_path / "r.json",
-        interval_job({"name": "resolvent", "z": [1.0, 1.0], "grid": 900}),
+        interval_job({"name": "resolvent", "z": [1.0, 1.0], "grid": 501}),
     )
     out = tmp_path / "r"
-    assert main([job, "--out", str(out), "--grid", "501"]) == 0
+    assert main([job, "--out", str(out)]) == 0
     assert json.loads((out / "resolvent.json").read_text())["grid"] == 501
     assert len((out / "resolvent.csv").read_text().splitlines()) == 1 + 501
 
@@ -865,6 +865,21 @@ def test_cli_green_at_center_preset(tmp_path):
     rows = (tmp_path / "out" / "resolvent.csv").read_text().splitlines()[1:]
     vals = np.array([float(r.split(",")[1]) for r in rows])
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("z", [1e-12, -1e-12, 1e-10, 1e-9, 1e-9j])
+def test_green_at_center_preset_at_zero_is_the_limit_of_small_z(z):
+    # z = 0 takes the linear kernel of its own branch, real with peak a / 4 at
+    # the centre; the sine kernel at small z agrees with it to |z| a^2
+    system = kx.graph_weyl(kx.GraphModel((1.7, 0.6)))
+    grids = verify.edge_grids(system, 2001)
+    spec = {"preset": "green_at_center"}
+    at_zero = verify.preset_samples(system, spec, 0.0, grids)
+    near = verify.preset_samples(system, spec, z, grids)
+    for a, f, g in zip(system.lengths, at_zero, near):
+        scale = np.max(np.abs(f))
+        assert f.dtype == complex and not f.imag.any() and abs(scale - a / 4) <= 1e-12 * a
+        assert np.max(np.abs(g - f)) <= abs(z) * a**2 * scale
 
 
 def test_cli_spin_verify(tmp_path):

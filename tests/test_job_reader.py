@@ -9,6 +9,7 @@ through ``main`` in-process.
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import re
@@ -164,8 +165,15 @@ def test_each_reproduced_bad_field_exits_1_naming_its_path(tmp_path, case):
     assert error["message"].startswith(f"ConfigError: {path}")
 
 
-def test_grid_option_is_read_as_the_task_grid(tmp_path):
-    code, err = _run(SMALL_JOBS["resolvent"], tmp_path, "--grid", "-1")
+def test_the_task_grid_is_the_one_source_of_the_grid(tmp_path):
+    # the command line has no --grid, and read_job reads only the document
+    with pytest.raises(SystemExit) as info:
+        _run(SMALL_JOBS["resolvent"], tmp_path, "--grid", "501")
+    assert info.value.code == 2
+    assert list(inspect.signature(cli.read_job).parameters) == ["doc"]
+    doc = copy.deepcopy(SMALL_JOBS["resolvent"])
+    doc["task"]["grid"] = -1
+    code, err = _run(doc, tmp_path)
     assert code == 1
     assert json.loads(err)["error"]["message"].startswith("ConfigError: task.grid: expected an integer")
 

@@ -560,14 +560,13 @@ def test_run_verify_checks_each_point_once(monkeypatch):
     # defect Gram check and the von Neumann block; only gamma, the Gram
     # matrices and the sampled kernels check z (probes that check z
     # themselves and take one point per Gamma call make 61/122 and 69/130
-    # here). One SampledKernels is built for each distinct (z, grid) of the
-    # three sampled resolvents, none for the quadrature Gram, and the two
-    # resolvents at 2 - i on the same grids share one Gamma call and one
-    # SampledKernels.
+    # here). One SampledKernels is built for each of the three sampled
+    # resolvents, none for the quadrature Gram, and the two resolvents at
+    # 2 - i on the same grids share one Gamma call.
     rng = np.random.default_rng(3)
     graph = kx.graph_weyl(kx.GraphModel([0.8 + 0.1 * k for k in range(8)]))
     params = ExtensionParams.full(random_hermitian(rng, 16, 0.5))
-    want = {"gamma": 5, "contains": 11, "kernels": 2}
+    want = {"gamma": 5, "contains": 12, "kernels": 3}
     assert _count_verify_calls(monkeypatch, graph, params) == want
     points = kx.point_weyl(kx.PointModel(rng.normal(size=(20, 3)) * 3))
     params = ExtensionParams.full(np.diag(np.linspace(-1.0, 1.0, 20)))
@@ -575,26 +574,17 @@ def test_run_verify_checks_each_point_once(monkeypatch):
     assert _count_verify_calls(monkeypatch, points, params) == want
 
 
-def test_resolvent_reuses_its_kernels_for_a_grid_with_the_same_bytes(monkeypatch):
-    # equal values in new arrays reuse the kernels; a grid whose bytes
-    # changed in place (0.0 -> -0.0) or whose node count differs does not
+def test_a_resolvent_keeps_no_grid_state():
+    # a Resolvent holds system, params, z and what its cached properties
+    # form; each application builds the kernels of its own grid
     system = kx.graph_weyl(kx.GraphModel((1.0, 1.7, 2.2)))
     params = ExtensionParams.full(random_hermitian(np.random.default_rng(4), 6, 0.5))
-    builds, kernels = [], models.SampledKernels
-    monkeypatch.setattr(models, "SampledKernels", lambda *args: builds.append(1) or kernels(*args))
-    grids = verify.edge_grids(system, 1001)
-    psi = [np.sin(g) for g in grids]
     resolvent = krein.Resolvent(system, params, 0.4 + 1.1j)
-    first = resolvent.apply(psi, grids)
-    again = resolvent.apply(psi, [g.copy() for g in grids])
-    assert len(builds) == 1
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
-    grids[0][0] = -0.0
-    resolvent.apply(psi, grids)
-    assert len(builds) == 2
-    finer = verify.edge_grids(system, 1201)
-    resolvent.apply([np.sin(g) for g in finer], finer)
-    assert len(builds) == 3
+    for nodes in (1001, 1201):
+        grids = verify.edge_grids(system, nodes)
+        resolvent.apply([np.sin(g) for g in grids], grids)
+    cached = {name for name, value in vars(krein.Resolvent).items() if isinstance(value, functools.cached_property)}
+    assert set(vars(resolvent)) <= {"system", "params", "z"} | cached
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -153,10 +153,8 @@ def test_apply_resolvent_rejects_a_grid_that_does_not_fit(name):
     psi = kx.poly_bump(PI)(grid)
     with pytest.raises(GridMismatchError, match="edge 0"):
         kx.apply_resolvent(system, params, 1 + 1j, psi, grid)
-    with pytest.raises(GridMismatchError):
-        system.sampled_kernels(1 + 1j, grid).resolvent(psi)
-    with pytest.raises(GridMismatchError):
-        system.sampled_kernels(1 + 1j, grid).adjoint(psi)
+    with pytest.raises(GridMismatchError, match="edge 0"):
+        system.sampled_kernels(1 + 1j, grid)
 
 
 def test_fitting_grid_passes_and_samples_must_match_it():
@@ -207,22 +205,25 @@ def test_edge_maps_take_one_entry_per_edge_and_n_boundary_values():
 
 
 def test_the_kernels_integrate_only_on_grids_of_min_edge_nodes():
-    # the node floor is the kernels' rule: resolvent and adjoint check it
-    # before the grid's other rules, apply takes any points, and z is
-    # checked first, when the kernels are built
+    # the kernels refuse a grid when they are built: z first, then the node
+    # floor on every edge, then each edge's span; g_apply takes any points
     system = kx.graph_weyl(kx.GraphModel((1.0, 2.0)))
     grids = [np.linspace(0.0, 1.0, 1001), np.linspace(1.0, 3.0, kx.models.MIN_EDGE_NODES - 1)]
     psi = [np.ones_like(x) + 0j for x in grids]
     message = f"^need at least 501 nodes per edge, got {kx.models.MIN_EDGE_NODES - 1}$"
-    kernels = system.sampled_kernels(1j, grids)
     with pytest.raises(kx.GridTooCoarseError, match=message):
-        kernels.resolvent(psi)
-    with pytest.raises(kx.GridTooCoarseError, match=message):
-        kernels.adjoint(psi[:1])
+        system.sampled_kernels(1j, grids)
     with pytest.raises(kx.GridTooCoarseError, match=message):
         kx.apply_resolvent(system, ExtensionParams.trivial(4), 1j, psi, grids)
-    assert [part.shape for part in kernels.apply(np.ones(4))] == [(1001,), (500,)]
+    # edge 0 does not span its edge, edge 1 is coarse: the floor comes first
+    with pytest.raises(kx.GridTooCoarseError, match=message):
+        system.sampled_kernels(1j, [np.linspace(0.5, 1.5, 1001), grids[1]])
+    with pytest.raises(GridMismatchError, match="^edge 0 "):
+        system.sampled_kernels(1j, [np.linspace(0.5, 1.5, 1001), np.linspace(1.0, 3.0, 501)])
+    assert [part.shape for part in system.g_apply(1j, np.ones(4), grids)] == [(1001,), (500,)]
     pole = -((PI / 2.0) ** 2)
+    with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(pole)}")):
+        system.sampled_kernels(pole, grids)
     with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(pole)}")):
         kx.apply_resolvent(system, ExtensionParams.trivial(4), pole, psi, grids)
 
@@ -264,11 +265,22 @@ def test_graph_traces_name_the_edge():
     assert np.allclose(tau, [PI, PI, 0.5 * PI, 0.5 * PI], rtol=1e-8)
 
 
-def test_g_apply_takes_arbitrary_points():
+def test_g_apply_takes_arbitrary_points(monkeypatch):
+    # g_apply evaluates the deficiency columns pointwise and builds no kernels
+    def no_kernels(*args):
+        raise AssertionError("g_apply built a SampledKernels")
+
+    monkeypatch.setattr(models, "SampledKernels", no_kernels)
     system = kx.interval_weyl(kx.IntervalModel(PI))
-    pts = np.array([0.1, 2.0, 0.5, 3.0])
     zeta = np.array([1.0, 0.5j])
-    _same(system.g_apply(1 + 1j, zeta, pts), reference_g_columns(PI, 1 + 1j, pts) @ zeta)
+    for pts in (np.array([0.1, 2.0, 0.5, 3.0]), np.array([0.0, PI])):
+        for z in (1 + 1j, 0.0):
+            _same(system.g_apply(z, zeta, pts), reference_g_columns(PI, z, pts) @ zeta)
+    graph = kx.graph_weyl(kx.GraphModel(EIGHT_EDGES))
+    coarse = [np.linspace(0.0, a, 11) for a in EIGHT_EDGES]
+    zeta = np.arange(16) * (1 - 0.5j)
+    for got, a, x, pair in zip(graph.g_apply(2 - 1j, zeta, coarse), EIGHT_EDGES, coarse, zeta.reshape(8, 2)):
+        _same(got, reference_g_columns(a, 2 - 1j, x) @ pair)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +335,23 @@ def test_green_route_rejects_an_excluded_node(system, node):
 def test_point_model_keeps_its_distances(monkeypatch):
     centers = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.5]]
     model = kx.PointModel(centers)
+    spin = kx.SpinPointModel(centers, (0.0, 1.5))
     assert "_distances" not in {f.name for f in dataclasses.fields(model)}
-    _same(model._distances, models._pairwise_distances(model.centers))
+    assert "_point" not in {f.name for f in dataclasses.fields(spin)}
+    _same(model._distances, models._pairwise_distances(model.centers, model.centers))
+    # the point values and the regular part read |x - y| from this helper,
+    # which squares by diff * diff where they squared by ** 2: same bytes
+    rng = np.random.default_rng(5)
+    pts, far = rng.normal(size=(500, 3)) * 4, rng.normal(size=(20, 3)) * 3
+    squared = np.sum((pts[:, None, :] - far[None, :, :]) ** 2, axis=-1)
+    _same(models._pairwise_distances(pts, far), np.sqrt(squared))
 
-    def recompute(_):
+    def recompute(*_):
         raise AssertionError("pairwise distances recomputed")
 
     monkeypatch.setattr(models, "_pairwise_distances", recompute)
-    system = kx.point_weyl(model)
-    system.gamma(np.array([1.0, 2 + 1j]))
-    system.gram(1.0, 1.0)
-    system.gram(1.0, 2.0)
+    for system in (kx.point_weyl(model), kx.spin_weyl(spin)):
+        system.gamma(np.array([2.0, 2 + 1j]))
+        system.gram(2.0, 2.0)
+        system.gram(3.0, 2.5)
+    assert kx.spin_weyl(spin).point is spin._point
