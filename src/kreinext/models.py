@@ -515,7 +515,7 @@ def _grid_step(a: float, x: np.ndarray, edge: int) -> float:
 
 def _fitted(a: float, nodes: int, samples, edge: int) -> np.ndarray:
     """The samples as an array; :class:`GridMismatchError` naming the edge unless they are ``nodes`` long."""
-    samples = np.asarray(samples)
+    samples = np.atleast_1d(samples)  # a scalar counts as one sample
     if samples.shape[:1] != (nodes,):
         problem = f"{samples.shape[0]} samples on a grid of {nodes} nodes"
         raise GridMismatchError(f"edge {edge} (length {a!r}): {problem}")

@@ -248,8 +248,14 @@ def test_grid_ends_are_named_as_plain_floats():
 
 def test_sampled_traces_need_one_sample_per_node():
     x = np.linspace(0.0, PI, 2001)
+    system = kx.interval_weyl(kx.IntervalModel(PI))
     with pytest.raises(GridMismatchError, match="1500 samples on a grid of 2001 nodes"):
-        kx.interval_weyl(kx.IntervalModel(PI)).traces(np.sin(x[:1500]) + 0j, x)
+        system.traces(np.sin(x[:1500]) + 0j, x)
+    # a scalar is one sample, for the traces and the kernels alike
+    with pytest.raises(GridMismatchError, match="1 samples on a grid of 2001 nodes"):
+        system.traces(1.0, x)
+    with pytest.raises(GridMismatchError, match="1 samples on a grid of 2001 nodes"):
+        system.sampled_kernels(1j, x).adjoint(1.0)
 
 
 def test_graph_traces_name_the_edge():
