@@ -26,11 +26,7 @@ from .krein import (
     secular_matrix,
     validate_params,
 )
-from .linalg import (
-    hermitian_eig,
-    min_singular,
-    projector_from_span,
-)
+from .linalg import hermitian_eig
 from .models import (
     DirichletExclusions,
     EdgeWeylSystem,

@@ -3,7 +3,11 @@
 Everything operates on plain 2-D numpy arrays (boundary dimensions stay
 below ~64, so dense LAPACK routines are the right tool). Rank and
 hermiticity thresholds are centralised here so subspace comparisons stay
-consistent across the package.
+consistent across the package. ``RANK_RTOL`` is the one rule for a
+numerical zero: a singular value, or the modulus of a Hermitian
+eigenvalue, counts as zero when it is at most ``RANK_RTOL`` times its
+matrix's scale (the largest singular value, or 1 + max|w| for a secular
+matrix).
 """
 
 import numpy as np
@@ -14,8 +18,6 @@ __all__ = [
     "as_matrix",
     "as_square",
     "hermitian_eig",
-    "min_singular",
-    "projector_from_span",
     "orthonormal_span",
 ]
 
@@ -66,14 +68,6 @@ def hermitian_eig(mat):
     return vals, vecs
 
 
-def min_singular(mat) -> float:
-    """Smallest singular value; 0.0 for an all-zero matrix."""
-    m = as_matrix(mat)
-    if m.size == 0:
-        raise ValueError("min_singular needs a non-empty matrix")
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def orthonormal_span(columns) -> np.ndarray:
     """Orthonormal basis of the column span, rank cut at ``RANK_RTOL * sigma_max``."""
     m = as_matrix(columns)
@@ -85,26 +79,3 @@ def orthonormal_span(columns) -> np.ndarray:
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :rank]
 
-
-def projector_from_span(vectors, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the span of the given vectors in C^n.
-
-    ``vectors`` may be linearly dependent or empty (then ``dim`` is required
-    and the zero matrix is returned). Accepts a sequence of 1-D vectors or a
-    2-D array of columns.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = vectors.astype(complex)
-    else:
-        veclist = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not veclist:
-            if dim is None:
-                raise ValueError("empty span needs an explicit ambient dimension")
-            return np.zeros((dim, dim), dtype=complex)
-        cols = np.stack(veclist, axis=1)
-    if cols.shape[1] == 0:
-        if dim is None:
-            dim = cols.shape[0]
-        return np.zeros((dim, dim), dtype=complex)
-    q = orthonormal_span(cols)
-    return q @ q.conj().T

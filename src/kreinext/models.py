@@ -43,7 +43,7 @@ same arithmetic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Sequence
 
@@ -142,6 +142,8 @@ class PointModel:
     ``_upper_index`` and ``_lower_index`` the flat indices of the entries
     above its diagonal and of their mirrors, ``_upper_distances`` those
     entries and ``_upper_scale`` 4 pi times them. d is symmetric to the bit.
+    Models compare and hash by the centres' shape and bytes, so a model is a
+    value.
     """
 
     centers: np.ndarray
@@ -173,10 +175,22 @@ class PointModel:
     def n_centers(self) -> int:
         return self.centers.shape[0]
 
+    def _data(self):
+        return self.centers.shape, self.centers.tobytes()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._data() == other._data()
+
+    def __hash__(self):
+        return hash(self._data())
+
 
 @dataclass(frozen=True)
 class SpinPointModel:
-    """Point model with an internal Hermitian term, given by its eigenvalues b."""
+    """Point model with an internal Hermitian term, given by its eigenvalues b.
+
+    Models compare and hash by the centres' shape and bytes and by b.
+    """
 
     centers: np.ndarray
     b: tuple
@@ -195,6 +209,12 @@ class SpinPointModel:
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
+
+    def _data(self):
+        return self._point._data(), self.b
+
+    __eq__ = PointModel.__eq__
+    __hash__ = PointModel.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +986,7 @@ class PointWeylSystem(WeylSystem):
     for a zeta whose length is not n.
     """
 
-    point: PointModel = field(compare=False)  # its arrays would make the system unhashable
+    point: PointModel
     b: tuple
     bare: bool
 

@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 PAIR_COMM_RTOL = 1e-12
-PAIR_SIGMA_MIN = 1e-10
 PAIRING_TOL = 1e-12
 ANGLE_TOL = 1e-10
 
@@ -146,11 +145,15 @@ class PairConditionError(ValueError):
 class PairConditions:
     """Residuals and verdicts for the boundary-pair conditions.
 
-    ``comm``: commutation B1 B2^* = B2 B1^*. ``nondeg``: invertibility of the
+    ``comm``: commutation B1 B2^* = B2 B1^*, the residual at most
+    ``PAIR_COMM_RTOL ||B1|| ||B2||``. ``nondeg``: invertibility of the
     doubled block matrix [[B1, -B2], [B2, B1]]. ``joint_kernel`` and
     ``normalization`` are the two finite-dimensional equivalents of
     ``nondeg`` (trivial common kernel of the adjoints; invertibility of
-    B1 B1^* + B2 B2^*); ``consistent`` records that the three agree.
+    B1 B1^* + B2 B2^*); ``consistent`` records that the three agree. A
+    matrix is invertible, and a rank full, when its smallest singular value
+    exceeds ``linalg.RANK_RTOL`` times its largest, so every verdict holds
+    for (s B1, s B2) exactly when it holds for (B1, B2).
     """
 
     comm_residual: float
@@ -186,29 +189,28 @@ class PairConditions:
 def check_pair_conditions(pair: BoundaryPair) -> PairConditions:
     """Residuals and verdicts of the pair conditions of (pair.b1, pair.b2).
 
-    :class:`BoundaryPair` runs it once, when it is built, and stores the
-    result as ``pair.conditions``.
+    One SVD per matrix gives its smallest and largest singular values, and
+    each verdict is relative to its matrix's scale (see
+    :class:`PairConditions`). :class:`BoundaryPair` runs it once, when it is
+    built, and stores the result as ``pair.conditions``.
     """
     b1, b2 = pair.b1, pair.b2
     n = pair.n
-    scale = 1.0 + np.linalg.norm(b1, 2) * np.linalg.norm(b2, 2)
+    scale = np.linalg.norm(b1, 2) * np.linalg.norm(b2, 2)
     comm_residual = float(np.linalg.norm(b1 @ b2.conj().T - b2 @ b1.conj().T, 2))
-    block = np.block([[b1, -b2], [b2, b1]])
-    nondeg_sigma = linalg.min_singular(block) if n else 0.0
-    stacked = np.vstack([b1.conj().T, b2.conj().T])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(svals > linalg.RANK_RTOL * svals[0])) if svals.size and svals[0] else 0
-    normalization_sigma = (
-        linalg.min_singular(b1 @ b1.conj().T + b2 @ b2.conj().T) if n else 0.0
-    )
+    # singular values, largest first; an empty pair has the one value 0
+    nondeg = np.linalg.svd(np.block([[b1, -b2], [b2, b1]]), compute_uv=False) if n else np.zeros(1)
+    stacked = np.linalg.svd(np.vstack([b1.conj().T, b2.conj().T]), compute_uv=False)
+    rank = int(np.sum(stacked > linalg.RANK_RTOL * stacked[0])) if n else 0
+    normal = np.linalg.svd(b1 @ b1.conj().T + b2 @ b2.conj().T, compute_uv=False) if n else np.zeros(1)
     return PairConditions(
         comm_residual=comm_residual,
         comm_ok=comm_residual <= PAIR_COMM_RTOL * scale,
-        nondeg_sigma=float(nondeg_sigma),
-        nondeg_ok=nondeg_sigma > PAIR_SIGMA_MIN,
+        nondeg_sigma=float(nondeg[-1]),
+        nondeg_ok=bool(nondeg[-1] > linalg.RANK_RTOL * nondeg[0]),
         joint_kernel_ok=rank == n,
-        normalization_sigma=float(normalization_sigma),
-        normalization_ok=normalization_sigma > PAIR_SIGMA_MIN,
+        normalization_sigma=float(normal[-1]),
+        normalization_ok=bool(normal[-1] > linalg.RANK_RTOL * normal[0]),
     )
 
 
@@ -247,7 +249,7 @@ def params_from_pair(pair: BoundaryPair) -> ExtensionParams:
     u = linalg.orthonormal_span(b2)
     pi = v @ v.conj().T
     pi_tilde = u @ u.conj().T
-    theta = pi @ b1.conj().T @ np.linalg.pinv(b2.conj().T @ pi_tilde, rcond=1e-10) @ pi
+    theta = pi @ b1.conj().T @ np.linalg.pinv(b2.conj().T @ pi_tilde, rcond=linalg.RANK_RTOL) @ pi
     theta = pi @ ((theta + theta.conj().T) / 2.0) @ pi
     return ExtensionParams(pi, theta)
 

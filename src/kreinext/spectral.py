@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krein import ExtensionParams, Resolvent, WeylSystem, secular_matrix
+from .linalg import RANK_RTOL
 
 __all__ = [
     "EigenResult",
@@ -49,11 +50,6 @@ __all__ = [
     "EigenpairReport",
 ]
 
-KERNEL_RTOL = 1e-10
-# Absolute ceiling on the secular eigenvalues that must vanish at a reported
-# root; a count drop whose eigenvalues stay above it is counted in
-# ``expected_count`` but not reported.
-KERNEL_TOL = 1e-10
 # Brackets narrower than this (relative to max(1, |lambda|)) are final.
 BRACKET_FLOOR = 4.0 * np.finfo(float).eps
 SCOPE_NOTE = (
@@ -290,8 +286,10 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     basis embedded in C^n; unsearchable excluded subintervals are reported
     in ``gaps``. ``metadata["expected_count"]`` is the total count drop over
     the searchable segments and ``metadata["found_count"]`` the sum of the
-    reported multiplicities; they differ only when a drop failed the
-    ``KERNEL_TOL`` check.
+    reported multiplicities. A drop of m is reported when its m smallest
+    |eigenvalues| are at most ``RANK_RTOL (1 + max|w|)``, the scale
+    :func:`eigenfunction` uses; the counts differ only when a drop fails
+    that check.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
@@ -324,7 +322,7 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
         order = np.argsort(size, axis=1, kind="stable")
         least = np.take_along_axis(size, order, axis=1).tolist()
         for (lam, drop), near, small, u in zip(roots, order.tolist(), least, us):
-            if small[drop - 1] > KERNEL_TOL:
+            if small[drop - 1] > RANK_RTOL * (1.0 + small[-1]):
                 continue  # the drop did not close onto a kernel
             results.append(EigenResult(lam, small[0], drop, basis @ u[:, sorted(near[:drop])]))
     metadata["found_count"] = sum(r.multiplicity for r in results)
@@ -335,7 +333,8 @@ def eigenfunction(system: WeylSystem, params: ExtensionParams, lam, zeta, grid):
     """Samples of the eigenfunction G(lambda) zeta attached to a secular kernel vector.
 
     ``zeta`` must lie in the numerical kernel of the secular matrix at
-    ``lam`` (relative tolerance 1e-10), embedded in C^n.
+    ``lam`` (residual at most ``RANK_RTOL (1 + sigma_max)`` times its norm),
+    embedded in C^n.
     """
     zeta = np.asarray(zeta, dtype=complex)
     norm = np.linalg.norm(zeta)
@@ -345,7 +344,7 @@ def eigenfunction(system: WeylSystem, params: ExtensionParams, lam, zeta, grid):
     basis = params.range_basis
     off_range = np.linalg.norm(zeta - basis @ (basis.conj().T @ zeta))
     in_kernel = np.linalg.norm(resolvent.m @ (basis.conj().T @ zeta))
-    if off_range + in_kernel > KERNEL_RTOL * (1.0 + resolvent.sigma_max) * norm:
+    if off_range + in_kernel > RANK_RTOL * (1.0 + resolvent.sigma_max) * norm:
         raise ValueError(
             "zeta is not in the numerical kernel of the secular matrix at lambda "
             f"(residual {(off_range + in_kernel) / norm:.3e})"

@@ -4,6 +4,7 @@ import numpy as np
 
 import kreinext as kx
 from kreinext import ExtensionParams
+from kreinext.linalg import RANK_RTOL
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -353,7 +354,7 @@ def depth_first_search(model, params, window):
             metadata["expected_count"] += drop
             w, u = np.linalg.eigh(hermitian(lam))
             near = np.argsort(np.abs(w), kind="stable")[:drop]
-            if np.max(np.abs(w[near])) > spectral.KERNEL_TOL:
+            if np.max(np.abs(w[near])) > RANK_RTOL * (1.0 + np.max(np.abs(w))):
                 continue
             results.append(
                 spectral.EigenResult(

@@ -161,8 +161,28 @@ def test_spectrum_unsearchable_window(tmp_path, capsys):
     assert len(gaps) == 2
 
 
+@pytest.mark.parametrize(
+    "a, theta, window, count",
+    [(PI, (0.5, 0.5), [-1e6, -9.9e5], 5), (2.0, (0.0, 1e-5), [-10.0, -6.0], 1)],
+)
+def test_spectrum_reports_every_counted_root_at_any_secular_scale(tmp_path, a, theta, window, count):
+    # secular matrices of about 1e6 at the roots: a kernel is judged relative to that scale
+    ext = ser.params_to_obj(kx.ExtensionParams.full(np.diag(theta).astype(complex)))
+    ext["kind"] = "params"
+    job = write_job(
+        tmp_path / "job.json",
+        {"model": {"type": "interval", "a": a}, "extension": ext, "task": {"name": "spectrum", "window": window}},
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "spectrum.json").read_text())["metadata"]
+    assert meta["expected_count"] == meta["found_count"] == count
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + count
+
+
 def test_spectrum_that_misses_a_counted_eigenvalue_exits_5(tmp_path, capsys):
-    # on a long interval two counted drops stay above KERNEL_TOL at their roots
+    # on a long interval two counted drops close at 1.2e-10 and 1.7e-10 of
+    # their secular scale: the bracket floor, absolute below |lambda| = 1,
+    # stops them too wide (ROADMAP item 3)
     ext = ser.params_to_obj(kx.ExtensionParams.full(0.5 * np.eye(2)))
     ext["kind"] = "params"
     job = write_job(
@@ -456,6 +476,21 @@ def test_convert_scalar_pair_kind(tmp_path):
     assert np.allclose(complex_array(doc["params"]["pi"]), [[1.0]])
     b2 = complex_array(doc["pair"]["b2"])
     assert np.allclose(b2, [[-1j]])
+
+
+def test_convert_pair_of_tiny_entries(tmp_path):
+    # a pair names its extension at any scale: 1e-11 (B1, B2) is (B1, B2)
+    pair = kx.BoundaryPair(np.eye(2), np.diag([0.5, 0.0]))
+    ext = {"kind": "pair", "b1": ser.matrix_to_lists(1e-11 * pair.b1), "b2": ser.matrix_to_lists(1e-11 * pair.b2)}
+    job = write_job(
+        tmp_path / "job.json",
+        {"model": {"type": "interval", "a": PI}, "extension": ext, "task": {"name": "convert"}},
+    )
+    assert main([job, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "convert.json").read_text())
+    label = kx.params_from_pair(pair)
+    assert np.array_equal(complex_array(doc["params"]["pi"]), label.pi)
+    assert np.allclose(complex_array(doc["params"]["theta"]), label.theta, rtol=0.0, atol=1e-15)
 
 
 def test_convert_corrupted_pair_exits_3(tmp_path, capsys):

@@ -58,6 +58,12 @@ def test_validate_params_range_violation():
     assert str(excinfo.value) == f"invalid extension parameters:\n{report}"
 
 
+def test_a_label_needs_one_dimension():
+    with pytest.raises(ValueError) as excinfo:
+        ExtensionParams(np.eye(2), np.zeros((3, 3)))
+    assert str(excinfo.value) == "projector and operator dimensions differ: (2, 2) vs (3, 3)"
+
+
 def test_validate_params_non_selfadjoint_projector():
     pi, theta = np.array([[1, 1], [0, 0]], dtype=complex), np.zeros((2, 2))
     report = kx.validate_params(pi, theta)

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from kreinext.linalg import (
-    hermitian_eig,
-    min_singular,
-    projector_from_span,
-)
+from kreinext.linalg import hermitian_eig
 
 from helpers import random_hermitian
 
@@ -45,46 +41,3 @@ def test_hermitian_eig_reconstruction_random():
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-12
         assert np.all(np.diff(vals) >= -1e-15)
 
-
-def test_min_singular_cases():
-    assert abs(min_singular(np.eye(4)) - 1.0) < 1e-14
-    rank1 = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
-    assert min_singular(rank1) <= 1e-12
-    assert abs(min_singular(np.diag([3.0, 1e-4])) - 1e-4) < 1e-12
-    assert min_singular(np.zeros((3, 3))) == 0.0
-
-
-def test_projector_single_unit_vector():
-    p = projector_from_span([np.array([1.0, 0.0])])
-    assert np.allclose(p, [[1, 0], [0, 0]])
-
-
-def test_projector_full_basis_is_identity():
-    p = projector_from_span([e for e in np.eye(3)])
-    assert np.allclose(p, np.eye(3), atol=1e-14)
-
-
-def test_projector_dependent_vectors():
-    v1 = np.array([1.0, 1.0]) / np.sqrt(2)
-    v2 = np.array([2.0, 2.0]) / np.sqrt(8)
-    p = projector_from_span([v1, v2])
-    assert np.allclose(p, 0.5 * np.ones((2, 2)), atol=1e-14)
-
-
-def test_projector_empty_span():
-    assert np.allclose(projector_from_span([], dim=3), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        projector_from_span([])
-
-
-def test_projector_properties_random():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 9))
-        k = int(rng.integers(1, n + 1))
-        vecs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(k)]
-        p = projector_from_span(vecs)
-        assert np.linalg.norm(p @ p - p) <= 1e-12
-        assert np.linalg.norm(p - p.conj().T) <= 1e-12
-        for v in vecs:
-            assert np.linalg.norm(p @ v - v) <= 1e-12 * max(1.0, np.linalg.norm(v))

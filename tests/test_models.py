@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -412,6 +413,48 @@ def test_point_model_validation():
         kx.PointModel([[0, 0]])
     with pytest.raises(ExcludedPointError):
         kx.point_weyl(kx.PointModel([[0, 0, 0]])).gamma(-1.0)
+
+
+CENTRES = [[0.0, 0.0, 0.0], [1.0, 0.2, 0.0]]
+TWO_EDGES = kx.GraphModel((1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: kx.PointModel([[0, 0, 0], [0, np.nan, 0]]), "centers must be finite"),
+        (lambda: kx.SpinPointModel(CENTRES, ()), "need at least one internal eigenvalue"),
+        (lambda: kx.SpinPointModel(CENTRES, (0.0, np.inf)), "internal eigenvalues must be finite, got (0.0, inf)"),
+        (lambda: kx.vertex_params(TWO_EDGES, [VertexGroup(((2, "left"),))]), "edge index 2 out of range"),
+        (
+            lambda: kx.vertex_params(TWO_EDGES, [VertexGroup(((0, "middle"),))]),
+            "endpoint side must be 'left' or 'right', got 'middle'",
+        ),
+        (lambda: kx.vertex_params(TWO_EDGES, [VertexGroup(())]), "empty vertex group"),
+        (
+            lambda: kx.point_weyl(kx.PointModel(CENTRES)).g_apply(1j, np.ones(2), [[1.0, 0.2, 0.0]]),
+            "evaluation points must stay away from the centers",
+        ),
+    ],
+)
+def test_malformed_model_inputs_are_refused_by_name(refused, message):
+    with pytest.raises(ValueError) as excinfo:
+        refused()
+    assert str(excinfo.value) == message
+
+
+def test_point_models_are_values():
+    # equal data in different arrays make equal models with equal hashes
+    centres = np.array(CENTRES)
+    for make in (kx.PointModel, lambda c: kx.SpinPointModel(c, (0.0, 1.5))):
+        model, twin = make(centres), make(centres.copy())
+        assert model == twin and hash(model) == hash(twin) and {model: 1}[twin] == 1
+        assert model != make(centres + 1.0)
+    assert kx.SpinPointModel(centres, (0.0, 1.5)) != kx.SpinPointModel(centres, (0.0, 2.5))
+    assert kx.SpinPointModel(centres, (0.0,)) != kx.PointModel(centres)
+    system = kx.point_weyl(kx.PointModel(centres))
+    assert system.point == kx.point_weyl(kx.PointModel(centres.copy())).point
+    assert system == dataclasses.replace(system) and hash(system) == hash(dataclasses.replace(system))
 
 
 def test_point_renormalized_trace_cases():

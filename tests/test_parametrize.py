@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,59 @@ def test_conditions_examples():
     )
     assert not noncomm.comm_ok
     assert noncomm.comm_residual > 0.5
+
+
+@pytest.mark.parametrize("s", [1e-11, 1e-6, 1.0, 1e6])
+def test_a_scaled_pair_names_the_same_extension(s):
+    # every verdict is relative to its matrix's scale, so s (B1, B2) passes
+    # exactly when (B1, B2) does
+    pair = BoundaryPair(s * np.eye(2), s * np.diag([0.5, 0.0]))
+    assert pair.conditions.all_ok and pair.conditions.consistent
+    label = kx.params_from_pair(BoundaryPair(np.eye(2), np.diag([0.5, 0.0])))
+    got = kx.params_from_pair(pair)
+    assert np.array_equal(got.pi, label.pi)
+    assert np.abs(got.theta - label.theta).max() <= 4 * np.finfo(float).eps * np.abs(label.theta).max()
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-7])
+def test_a_non_commuting_pair_fails_comm_at_every_scale(s):
+    # B1 B2^* - B2 B1^* = 2 s^2 [[0, 1], [-1, 0]], against PAIR_COMM_RTOL ||B1|| ||B2||
+    b1 = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b2 = np.array([[1.0, 0.0], [1.0, 1.0]])
+    conditions = BoundaryPair(s * b1, s * b2).conditions
+    assert not conditions.comm_ok and "comm" in conditions.failed
+    assert conditions.comm_residual == pytest.approx(2 * s * s, rel=1e-15)
+
+
+def _negated_gamma():
+    system = kx.interval_weyl(kx.IntervalModel(PI))
+    return dataclasses.replace(system, gamma=lambda z, gamma=system.gamma: -gamma(z))
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: BoundaryPair(np.eye(2), np.eye(3)), ValueError, "boundary pair matrices must share one dimension"),
+        (lambda: kx.SelfAdjointRelation(2, np.ones((3, 2))), ValueError, "relation basis must have 2 * dim_h rows"),
+        (
+            lambda: kx.relation_gap(
+                kx.relation_from_params(ExtensionParams.trivial(1)),
+                kx.relation_from_params(ExtensionParams.trivial(2)),
+            ),
+            ValueError,
+            "relations live in different boundary spaces",
+        ),
+        (
+            lambda: kx.von_neumann_block(_negated_gamma(), ExtensionParams.trivial(2)),
+            kx.ModelConsistencyError,
+            "Im Gamma(i) is not positive definite; deficiency Gram matrix degenerate",
+        ),
+    ],
+)
+def test_malformed_inputs_are_refused_by_name(refused, error, message):
+    with pytest.raises(error) as info:
+        refused()
+    assert str(info.value) == message
 
 
 def test_relation_from_params_spans():

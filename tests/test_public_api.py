@@ -35,9 +35,9 @@ KREINEXT = [
     "eigenvalue_search", "fd_graph_spectrum", "fd_interval_spectrum", "graph_weyl",
     "green_identity_residual", "green_norm", "hermitian_eig",
     "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
-    "krein_correction", "min_singular", "pair_from_params",
+    "krein_correction", "pair_from_params",
     "params_from_pair", "point_green_regular_part",
-    "point_weyl", "poly_bump", "projector_from_span",
+    "point_weyl", "poly_bump",
     "relation_from_pair", "relation_from_params", "relation_gap",
     "secular_matrix", "simpson_gram", "sine_mode", "single_point_eigenvalue",
     "spin_weyl", "subspace_equal", "validate_eigenpair", "validate_params",

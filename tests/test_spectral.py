@@ -625,12 +625,48 @@ def test_random_equal_length_star_search_equals_depth_first_bisection(edges, a, 
 
 
 def test_long_interval_counts_the_drops_it_cannot_report():
-    # two of the three count drops in this window stay above KERNEL_TOL at
-    # their roots: counted in expected_count, not reported
+    # two of the three count drops in this window close at 1.2e-10 and
+    # 1.7e-10 of their secular scale, above RANK_RTOL: below |lambda| = 1
+    # the bracket floor is absolute and too wide for them (ROADMAP item 3),
+    # so they are counted in expected_count, not reported
     build, window = SEARCH_CASES["long_interval_unreported_drops"]
     model, params = build()
     result = kx.eigenvalue_search(_weyl_for(model), params, window)
     assert (result.metadata["expected_count"], result.metadata["found_count"]) == (3, 1)
+
+
+def _robin_interval_step(a, theta, lam):
+    """Relative Newton step |f / f'| / |lam| at lam < 0 of the scalar secular
+    equation of the interval (0, a) with Robin constants theta = (t1, t2):
+    f = t1 t2 sin(ka) + k (t1 + t2) cos(ka) - k^2 sin(ka), k = sqrt(-lam),
+    which for t1 = t2 is twice the product of the even and odd equations."""
+    (t1, t2), k = theta, math.sqrt(-lam)
+    s, c = math.sin(k * a), math.cos(k * a)
+    f = t1 * t2 * s + k * (t1 + t2) * c - k * k * s
+    df = (t1 * t2 * a * c + (t1 + t2) * (c - k * a * s) - 2 * k * s - k * k * a * c) * -0.5 / k
+    return abs(f / df) / abs(lam)
+
+
+@pytest.mark.parametrize(
+    "a, theta, window, count, tol",
+    [
+        (PI, (0.5, 0.5), (-1e6, -9.9e5), 5, 2e-15),
+        (PI, (0.5, 0.5), (-1e6, -9e5), 51, 2e-15),
+        (PI, (0.5, 0.5), (-3e5, -0.1), 548, 2e-15),
+        (PI, (0.5, 0.5), (-1e6, -0.1), 1000, 2e-15),
+        # 1e-5 from the Dirichlet pole -pi^2, where the secular matrix is about 1e6
+        (2.0, (0.0, 1e-5), (-10.0, -6.0), 1, 1e-11),
+    ],
+)
+def test_search_reports_every_counted_root_at_any_secular_scale(a, theta, window, count, tol):
+    # a root is accepted when its secular eigenvalues vanish relative to
+    # 1 + max|w|, the scale eigenfunction uses, here up to about 1e6
+    system = kx.interval_weyl(kx.IntervalModel(a))
+    result = kx.eigenvalue_search(system, ExtensionParams.full(np.diag(theta).astype(complex)), window)
+    assert result.metadata["expected_count"] == result.metadata["found_count"] == count
+    lams = result.lambdas()
+    assert len(lams) == count and np.all(np.diff(lams) > 0.0)
+    assert max(_robin_interval_step(a, theta, lam) for lam in lams) <= tol
 
 
 def test_search_evaluates_gamma_once_per_round():
