@@ -171,7 +171,11 @@ def test_spectrum_reports_every_counted_root_at_any_secular_scale(tmp_path, a, t
     ext["kind"] = "params"
     job = write_job(
         tmp_path / "job.json",
-        {"model": {"type": "interval", "a": a}, "extension": ext, "task": {"name": "spectrum", "window": window}},
+        {
+            "model": {"type": "interval", "a": a},
+            "extension": ext,
+            "task": {"name": "spectrum", "window": window},
+        },
     )
     assert main([job, "--out", str(tmp_path / "out")]) == 0
     meta = json.loads((tmp_path / "out" / "spectrum.json").read_text())["metadata"]
@@ -481,7 +485,11 @@ def test_convert_scalar_pair_kind(tmp_path):
 def test_convert_pair_of_tiny_entries(tmp_path):
     # a pair names its extension at any scale: 1e-11 (B1, B2) is (B1, B2)
     pair = kx.BoundaryPair(np.eye(2), np.diag([0.5, 0.0]))
-    ext = {"kind": "pair", "b1": ser.matrix_to_lists(1e-11 * pair.b1), "b2": ser.matrix_to_lists(1e-11 * pair.b2)}
+    ext = {
+        "kind": "pair",
+        "b1": ser.matrix_to_lists(1e-11 * pair.b1),
+        "b2": ser.matrix_to_lists(1e-11 * pair.b2),
+    }
     job = write_job(
         tmp_path / "job.json",
         {"model": {"type": "interval", "a": PI}, "extension": ext, "task": {"name": "convert"}},
