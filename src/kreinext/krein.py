@@ -267,8 +267,8 @@ def _compress(params, z, gamma):
     else:
         v = params.range_basis
         m = v.conj().T @ (params.theta + gamma) @ v
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).all(axis=(-2, -1))
         bad = complex(np.ravel(z)[np.argmin(np.ravel(finite))])
         raise ModelConsistencyError(f"secular matrix is not finite at z={bad}")
     return m

@@ -139,11 +139,12 @@ class PointModel:
 
     The pairwise centre distances are kept in private attributes (not
     fields), which the kernels read: ``_distances`` the (n, n) matrix d,
-    ``_upper_index`` and ``_lower_index`` the flat indices of the entries
-    above its diagonal and of their mirrors, ``_upper_distances`` those
-    entries and ``_upper_scale`` 4 pi times them. d is symmetric to the bit.
-    Models compare and hash by the centres' shape and bytes, so a model is a
-    value.
+    ``_upper_distances`` its entries above the diagonal, in the order of
+    ``np.triu_indices``, ``_upper_scale`` 4 pi times them, and ``_mirror``
+    the (n n,) flat index that :func:`_symmetric` gathers through: 0 on the
+    diagonal, 1 + p at entry p above it and at its mirror below it. d is
+    symmetric to the bit. Models compare and hash by the centres' shape and
+    bytes, so a model is a value.
     """
 
     centers: np.ndarray
@@ -158,10 +159,11 @@ class PointModel:
         d = _pairwise_distances(c, c)
         rows, cols = np.triu_indices(len(c), 1)
         off = d[rows, cols]
+        mirror = np.zeros(d.shape, dtype=np.intp)
+        mirror[rows, cols] = mirror[cols, rows] = np.arange(1, off.size + 1)
         for name, value in (
             ("_distances", d),
-            ("_upper_index", rows * len(c) + cols),
-            ("_lower_index", cols * len(c) + rows),
+            ("_mirror", mirror.ravel()),
             ("_upper_distances", off),
             ("_upper_scale", FOUR_PI * off),
         ):
@@ -464,11 +466,13 @@ def _edge_gammas(lengths, z) -> np.ndarray:
     zero = z == 0
     # z is negated before it is made complex, as in _sqrt_minus; z = 0 is filled in below
     k = np.sqrt(np.asarray(-np.where(zero, -1.0, z), dtype=complex))[..., None]
-    ratio = k / np.sin(k * a)
+    ka = k * a
+    ratio = k / np.sin(ka)
     out = np.empty(ratio.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = ratio * np.cos(k * a)
+    out[..., 0, 0] = out[..., 1, 1] = ratio * np.cos(ka)
     out[..., 0, 1] = out[..., 1, 0] = ratio * -1.0  # times -1 + 0j; -ratio flips signed zeros
-    out[zero] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a[:, None, None]
+    if zero.any():
+        out[zero] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex) / a[:, None, None]
     return out
 
 
@@ -884,15 +888,13 @@ def _pairwise_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _symmetric(model: PointModel, upper, diagonal, shape: tuple = ()) -> np.ndarray:
-    """The (*shape, n, n) matrices over the centres with ``diagonal`` on the
-    diagonal and ``upper`` (a value per pair, in the order of ``_upper_index``,
-    along its last axis) above it and mirrored below it."""
+def _symmetric(model: PointModel, values: np.ndarray) -> np.ndarray:
+    """The (..., n, n) matrices over the centres from ``values`` (..., 1 + p):
+    along its last axis the diagonal's one value, then a value per pair in
+    the order of ``_upper_distances``, set above the diagonal and mirrored
+    below it. One gather through ``model._mirror``."""
     n = model.n_centers
-    out = np.empty(shape + (n * n,), dtype=complex)
-    out[..., model._upper_index] = out[..., model._lower_index] = upper
-    out[..., :: n + 1] = diagonal
-    return out.reshape(shape + (n, n))
+    return values.take(model._mirror, axis=-1).reshape(values.shape[:-1] + (n, n))
 
 
 def _point_gamma(model: PointModel, z) -> np.ndarray:
@@ -904,8 +906,10 @@ def _point_gamma(model: PointModel, z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     sq = np.sqrt(z)[..., None]
-    off = -np.exp(-sq * model._upper_distances) / model._upper_scale
-    return _symmetric(model, off, sq / FOUR_PI, z.shape)
+    values = np.empty(z.shape + (1 + model._upper_distances.size,), dtype=complex)
+    values[..., :1] = sq / FOUR_PI
+    np.divide(-np.exp(-sq * model._upper_distances), model._upper_scale, out=values[..., 1:])
+    return _symmetric(model, values)
 
 
 def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
@@ -918,8 +922,8 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     near z = w, and exp(-x) stays bounded; it does not read Gamma.
 
     d is symmetric to the bit and 0 on the diagonal, so the formula runs on
-    the entries above the diagonal and one 0: :func:`_symmetric` mirrors
-    those values and fills the diagonal with the one, as the full matrix
+    one 0 and the entries above the diagonal: :func:`_symmetric` fills the
+    diagonal with the first value and mirrors the others, as the full matrix
     would give them.
     """
     z, w = complex(z), complex(w)
@@ -928,7 +932,7 @@ def _point_gram(model: PointModel, z: complex, w: complex) -> np.ndarray:
     x = (zb - za) / (a + b) * d
     quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
     values = np.exp(-a * d) * quotient / (FOUR_PI * (a + b))
-    return _symmetric(model, values[1:], values[0])
+    return _symmetric(model, values)
 
 
 def _point_g_values(model: PointModel, z: complex, zeta, points) -> np.ndarray:
@@ -949,7 +953,7 @@ def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -
     x -> y_k, which evaluates to part(y_k) plus the cross terms
     zeta_j / (4 pi |y_k - y_j|), j != k.
     """
-    return vals + _symmetric(model, 1.0 / model._upper_scale, 0.0) @ zeta
+    return vals + _symmetric(model, np.concatenate(([0j], 1.0 / model._upper_scale))) @ zeta
 
 
 def point_green_regular_part(model: PointModel, lam, coeff):

@@ -153,7 +153,11 @@ class PairConditions:
     B1 B1^* + B2 B2^*); ``consistent`` records that the three agree. A
     matrix is invertible, and a rank full, when its smallest singular value
     exceeds ``linalg.RANK_RTOL`` times its largest, so every verdict holds
-    for (s B1, s B2) exactly when it holds for (B1, B2).
+    for (s B1, s B2) exactly when it holds for (B1, B2). B1 B1^* + B2 B2^*
+    is S^* S for the stacked S = [B1^*; B2^*], whose condition number it
+    squares, so ``normalization`` is judged on the singular values of S, the
+    square roots of its eigenvalues; ``normalization_sigma`` is the smallest
+    singular value of B1 B1^* + B2 B2^* itself.
     """
 
     comm_residual: float
@@ -200,8 +204,8 @@ def check_pair_conditions(pair: BoundaryPair) -> PairConditions:
     comm_residual = float(np.linalg.norm(b1 @ b2.conj().T - b2 @ b1.conj().T, 2))
     # singular values, largest first; an empty pair has the one value 0
     nondeg = np.linalg.svd(np.block([[b1, -b2], [b2, b1]]), compute_uv=False) if n else np.zeros(1)
-    stacked = np.linalg.svd(np.vstack([b1.conj().T, b2.conj().T]), compute_uv=False)
-    rank = int(np.sum(stacked > linalg.RANK_RTOL * stacked[0])) if n else 0
+    stacked = np.linalg.svd(np.vstack([b1.conj().T, b2.conj().T]), compute_uv=False) if n else np.zeros(1)
+    rank = int(np.sum(stacked > linalg.RANK_RTOL * stacked[0]))
     normal = np.linalg.svd(b1 @ b1.conj().T + b2 @ b2.conj().T, compute_uv=False) if n else np.zeros(1)
     return PairConditions(
         comm_residual=comm_residual,
@@ -210,7 +214,7 @@ def check_pair_conditions(pair: BoundaryPair) -> PairConditions:
         nondeg_ok=bool(nondeg[-1] > linalg.RANK_RTOL * nondeg[0]),
         joint_kernel_ok=rank == n,
         normalization_sigma=float(normal[-1]),
-        normalization_ok=bool(normal[-1] > linalg.RANK_RTOL * normal[0]),
+        normalization_ok=bool(stacked[-1] > linalg.RANK_RTOL * stacked[0]),
     )
 
 

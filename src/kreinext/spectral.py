@@ -309,8 +309,14 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     if basis.shape[1] == 0 or not segments:
         return SpectrumResult((), gaps, metadata)
 
+    # Gamma(lambda) is Hermitian to the bit at real lambda, so theta + Gamma
+    # is too when theta is; eigvalsh reads only the lower triangle, and the
+    # Hermitian part would copy the stack without changing what it reads
+    exact = params._uncompressed and np.array_equal(params.theta, params.theta.conj().T)
+
     def eigs(lams):
-        return np.linalg.eigvalsh(_hermitian_part(secular_matrix(system, params, lams)))
+        m = secular_matrix(system, params, lams)
+        return np.linalg.eigvalsh(m if exact else _hermitian_part(m))
 
     roots = _isolate(eigs, segments, params.theta_norm)
     metadata["expected_count"] = sum(drop for _, drop in roots)

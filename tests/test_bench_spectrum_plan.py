@@ -2,10 +2,13 @@
 
 The 72 searches of the seed-3 spectrum plan, as the golden corpus ran them
 (``golden.plan_searches``), are run again with ``spectral.secular_matrix``
-and ``spectral._hermitian_part`` replaced by the frozen formation of
-``helpers.reference_secular_matrix``, which compresses every label and
-builds Gamma with the kernels as first written. Every root, multiplicity,
-sigma_min, null basis, gap and metadata field must agree to the bit.
+replaced by the frozen Hermitian stack, ``helpers.reference_hermitian_part``
+of ``helpers.reference_secular_matrix``, which compresses every label and
+builds Gamma with the kernels as first written, and ``spectral._hermitian_part``
+by the identity. So every ``eigvalsh`` and the final ``eigh`` see the frozen
+Hermitian stack, whether or not the search forms a Hermitian part for the
+label. Every root, multiplicity, sigma_min, null basis, gap and metadata
+field must agree to the bit.
 """
 
 import numpy as np
@@ -32,11 +35,11 @@ def test_seed_3_spectrum_plan_keeps_its_bits_under_the_frozen_formation(monkeypa
     for family, inst, system, params, window, got, _ in searches:
         model = _model(family, inst)
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_hermitian_part", reference_hermitian_part)
+            patch.setattr(spectral, "_hermitian_part", lambda m: m)
             patch.setattr(
                 spectral,
                 "secular_matrix",
-                lambda system, params, z: reference_secular_matrix(model, params, z),
+                lambda system, params, z: reference_hermitian_part(reference_secular_matrix(model, params, z)),
             )
             frozen = kx.eigenvalue_search(system, params, window)
         assert_same_search(got, frozen)

@@ -457,6 +457,43 @@ def test_point_models_are_values():
     assert system == dataclasses.replace(system) and hash(system) == hash(dataclasses.replace(system))
 
 
+def _scattered(model, values):
+    # models._symmetric as first written: the pairs scattered above the
+    # diagonal and again below it, then the diagonal
+    n = model.n_centers
+    rows, cols = np.triu_indices(n, 1)
+    out = np.empty(values.shape[:-1] + (n * n,), dtype=complex)
+    out[..., rows * n + cols] = out[..., cols * n + rows] = values[..., 1:]
+    out[..., :: n + 1] = values[..., :1]
+    return out.reshape(values.shape[:-1] + (n, n))
+
+
+@pytest.mark.parametrize("centres", [1, 2, 5, 24])
+def test_point_matrices_gather_what_the_scatter_gave(centres, monkeypatch):
+    rng = np.random.default_rng(centres)
+    model = kx.SpinPointModel(rng.uniform(-2.0, 2.0, (centres, 3)), (0.0, -0.4))
+    point, spin = kx.point_weyl(model._point), kx.spin_weyl(model)
+    zs = np.array([0.3, 2.0, 1e-7, 5e3, 1.0 + 2.0j, -3.0 - 0.5j])
+    zeta = rng.normal(size=centres) + 1j * rng.normal(size=centres)
+    part = rng.normal(size=centres) + 0j
+
+    def matrices():
+        return [
+            point.gamma(zs),
+            point.gamma(zs[1]),
+            spin.gamma(zs),
+            point.gram(zs[4], zs[1]),
+            point.gram(zs[0], zs[0]),
+            spin.gram(zs[5], zs[2]),
+            point.renorm_trace(part, zeta),
+        ]
+
+    gathered = matrices()
+    monkeypatch.setattr(models, "_symmetric", _scattered)
+    for got, want in zip(gathered, matrices(), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_point_renormalized_trace_cases():
     system = kx.point_weyl(kx.PointModel([[0, 0, 0]]))
     vals = system.renorm_trace(np.array([2.5 + 1j]), np.zeros(1))
@@ -655,6 +692,24 @@ def test_batched_gamma_equals_scalar_calls_bit_for_bit(name):
         assert 0.0 in zs
         assert np.array_equal(system.gamma(zs[zs == 0]), [[[1, -1], [-1, 1]]] / np.float64(PI))
     assert system.gamma(zs[:1]).shape == (1, system.n, system.n)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_gamma_is_hermitian_to_the_bit_at_real_admissible_points(name):
+    # the spectral search passes theta + Gamma(lambda) to eigvalsh without
+    # forming its Hermitian part when theta is Hermitian to the bit
+    system = BATCH_SYSTEMS[name]
+    zs = _batch_points(system.excluded)
+    lams = zs[zs.imag == 0.0].real
+    if name in ("interval_pi", "graph_8"):
+        # between the Dirichlet poles, at 0 and above it
+        assert (lams < -1.0).sum() >= 10 and 0.0 in lams and (lams > 0.0).sum() >= 10
+    assert lams.size >= 10
+    stack = system.gamma(lams)
+    assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))
+    for lam in lams[::7]:
+        g = system.gamma(float(lam))
+        assert np.array_equal(g, g.conj().T)
 
 
 def _scalar_dirichlet_poles(excluded, z):

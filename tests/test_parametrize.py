@@ -138,6 +138,17 @@ def test_relation_from_params_spans():
     assert np.allclose(rel.basis[:, 0] / rel.basis[0, 0], [1.0, 3.0])
 
 
+def test_a_pair_of_condition_number_1e6_passes_all_three_nondegeneracy_checks():
+    # B1 B1^* + B2 B2^* = diag(1, 1e-12) squares the pair's condition number
+    pair = BoundaryPair(np.diag([1.0, 1e-6]), np.zeros((2, 2)))
+    cond = pair.conditions
+    assert cond.all_ok and cond.consistent and cond.failed == ()
+    assert cond.normalization_sigma == 1e-12
+    for degenerate in (np.zeros((1, 1)), np.zeros((2, 2))):
+        cond = BoundaryPair(degenerate, degenerate).conditions
+        assert cond.failed == ("nondeg", "joint_kernel", "normalization")
+
+
 def test_relation_from_pair_examples():
     rel = kx.relation_from_pair(BoundaryPair([[0.0]], [[-1j]]))
     col = rel.basis[:, 0]

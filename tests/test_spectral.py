@@ -521,6 +521,60 @@ def test_secular_stack_equals_the_frozen_formation(name):
         assert kx.secular_matrix(system, params, z).tobytes() == _frozen_formation(model, params, z).tobytes()
 
 
+FULL_FORMATION_CASES = sorted(name for name, (build, _) in FORMATION_CASES.items() if build()[1]._uncompressed)
+
+
+@pytest.mark.parametrize("name", FULL_FORMATION_CASES)
+def test_eigvalsh_of_a_full_label_stack_equals_that_of_its_hermitian_part(name):
+    # the search hands such a stack to eigvalsh as it is: at real lambda it
+    # is Hermitian to the bit, and eigvalsh gives the bytes it gives for
+    # the Hermitian part the search would otherwise form
+    build, window = FORMATION_CASES[name]
+    model, params = build()
+    assert np.array_equal(params.theta, params.theta.conj().T)
+    system = _weyl_for(model)
+    zs = _formation_points(system, window)
+    lams = zs[zs.imag == 0.0].real
+    assert lams.size >= 15
+    stack = kx.secular_matrix(system, params, lams)
+    assert np.array_equal(stack, np.conj(np.swapaxes(stack, -1, -2)))
+    hermitian = spectral._hermitian_part(stack)
+    assert np.linalg.eigvalsh(stack).tobytes() == np.linalg.eigvalsh(hermitian).tobytes()
+
+
+def _counted_search(monkeypatch, model, params, window):
+    # the search, with its Hermitian parts and secular stacks counted
+    calls = {"_hermitian_part": 0, "secular_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(spectral, name)):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    result = kx.eigenvalue_search(_weyl_for(model), params, window)
+    monkeypatch.undo()
+    assert result.eigenvalues and calls["secular_matrix"] > 2
+    return calls
+
+
+def test_only_an_exact_full_label_skips_the_hermitian_part_of_its_rounds(monkeypatch):
+    graph, params = _random_graph()
+    window = (-30.0, 5.0)
+    assert params._uncompressed and np.array_equal(params.theta, params.theta.conj().T)
+    calls = _counted_search(monkeypatch, graph, params, window)
+    assert calls["_hermitian_part"] == 1  # the eigh at the roots
+    theta = params.theta.copy()
+    theta[0, 1] += 1e-15  # Hermitian within tolerance only
+    for label in (ExtensionParams.full(theta), ExtensionParams(np.eye(16), theta)):
+        assert label._uncompressed
+        calls = _counted_search(monkeypatch, graph, label, window)
+        assert calls["_hermitian_part"] == calls["secular_matrix"]
+    model, compressed = _partial_projector_graph()
+    assert not compressed._uncompressed
+    calls = _counted_search(monkeypatch, model, compressed, (-25.0, 4.0))
+    assert calls["_hermitian_part"] == calls["secular_matrix"]
+
+
 @pytest.mark.parametrize("zeros", [(0.0,), (0.0, -0.0)])
 def test_hermitian_part_keeps_the_bits_of_the_division_by_two(zeros):
     # parts drawn from signed zeros, subnormals and ordinary values
