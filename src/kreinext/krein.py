@@ -112,7 +112,10 @@ class WeylSystem:
         array of m values gives the (m, n, n) stack Gamma(z_0), ..., Gamma(z_m-1),
         bit-for-bit equal to m scalar calls. Every z is checked against
         ``excluded`` first; one excluded entry raises :class:`ExcludedPointError`
-        naming it.
+        naming it. At a real admissible lambda, Gamma(lambda) equals its
+        conjugate transpose to the bit (Gamma(z)^* = Gamma(conj z)), and the
+        spectral search relies on that: it diagonalises theta + Gamma(lambda)
+        as it is when theta is Hermitian to the bit.
     gram : (z, w) -> n x n Gram matrix G(conj(w))^* G(z) of deficiency elements,
         a closed form in every model (it feeds the Green-combination route).
     g_apply : (z, zeta, grid) -> samples of the deficiency element G(z) zeta.

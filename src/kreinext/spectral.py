@@ -16,6 +16,9 @@ The search runs in rounds, breadth first: each round evaluates every point
 that any live bracket of any searchable segment asks for, builds all their
 secular matrices from one ``system.gamma`` call, counts with one stacked
 ``eigvalsh`` and updates every bracket, kept as flat state, in one loop.
+Gamma(lambda) is Hermitian to the bit at real lambda, so for a label with
+pi = 1 and theta Hermitian to the bit the stack goes to ``eigvalsh`` as it
+is; any other label's stack is replaced by its Hermitian part first.
 Every bracket walks the bisection's own dyadic path. Once its count drops
 by one, its crossing branch is one increasing function with one zero: a
 secant step (regula falsi) finds that zero, two probes certify a window
@@ -24,7 +27,8 @@ midpoints inside the window are evaluated, the walk passing the others in
 the same update; a larger drop evaluates every midpoint. Every bracket is
 therefore split, kept or stopped exactly as a depth-first bisection would,
 so the roots are the same to the bit, in about half the rounds. The kernel
-check at the roots is one stacked ``eigh``.
+check at the roots is one stacked ``eigh`` of the Hermitian part, for every
+label, since its vectors become the reported null bases.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside

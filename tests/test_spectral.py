@@ -545,14 +545,14 @@ def test_eigvalsh_of_a_full_label_stack_equals_that_of_its_hermitian_part(name):
 def _counted_search(monkeypatch, model, params, window):
     # the search, with its Hermitian parts and secular stacks counted
     calls = {"_hermitian_part": 0, "secular_matrix": 0}
-    for name in calls:
-        def counted(*args, name=name, f=getattr(spectral, name)):
-            calls[name] += 1
-            return f(*args)
+    with monkeypatch.context() as patch:
+        for name in calls:
+            def counted(*args, name=name, f=getattr(spectral, name)):
+                calls[name] += 1
+                return f(*args)
 
-        monkeypatch.setattr(spectral, name, counted)
-    result = kx.eigenvalue_search(_weyl_for(model), params, window)
-    monkeypatch.undo()
+            patch.setattr(spectral, name, counted)
+        result = kx.eigenvalue_search(_weyl_for(model), params, window)
     assert result.eigenvalues and calls["secular_matrix"] > 2
     return calls
 
