@@ -21,12 +21,10 @@ from .krein import (
     apply_resolvent,
     apply_resolvent_green,
     green_norm,
-    is_regular_point,
     krein_correction,
     secular_matrix,
     validate_params,
 )
-from .linalg import hermitian_eig
 from .models import (
     DirichletExclusions,
     EdgeWeylSystem,
@@ -44,7 +42,6 @@ from .models import (
     cosine_mode,
     graph_weyl,
     interval_weyl,
-    point_green_regular_part,
     point_weyl,
     poly_bump,
     sine_mode,
@@ -56,7 +53,6 @@ from .oracle import (
     FDSpec,
     bisect_root,
     fd_graph_spectrum,
-    fd_interval_spectrum,
     simpson_gram,
     single_point_eigenvalue,
 )
@@ -74,7 +70,6 @@ from .parametrize import (
     relation_from_params,
     relation_gap,
     defect_gram,
-    subspace_equal,
     von_neumann_block,
 )
 from .spectral import (

@@ -235,14 +235,9 @@ def cmd_convert(fields, system, params, given):
 
 
 def cmd_verify(fields, system, params, given):
-    fault = fields["task.fault"]
-    if fault == "negate_gamma":
-        original = system.gamma
-        system = dataclasses.replace(system, gamma=lambda z: -original(z))
-
     checks = verify.run_verify(system, params)
     passed = all(c["passed"] for c in checks.values())
-    doc = {"checks": checks, "passed": passed, "fault": fault}
+    doc = {"checks": checks, "passed": passed}
     files = {"verify.json": serialize.canonical_json(doc)}
     if not passed:
         failed = sorted(k for k, c in checks.items() if not c["passed"])
@@ -272,6 +267,7 @@ LENGTHS = (1e-6, 1e6)  # interval and edge lengths
 COORDINATES = (-1e6, 1e6)  # point-model centre coordinates
 LARGE = (-1e12, 1e12)  # window ends, spin shifts b, the sin_k preset's k, complex parts
 NODES = (0, 2**31 - 1)  # resolvent grid nodes per edge; below 501 the sampled kernels refuse it
+MAX_GRID_SAMPLES = 2**20  # edges x nodes of a resolvent grid; about 0.6 GB at the cap
 
 # Every job field, as (JSON path, the choice it belongs to as (path, values)
 # or None, type, range, default); :func:`read_job` says how they are read.
@@ -284,7 +280,6 @@ FIELDS = (
     ("task.input", ("task.name", ("resolvent",)), "object", None, {"preset": "sin_k", "k": 1}),
     ("task.input.preset", None, "choice", tuple(verify.PRESETS), REQUIRED),
     ("task.input.k", ("task.input.preset", ("sin_k",)), "integer", LARGE, 1),
-    ("task.fault", ("task.name", ("verify",)), "choice", ("negate_gamma",), None),
     ("model", None, "object", None, REQUIRED),
     ("model.type", ("task.name", ("resolvent",)), "choice", ("interval", "graph"), REQUIRED),
     ("model.type", ("task.name", ("spectrum", "convert", "verify")), "choice", tuple(MODELS), REQUIRED),
@@ -400,7 +395,8 @@ def read_job(doc):
 
     Each row is read in order when its parent object is not null and its
     choice holds, and a field whose default is None may be null. ``fields``
-    maps each path read to its value. No extension is the Neumann-type
+    maps each path read to its value. A resolvent grid holds at most
+    :data:`MAX_GRID_SAMPLES` nodes over all its edges. No extension is the Neumann-type
     label; ``given`` is a pair-kind extension's boundary pair, else None.
     """
     values = {"": _object(doc, "job", None)}
@@ -411,6 +407,10 @@ def read_job(doc):
         value = values[parent].get(key, default)
         values[path] = None if value is None and default is None else _READERS[kind](value, path, limits)
     system = _weyl_for(_built(values, "model", "type", MODELS))
+    if "task.grid" in values:  # a resolvent job, so an edge model
+        edges, nodes = len(system.lengths), values["task.grid"]
+        if edges * nodes > MAX_GRID_SAMPLES:
+            raise ConfigError(f"task.grid: expected edges x nodes at most {MAX_GRID_SAMPLES}, got {edges} x {nodes}")
     n = system.n
     label = None if values["extension"] is None else _built(values, "extension", "kind", LABELS)
     given = label if isinstance(label, BoundaryPair) else None

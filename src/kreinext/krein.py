@@ -41,7 +41,6 @@ __all__ = [
     "check_admissible",
     "validate_params",
     "secular_matrix",
-    "is_regular_point",
     "krein_correction",
     "apply_resolvent",
     "apply_resolvent_green",
@@ -177,7 +176,8 @@ class ExtensionParams:
             raise ValueError(f"invalid extension parameters:\n{report}")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta", theta)
-        vals, vecs = linalg.hermitian_eig(pi)
+        # pi is Hermitian within the report's tolerance; its Hermitian part gives the frame
+        vals, vecs = np.linalg.eigh((pi + pi.conj().T) / 2.0)
         frame = (("range_basis", vecs[:, vals > 0.5]), ("kernel_basis", vecs[:, vals <= 0.5]))
         for name, basis in frame:
             basis.setflags(write=False)
@@ -399,11 +399,6 @@ class Resolvent:
             new_terms[zj] = new_terms.get(zj, 0) - cj / (zj - z)
         new_terms[z] = new_terms.get(z, 0) + self.correction @ adjoint
         return GreenCombination(tuple((zk, np.asarray(ck)) for zk, ck in new_terms.items()))
-
-
-def is_regular_point(system: WeylSystem, params: ExtensionParams, z) -> bool:
-    """True iff the Krein formula holds at z: :attr:`Resolvent.regular`."""
-    return Resolvent(system, params, z).regular
 
 
 def krein_correction(system: WeylSystem, params: ExtensionParams, z) -> np.ndarray:

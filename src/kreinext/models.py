@@ -19,9 +19,10 @@ The systems are the only door to a model quantity, and their classes,
 :class:`EdgeWeylSystem` and :class:`PointWeylSystem`, live here beside
 their kernels. Gamma, the Gram matrix and sampled G(z) zeta are fields
 (closures a builder binds to the model, which a copy may swap); the
-sampled kernels, the boundary traces, G(z) zeta in closed form and the
-renormalised trace are methods that read the system's model data. Each
-checks z and shapes before the private kernels below run.
+sampled kernels, the boundary traces, G(z) zeta in closed form, the
+renormalised trace and the regular part of G(lam) zeta are methods that
+read the system's model data. Each checks z and shapes before the private
+kernels below run.
 
 The rest of a family's data lives here too, so that a new family needs no
 change to :mod:`kreinext.krein`: the excluded spectra (the ``excluded``
@@ -72,7 +73,6 @@ __all__ = [
     "graph_weyl",
     "vertex_params",
     "point_weyl",
-    "point_green_regular_part",
     "spin_weyl",
     "sine_mode",
     "cosine_mode",
@@ -956,38 +956,15 @@ def _renormalized_trace(model: PointModel, vals: np.ndarray, zeta: np.ndarray) -
     return vals + _symmetric(model, np.concatenate(([0j], 1.0 / model._upper_scale))) @ zeta
 
 
-def point_green_regular_part(model: PointModel, lam, coeff):
-    """Callable for G(lam) c - G(0) c, continuous across the centers.
-
-    Away from the centers this is the plain kernel difference; at a center
-    y_k it takes the limit value -sqrt(lam) c_k / (4 pi) plus the smooth
-    cross terms, so it can feed the point system's ``renorm_trace`` directly.
-    ``lam`` in (-inf, 0] raises :class:`ExcludedPointError`, as in ``gamma``.
-    """
-    check_admissible(HalfLineExclusions(0.0), lam)
-    lam = complex(lam)
-    coeff = np.asarray(coeff, dtype=complex)
-    sq = np.sqrt(lam)
-
-    def evaluate(points):
-        r = _pairwise_distances(np.atleast_2d(np.asarray(points, dtype=float)), model.centers)
-        near = r <= MIN_CENTER_DISTANCE
-        smooth = np.where(near, 1.0, r)
-        term = np.expm1(-sq * smooth) / (FOUR_PI * smooth)
-        term = np.where(near, -sq / FOUR_PI, term)
-        return term @ coeff
-
-    return evaluate
-
-
 @dataclass(frozen=True)
 class PointWeylSystem(WeylSystem):
     """Weyl system of a point-interaction model; no volume quadrature.
 
     Its model data are ``point``, the :class:`PointModel` of the centres,
     ``b``, the shifts of the channels, and ``bare``, set on the one-channel
-    point model. ``g_apply`` and :meth:`renorm_trace` raise ``ValueError``
-    for a zeta whose length is not n.
+    point model. ``g_apply``, :meth:`renorm_trace` and
+    :meth:`green_regular_part` raise ``ValueError`` for a zeta whose length
+    is not n.
     """
 
     point: PointModel
@@ -1005,6 +982,34 @@ class PointWeylSystem(WeylSystem):
         if vals.shape != charges.shape:
             raise ValueError("continuous part must give a (channels, centers) array")
         return np.concatenate([_renormalized_trace(point, v, c) for v, c in zip(vals, charges)])
+
+    def green_regular_part(self, lam, zeta):
+        """Callable for G(lam) zeta - G(0) zeta, continuous across the centres.
+
+        Channel i is G(lam - b_i) c_i - G(0) c_i for its block c_i of zeta:
+        the plain kernel difference away from the centres, and at a centre
+        y_k the limit value -sqrt(lam - b_i) c_ik / (4 pi) plus the smooth
+        cross terms. It maps (m, 3) points to values of the shape
+        :meth:`renorm_trace` takes, (channels, m), or (m,) on the point
+        model, so it can feed it directly. ``lam`` in ``excluded`` raises
+        :class:`ExcludedPointError`, as in ``gamma``.
+        """
+        check_admissible(self.excluded, lam)
+        point = self.point
+        charges = _boundary_vector(zeta, self.n).reshape(len(self.b), point.n_centers)
+        roots = [np.sqrt(complex(lam) - shift) for shift in self.b]
+
+        def evaluate(points):
+            r = _pairwise_distances(np.atleast_2d(np.asarray(points, dtype=float)), point.centers)
+            near = r <= MIN_CENTER_DISTANCE
+            smooth = np.where(near, 1.0, r)
+            out = np.array([
+                np.where(near, -sq / FOUR_PI, np.expm1(-sq * smooth) / (FOUR_PI * smooth)) @ c
+                for sq, c in zip(roots, charges)
+            ])
+            return out[0] if self.bare else out
+
+        return evaluate
 
 
 def point_weyl(model: PointModel) -> PointWeylSystem:

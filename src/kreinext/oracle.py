@@ -1,12 +1,12 @@
 """Independent reference spectra for cross-validation.
 
-The interval and graph oracles discretize the quadratic form of the
-extension: lumped piecewise-linear elements on each edge, the projector
-range constraint imposed by restricting the trial space at the endpoints,
-and the coupling operator entering as a boundary form. The result is a
-Hermitian pencil (form, mass), real symmetric for real coupling matrices
-and second-order accurate, independent of the Weyl-family route it
-validates; its spectrum is a generalized eigenproblem, and a solve of
+The graph oracle, whose one-edge case is the interval, discretizes the
+quadratic form of the extension: lumped piecewise-linear elements on each
+edge, the projector range constraint imposed by restricting the trial
+space at the endpoints, and the coupling operator entering as a boundary
+form. The result is a Hermitian pencil (form, mass), real symmetric for
+real coupling matrices and second-order accurate, independent of the
+Weyl-family route it validates; its spectrum is a generalized eigenproblem, and a solve of
 form + z mass is a reference resolvent. The point-interaction bound state
 has a closed form.
 The Gram matrix of the interval and graph deficiency elements is integrated
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krein import ExtensionParams, check_admissible
-from .models import DirichletExclusions, GraphModel, IntervalModel
+from .models import DirichletExclusions, GraphModel
 from .quad import simpson
 
 __all__ = [
     "FDSpec",
-    "fd_interval_spectrum",
     "fd_graph_spectrum",
     "single_point_eigenvalue",
     "simpson_gram",
@@ -100,21 +99,16 @@ def _top_eigenvalues(lengths, n_nodes, params, count):
     return np.sort(-vals.real)  # form eigenvalues mu; operator eigenvalues are -mu
 
 
-def fd_interval_spectrum(
-    model: IntervalModel, params: ExtensionParams, spec: FDSpec = FDSpec(), count: int = 5
-) -> np.ndarray:
-    """The ``count`` interval eigenvalues nearest the top of the spectrum, ascending.
-
-    Convergence is O(h^2) in the node spacing; boundary conditions of any
-    coupled (pi, theta) form are honoured exactly at the discrete level.
-    """
-    return _top_eigenvalues((model.a,), spec.n_nodes, params, count)
-
-
 def fd_graph_spectrum(
     model: GraphModel, params: ExtensionParams, spec: FDSpec = FDSpec(), count: int = 5
 ) -> np.ndarray:
-    """Edgewise analogue of :func:`fd_interval_spectrum` (same node count per edge)."""
+    """The ``count`` eigenvalues nearest the top of the spectrum, ascending.
+
+    Every edge carries ``spec.n_nodes`` nodes; the interval of length a is
+    ``GraphModel((a,))``. Convergence is O(h^2) in the node spacing;
+    boundary conditions of any coupled (pi, theta) form are honoured exactly
+    at the discrete level.
+    """
     return _top_eigenvalues(model.lengths, spec.n_nodes, params, count)
 
 

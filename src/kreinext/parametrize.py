@@ -29,7 +29,6 @@ __all__ = [
     "relation_from_params",
     "relation_from_pair",
     "relation_gap",
-    "subspace_equal",
     "is_selfadjoint_relation",
     "von_neumann_block",
     "defect_gram",
@@ -37,7 +36,6 @@ __all__ = [
 
 PAIR_COMM_RTOL = 1e-12
 PAIRING_TOL = 1e-12
-ANGLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -288,11 +286,6 @@ def relation_gap(r1: SelfAdjointRelation, r2: SelfAdjointRelation) -> float:
     q1 = linalg.orthonormal_span(r1.basis)
     q2 = linalg.orthonormal_span(r2.basis)
     return float(np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T, 2))
-
-
-def subspace_equal(r1: SelfAdjointRelation, r2: SelfAdjointRelation, tol: float = ANGLE_TOL) -> bool:
-    """True iff the two column spans agree to within principal angle ``tol``."""
-    return relation_gap(r1, r2) < tol
 
 
 def is_selfadjoint_relation(rel: SelfAdjointRelation) -> bool:

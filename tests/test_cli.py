@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -341,8 +342,9 @@ def test_resolvent_non_finite_samples_exit_5(tmp_path):
 
 
 def test_job_too_large_to_allocate_exits_1(tmp_path):
-    # the child's address space is capped, so the 16 GB grid fails to
-    # allocate at once; the failure is the one JSON error, not a traceback
+    # the reader refuses the 16 GB grid before any array is built; the child's
+    # address space is capped all the same, so a reader that let it through
+    # would fail to allocate at once rather than exhaust the machine
     import resource
 
     job = write_job(
@@ -359,7 +361,35 @@ def test_job_too_large_to_allocate_exits_1(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG == 1
     err = json.loads(proc.stderr)["error"]
     assert err["code"] == "invalid-config"
-    assert err["message"].startswith("MemoryError")
+    assert err["message"] == "ConfigError: task.grid: expected edges x nodes at most 1048576, got 1 x 2000000000"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "lengths, nodes, refused",
+    [([PI], 2**20, False), ([PI], 2**20 + 1, True), ([1.0] * 8, 2**17, False), ([1.0] * 8, 2**17 + 1, True)],
+)
+def test_the_resolvent_grid_is_capped_in_all_edges(lengths, nodes, refused):
+    # read_job builds no grid, so the cap is checked without allocating one
+    model = {"type": "graph", "lengths": lengths}
+    doc = {"model": model, "task": {"name": "resolvent", "grid": nodes}}
+    if not refused:
+        assert cli.read_job(doc)[0]["task.grid"] == nodes
+        return
+    message = f"task.grid: expected edges x nodes at most {cli.MAX_GRID_SAMPLES}, got {len(lengths)} x {nodes}"
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+        cli.read_job(doc)
+
+
+def test_a_job_that_runs_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "resolvent", exhausted)
+    job = write_job(tmp_path / "job.json", interval_job({"name": "resolvent"}))
+    assert main([job, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"code": "invalid-config", "message": "MemoryError: Unable to allocate 16.0 GiB"}
     assert not (tmp_path / "out").exists()
 
 
@@ -634,10 +664,14 @@ def test_verify_point_model_passes(tmp_path):
     assert doc["checks"]["hermitian_on_reals"]["passed"]
 
 
-def test_verify_fault_injection_fails(tmp_path, capsys):
-    job = write_job(
-        tmp_path / "job.json", interval_job({"name": "verify", "fault": "negate_gamma"})
-    )
+def test_verify_fault_injection_fails(tmp_path, capsys, monkeypatch):
+    # a model whose Weyl family has the wrong sign fails its identity checks
+    def negated(model):
+        system = kx.interval_weyl(model)
+        return dataclasses.replace(system, gamma=lambda z: -system.gamma(z))
+
+    monkeypatch.setattr(cli, "_weyl_for", negated)
+    job = write_job(tmp_path / "job.json", interval_job({"name": "verify"}))
     assert main([job, "--out", str(tmp_path / "out")]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "verification-failed"
@@ -746,11 +780,6 @@ INVALID_INPUTS = {
         {"model": {"type": "interval", "a": PI}, "task": {"name": "convert"}},
         [],
         "ConfigError: extension: expected an object, got nothing",
-    ),
-    "unknown-fault": (
-        interval_job({"name": "verify", "fault": "drop_gram"}),
-        [],
-        "ConfigError: task.fault: expected one of 'negate_gamma', got 'drop_gram'",
     ),
     "job-not-object": (
         [interval_job({"name": "verify"})],

@@ -1,43 +1,31 @@
 import numpy as np
 import pytest
 
-from kreinext.linalg import hermitian_eig
-
-from helpers import random_hermitian
+from kreinext.linalg import as_matrix, as_square, orthonormal_span
 
 
-def test_hermitian_eig_identity():
-    vals, vecs = hermitian_eig(np.eye(3))
-    assert np.allclose(vals, [1, 1, 1])
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
+def test_as_matrix_takes_only_finite_matrices():
+    assert as_matrix([[1, 2]]).dtype == complex
+    with pytest.raises(ValueError, match=r"^expected a matrix, got ndim=1$"):
+        as_matrix(np.ones(3))
+    with pytest.raises(ValueError, match=r"^matrix has non-finite entries$"):
+        as_matrix([[1.0, np.nan]])
+    assert as_matrix(np.empty((0, 2))).shape == (0, 2)  # no entries, nothing to refuse
 
 
-def test_hermitian_eig_swap_matrix():
-    vals, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
+def test_as_square_rejects_a_rectangle():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        as_square(np.ones((2, 3)))
 
 
-def test_hermitian_eig_rank_one_projector_like():
-    m = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)  # interval Weyl matrix at 0, a=2
-    vals, _ = hermitian_eig(m)
-    assert np.allclose(vals, [0.0, 1.0], atol=1e-14)
+def test_orthonormal_span_of_no_columns_and_of_zero():
+    empty = orthonormal_span(np.empty((3, 0)))
+    assert empty.shape == (3, 0) and empty.dtype == complex
+    assert orthonormal_span(np.zeros((3, 2))).shape == (3, 0)
 
 
-def test_hermitian_eig_rejects_non_square_and_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_eig_reconstruction_random():
-    rng = np.random.default_rng(7)
-    for n in range(1, 13):
-        m = random_hermitian(rng, n, scale=rng.uniform(0.1, 10))
-        vals, vecs = hermitian_eig(m)
-        rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
-        norm = np.linalg.norm(m)
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * max(norm, 1e-30)
-        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-12
-        assert np.all(np.diff(vals) >= -1e-15)
-
+def test_orthonormal_span_cuts_the_rank_relative_to_the_largest_value():
+    columns = np.array([[1.0, 1.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 0.0, 1e-9]])
+    span = orthonormal_span(columns)
+    assert span.shape == (3, 2)
+    assert np.allclose(span.conj().T @ span, np.eye(2), atol=1e-14)

@@ -126,6 +126,17 @@ def test_interval_traces_need_grid_for_samples():
         kx.interval_weyl(kx.IntervalModel(1.0)).traces(np.ones(10))
 
 
+def test_sampled_traces_need_two_grid_nodes_and_five_for_a_derivative():
+    system = kx.interval_weyl(kx.IntervalModel(1.0))
+    message = "edge 0 (length 1.0): need a 1-D grid of at least 2 nodes, got shape (1,)"
+    with pytest.raises(kx.GridMismatchError, match=f"^{re.escape(message)}$"):
+        system.traces(np.ones(1), np.zeros(1))
+    with pytest.raises(ValueError, match="^sampled traces need at least 5 nodes next to each endpoint$"):
+        system.traces(np.ones(3), np.linspace(0.0, 1.0, 3))
+    rho, tau = system.traces(np.ones(5), np.linspace(0.0, 1.0, 5))
+    assert np.allclose(rho, 1.0) and np.allclose(tau, 0.0)
+
+
 def test_interval_rho_of_green_is_identity_exactly():
     system = kx.interval_weyl(kx.IntervalModel(1.3))
     for z in (0.0, 1 + 2j, -0.7):
@@ -324,7 +335,7 @@ def test_point_gram_is_its_own_closed_form(w):
 def test_point_green_regular_part_near_a_centre():
     # (exp(-x) - 1) / (4 pi r) cancelled to about 3e-9 at r = 1e-8
     lam, r = 2.0, 1e-8
-    regular = kx.point_green_regular_part(kx.PointModel([[0, 0, 0]]), lam, [1.0])
+    regular = kx.point_weyl(kx.PointModel([[0, 0, 0]])).green_regular_part(lam, [1.0])
     x = np.sqrt(lam) * r
     series = np.sqrt(lam) / FOUR_PI * (-1 + x / 2 - x**2 / 6)
     assert abs(regular([[r, 0, 0]])[0] - series) <= 1e-13 * abs(series)
@@ -552,6 +563,11 @@ def test_spin_difference_identity_blockwise():
     assert kx.difference_identity_residual(spin, 3 + 1j, 5 - 2j) < 1e-12
 
 
+def test_spin_model_counts_its_centres_not_its_channels():
+    model = kx.SpinPointModel([[0, 0, 0], [1.0, 0, 0]], (0.0, 3.0, -1.0))
+    assert model.n_centers == 2 and kx.spin_weyl(model).n == 6
+
+
 def test_spin_renormalized_trace_shape():
     model = kx.SpinPointModel([[0, 0, 0], [1.0, 0, 0]], (0.0, 3.0))
     spin = kx.spin_weyl(model)
@@ -566,9 +582,26 @@ def test_spin_renormalized_trace_shape():
 @pytest.mark.parametrize("lam", [-1.0, 0.0])
 def test_point_green_regular_part_rejects_the_half_line(lam):
     # G(lam) is no deficiency element on (-inf, 0]; at -1 this was the outgoing wave
-    model = kx.PointModel([[0, 0, 0]])
+    system = kx.point_weyl(kx.PointModel([[0, 0, 0]]))
     with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(lam)}")):
-        kx.point_green_regular_part(model, lam, [1.0])
+        system.green_regular_part(lam, [1.0])
+
+
+def test_spin_green_regular_part_has_the_trace_minus_gamma():
+    # psi = G(lam) zeta has the renormalised trace -Gamma(lam) zeta, channel by
+    # channel at lam - b_i; the regular part keeps the channel axis
+    spin = kx.spin_weyl(kx.SpinPointModel([[0, 0, 0], [0.8, 0.3, 0], [0.1, 1.2, -0.4]], (0.0, 1.5)))
+    zeta = np.linspace(1.0, 2.0, spin.n) * np.exp(0.4j * np.arange(spin.n))
+    for lam in (2.0, 7.5, 1.0 + 2.0j, -3.0 + 0.5j):
+        part = spin.green_regular_part(lam, zeta)
+        assert part(np.zeros((4, 3)) + 0.5).shape == (2, 4)
+        got, want = spin.renorm_trace(part, zeta), -spin.gamma(lam) @ zeta
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for lam in (1.5, 1.0, -2.0):  # lam <= max b puts a channel on its half line
+        with pytest.raises(ExcludedPointError, match=re.escape(f"z={complex(lam)}")):
+            spin.green_regular_part(lam, zeta)
+    with pytest.raises(ValueError, match=r"need a boundary vector of length 6, got shape \(3,\)"):
+        spin.green_regular_part(2.0, zeta[:3])
 
 
 # ---------------------------------------------------------------------------

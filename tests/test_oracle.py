@@ -36,54 +36,54 @@ def test_fdspec_validates():
 
 
 def test_dirichlet_spectrum():
-    model = kx.IntervalModel(PI)
-    got = kx.fd_interval_spectrum(model, ExtensionParams.trivial(2), FDSpec(2000), 3)
+    model = kx.GraphModel((PI,))
+    got = kx.fd_graph_spectrum(model, ExtensionParams.trivial(2), FDSpec(2000), 3)
     assert np.allclose(got, [-9.0, -4.0, -1.0], atol=2e-4)
 
 
 def test_neumann_spectrum():
-    model = kx.IntervalModel(PI)
+    model = kx.GraphModel((PI,))
     params = ExtensionParams.full(np.zeros((2, 2)))
-    got = kx.fd_interval_spectrum(model, params, FDSpec(2000), 3)
+    got = kx.fd_graph_spectrum(model, params, FDSpec(2000), 3)
     assert np.allclose(got, [-4.0, -1.0, 0.0], atol=2e-4)
 
 
 def test_fd_spectrum_is_bit_reproducible():
     # ARPACK starts from a fixed vector, so one label gives the same bits twice
-    model = kx.IntervalModel(PI)
+    model = kx.GraphModel((PI,))
     params = ExtensionParams.full(np.diag([0.7, -0.3]).astype(complex))
-    first, again = (kx.fd_interval_spectrum(model, params, FDSpec(400)) for _ in range(2))
+    first, again = (kx.fd_graph_spectrum(model, params, FDSpec(400)) for _ in range(2))
     assert first.tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize("theta", [1.0, -0.3, 2.7])
 def test_robin_matches_transcendental(theta):
-    model = kx.IntervalModel(PI)
+    model = kx.GraphModel((PI,))
     params = ExtensionParams.full(np.diag([theta, theta]).astype(complex))
     truth = robin_truth(theta, PI, -12.0, 5.0)[:3]
-    got = np.sort(kx.fd_interval_spectrum(model, params, FDSpec(4000), 3))
+    got = np.sort(kx.fd_graph_spectrum(model, params, FDSpec(4000), 3))
     assert np.allclose(got, np.sort(truth), rtol=1e-3)
 
 
 def test_richardson_reduction_factor():
     theta = 1.0
-    model = kx.IntervalModel(PI)
+    model = kx.GraphModel((PI,))
     params = ExtensionParams.full(np.diag([theta, theta]).astype(complex))
     truth = np.sort(robin_truth(theta, PI, -12.0, 5.0)[:3])
     err = {}
     for nodes in (500, 1000):
-        got = np.sort(kx.fd_interval_spectrum(model, params, FDSpec(nodes), 3))
+        got = np.sort(kx.fd_graph_spectrum(model, params, FDSpec(nodes), 3))
         err[nodes] = np.abs(got - truth) / np.abs(truth)
     assert np.all(err[500] / err[1000] >= 3.5)
 
 
 def test_graph_single_edge_matches_interval():
-    interval = kx.IntervalModel(1.4)
-    graph = kx.GraphModel((1.4,))
+    # the oracle of the one-edge graph against the interval's secular search
     params = ExtensionParams.full(np.diag([0.5, -0.2]).astype(complex))
-    a = kx.fd_interval_spectrum(interval, params, FDSpec(1500), 4)
-    b = kx.fd_graph_spectrum(graph, params, FDSpec(1500), 4)
-    assert np.allclose(a, b, atol=1e-12)
+    found = kx.eigenvalue_search(kx.interval_weyl(kx.IntervalModel(1.4)), params, (-60.0, 5.0))
+    top = np.sort(found.lambdas())[-4:]
+    got = kx.fd_graph_spectrum(kx.GraphModel((1.4,)), params, FDSpec(1500), 4)
+    assert np.allclose(got, top, rtol=1e-3, atol=1e-6)
 
 
 def test_graph_gluing_equals_long_interval():
@@ -124,7 +124,7 @@ def test_complex_hermitian_coupling_cross_validates_secular():
     found = kx.eigenvalue_search(system, params, (-9.5, 3.0))
     lams = found.lambdas()
     assert len(lams) >= 3
-    oracle = kx.fd_interval_spectrum(model, params, FDSpec(4000), len(lams))
+    oracle = kx.fd_graph_spectrum(kx.GraphModel((PI,)), params, FDSpec(4000), len(lams))
     sel = oracle[(oracle > -9.5) & (oracle < 3.0)]
     assert len(sel) == len(lams)
     assert np.max(np.abs(np.sort(lams) - np.sort(sel)) / np.abs(np.sort(lams))) < 1e-3
@@ -143,6 +143,24 @@ def test_bisect_root_basics():
     assert abs(kx.bisect_root(f, 0.0, 2.0) - np.sqrt(2)) < 1e-11
     with pytest.raises(ValueError):
         kx.bisect_root(f, 2.0, 3.0)
+
+
+def test_bisect_root_at_an_end_and_without_a_tolerance():
+    assert kx.bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert kx.bisect_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+    # x^2 - 2 has no zero among the floats, so tol = 0 runs all 200 halvings
+    calls = []
+    root = kx.bisect_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, tol=0.0)
+    assert len(calls) == 2 + 200
+    assert abs(root - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
+
+
+def test_fd_spectrum_refuses_more_eigenvalues_than_unknowns():
+    # one edge of 100 nodes: 98 interior values and 2 range coordinates
+    params = ExtensionParams.full(np.zeros((2, 2)))
+    assert kx.fd_graph_spectrum(kx.GraphModel((1.0,)), params, FDSpec(100), 98).shape == (98,)
+    with pytest.raises(ValueError, match="^requested more eigenvalues than the discretization carries$"):
+        kx.fd_graph_spectrum(kx.GraphModel((1.0,)), params, FDSpec(100), 99)
 
 
 def test_assembled_matrix_is_hermitian():

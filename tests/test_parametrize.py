@@ -165,12 +165,13 @@ def test_relation_from_pair_examples():
 
 
 def test_subspace_equal_cases():
+    # two relations are one subspace when their gap is below 1e-10
     rel1 = kx.relation_from_params(ExtensionParams.full(np.zeros((2, 2))))
-    assert kx.subspace_equal(rel1, rel1)
+    assert kx.relation_gap(rel1, rel1) < 1e-10
     flipped = kx.SelfAdjointRelation(2, rel1.basis[:, ::-1] * (2.0 - 1j))
-    assert kx.subspace_equal(rel1, flipped)
+    assert kx.relation_gap(rel1, flipped) < 1e-10
     orth = kx.relation_from_params(ExtensionParams.trivial(2))
-    assert not kx.subspace_equal(rel1, orth)
+    assert kx.relation_gap(rel1, orth) == pytest.approx(1.0)
 
 
 def test_is_selfadjoint_relation_cases():
@@ -201,7 +202,7 @@ def test_round_trip_random_sweep():
         rel_b = kx.relation_from_pair(pair)
         assert kx.is_selfadjoint_relation(rel_p)
         assert rel_p.basis.shape[1] == n
-        assert kx.subspace_equal(rel_p, rel_b, tol=1e-10)
+        assert kx.relation_gap(rel_p, rel_b) < 1e-10
 
 
 def test_condition_agreement_on_corrupted_pairs():
@@ -249,6 +250,13 @@ def test_von_neumann_gram_unitarity_interval_and_points():
             assert block.unitarity_residual() <= 1e-8
             assert np.linalg.norm(block.gamma_hat + block.gamma_hat.conj().T) < 1e-12
             assert np.linalg.eigvalsh(block.q).min() > 0
+
+
+def test_von_neumann_block_of_a_zero_gram_is_a_model_failure():
+    # q = 0 makes theta - i q singular for theta = 0, which no consistent model gives
+    params = ExtensionParams.full(np.zeros((2, 2)))
+    with pytest.raises(kx.ModelConsistencyError, match="singular despite positive Gram matrix"):
+        kx.VonNeumannBlock.from_gram(params, np.zeros((2, 2), dtype=complex))
 
 
 def test_von_neumann_alternative_form():

@@ -32,15 +32,15 @@ KREINEXT = [
     "apply_resolvent", "apply_resolvent_green", "bisect_root",
     "boundary_condition_residuals", "check_pair_conditions", "conjugation_residual",
     "cosine_mode", "defect_gram", "difference_identity_residual", "eigenfunction",
-    "eigenvalue_search", "fd_graph_spectrum", "fd_interval_spectrum", "graph_weyl",
-    "green_identity_residual", "green_norm", "hermitian_eig",
-    "interval_weyl", "is_regular_point", "is_selfadjoint_relation",
+    "eigenvalue_search", "fd_graph_spectrum", "graph_weyl",
+    "green_identity_residual", "green_norm",
+    "interval_weyl", "is_selfadjoint_relation",
     "krein_correction", "pair_from_params",
-    "params_from_pair", "point_green_regular_part",
+    "params_from_pair",
     "point_weyl", "poly_bump",
     "relation_from_pair", "relation_from_params", "relation_gap",
     "secular_matrix", "simpson_gram", "sine_mode", "single_point_eigenvalue",
-    "spin_weyl", "subspace_equal", "validate_eigenpair", "validate_params",
+    "spin_weyl", "validate_eigenpair", "validate_params",
     "vertex_params", "von_neumann_block", "zero_function",
 ]
 VERIFY = [
@@ -138,7 +138,7 @@ def test_model_systems_carry_their_maps_as_methods():
     # the maps nothing swaps are methods that read model data, defined in models.py
     for cls, methods in (
         (kx.EdgeWeylSystem, ("edges", "shaped", "sampled_kernels", "traces", "g_closed")),
-        (kx.PointWeylSystem, ("renorm_trace",)),
+        (kx.PointWeylSystem, ("renorm_trace", "green_regular_part")),
     ):
         assert cls.__module__ == "kreinext.models" and issubclass(cls, kx.WeylSystem)
         assert all(inspect.isfunction(vars(cls)[name]) for name in methods)
@@ -221,8 +221,9 @@ def test_point_model_is_the_zero_shift_spin_model():
     zeta = np.array([1.0, -0.5j, 0.25])
     for z in (1 + 1j, 0.5):
         _same(point.g_apply(z, zeta, pts), spin.g_apply(z, zeta, pts)[0])
-        regular = kx.point_green_regular_part(kx.PointModel(CENTERS), z, zeta)
-        _same(point.renorm_trace(regular, zeta), spin.renorm_trace(lambda x: regular(x)[None], zeta))
+        regular, boxed = point.green_regular_part(z, zeta), spin.green_regular_part(z, zeta)
+        _same(regular(pts), boxed(pts)[0])
+        _same(point.renorm_trace(regular, zeta), spin.renorm_trace(boxed, zeta))
     values = np.array([0.3, -1.0j, 2.0])
     _same(point.renorm_trace(values, zeta), spin.renorm_trace(values[None], zeta))
     with pytest.raises(ValueError, match=r"^continuous part must give a \(channels, centers\) array$"):

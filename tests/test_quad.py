@@ -84,6 +84,13 @@ def test_simpson_weights_are_a_new_writable_array():
     assert np.asarray(simpson(f, 0.1)).tobytes() == want
 
 
+@pytest.mark.parametrize("rule", [simpson, cumulative_simpson])
+def test_quadrature_needs_three_samples(rule):
+    with pytest.raises(ValueError, match="^need at least 3 samples$"):
+        rule(np.ones(2), 0.1)
+    assert np.allclose(rule(np.ones(3), 0.5), 1.0 if rule is simpson else [0.0, 0.5, 1.0])
+
+
 def test_cached_weights_keep_the_sign_and_type_of_the_step():
     # -0.0 == 0.0 and float32(1) == 1.0, but their weights differ, so they are cached apart
     for dx in (0.0, -0.0, 0.0, 1.0, np.float32(1.0), 1.0):

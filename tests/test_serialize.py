@@ -199,3 +199,14 @@ def test_csv_text_rejects_unequal_columns():
 def test_canonical_json_rejects_the_first_non_finite_entry(value, named):
     with pytest.raises(ValueError, match=f"non-finite value {named}$"):
         ser.canonical_json(value)
+
+
+def test_canonical_json_writes_other_arrays_as_lists_and_refuses_other_objects():
+    assert ser.canonical_json({"n": np.array([[1, -2]]), "b": np.array([True])}) == '{"b":[true],"n":[[1,-2]]}\n'
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        ser.canonical_json([1.0, object()])
+
+
+def test_csv_text_refuses_a_complex_column():
+    with pytest.raises(TypeError, match="^cannot serialize a column of dtype complex128$"):
+        ser.csv_text(["z"], [np.array([1j])])

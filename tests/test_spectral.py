@@ -142,8 +142,7 @@ def test_trivial_projector_has_no_point_spectrum(neumann_interval):
 def test_robin_completeness_against_fd_oracle():
     # every oracle eigenvalue away from the excluded set is found and vice
     # versa; oracle values are Richardson-extrapolated to beat 1e-6 matching
-    model = kx.IntervalModel(PI)
-    system = kx.interval_weyl(model)
+    system = kx.interval_weyl(kx.IntervalModel(PI))
     theta = 0.8
     params = ExtensionParams.full(np.diag([theta, theta]).astype(complex))
     window = (-30.0, 2.0)
@@ -151,8 +150,9 @@ def test_robin_completeness_against_fd_oracle():
     lams = found.lambdas()
 
     count = 8
-    coarse = kx.fd_interval_spectrum(model, params, FDSpec(2000), count)
-    fine = kx.fd_interval_spectrum(model, params, FDSpec(4000), count)
+    edge = kx.GraphModel((PI,))  # the interval, for the oracle
+    coarse = kx.fd_graph_spectrum(edge, params, FDSpec(2000), count)
+    fine = kx.fd_graph_spectrum(edge, params, FDSpec(4000), count)
     oracle = (4.0 * fine - coarse) / 3.0
     oracle = oracle[(oracle > window[0]) & (oracle < window[1])]
     oracle = np.array(
