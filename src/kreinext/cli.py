@@ -266,8 +266,8 @@ LABELS = {"params": ExtensionParams, "pair": BoundaryPair}
 LENGTHS = (1e-6, 1e6)  # interval and edge lengths
 COORDINATES = (-1e6, 1e6)  # point-model centre coordinates
 LARGE = (-1e12, 1e12)  # window ends, spin shifts b, the sin_k preset's k, complex parts
-NODES = (0, 2**31 - 1)  # resolvent grid nodes per edge; below 501 the sampled kernels refuse it
 MAX_GRID_SAMPLES = 2**20  # edges x nodes of a resolvent grid; about 0.6 GB at the cap
+NODES = (0, MAX_GRID_SAMPLES)  # resolvent grid nodes per edge; below 501 the sampled kernels refuse it
 
 # Every job field, as (JSON path, the choice it belongs to as (path, values)
 # or None, type, range, default); :func:`read_job` says how they are read.

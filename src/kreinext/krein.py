@@ -148,7 +148,9 @@ class ExtensionParams:
     :func:`validate_params` and raises ``ValueError`` with its report unless
     ``pi`` is an orthogonal projector and ``theta`` a self-adjoint operator
     on its range, stored embedded in C^n with ``pi @ theta @ pi == theta``.
-    The label also carries its frame, from one eigendecomposition of ``pi``:
+    It stores the Hermitian parts (m + m^*) / 2 of the given matrices, which
+    are Hermitian to the bit. It also carries its frame, from one
+    eigendecomposition of ``pi``:
     ``range_basis`` and ``kernel_basis`` are orthonormal columns spanning
     the range and the kernel of ``pi``. They are read-only arrays and no
     init, repr or compare fields; every operation that compresses to the
@@ -174,10 +176,11 @@ class ExtensionParams:
         report = validate_params(pi, theta)
         if not report.passed:
             raise ValueError(f"invalid extension parameters:\n{report}")
+        # both are Hermitian within the report's tolerance; their Hermitian parts are exactly so
+        pi, theta = (pi + pi.conj().T) / 2.0, (theta + theta.conj().T) / 2.0
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta", theta)
-        # pi is Hermitian within the report's tolerance; its Hermitian part gives the frame
-        vals, vecs = np.linalg.eigh((pi + pi.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh(pi)
         frame = (("range_basis", vecs[:, vals > 0.5]), ("kernel_basis", vecs[:, vals <= 0.5]))
         for name, basis in frame:
             basis.setflags(write=False)
@@ -304,9 +307,9 @@ class Resolvent:
     formed from it; ``sigma_min``, ``sigma_max`` and ``regular`` are the
     verdict on m from one SVD, the one place a secular matrix is judged at a
     scalar z (inf, 0.0 and True for pi = 0); ``correction`` is C(z). A
-    singular m raises :class:`ModelConsistencyError` off the real axis, where
-    every valid label is regular, and ``correction`` raises
-    :class:`ExtensionSingularError` at a singular real z.
+    singular m raises :class:`ModelConsistencyError` off the real axis (z within
+    working precision of an embedded eigenvalue, or a faulty Weyl family),
+    and ``correction`` raises :class:`ExtensionSingularError` at a singular real z.
     """
 
     def __init__(self, system: WeylSystem, params: ExtensionParams, z):
@@ -327,8 +330,10 @@ class Resolvent:
         regular = smin > SINGULARITY_RTOL * (1.0 + smax)
         if not regular and self.z.imag != 0.0:
             raise ModelConsistencyError(
-                f"secular matrix singular at nonreal z={self.z} (sigma_min={smin:.3e}); "
-                "the Weyl family violates its defining identities"
+                f"secular matrix singular at nonreal z={self.z} (sigma_min={smin:.3e}, "
+                f"sigma_max={smax:.3e}); either z is within working precision of an "
+                "eigenvalue embedded in the free spectrum, or the Weyl family violates "
+                "its defining identities"
             )
         return smin, smax, regular
 

@@ -40,10 +40,7 @@ def as_square(mat) -> np.ndarray:
 
 def orthonormal_span(columns) -> np.ndarray:
     """Orthonormal basis of the column span, rank cut at ``RANK_RTOL * sigma_max``."""
-    m = as_matrix(columns)
-    if m.shape[1] == 0:
-        return m.copy()
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = np.linalg.svd(as_matrix(columns), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
     rank = int(np.sum(s > RANK_RTOL * s[0]))

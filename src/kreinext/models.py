@@ -138,13 +138,12 @@ class PointModel:
     """3-D Laplacian restricted off n pairwise distinct centres.
 
     The pairwise centre distances are kept in private attributes (not
-    fields), which the kernels read: ``_distances`` the (n, n) matrix d,
-    ``_upper_distances`` its entries above the diagonal, in the order of
+    fields), which the kernels read: ``_upper_distances`` the entries of
+    the distance matrix above the diagonal, in the order of
     ``np.triu_indices``, ``_upper_scale`` 4 pi times them, and ``_mirror``
     the (n n,) flat index that :func:`_symmetric` gathers through: 0 on the
-    diagonal, 1 + p at entry p above it and at its mirror below it. d is
-    symmetric to the bit. Models compare and hash by the centres' shape and
-    bytes, so a model is a value.
+    diagonal, 1 + p at entry p above it and at its mirror below it. Models
+    compare and hash by the centres' shape and bytes, so a model is a value.
     """
 
     centers: np.ndarray
@@ -162,7 +161,6 @@ class PointModel:
         mirror = np.zeros(d.shape, dtype=np.intp)
         mirror[rows, cols] = mirror[cols, rows] = np.arange(1, off.size + 1)
         for name, value in (
-            ("_distances", d),
             ("_mirror", mirror.ravel()),
             ("_upper_distances", off),
             ("_upper_scale", FOUR_PI * off),

@@ -110,7 +110,6 @@ class VonNeumannBlock:
         """:func:`von_neumann_block` of ``params`` from a positive definite :func:`defect_gram`."""
         gamma_hat = 1j * q
         v, w = params.range_basis, params.kernel_basis
-        n = params.n
         k = v.shape[1]
         theta_c = v.conj().T @ params.theta @ v
         hat_c = v.conj().T @ gamma_hat @ v
@@ -120,13 +119,10 @@ class VonNeumannBlock:
             raise ModelConsistencyError(
                 "compressed (theta - gamma_hat) singular despite positive Gram matrix"
             ) from exc
-        if k == n:
-            m = v @ block @ v.conj().T
-        else:
-            # coordinates of the splitting range(pi) + q^{-1} ker(pi)
-            frame = np.hstack([v, np.linalg.solve(q, w)])
-            range_coords = np.linalg.inv(frame)[:k, :]
-            m = np.eye(n, dtype=complex) + v @ (block - np.eye(k)) @ range_coords
+        # coordinates of the splitting range(pi) + q^{-1} ker(pi)
+        frame = np.hstack([v, np.linalg.solve(q, w)])
+        range_coords = np.linalg.inv(frame)[:k, :]
+        m = np.eye(params.n, dtype=complex) + v @ (block - np.eye(k)) @ range_coords
         return cls(m=m, q=q, gamma_hat=gamma_hat)
 
 
@@ -151,11 +147,11 @@ class PairConditions:
     B1 B1^* + B2 B2^*); ``consistent`` records that the three agree. A
     matrix is invertible, and a rank full, when its smallest singular value
     exceeds ``linalg.RANK_RTOL`` times its largest, so every verdict holds
-    for (s B1, s B2) exactly when it holds for (B1, B2). B1 B1^* + B2 B2^*
-    is S^* S for the stacked S = [B1^*; B2^*], whose condition number it
-    squares, so ``normalization`` is judged on the singular values of S, the
-    square roots of its eigenvalues; ``normalization_sigma`` is the smallest
-    singular value of B1 B1^* + B2 B2^* itself.
+    for (s B1, s B2) exactly when it holds for (B1, B2). The stacked
+    S = [B1^*; B2^*] has full rank exactly when the adjoints share no
+    kernel, and B1 B1^* + B2 B2^* = S^* S, so both are one comparison on the
+    singular values of S; ``normalization_sigma`` is sigma_min(S)^2, without
+    forming S^* S, which squares the pair's condition number.
     """
 
     comm_residual: float
@@ -203,16 +199,15 @@ def check_pair_conditions(pair: BoundaryPair) -> PairConditions:
     # singular values, largest first; an empty pair has the one value 0
     nondeg = np.linalg.svd(np.block([[b1, -b2], [b2, b1]]), compute_uv=False) if n else np.zeros(1)
     stacked = np.linalg.svd(np.vstack([b1.conj().T, b2.conj().T]), compute_uv=False) if n else np.zeros(1)
-    rank = int(np.sum(stacked > linalg.RANK_RTOL * stacked[0]))
-    normal = np.linalg.svd(b1 @ b1.conj().T + b2 @ b2.conj().T, compute_uv=False) if n else np.zeros(1)
+    full_rank = bool(stacked[-1] > linalg.RANK_RTOL * stacked[0])
     return PairConditions(
         comm_residual=comm_residual,
         comm_ok=comm_residual <= PAIR_COMM_RTOL * scale,
         nondeg_sigma=float(nondeg[-1]),
         nondeg_ok=bool(nondeg[-1] > linalg.RANK_RTOL * nondeg[0]),
-        joint_kernel_ok=rank == n,
-        normalization_sigma=float(normal[-1]),
-        normalization_ok=bool(stacked[-1] > linalg.RANK_RTOL * stacked[0]),
+        joint_kernel_ok=full_rank,
+        normalization_sigma=float(stacked[-1]) ** 2,
+        normalization_ok=full_rank,
     )
 
 

@@ -16,19 +16,19 @@ The search runs in rounds, breadth first: each round evaluates every point
 that any live bracket of any searchable segment asks for, builds all their
 secular matrices from one ``system.gamma`` call, counts with one stacked
 ``eigvalsh`` and updates every bracket, kept as flat state, in one loop.
-Gamma(lambda) is Hermitian to the bit at real lambda, so for a label with
-pi = 1 and theta Hermitian to the bit the stack goes to ``eigvalsh`` as it
-is; any other label's stack is replaced by its Hermitian part first.
+Gamma(lambda) is Hermitian to the bit at real lambda and every label's
+theta is too, so for a label with pi = 1 the stack goes to ``eigvalsh`` as
+it is; a compressed label's stack is replaced by its Hermitian part first.
 Every bracket walks the bisection's own dyadic path. Once its count drops
 by one, its crossing branch is one increasing function with one zero: a
-secant step (regula falsi) finds that zero, two probes certify a window
-around it outside which rounding cannot change the count, and only the
-midpoints inside the window are evaluated, the walk passing the others in
-the same update; a larger drop evaluates every midpoint. Every bracket is
-therefore split, kept or stopped exactly as a depth-first bisection would,
-so the roots are the same to the bit, in about half the rounds. The kernel
-check at the roots is one stacked ``eigh`` of the Hermitian part, for every
-label, since its vectors become the reported null bases.
+secant step (regula falsi) finds that zero, one round of two probes narrows
+the secant's certified bracket to a window outside which rounding cannot
+change the count, and only the midpoints inside the window are evaluated,
+the walk passing the others in the same update; a larger drop evaluates
+every midpoint. Every bracket is therefore split, kept or stopped exactly
+as a depth-first bisection would, so the roots are the same to the bit, in
+about half the rounds. The kernel check at the roots is one stacked
+``eigh`` of matrices formed as in the rounds; its vectors are the null bases.
 
 Eigenvalues embedded in the free spectrum are invisible to this criterion;
 the excluded subintervals of the window are therefore reported alongside
@@ -127,12 +127,12 @@ class _Bracket:
     counts ``clo``, ``chi`` and rows ``left``, ``right`` at its ends (None
     where a walk inferred the count), the points it ``asks`` for in its
     ``phase``, the window search's ends (a, fa), (b, fb), previous step
-    (px, pf), last moved ``side``, secant point ``x`` and probe ``delta``,
-    and the walk's window (xl, xr), (-inf, inf) if there is none, and width
-    ``floor``, above which no walked bracket is final."""
+    (px, pf), last moved ``side`` and secant point ``x``, and the walk's
+    window (xl, xr), (-inf, inf) if there is none, and width ``floor``,
+    above which no walked bracket is final."""
 
     __slots__ = ("lo", "hi", "clo", "chi", "left", "right", "phase", "asks", "a", "fa",
-                 "b", "fb", "px", "pf", "side", "x", "delta", "xl", "xr", "floor")
+                 "b", "fb", "px", "pf", "side", "x", "xl", "xr", "floor")
 
     def __init__(self, lo, hi, clo, chi, left, right):
         self.lo, self.hi, self.clo, self.chi, self.left, self.right = lo, hi, clo, chi, left, right
@@ -157,9 +157,10 @@ def _isolate(eigs, segments, theta_norm):
     count. Regula falsi narrows the window (a, b) until |f(x)| <= 8 R,
     rescaling the value of an end kept twice (Anderson-Bjorck, or Illinois
     halving when that factor is not positive); a step rounding onto an end
-    bisects. Probes at x -+ delta, delta = 16 R / slope of the last two
-    steps, narrow it from both sides, delta growing 16 times until no probe
-    falls inside. A foreign count, crossed probes or a delta that is not
+    bisects. One round of probes at x -+ delta, delta = 16 R / slope of the
+    last two steps, narrows it from both sides, a probe that certifies no
+    end leaving its side as it was, and the bracket then walks inside the
+    window (a, b). A foreign count, crossed probes or a delta that is not
     positive give the window up. So each root, in increasing lambda, is the
     midpoint of the same final bracket as in a plain bisection, to the bit.
     """
@@ -194,7 +195,7 @@ def _isolate(eigs, segments, theta_norm):
         s.asks = [p for p in (x - delta, x + delta) if a < p < b]
         if not s.asks:
             return walk(s, a, b)
-        s.phase, s.delta = PROBE, delta
+        s.phase = PROBE
         live.append(s)
 
     def walk(s, xl, xr):
@@ -273,11 +274,9 @@ def _isolate(eigs, segments, theta_norm):
                     elif count != clo and count != chi:
                         a = b  # the window is given up
                         break
-                if a < b:
-                    s.a, s.b = a, b
-                    probe(s, 16.0 * s.delta)
-                else:
-                    walk(s, -np.inf, np.inf)
+                if not a < b:  # crossed ends or a foreign count
+                    a, b = -np.inf, np.inf
+                walk(s, a, b)
     return sorted(roots)
 
 
@@ -313,21 +312,18 @@ def eigenvalue_search(system: WeylSystem, params: ExtensionParams, window) -> Sp
     if basis.shape[1] == 0 or not segments:
         return SpectrumResult((), gaps, metadata)
 
-    # Gamma(lambda) is Hermitian to the bit at real lambda, so theta + Gamma
-    # is too when theta is; eigvalsh reads only the lower triangle, and the
-    # Hermitian part would copy the stack without changing what it reads
-    exact = params._uncompressed and np.array_equal(params.theta, params.theta.conj().T)
-
-    def eigs(lams):
+    # Gamma(lambda) and every label's theta are Hermitian to the bit, so an
+    # uncompressed theta + Gamma is too: eigvalsh and eigh read only the lower
+    # triangle, which the Hermitian part would copy without changing it
+    def hermitian(lams):
         m = secular_matrix(system, params, lams)
-        return np.linalg.eigvalsh(m if exact else _hermitian_part(m))
+        return m if params._uncompressed else _hermitian_part(m)
 
-    roots = _isolate(eigs, segments, params.theta_norm)
+    roots = _isolate(lambda lams: np.linalg.eigvalsh(hermitian(lams)), segments, params.theta_norm)
     metadata["expected_count"] = sum(drop for _, drop in roots)
     results = []
     if roots:
-        lams = np.array([lam for lam, _ in roots])
-        ws, us = np.linalg.eigh(_hermitian_part(secular_matrix(system, params, lams)))
+        ws, us = np.linalg.eigh(hermitian(np.array([lam for lam, _ in roots])))
         size = np.abs(ws)
         order = np.argsort(size, axis=1, kind="stable")
         least = np.take_along_axis(size, order, axis=1).tolist()

@@ -6,8 +6,9 @@ array of the resolvent workload's 48 seed-3 ops), ``plan/<i>/result`` and
 ``plan/<i>/rounds`` (the spectrum workload's 72 seed-3 searches),
 ``cases/<name>`` (rounds of ``test_spectral.SEARCH_CASES``),
 ``signed_zero/<seed>:<i>`` (rounds of the seed 1-10 plans' interval searches
-whose theta has a -0.0 part) and ``jobs/<job>/<file>`` (artifacts of the 32
-jobs of ``bench/refs/cli.json``, run in process). A round is one
+whose theta, as the workload builds it, has a -0.0 part) and
+``jobs/<job>/<file>`` (artifacts of the 32 jobs of ``bench/refs/cli.json``,
+run in process). A round is one
 ``system.gamma`` call of a search, so equal rounds mean equal Gamma, LAPACK
 and guard counts.
 
@@ -146,9 +147,10 @@ def _signed_zero():
     for seed in SIGNED_ZERO_SEEDS:
         for i, (family, inst) in enumerate(w.make_workload("spectrum", seed, ROOT, ROOT).plan):
             if family == "interval":
-                system, params = w.interval_system(kx, inst["theta"])
-                parts = np.asarray(params.theta, dtype=complex).view(float)
+                # the theta the workload builds; the label stores its Hermitian part
+                parts = (inst["theta"] * np.eye(2, dtype=complex)).view(float)
                 if np.any((parts == 0.0) & np.signbit(parts)):
+                    system, params = w.interval_system(kx, inst["theta"])
                     yield f"signed_zero/{seed}:{i}", searched(system, params, w.WINDOWS[family])[1]
 
 

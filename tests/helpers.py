@@ -129,7 +129,8 @@ def reference_point_gram(model, z, w):
     """``models._point_gram`` with every entry of the (n, n) matrix evaluated."""
     z, w = complex(z), complex(w)
     (za, a), (zb, b) = sorted([(w, np.sqrt(w)), (z, np.sqrt(z))], key=lambda root: root[1].real)
-    d = model._distances
+    diff = model.centers[:, None, :] - model.centers[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
     x = (zb - za) / (a + b) * d
     quotient = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
     return np.exp(-a * d) * quotient / (4.0 * np.pi * (a + b))

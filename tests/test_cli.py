@@ -229,6 +229,26 @@ def test_numerical_failure_exits_5(tmp_path, capsys, monkeypatch, gamma):
     assert err["error"]["code"] == "numerical-failure"
 
 
+def test_a_nonreal_z_beside_an_embedded_eigenvalue_names_both_causes(tmp_path, capsys):
+    # -1 is a Dirichlet pole of (0, pi) and an eigenvalue of the default
+    # Neumann label, so at Im z = 1e-6 the secular matrix is singular to
+    # working precision although the model keeps its identities
+    doc = {"model": {"type": "interval", "a": PI}, "task": {"name": "resolvent", "z": [-1.0, 1e-6]}}
+    job, out = write_job(tmp_path / "job.json", doc), str(tmp_path / "out")
+    assert main([job, "--out", out]) == cli.EXIT_NUMERICAL == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == "numerical-failure"
+    message = (
+        r"ModelConsistencyError: secular matrix singular at nonreal z=\(-1\+1e-06j\) "
+        r"\(sigma_min=7\.85\de-07, sigma_max=1\.27\de\+06\); either z is within working precision "
+        r"of an eigenvalue embedded in the free spectrum, or the Weyl family violates its defining identities"
+    )
+    assert re.fullmatch(message, err["message"])
+    assert not (tmp_path / "out").exists()
+    doc["task"]["z"] = [-1.0, 1e-4]
+    assert main([write_job(tmp_path / "job.json", doc), "--out", out]) == cli.EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # resolvent
 
@@ -361,7 +381,7 @@ def test_job_too_large_to_allocate_exits_1(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG == 1
     err = json.loads(proc.stderr)["error"]
     assert err["code"] == "invalid-config"
-    assert err["message"] == "ConfigError: task.grid: expected edges x nodes at most 1048576, got 1 x 2000000000"
+    assert err["message"] == "ConfigError: task.grid: expected an integer in [0, 1048576], got 2000000000"
     assert not (tmp_path / "out").exists()
 
 
@@ -370,13 +390,18 @@ def test_job_too_large_to_allocate_exits_1(tmp_path):
     [([PI], 2**20, False), ([PI], 2**20 + 1, True), ([1.0] * 8, 2**17, False), ([1.0] * 8, 2**17 + 1, True)],
 )
 def test_the_resolvent_grid_is_capped_in_all_edges(lengths, nodes, refused):
-    # read_job builds no grid, so the cap is checked without allocating one
+    # read_job builds no grid, so the cap is checked without allocating one;
+    # one edge meets it on the task.grid row, a graph in the total
+    assert cli.NODES == (0, cli.MAX_GRID_SAMPLES) == (0, 2**20)
     model = {"type": "graph", "lengths": lengths}
     doc = {"model": model, "task": {"name": "resolvent", "grid": nodes}}
     if not refused:
         assert cli.read_job(doc)[0]["task.grid"] == nodes
         return
-    message = f"task.grid: expected edges x nodes at most {cli.MAX_GRID_SAMPLES}, got {len(lengths)} x {nodes}"
+    if len(lengths) == 1:
+        message = f"task.grid: expected an integer in [0, 1048576], got {nodes}"
+    else:
+        message = f"task.grid: expected edges x nodes at most 1048576, got {len(lengths)} x {nodes}"
     with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
         cli.read_job(doc)
 
@@ -704,17 +729,17 @@ INVALID_INPUTS = {
     "grid-float": (
         interval_job({"name": "resolvent", "grid": 2001.7}),
         [],
-        "ConfigError: task.grid: expected an integer in [0, 2147483647], got 2001.7",
+        "ConfigError: task.grid: expected an integer in [0, 1048576], got 2001.7",
     ),
     "grid-bool": (
         interval_job({"name": "resolvent", "grid": True}),
         [],
-        "ConfigError: task.grid: expected an integer in [0, 2147483647], got True",
+        "ConfigError: task.grid: expected an integer in [0, 1048576], got True",
     ),
     "grid-string": (
         interval_job({"name": "resolvent", "grid": "2001"}),
         [],
-        "ConfigError: task.grid: expected an integer in [0, 2147483647], got '2001'",
+        "ConfigError: task.grid: expected an integer in [0, 1048576], got '2001'",
     ),
     "k-float": (
         interval_job({"name": "resolvent", "input": {"preset": "sin_k", "k": 1.5}}),

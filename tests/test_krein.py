@@ -90,6 +90,38 @@ def test_label_bases_are_those_of_its_projector(n, rank, seed):
     assert params.kernel_basis.shape[1] == n - min(rank, n)
 
 
+@given(
+    n=st.integers(1, 6),
+    rank=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    skew=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_a_label_stores_the_hermitian_parts_of_its_matrices(n, rank, seed, skew):
+    # pi and theta given with skew-Hermitian parts within PARAMS_RTOL are
+    # stored Hermitian to the bit, and the frame is that of pi's Hermitian part
+    rng = np.random.default_rng(seed)
+    exact = random_params(rng, n, rank=min(rank, n))
+
+    def skewed(m, size):
+        s = 1j * random_hermitian(rng, n)
+        return m + size * krein.PARAMS_RTOL * s / np.linalg.norm(s)
+
+    pi = skewed(exact.pi, 0.02 * skew[0])
+    theta = exact.pi @ skewed(exact.theta, 0.2 * skew[1]) @ exact.pi
+    assert kx.validate_params(pi, theta).passed
+    label = ExtensionParams(pi, theta)
+    for stored, given in ((label.pi, pi), (label.theta, theta)):
+        assert stored.tobytes() == ((given + given.conj().T) / 2.0).tobytes()
+        assert np.array_equal(stored, stored.conj().T)
+    vals, vecs = np.linalg.eigh((pi + pi.conj().T) / 2.0)
+    assert label.range_basis.tobytes() == vecs[:, vals > 0.5].tobytes()
+    assert label.kernel_basis.tobytes() == vecs[:, vals <= 0.5].tobytes()
+    # a label built from a label's matrices is the same label, bit for bit
+    again = ExtensionParams(label.pi, label.theta)
+    for name in ("pi", "theta", "range_basis", "kernel_basis"):
+        assert getattr(again, name).tobytes() == getattr(label, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # secular matrix
 
@@ -184,7 +216,11 @@ def test_singular_nonreal_point_is_a_model_fault():
     gamma = lambda z: np.zeros((1, 1), dtype=complex)
     zero = kx.WeylSystem(1, "custom", kx.HalfLineExclusions(0.0), gamma, None, None)
     params = ExtensionParams.full([[0.0]])
-    message = r"^secular matrix singular at nonreal z=1j \(sigma_min=0\.000e\+00\); the Weyl family violates"
+    message = (
+        r"^secular matrix singular at nonreal z=1j \(sigma_min=0\.000e\+00, sigma_max=0\.000e\+00\); "
+        r"either z is within working precision of an eigenvalue embedded in the free spectrum, "
+        r"or the Weyl family violates its defining identities$"
+    )
     with pytest.raises(kx.ModelConsistencyError, match=message):
         kx.Resolvent(zero, params, 1j).regular
     with pytest.raises(kx.ModelConsistencyError, match=message):

@@ -149,6 +149,26 @@ def test_a_pair_of_condition_number_1e6_passes_all_three_nondegeneracy_checks():
         assert cond.failed == ("nondeg", "joint_kernel", "normalization")
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_a_scaled_pair_reports_the_squared_sigma_min_of_its_stack(s):
+    # normalization_sigma is sigma_min([B1^*; B2^*])^2, and nondeg, the joint
+    # kernel and normalization give one verdict at every scale
+    rng = np.random.default_rng(31)
+    pairs = [kx.pair_from_params(random_params(rng, n)) for n in (1, 2, 3, 5)]
+    pairs += [
+        BoundaryPair(np.diag([1.0, 1e-6]), np.zeros((2, 2))),
+        BoundaryPair(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
+    ]
+    for pair in pairs:
+        scaled = BoundaryPair(s * pair.b1, s * pair.b2)
+        cond = scaled.conditions
+        stack = np.linalg.svd(np.vstack([scaled.b1.conj().T, scaled.b2.conj().T]), compute_uv=False)
+        assert cond.normalization_sigma == float(stack[-1]) ** 2
+        assert cond.comm_ok and cond.consistent
+        assert cond.nondeg_ok == cond.joint_kernel_ok == cond.normalization_ok == pair.conditions.nondeg_ok
+    assert [p.conditions.nondeg_ok for p in pairs] == [True] * 5 + [False]
+
+
 def test_relation_from_pair_examples():
     rel = kx.relation_from_pair(BoundaryPair([[0.0]], [[-1j]]))
     col = rel.basis[:, 0]

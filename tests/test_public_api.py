@@ -102,6 +102,22 @@ def test_no_module_imports_private_names_of_another():
     assert not private
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, and krein keeps quad.simpson because the
+    # benchmark's tracer wraps it there
+    unused = []
+    for path in sorted(Path(kx.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == ["krein.py: simpson"]
+
+
 def test_label_signatures_and_frame():
     def params(fn):
         return list(inspect.signature(fn).parameters)

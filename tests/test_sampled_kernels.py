@@ -342,9 +342,11 @@ def test_point_model_keeps_its_distances(monkeypatch):
     centers = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.5]]
     model = kx.PointModel(centers)
     spin = kx.SpinPointModel(centers, (0.0, 1.5))
-    assert "_distances" not in {f.name for f in dataclasses.fields(model)}
+    assert "_upper_distances" not in {f.name for f in dataclasses.fields(model)}
+    assert not hasattr(model, "_distances")  # the kernels read only the pairs above the diagonal
     assert "_point" not in {f.name for f in dataclasses.fields(spin)}
-    _same(model._distances, models._pairwise_distances(model.centers, model.centers))
+    rows, cols = np.triu_indices(3, 1)
+    _same(model._upper_distances, models._pairwise_distances(model.centers, model.centers)[rows, cols])
     # the point values and the regular part read |x - y| from this helper,
     # which squares by diff * diff where they squared by ** 2: same bytes
     rng = np.random.default_rng(5)

@@ -557,18 +557,20 @@ def _counted_search(monkeypatch, model, params, window):
     return calls
 
 
-def test_only_an_exact_full_label_skips_the_hermitian_part_of_its_rounds(monkeypatch):
+def test_only_a_compressed_label_takes_the_hermitian_part_of_its_stacks(monkeypatch):
+    # every label's theta is Hermitian to the bit, so an uncompressed stack
+    # goes to eigvalsh and eigh as it is, also for a theta given Hermitian
+    # only within tolerance
     graph, params = _random_graph()
     window = (-30.0, 5.0)
-    assert params._uncompressed and np.array_equal(params.theta, params.theta.conj().T)
-    calls = _counted_search(monkeypatch, graph, params, window)
-    assert calls["_hermitian_part"] == 1  # the eigh at the roots
     theta = params.theta.copy()
-    theta[0, 1] += 1e-15  # Hermitian within tolerance only
-    for label in (ExtensionParams.full(theta), ExtensionParams(np.eye(16), theta)):
-        assert label._uncompressed
+    theta[0, 1] += 1e-15
+    assert not np.array_equal(theta, theta.conj().T)
+    for label in (params, ExtensionParams.full(theta), ExtensionParams(np.eye(16), theta)):
+        assert label._uncompressed and np.array_equal(label.theta, label.theta.conj().T)
         calls = _counted_search(monkeypatch, graph, label, window)
-        assert calls["_hermitian_part"] == calls["secular_matrix"]
+        assert calls["_hermitian_part"] == 0
+    # a compressed label's rounds and its eigh at the roots: once per stack
     model, compressed = _partial_projector_graph()
     assert not compressed._uncompressed
     calls = _counted_search(monkeypatch, model, compressed, (-25.0, 4.0))
@@ -599,9 +601,9 @@ def test_full_label_secular_matrix_is_theta_plus_gamma(name):
     # -0.0 parts), with -0.0 parts made +0.0, and with every imaginary part
     # -0.0, as from a JSON theta or theta.conj()
     for theta in (params.theta, params.theta + 0.0, np.conj(params.theta.real + 0j)):
-        expected = theta + system.gamma(zs)
         for label in (ExtensionParams.full(theta), ExtensionParams(identity, theta)):
             assert label._uncompressed
+            expected = label.theta + system.gamma(zs)
             assert kx.secular_matrix(system, label, zs).tobytes() == expected.tobytes()
             assert kx.secular_matrix(system, label, zs[0]).tobytes() == expected[0].tobytes()
 
@@ -769,11 +771,12 @@ def _flicker(lams):
 
 
 def _kink(lams):
-    # slope 1 away from the root and 1e-2 within 1000 R of it: the secant's
-    # slope is too steep, so the first probes land inside the band
+    # d = lam - root within 1000 R of the root, where f = 1e-2 d, and further
+    # right than 0.5, where f = d + 9 (d - 0.5), and f = d elsewhere: the
+    # secant steps towards the root, and its slope is too steep, so the
+    # probes land inside the band
     d = np.asarray(lams, dtype=float) - 1.2345678901234
-    c = 1e3 * R
-    f = np.where(np.abs(d) <= c, 1e-2 * d, np.sign(d) * (1e-2 * c + np.abs(d) - c))
+    f = np.where(np.abs(d) <= 1e3 * R, 1e-2 * d, np.where(d > 0.5, d + 9.0 * (d - 0.5), d))
     return np.sort(np.stack([f, np.full_like(d, BIG), np.full_like(d, BIG)], axis=-1), axis=-1)
 
 
@@ -795,11 +798,29 @@ def test_count_outside_the_drop_falls_back_to_plain_bisection():
     assert 2 in counts  # the walk met a count that is neither clo nor chi
 
 
-def test_failed_probes_widen_the_window():
+def test_a_failed_probe_walks_inside_the_secant_bracket(monkeypatch):
+    # the kink's probes land inside the band where |f| <= 8 R, so they
+    # certify no end: the bracket walks inside the secant's bracket (a, b),
+    # whose ends certified their counts, and still gives the plain roots
+    brackets = []
+
+    class Recorded(spectral._Bracket):
+        def __init__(self, *args):
+            super().__init__(*args)
+            brackets.append(self)
+
+    monkeypatch.setattr(spectral, "_Bracket", Recorded)
     calls = _isolate_against_plain_bisection(_kink)
-    spreads = [points[1] - points[0] for points in calls[1:] if len(points) == 2]
-    assert len(spreads) >= 2  # the first probes failed and were repeated
-    assert spreads[1] == pytest.approx(16.0 * spreads[0])
+    (s,) = brackets
+    rounds = [len(points) for points in calls]  # the first evaluates the segment's ends
+    assert rounds[1:].count(2) == 1  # one probe round
+    k = rounds.index(2, 1)
+    probes, walked = calls[k], np.concatenate(calls[k + 1:])
+    assert np.all(np.abs(_kink(probes)[:, 0]) <= 8.0 * R)
+    assert (s.xl, s.xr) == (s.a, s.b) and 0.0 < s.a < probes[0] < probes[1] < s.b <= 3.0
+    assert rounds[k + 1:] == [1] * walked.size
+    assert np.all((s.a < walked) & (walked < s.b))
+    assert 0.75 < s.a and 0.75 not in np.concatenate(calls)  # a midpoint the walk passed
 
 
 # each of the four ways to give a window up, on the branch w = lam - 1.5 of
